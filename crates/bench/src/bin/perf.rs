@@ -36,7 +36,9 @@ use venom_dnn::{MultiHeadAttention, SparseAttention};
 use venom_format::{MatmulFormat, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_pruner::magnitude;
-use venom_runtime::{AttentionMask, Engine, PlanCache, PlanKey, RetryPolicy, ServeConfig, Server};
+use venom_runtime::{
+    AttentionMask, Engine, MatmulPlan, PlanCache, PlanKey, RetryPolicy, ServeConfig, Server,
+};
 use venom_sim::DeviceConfig;
 use venom_tensor::{gemm, random, Matrix};
 
@@ -617,12 +619,10 @@ fn spmm_i8_series(
     let qplan = engine.plan_quant_spmm(&a);
     // The quantized output must track the f16 path (exact equality is not
     // the contract here — the conformance suite bounds the error).
-    let rel = venom_tensor::norms::rel_frobenius_error(
-        &venom_runtime::MatmulPlan::run(&qplan, &b),
-        &spmm(&a, &b, &opts, &dev).c,
-    );
+    let rel =
+        venom_tensor::norms::rel_frobenius_error(&qplan.run(&b), &spmm(&a, &b, &opts, &dev).c);
     assert!(rel < 0.05, "quantized output drifted: rel {rel}");
-    let median = median_ms(args.iters, || venom_runtime::MatmulPlan::run(&qplan, &b));
+    let median = median_ms(args.iters, || qplan.run(&b));
     let reference = Some((
         "venom_core::spmm (f16 per-call)",
         median_ms(args.ref_iters, || spmm(&a, &b, &opts, &dev).c),
@@ -655,7 +655,6 @@ fn spmm_i8_plan_series(
     cfg: VnmConfig,
     args: &Args,
 ) -> Series {
-    use venom_runtime::MatmulPlan;
     let a = vnm_weight(r, k, cfg, 1);
     let b = random::normal_matrix(k, c, 0.0, 1.0, 2).to_half();
     let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(c);

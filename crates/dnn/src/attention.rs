@@ -15,9 +15,7 @@
 use crate::layers::{softmax_rows, ExecPath, Linear, PlanStrategy, PlannedLinear};
 use std::sync::Arc;
 use venom_format::VnmConfig;
-use venom_runtime::{
-    stage, AttentionMask, AttentionPlan, AttnPlanCache, Engine, PlanCache, PlanError,
-};
+use venom_runtime::{stage, AttentionMask, AttentionPlan, Engine, PlanCache, PlanError};
 use venom_tensor::{gemm, Matrix};
 
 /// Multi-head self-attention over a single sequence.
@@ -305,24 +303,6 @@ impl SparseAttention {
         Ok(SparseAttention { mha, plan })
     }
 
-    /// [`Self::from_mha`] resolving the plan through a shared
-    /// [`AttnPlanCache`] — layers with the same `(seq, hidden, heads,
-    /// mask)` share one plan build.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError`] from the build; failures are not cached.
-    pub fn from_mha_cached(
-        mha: MultiHeadAttention,
-        engine: &Engine,
-        seq: usize,
-        mask: &AttentionMask,
-        cache: &AttnPlanCache,
-    ) -> Result<Self, PlanError> {
-        let hidden = mha.wq.shape().0;
-        let plan = engine.plan_attention_cached(seq, hidden, mha.heads, mask, cache)?;
-        Ok(SparseAttention { mha, plan })
-    }
-
     /// The mask the layer's plan was condensed from.
     pub fn mask(&self) -> AttentionMask {
         self.plan.mask()
@@ -544,33 +524,6 @@ mod tests {
             mha.forward_causal(&x),
             mha.forward_masked(&x, &AttentionMask::Causal)
         );
-    }
-
-    #[test]
-    fn sparse_attention_shares_plans_through_the_cache() {
-        let cache = AttnPlanCache::new();
-        let mask = AttentionMask::SlidingWindow { window: 4 };
-        let a = SparseAttention::from_mha_cached(
-            MultiHeadAttention::dense(32, 2, 47),
-            &engine(),
-            12,
-            &mask,
-            &cache,
-        )
-        .unwrap();
-        let b = SparseAttention::from_mha_cached(
-            MultiHeadAttention::dense(32, 2, 48),
-            &engine(),
-            12,
-            &mask,
-            &cache,
-        )
-        .unwrap();
-        assert!(
-            std::sync::Arc::ptr_eq(&a.plan, &b.plan),
-            "same (seq, hidden, heads, mask) must share one plan"
-        );
-        assert_eq!(cache.stats().builds, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Activations are kept in `f32`; GEMM operands are converted to half at
 //! the layer boundary (standard mixed-precision inference). Layers hold
 //! *execution plans* built by the [`Engine`] behind the format-erased
-//! [`MatmulPlan`] surface: a [`Linear`] owns a [`GemmPlan`] over its
-//! dense half weight, a [`PlannedLinear`] owns an `Arc<dyn MatmulPlan>`
+//! [`MatmulPlan`] surface: a [`Linear`] owns a dense [`Plan`] over its
+//! half weight, a [`PlannedLinear`] owns an `Arc<dyn MatmulPlan>`
 //! in whatever storage format the engine chose — so one model mixes
 //! V:N:M, 2:4, CSR, CVSE, Blocked-ELL and dense weights per layer.
 //!
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use venom_format::{MatmulFormat, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_runtime::{
-    Calibration, DType, Engine, Epilogue, GemmPlan, MatmulPlan, PlanCache, PlanError, PlanKey,
+    Calibration, DType, Engine, Epilogue, MatmulPlan, Plan, PlanCache, PlanError, PlanKey,
 };
 use venom_tensor::Matrix;
 
@@ -62,7 +62,7 @@ pub enum PlanStrategy {
 #[derive(Clone, Debug)]
 pub struct Linear {
     /// Planned dense weight, `out_features x in_features`.
-    pub plan: GemmPlan,
+    pub plan: Plan,
     /// Bias, length `out_features`.
     pub bias: Vec<f32>,
 }
@@ -83,7 +83,7 @@ impl Linear {
     pub fn from_half(weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
         assert_eq!(bias.len(), weight.rows(), "bias must match out_features");
         Linear {
-            plan: GemmPlan::new(weight),
+            plan: Plan::from_dense(weight),
             bias,
         }
     }
@@ -96,12 +96,15 @@ impl Linear {
 
     /// The dense half weight.
     pub fn weight(&self) -> &Matrix<Half> {
-        self.plan.weight()
+        self.plan
+            .dense()
+            .expect("a Linear is built only over a dense plan")
     }
 
     /// `(out_features, in_features)`.
     pub fn shape(&self) -> (usize, usize) {
-        self.plan.shape()
+        let d = self.plan.descriptor();
+        (d.out_features, d.in_features)
     }
 
     /// Forward through the chosen execution path; both are bit-identical.
@@ -111,7 +114,7 @@ impl Linear {
     pub fn forward_via(&self, path: ExecPath, x: &Matrix<f32>) -> Matrix<f32> {
         match path {
             ExecPath::Planned => self.plan.run_linear(x, &self.bias),
-            ExecPath::PerCall => MatmulPlan::run_linear_percall(&self.plan, x, &self.bias),
+            ExecPath::PerCall => self.plan.run_linear_percall(x, &self.bias),
         }
     }
 
@@ -167,7 +170,7 @@ impl Linear {
         cfg: VnmConfig,
         strategy: PlanStrategy,
     ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.plan.weight());
+        let pruned = mask.apply_half(self.weight());
         Ok(PlannedLinear {
             plan: Self::plan_pruned(engine, &pruned, mask, cfg, strategy)?,
             bias: self.bias.clone(),
@@ -191,7 +194,7 @@ impl Linear {
         strategy: PlanStrategy,
         cache: &PlanCache,
     ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.plan.weight());
+        let pruned = mask.apply_half(self.weight());
         let key = PlanKey::for_weight(Self::cache_descriptor(engine, &pruned, strategy), &pruned)
             .with_salt(strategy_salt(strategy, cfg));
         let plan = cache.try_get_or_plan(key, || {

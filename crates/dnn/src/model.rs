@@ -12,10 +12,12 @@
 //! [`SparseTransformerEncoder::forward_batch`] runs every sequence
 //! through the same plans.
 
+use crate::attention::SparseAttention;
 use crate::layers::{ExecPath, LayerNorm, PlanStrategy};
 use crate::transformer::{EncoderBlock, SparseEncoderBlock, TransformerConfig};
+use std::sync::Arc;
 use venom_format::{MatmulFormat, VnmConfig};
-use venom_runtime::{AttentionMask, AttnPlanCache, Engine, PlanCache, PlanError};
+use venom_runtime::{AttentionMask, Engine, PlanCache, PlanError};
 use venom_tensor::Matrix;
 
 /// A dense encoder stack.
@@ -158,7 +160,7 @@ impl SparseTransformerEncoder {
     /// Adopts the planned masked-attention pipeline in every block for
     /// sequences of length `seq` under `mask`. All layers share one
     /// `(seq, hidden, heads, mask)` shape, so one plan is built and
-    /// every block re-arcs it through a fresh [`AttnPlanCache`].
+    /// every block holds an `Arc` of it.
     ///
     /// # Errors
     /// Propagates [`PlanError::Unplannable`] from the plan build.
@@ -168,9 +170,12 @@ impl SparseTransformerEncoder {
         seq: usize,
         mask: &AttentionMask,
     ) -> Result<(), PlanError> {
-        let cache = AttnPlanCache::new();
+        let plan = engine.plan_attention(seq, self.config.hidden, self.config.heads, mask)?;
         for block in &mut self.blocks {
-            block.adopt_planned_attention_cached(engine, seq, mask, &cache)?;
+            block.planned_attn = Some(SparseAttention {
+                mha: block.mha.clone(),
+                plan: Arc::clone(&plan),
+            });
         }
         Ok(())
     }

@@ -1,5 +1,5 @@
 //! The int8 layer path: [`QuantizedLinear`], a linear layer served by the
-//! calibrated [`QuantSpmmPlan`].
+//! calibrated int8 [`Plan`].
 //!
 //! The dataflow mirrors Magicube's serving recipe: weights are quantized
 //! *once* at plan-build time (per-output-channel symmetric scales over
@@ -17,14 +17,14 @@
 
 use crate::layers::{ExecPath, Linear};
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
-use venom_runtime::{Calibration, Engine, MatmulPlan, QuantSpmmPlan};
+use venom_runtime::{Calibration, Engine, MatmulPlan, Plan};
 use venom_tensor::Matrix;
 
 /// A linear layer `y = x W^T + b` over a calibrated int8 V:N:M plan.
 #[derive(Clone, Debug)]
 pub struct QuantizedLinear {
     /// The i32-accumulating execution plan.
-    pub plan: QuantSpmmPlan,
+    pub plan: Plan,
     /// Bias, length `out_features`.
     pub bias: Vec<f32>,
 }
@@ -34,7 +34,7 @@ impl QuantizedLinear {
     ///
     /// # Panics
     /// Panics if `bias.len()` mismatches the plan's output features.
-    pub fn new(plan: QuantSpmmPlan, bias: Vec<f32>) -> Self {
+    pub fn new(plan: Plan, bias: Vec<f32>) -> Self {
         assert_eq!(
             bias.len(),
             plan.descriptor().out_features,
@@ -63,12 +63,16 @@ impl QuantizedLinear {
 
     /// `(out_features, in_features)`.
     pub fn shape(&self) -> (usize, usize) {
-        self.plan.shape()
+        let d = self.plan.descriptor();
+        (d.out_features, d.in_features)
     }
 
     /// The calibrator of the weight scales.
     pub fn calibration(&self) -> Calibration {
-        self.plan.weight().calibration()
+        self.plan
+            .quantized()
+            .expect("a QuantizedLinear is built only over an int8 plan")
+            .calibration()
     }
 
     /// Forward through the chosen execution path; both quantize the

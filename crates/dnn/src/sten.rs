@@ -14,7 +14,7 @@
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_pruner::magnitude;
-use venom_runtime::{Engine, SpmmPlan};
+use venom_runtime::{Engine, MatmulPlan, Plan};
 use venom_tensor::Matrix;
 
 /// Turns dense weights into a compressed sparse form.
@@ -60,7 +60,7 @@ pub struct SparseTensorWrapper {
     /// formats in STen; kept here for verification).
     pub dense_origin: Matrix<Half>,
     /// The compressed V:N:M tensor, planned on the wrapping engine.
-    pub plan: SpmmPlan,
+    pub plan: Plan,
 }
 
 impl SparseTensorWrapper {
@@ -81,7 +81,9 @@ impl SparseTensorWrapper {
 
     /// The compressed V:N:M tensor.
     pub fn compressed(&self) -> &VnmMatrix {
-        self.plan.weight()
+        self.plan
+            .vnm()
+            .expect("wrapping always plans the V:N:M Spatha path")
     }
 
     /// Dispatches the SpMM through the plan (Listing 1's

@@ -14,7 +14,7 @@
 
 use crate::attention::{MultiHeadAttention, SparseAttention};
 use crate::layers::{gelu, ExecPath, LayerNorm, Linear, PlanStrategy, PlannedLinear};
-use venom_runtime::{AttentionMask, AttnPlanCache, Engine, PlanCache, PlanError};
+use venom_runtime::{AttentionMask, Engine, PlanCache, PlanError};
 use venom_tensor::Matrix;
 
 /// Architecture hyperparameters of a transformer.
@@ -255,29 +255,6 @@ impl SparseEncoderBlock {
             engine,
             seq,
             mask,
-        )?);
-        Ok(())
-    }
-
-    /// [`Self::adopt_planned_attention`] resolving the plan through a
-    /// shared [`AttnPlanCache`] — every layer with the same
-    /// `(seq, hidden, heads, mask)` shares one plan build.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError`] from the build; failures are not cached.
-    pub fn adopt_planned_attention_cached(
-        &mut self,
-        engine: &Engine,
-        seq: usize,
-        mask: &AttentionMask,
-        cache: &AttnPlanCache,
-    ) -> Result<(), PlanError> {
-        self.planned_attn = Some(SparseAttention::from_mha_cached(
-            self.mha.clone(),
-            engine,
-            seq,
-            mask,
-            cache,
         )?);
         Ok(())
     }

@@ -31,12 +31,7 @@
 //! flip-on-cost discipline as `plan_auto`, no thresholds.
 
 use crate::matmul::PlanError;
-use crate::serve::PlanKey;
-use crate::MatmulDescriptor;
 use rayon::prelude::*;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use venom_core::{sddmm_counts, sddmm_counts_swapped};
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::{f16_to_f32_table, f32_to_f16_bits, Half};
@@ -127,9 +122,9 @@ impl AttentionMask {
         }
     }
 
-    /// A fingerprint salt folding the mask kind and parameters — mixed
-    /// into [`PlanKey`]s so same-shape plans under different masks occupy
-    /// distinct cache lines.
+    /// A fingerprint salt folding the mask kind and parameters — for
+    /// [`crate::PlanKey::with_salt`], so same-shape plans under different
+    /// masks occupy distinct cache lines.
     pub fn salt(&self) -> u64 {
         let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
         let h = 0xcbf2_9ce4_8422_2325u64;
@@ -657,21 +652,6 @@ impl AttentionPlan {
     pub fn approx_bytes(&self) -> usize {
         self.cols.len() * 4 + self.row_ptr.len() * 4
     }
-
-    /// The cache key for this plan's `(shape, mask)` pair.
-    pub fn key(&self) -> PlanKey {
-        attention_key(self.seq, self.hidden, self.heads, &self.mask)
-    }
-}
-
-/// The [`PlanKey`] for an attention plan: keyed on the `(seq, hidden)`
-/// descriptor with the mask kind/parameters and head count folded into
-/// the fingerprint — same-shape plans under different masks (or head
-/// splits) occupy distinct cache lines.
-pub fn attention_key(seq: usize, hidden: usize, heads: usize, mask: &AttentionMask) -> PlanKey {
-    let desc = MatmulDescriptor::new(seq, hidden).with_b_cols(seq);
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    PlanKey::bare(desc).with_salt(mix(mask.salt(), heads as u64))
 }
 
 /// Prices the attention pipeline on both SDDMM schedules and keeps the
@@ -709,111 +689,6 @@ fn attn_price(
         (SddmmPath::Swapped, swapped, t_swapped)
     } else {
         (SddmmPath::Mma, mma, t_mma)
-    }
-}
-
-/// Counters of one [`AttnPlanCache`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AttnCacheStats {
-    /// Lookups that found a built plan.
-    pub hits: u64,
-    /// Lookups that found nothing under the key.
-    pub misses: u64,
-    /// Plans built and inserted.
-    pub builds: u64,
-}
-
-/// A build-once cache for [`AttentionPlan`]s, keyed by the same
-/// [`PlanKey`] discipline as the weight-plan [`crate::PlanCache`]
-/// (descriptor + mask/heads fingerprint). Attention plans are small
-/// (a condensed gather order), so no eviction policy is needed.
-///
-/// Counters are double-booked: per-instance atomics back
-/// [`Self::stats`] (so a cache's own hit ratio stays exact), while the
-/// process-wide [`venom_obs`] registry accumulates the same events
-/// under `cache_{hits,misses,builds}_total{cache="attn"}` for
-/// exposition next to the weight-plan cache's `cache="plan"` series.
-#[derive(Debug)]
-pub struct AttnPlanCache {
-    inner: Mutex<HashMap<PlanKey, Arc<AttentionPlan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    builds: AtomicU64,
-    obs_hits: Arc<venom_obs::Counter>,
-    obs_misses: Arc<venom_obs::Counter>,
-    obs_builds: Arc<venom_obs::Counter>,
-}
-
-impl Default for AttnPlanCache {
-    fn default() -> Self {
-        let reg = venom_obs::registry();
-        let labels = [("cache", "attn")];
-        AttnPlanCache {
-            inner: Mutex::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-            obs_hits: reg.counter("cache_hits_total", &labels),
-            obs_misses: reg.counter("cache_misses_total", &labels),
-            obs_builds: reg.counter("cache_builds_total", &labels),
-        }
-    }
-}
-
-impl AttnPlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The process-wide cache serving stacks share by default.
-    pub fn global() -> &'static Arc<AttnPlanCache> {
-        static GLOBAL: OnceLock<Arc<AttnPlanCache>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(AttnPlanCache::new()))
-    }
-
-    /// Returns the cached plan for `key`, building and inserting it on a
-    /// miss.
-    ///
-    /// # Errors
-    /// Propagates the builder's [`PlanError`]; failures are not cached.
-    ///
-    /// # Panics
-    /// Panics if the cache mutex was poisoned by a panicking builder on
-    /// another thread.
-    pub fn get_or_build(
-        &self,
-        key: PlanKey,
-        build: impl FnOnce() -> Result<AttentionPlan, PlanError>,
-    ) -> Result<Arc<AttentionPlan>, PlanError> {
-        if let Some(hit) = self.inner.lock().expect("attn cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.obs_hits.inc();
-            return Ok(Arc::clone(hit));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.obs_misses.inc();
-        let started = std::time::Instant::now();
-        let plan = Arc::new(build()?);
-        // Successful builds only, so the span count stays equal to the
-        // `builds` counter a trace consumer cross-checks against.
-        venom_obs::trace::record_complete("attn_plan_build", "cache", started, None);
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        self.obs_builds.inc();
-        // A racing builder may have inserted first; keep the existing
-        // plan so every caller shares one Arc.
-        let mut inner = self.inner.lock().expect("attn cache lock");
-        let entry = inner.entry(key).or_insert_with(|| Arc::clone(&plan));
-        Ok(Arc::clone(entry))
-    }
-
-    /// Hit/miss/build counters.
-    pub fn stats(&self) -> AttnCacheStats {
-        AttnCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -902,16 +777,6 @@ mod tests {
                 assert_ne!(salts[i], salts[j], "salt collision {i} vs {j}");
             }
         }
-        // Keys fold the salt: same shape, different mask, distinct keys.
-        assert_ne!(
-            attention_key(64, 128, 4, &AttentionMask::Causal),
-            attention_key(64, 128, 4, &AttentionMask::SlidingWindow { window: 8 }),
-        );
-        assert_ne!(
-            attention_key(64, 128, 4, &AttentionMask::Causal),
-            attention_key(64, 128, 8, &AttentionMask::Causal),
-            "head split must key separately"
-        );
     }
 
     #[test]
@@ -995,27 +860,5 @@ mod tests {
         let e = AttentionPlan::build(8, 64, 4, AttentionMask::SlidingWindow { window: 0 }, &dev())
             .unwrap_err();
         assert!(e.to_string().contains("window"), "{e}");
-    }
-
-    #[test]
-    fn attn_cache_builds_once_per_key() {
-        let cache = AttnPlanCache::new();
-        let d = dev();
-        let key = attention_key(32, 64, 4, &AttentionMask::Causal);
-        let build = || AttentionPlan::build(32, 64, 4, AttentionMask::Causal, &d);
-        let a = cache.get_or_build(key, build).unwrap();
-        let b = cache.get_or_build(key, build).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the Arc");
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.builds), (1, 1, 1));
-        // A different mask misses and builds its own plan.
-        let key2 = attention_key(32, 64, 4, &AttentionMask::Blockwise { block: 8 });
-        let c = cache
-            .get_or_build(key2, || {
-                AttentionPlan::build(32, 64, 4, AttentionMask::Blockwise { block: 8 }, &d)
-            })
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.stats().builds, 2);
     }
 }

@@ -4,14 +4,13 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::plan::{BandPlan, FormatPlan, GemmPlan, SpmmPlan};
+use crate::plan::Plan;
 use crate::pricing;
-use crate::qplan::QuantSpmmPlan;
 use std::sync::Arc;
 use venom_core::SpmmOptions;
 use venom_format::{
-    BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, NmCompressed, NmConfig, SparsityMask,
-    VnmConfig, VnmMatrix,
+    BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, NmCompressed, NmConfig, SparseKernel,
+    SparsityMask, VnmConfig, VnmMatrix,
 };
 use venom_fp16::Half;
 use venom_quant::Calibration;
@@ -59,7 +58,8 @@ impl Engine {
     }
 
     /// Overrides the output-column bound used by [`Self::plan_spmm`],
-    /// [`Self::plan_gemm`] and [`Self::descriptor`].
+    /// [`Self::plan_quant_spmm`], [`Self::plan_gemm`] and
+    /// [`Self::descriptor`].
     #[must_use]
     pub fn with_b_cols_hint(mut self, b_cols: usize) -> Self {
         self.b_cols_hint = b_cols;
@@ -102,56 +102,30 @@ impl Engine {
         MatmulDescriptor::new(out_features, in_features).with_b_cols(self.b_cols_hint)
     }
 
-    /// Plans a V:N:M SpMM at the engine's column hint.
-    pub fn plan_spmm(&self, a: &VnmMatrix) -> SpmmPlan {
-        self.plan_spmm_bounded(a, self.b_cols_hint)
-    }
-
-    /// Plans a V:N:M SpMM tuned and priced for up to `b_cols_bound`
-    /// output columns (wider runs stay exact; only the captured pricing
-    /// assumes the bound).
-    pub fn plan_spmm_bounded(&self, a: &VnmMatrix, b_cols_bound: usize) -> SpmmPlan {
+    /// Plans a V:N:M SpMM on the Spatha path, tuned and priced at the
+    /// engine's column hint (wider runs stay exact; only the captured
+    /// pricing assumes the bound).
+    pub fn plan_spmm(&self, a: &VnmMatrix) -> Plan {
         let (r, k) = a.shape();
-        let desc = MatmulDescriptor::new(r, k).with_b_cols(b_cols_bound);
-        SpmmPlan::build(a, desc, &self.opts, &self.dev)
+        Plan::build_vnm(a, self.descriptor(r, k), &self.opts, &self.dev)
     }
 
     /// Quantizes a compressed V:N:M weight with the engine's calibrator
     /// and plans its i32-accumulating int8 dispatch at the engine's
     /// column hint.
-    pub fn plan_quant_spmm(&self, a: &VnmMatrix) -> QuantSpmmPlan {
-        self.plan_quant_spmm_bounded(a, self.b_cols_hint)
-    }
-
-    /// [`Self::plan_quant_spmm`] tuned and priced for up to
-    /// `b_cols_bound` output columns.
-    pub fn plan_quant_spmm_bounded(&self, a: &VnmMatrix, b_cols_bound: usize) -> QuantSpmmPlan {
+    pub fn plan_quant_spmm(&self, a: &VnmMatrix) -> Plan {
         let (r, k) = a.shape();
-        let desc = MatmulDescriptor::new(r, k)
-            .with_b_cols(b_cols_bound)
-            .with_dtype(DType::I8);
-        QuantSpmmPlan::build(
-            a,
-            self.calibration,
-            self.calibration,
-            desc,
-            &self.opts,
-            &self.dev,
-        )
+        let desc = self.descriptor(r, k);
+        Plan::build_quant(a, self.calibration, desc, &self.opts, &self.dev)
     }
 
     /// Plans a dense GEMM priced on the cuBLAS model for this engine's
     /// device at the engine's column hint — the same pricing seam sparse
     /// plans get, so dense-vs-sparse comparisons in [`Self::plan_auto`]
     /// are fair.
-    pub fn plan_gemm(&self, w: &Matrix<Half>) -> GemmPlan {
-        self.plan_gemm_bounded(w, self.b_cols_hint)
-    }
-
-    /// [`Self::plan_gemm`] priced for up to `b_cols_bound` output columns.
-    pub fn plan_gemm_bounded(&self, w: &Matrix<Half>, b_cols_bound: usize) -> GemmPlan {
-        let desc = MatmulDescriptor::for_weight(w).with_b_cols(b_cols_bound);
-        GemmPlan::build(w, desc, &self.dev)
+    pub fn plan_gemm(&self, w: &Matrix<Half>) -> Plan {
+        let desc = MatmulDescriptor::for_weight(w).with_b_cols(self.b_cols_hint);
+        Plan::build_dense(w, desc, Some(&self.dev))
     }
 
     /// Plans `weights` in an explicitly chosen storage format.
@@ -179,24 +153,27 @@ impl Engine {
         weights: &Matrix<Half>,
     ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
         desc.assert_matches(weights);
-        if desc.dtype == DType::I8 {
-            return match format {
-                MatmulFormat::Vnm => self.plan_vnm_i8(desc, weights, None),
-                other => Err(PlanError::Incompatible {
-                    format: other,
-                    reason: format!(
-                        "dtype i8 is ineligible for '{other}': the int8 path \
-                         (i32-accumulating stream, Uint8 mma.sp pricing) is only \
-                         implemented for the quantized V:N:M container — \
-                         request format 'vnm' or dtype 'f16'"
-                    ),
-                }),
-            };
-        }
         let incompatible = |reason: String| PlanError::Incompatible { format, reason };
-        match format {
-            MatmulFormat::Dense => Ok(Arc::new(GemmPlan::build(weights, *desc, &self.dev))),
-            MatmulFormat::Vnm => self.plan_vnm_detected(desc, weights, None),
+        let (b_cols, dev) = (desc.b_cols, &self.dev);
+        let (kernel, timing, counts): (Arc<dyn SparseKernel>, _, _) = match format {
+            MatmulFormat::Vnm => {
+                let a = self.compress_vnm_detected(weights, None)?;
+                return Ok(Arc::new(match desc.dtype {
+                    DType::I8 => Plan::build_quant(&a, self.calibration, *desc, &self.opts, dev),
+                    DType::F16 => Plan::build_vnm(&a, *desc, &self.opts, dev),
+                }));
+            }
+            other if desc.dtype == DType::I8 => {
+                return Err(incompatible(format!(
+                    "dtype i8 is ineligible for '{other}': the int8 path \
+                     (i32-accumulating stream, Uint8 mma.sp pricing) is only \
+                     implemented for the quantized V:N:M container — \
+                     request format 'vnm' or dtype 'f16'"
+                )))
+            }
+            MatmulFormat::Dense => {
+                return Ok(Arc::new(Plan::build_dense(weights, *desc, Some(dev))))
+            }
             MatmulFormat::Nm => {
                 let mask = nonzero_mask(weights);
                 let nm = NmConfig::new(2, 4);
@@ -207,45 +184,30 @@ impl Engine {
                     ));
                 }
                 let a = NmCompressed::compress(weights, &mask, nm);
-                let counts = pricing::nm_counts(&a, desc.b_cols);
-                let timing = pricing::price_nm(&a, desc.b_cols, &self.dev);
-                Ok(Arc::new(FormatPlan::build_counted(
-                    Arc::new(a),
-                    *desc,
-                    Some(timing),
-                    Some(counts),
-                )))
+                let timing = pricing::price_nm(&a, b_cols, dev);
+                let counts = pricing::nm_counts(&a, b_cols);
+                (Arc::new(a), timing, counts)
             }
             MatmulFormat::Csr => {
                 let a = CsrMatrix::from_dense(weights);
-                let counts = pricing::csr_counts(&a, desc.b_cols);
-                let timing = pricing::price_csr(&a, desc.b_cols, &self.dev);
-                Ok(Arc::new(FormatPlan::build_counted(
-                    Arc::new(a),
-                    *desc,
-                    Some(timing),
-                    Some(counts),
-                )))
+                let timing = pricing::price_csr(&a, b_cols, dev);
+                let counts = pricing::csr_counts(&a, b_cols);
+                (Arc::new(a), timing, counts)
             }
             MatmulFormat::Cvse => {
                 // Probe the vector-length ladder and keep the cheapest
                 // encoding (the format's one tuning knob).
-                let best = AUTO_CVSE_L
+                let (a, timing) = AUTO_CVSE_L
                     .iter()
                     .map(|&l| {
                         let a = CvseMatrix::from_dense(weights, l);
-                        let t = pricing::price_cvse(&a, desc.b_cols, &self.dev);
+                        let t = pricing::price_cvse(&a, b_cols, dev);
                         (a, t)
                     })
                     .min_by(|x, y| pricing::cost_cmp(x.1.time_ms, y.1.time_ms))
                     .expect("the ladder is nonempty");
-                let counts = pricing::cvse_counts(&best.0, desc.b_cols);
-                Ok(Arc::new(FormatPlan::build_counted(
-                    Arc::new(best.0),
-                    *desc,
-                    Some(best.1),
-                    Some(counts),
-                )))
+                let counts = pricing::cvse_counts(&a, b_cols);
+                (Arc::new(a), timing, counts)
             }
             MatmulFormat::BlockedEll => {
                 let (r, k) = (weights.rows(), weights.cols());
@@ -259,16 +221,12 @@ impl Engine {
                         ))
                     })?;
                 let a = BlockedEllMatrix::from_dense(weights, bs);
-                let counts = pricing::blocked_ell_counts(&a, desc.b_cols);
-                let timing = pricing::price_blocked_ell(&a, desc.b_cols, &self.dev);
-                Ok(Arc::new(FormatPlan::build_counted(
-                    Arc::new(a),
-                    *desc,
-                    Some(timing),
-                    Some(counts),
-                )))
+                let timing = pricing::price_blocked_ell(&a, b_cols, dev);
+                let counts = pricing::blocked_ell_counts(&a, b_cols);
+                (Arc::new(a), timing, counts)
             }
-        }
+        };
+        Ok(Arc::new(Plan::build_kernel(kernel, *desc, timing, counts)))
     }
 
     /// Detects a complying V:2:M pattern and compresses, preferring a
@@ -294,24 +252,15 @@ impl Engine {
         Ok(VnmMatrix::compress(weights, &mask, cfg))
     }
 
-    /// Plans the f16 V:N:M format over the detected (or hinted) pattern.
-    fn plan_vnm_detected(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-        pattern: Option<VnmConfig>,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        let a = self.compress_vnm_detected(weights, pattern)?;
-        Ok(Arc::new(SpmmPlan::build(&a, *desc, &self.opts, &self.dev)))
-    }
-
-    /// Plans the bandwidth-optimized non-mma V:N:M band path explicitly.
+    /// Plans the bandwidth-optimized non-mma V:N:M band executor
+    /// explicitly, over the detected (or hinted) pattern.
     ///
-    /// [`Self::plan_auto`] already considers this path as a candidate
-    /// and routes memory-bound shapes to it; this forces it (the CLI's
-    /// `--format band`). The plan executes the FlashSparse-style
-    /// swapped-operand replay and is priced on the CUDA-core DRAM
-    /// roofline.
+    /// [`Self::plan_auto`] already considers this executor as a
+    /// candidate and routes memory-bound shapes to it; this forces it
+    /// (the CLI's `--format band`). The plan executes the
+    /// FlashSparse-style swapped-operand replay and is priced on the
+    /// CUDA-core DRAM roofline. `pattern` has the same contract as in
+    /// [`Self::plan_auto_hinted`]; `None` re-detects it.
     ///
     /// # Errors
     /// [`PlanError::Incompatible`] when the nonzero structure complies
@@ -321,16 +270,6 @@ impl Engine {
     ///
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
-    pub fn plan_band(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        self.plan_band_hinted(desc, weights, None)
-    }
-
-    /// [`Self::plan_band`] with a known prune pattern (same contract as
-    /// [`Self::plan_auto_hinted`]).
     pub fn plan_band_hinted(
         &self,
         desc: &MatmulDescriptor,
@@ -347,26 +286,7 @@ impl Engine {
             });
         }
         let a = self.compress_vnm_detected(weights, pattern)?;
-        Ok(Arc::new(BandPlan::build(&a, *desc, &self.dev)?))
-    }
-
-    /// Plans the int8-quantized V:N:M container over the detected (or
-    /// hinted) pattern, calibrated with the engine's calibrator.
-    fn plan_vnm_i8(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-        pattern: Option<VnmConfig>,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        let a = self.compress_vnm_detected(weights, pattern)?;
-        Ok(Arc::new(QuantSpmmPlan::build(
-            &a,
-            self.calibration,
-            self.calibration,
-            *desc,
-            &self.opts,
-            &self.dev,
-        )))
+        Ok(Arc::new(Plan::build_band(a, *desc, &self.dev)?))
     }
 
     /// Plans `weights` in the cost-model-cheapest eligible format.
@@ -377,11 +297,10 @@ impl Engine {
     /// device; the cheapest plan wins. The dense path always competes,
     /// so a weight that is not sparse enough to pay off simply plans
     /// dense — the FlashSparse-style per-shape layout choice. V:N:M
-    /// weights field *two* candidates: the Spatha `mma.sp` stream and
-    /// the bandwidth-optimized band replay ([`BandPlan`]) — both priced
-    /// in DRAM bytes, so memory-bound shapes (small `b_cols`,
-    /// tall-skinny weights) route to the non-mma path at the device's
-    /// ridge point.
+    /// weights field *two* executors: the Spatha `mma.sp` stream and the
+    /// bandwidth-optimized band replay — both priced in DRAM bytes, so
+    /// memory-bound shapes (small `b_cols`, tall-skinny weights) route
+    /// to the non-mma path at the device's ridge point.
     ///
     /// The descriptor's dtype widens the candidate set: an `i8`
     /// descriptor *allows* the quantized int8 V:N:M plan, which is then
@@ -414,7 +333,43 @@ impl Engine {
         weights: &Matrix<Half>,
         pattern: Option<VnmConfig>,
     ) -> Arc<dyn MatmulPlan> {
-        self.auto_candidates(desc, weights, pattern)
+        desc.assert_matches(weights);
+        let f16_desc = desc.with_dtype(DType::F16);
+        let mut candidates: Vec<Arc<dyn MatmulPlan>> = Vec::new();
+        // Detect and compress the V:N:M structure once: the mma, band
+        // and (for i8 descriptors) quantized candidates share the
+        // compression, and the i8 build reuses the mma candidate's
+        // autotuned tile — the sweep is deterministic on the same
+        // inputs, so this removes repeated work without changing the
+        // result.
+        if let Ok(a) = self.compress_vnm_detected(weights, pattern) {
+            let mma = Plan::build_vnm(&a, f16_desc, &self.opts, &self.dev);
+            if desc.dtype == DType::I8 {
+                let opts = SpmmOptions {
+                    tile: mma.tile().or(self.opts.tile),
+                    ..self.opts
+                };
+                let quant = Plan::build_quant(&a, self.calibration, *desc, &opts, &self.dev);
+                candidates.push(Arc::new(quant));
+            }
+            candidates.push(Arc::new(mma));
+            // The band executor competes over the same compression: its
+            // DRAM-byte pricing undercuts the mma stream left of the
+            // ridge point, so routing flips there — no hard-coded
+            // threshold.
+            if let Ok(band) = Plan::build_band(a, f16_desc, &self.dev) {
+                candidates.push(Arc::new(band));
+            }
+        }
+        for &f in MatmulFormat::ALL
+            .iter()
+            .filter(|&&f| f != MatmulFormat::Vnm)
+        {
+            if let Ok(plan) = self.plan_with_format(f, &f16_desc, weights) {
+                candidates.push(plan);
+            }
+        }
+        candidates
             .into_iter()
             .min_by(|a, b| {
                 let ca = a.cost_ms().unwrap_or(f64::INFINITY);
@@ -424,40 +379,13 @@ impl Engine {
             .expect("the dense path is always eligible")
     }
 
-    /// Packages this engine's planning as the *fallible builder* the
-    /// serving stack consumes ([`crate::Server::register_fallible`] /
-    /// [`crate::Server::register_degradable`], the [`crate::PlanCache`]
-    /// deadline path): the returned closure owns a clone of the engine
-    /// plus the planning inputs, replans on every call, and maps
-    /// [`PlanError`] onto the reason string the server's retry and
-    /// degradation machinery surfaces in
-    /// [`crate::ServeError::BuildFailed`].
-    ///
-    /// # Panics
-    /// The *returned closure* panics if `weights` does not match the
-    /// descriptor's shape (same contract as [`Self::plan_with_format`]).
-    pub fn serve_builder(
-        &self,
-        format: MatmulFormat,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-    ) -> impl Fn() -> Result<Arc<dyn MatmulPlan>, String> + Send + Sync + 'static {
-        let engine = self.clone();
-        let desc = *desc;
-        let weights = weights.clone();
-        move || {
-            engine
-                .plan_with_format(format, &desc, &weights)
-                .map_err(|e| e.to_string())
-        }
-    }
-
     /// Plans the activation-side attention pipeline for one
     /// `(seq, hidden, heads, mask)` shape: SDDMM over the mask's
     /// condensed gather order, masked softmax over the compressed
     /// scores, and the `P·V` contraction — priced on
     /// `sddmm_counts`-derived counts with the mma-vs-swapped schedule
     /// flip decided by simulated cost (see [`crate::AttentionPlan`]).
+    /// Layers of one shape share the returned `Arc`.
     ///
     /// # Errors
     /// [`PlanError::Unplannable`] on a degenerate shape (zero sequence,
@@ -470,153 +398,6 @@ impl Engine {
         mask: &crate::AttentionMask,
     ) -> Result<Arc<crate::AttentionPlan>, PlanError> {
         crate::AttentionPlan::build(seq, hidden, heads, *mask, &self.dev).map(Arc::new)
-    }
-
-    /// [`Self::plan_attention`] through an [`crate::AttnPlanCache`]:
-    /// the `(shape, mask)` key is looked up first and the plan is built
-    /// at most once per key across every layer and request sharing the
-    /// cache.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError`] from the build; failures are not cached.
-    pub fn plan_attention_cached(
-        &self,
-        seq: usize,
-        hidden: usize,
-        heads: usize,
-        mask: &crate::AttentionMask,
-        cache: &crate::AttnPlanCache,
-    ) -> Result<Arc<crate::AttentionPlan>, PlanError> {
-        let key = crate::attn::attention_key(seq, hidden, heads, mask);
-        let mask = *mask;
-        let dev = self.dev.clone();
-        cache.get_or_build(key, move || {
-            crate::AttentionPlan::build(seq, hidden, heads, mask, &dev)
-        })
-    }
-
-    /// Packages attention planning as the fallible builder shape the
-    /// serving stack consumes — the attention sibling of
-    /// [`Self::serve_builder`]: the closure owns a clone of the engine
-    /// and the planning inputs, replans on every call, and maps
-    /// [`PlanError`] onto the reason string the server surfaces.
-    pub fn attention_builder(
-        &self,
-        seq: usize,
-        hidden: usize,
-        heads: usize,
-        mask: &crate::AttentionMask,
-    ) -> impl Fn() -> Result<Arc<crate::AttentionPlan>, String> + Send + Sync + 'static {
-        let engine = self.clone();
-        let mask = *mask;
-        move || {
-            engine
-                .plan_attention(seq, hidden, heads, &mask)
-                .map_err(|e| e.to_string())
-        }
-    }
-
-    /// [`Self::plan_auto`] with a measured micro-autotune: every eligible
-    /// candidate plan is additionally *run* `iters` times on a synthetic
-    /// probe operand, and the lowest measured wall-clock wins. Slower to
-    /// plan, but immune to cost-model bias on the functional CPU path.
-    ///
-    /// # Panics
-    /// Panics if `iters` is zero or the shapes mismatch.
-    pub fn plan_auto_measured(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-        iters: usize,
-    ) -> Arc<dyn MatmulPlan> {
-        assert!(
-            iters >= 1,
-            "the micro-autotune needs at least one iteration"
-        );
-        // A small deterministic probe: measuring at full bound would make
-        // planning cost as much as serving.
-        let probe_cols = desc.b_cols.clamp(1, 32);
-        let probe = Matrix::from_fn(desc.in_features, probe_cols, |r, c| {
-            ((r * 31 + c * 17) % 13) as f32 * 0.17 - 1.0
-        })
-        .to_half();
-        self.auto_candidates(desc, weights, None)
-            .into_iter()
-            .map(|plan| {
-                let _ = plan.run(&probe); // warm-up primes tables and pools
-                let mut best = f64::INFINITY;
-                for _ in 0..iters {
-                    let t0 = std::time::Instant::now();
-                    std::hint::black_box(plan.run(&probe));
-                    best = best.min(t0.elapsed().as_secs_f64());
-                }
-                (plan, best)
-            })
-            .min_by(|a, b| pricing::cost_cmp(a.1, b.1))
-            .expect("the dense path is always eligible")
-            .0
-    }
-
-    /// Every plan the weight structure is eligible for, priced; the
-    /// V:N:M candidate honours a caller-supplied pattern hint, and an
-    /// `i8` descriptor adds the quantized V:N:M candidate to the pool.
-    fn auto_candidates(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-        pattern: Option<VnmConfig>,
-    ) -> Vec<Arc<dyn MatmulPlan>> {
-        let f16_desc = desc.with_dtype(DType::F16);
-        // Detect and compress the V:N:M structure once; the f16 and (for
-        // i8 descriptors) quantized candidates share the compression and
-        // the autotuned tile instead of redoing mask detection and the
-        // template sweep per candidate.
-        let f16_vnm = self
-            .compress_vnm_detected(weights, pattern)
-            .ok()
-            .map(|a| (SpmmPlan::build(&a, f16_desc, &self.opts, &self.dev), a));
-        let mut out: Vec<Arc<dyn MatmulPlan>> = Vec::new();
-        if desc.dtype == DType::I8 {
-            if let Some((f16_plan, a)) = &f16_vnm {
-                // Seed the i8 build with the f16 plan's autotuned tile:
-                // the sweep is deterministic on the same inputs, so this
-                // removes the repeated work without changing the result.
-                let opts = SpmmOptions {
-                    tile: f16_plan.tile().or(self.opts.tile),
-                    ..self.opts
-                };
-                out.push(Arc::new(QuantSpmmPlan::build(
-                    a,
-                    self.calibration,
-                    self.calibration,
-                    *desc,
-                    &opts,
-                    &self.dev,
-                )));
-            }
-        }
-        for &f in &MatmulFormat::ALL {
-            match f {
-                MatmulFormat::Vnm => {
-                    if let Some((plan, a)) = &f16_vnm {
-                        out.push(Arc::new(plan.clone()));
-                        // The bandwidth-optimized non-mma variant competes
-                        // over the same compression: its DRAM-byte pricing
-                        // undercuts the mma stream left of the ridge point,
-                        // so routing flips there — no hard-coded threshold.
-                        if let Ok(band) = BandPlan::build(a, f16_desc, &self.dev) {
-                            out.push(Arc::new(band));
-                        }
-                    }
-                }
-                _ => {
-                    if let Ok(plan) = self.plan_with_format(f, &f16_desc, weights) {
-                        out.push(plan);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// The V:2:M patterns the nonzero mask complies with, best (largest
@@ -666,7 +447,7 @@ mod tests {
         let mask = magnitude::prune_vnm(&w, cfg);
         let a = VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg);
         let plan = engine.plan_spmm(&a);
-        assert_eq!(plan.b_cols_bound(), 128);
+        assert_eq!(plan.descriptor().b_cols, 128);
         let tile = plan.tile().expect("V = 32 is kernel-launchable");
         assert_eq!(tile.bs_r, 32);
         assert!(plan.timing().expect("priced at build").time_ms > 0.0);
@@ -678,17 +459,14 @@ mod tests {
         // to `partial_cmp(..).unwrap()`, so any candidate whose priced
         // cost came out NaN panicked `plan_auto` mid-`min_by`. Degenerate
         // inputs (an all-zero weight has zero stored values everywhere)
-        // must instead plan cleanly, and measured autotuning — whose
-        // comparator had the same bug — must survive them too.
+        // must instead plan cleanly.
         let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(32);
         let zero = Matrix::from_fn(64, 64, |_, _| 0.0f32).to_half();
         let desc = engine.descriptor(64, 64);
         let plan = engine.plan_auto(&desc, &zero);
         let b = random::normal_matrix(64, 8, 0.0, 1.0, 7).to_half();
         assert!(plan.run(&b).as_slice().iter().all(|&v| v == 0.0));
-        let measured = engine.plan_auto_measured(&desc, &zero, 1);
-        assert!(measured.run(&b).as_slice().iter().all(|&v| v == 0.0));
-        // The CVSE ladder (the third fixed site) prices the degenerate
+        // The CVSE ladder (the second fixed site) prices the degenerate
         // weight without panicking as well.
         let cvse = engine.plan_with_format(MatmulFormat::Cvse, &desc, &zero);
         assert!(cvse.is_ok(), "{cvse:?}");
@@ -712,7 +490,7 @@ mod tests {
         assert!(t.time_ms > 0.0);
         assert_eq!(plan.descriptor().b_cols, 256);
         // A wider bound prices at least as much work.
-        let wide = engine.plan_gemm_bounded(&w, 4096);
+        let wide = engine.clone().with_b_cols_hint(4096).plan_gemm(&w);
         assert!(wide.timing().unwrap().time_ms >= t.time_ms);
     }
 
@@ -835,31 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_builder_replans_identically_and_reports_reasons() {
-        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(64);
-        let w = vnm_weight(64, 80, VnmConfig::new(32, 2, 10), 13);
-        let desc = engine.descriptor(64, 80);
-
-        // The builder replans on every call, bit-identical to planning
-        // directly — what the serving stack relies on when a cache miss
-        // (or an eviction) rebuilds behind a registered key.
-        let build = engine.serve_builder(MatmulFormat::Vnm, &desc, &w);
-        let rebuilt = build().expect("eligible weight must plan");
-        let direct = engine
-            .plan_with_format(MatmulFormat::Vnm, &desc, &w)
-            .unwrap();
-        let b = random::normal_matrix(80, 5, 0.0, 1.0, 21).to_half();
-        assert_eq!(rebuilt.run(&b), direct.run(&b));
-
-        // An ineligible pairing surfaces the planner's reason as the
-        // string `ServeError::BuildFailed` carries to clients.
-        let dense = random::normal_matrix(64, 80, 0.0, 1.0, 22).to_half();
-        let bad = engine.serve_builder(MatmulFormat::Nm, &desc, &dense);
-        let reason = bad().expect_err("dense weight cannot plan as 2:4");
-        assert!(reason.contains("2:4"), "{reason}");
-    }
-
-    #[test]
     fn i8_descriptor_reports_why_other_formats_are_ineligible() {
         let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(64);
         let w = vnm_weight(64, 64, VnmConfig::new(32, 2, 4), 15); // 2:4, nm-eligible in f16
@@ -927,7 +680,7 @@ mod tests {
         let plan = engine.plan_quant_spmm(&a);
         assert_eq!(plan.descriptor().b_cols, 128);
         assert_eq!(
-            plan.weight().calibration(),
+            plan.quantized().expect("an int8 plan").calibration(),
             venom_quant::Calibration::Percentile(99.5),
             "the engine's calibrator reaches the container"
         );
@@ -987,25 +740,16 @@ mod tests {
         let w = vnm_weight(256, 320, cfg, 19);
         let desc = engine.descriptor(256, 320);
         // Even on a compute-bound bound the forced path is the band one.
-        let plan = engine.plan_band(&desc, &w).expect("eligible structure");
+        let plan = engine
+            .plan_band_hinted(&desc, &w, None)
+            .expect("eligible structure");
         assert_eq!(plan.path(), "band");
         let b = random::normal_matrix(320, 12, 0.0, 1.0, 20).to_half();
         assert_eq!(plan.run(&b), plan.run_oneshot(&b));
         // An i8 descriptor is rejected with the reason.
         let err = engine
-            .plan_band(&desc.with_dtype(DType::I8), &w)
+            .plan_band_hinted(&desc.with_dtype(DType::I8), &w, None)
             .unwrap_err();
         assert!(err.to_string().contains("i8"), "{err}");
-    }
-
-    #[test]
-    fn plan_auto_measured_returns_an_eligible_plan() {
-        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(32);
-        let w = vnm_weight(64, 64, VnmConfig::new(16, 2, 8), 9);
-        let desc = engine.descriptor(64, 64);
-        let plan = engine.plan_auto_measured(&desc, &w, 2);
-        // Whatever won the measurement, it must execute exactly.
-        let b = random::normal_matrix(64, 8, 0.0, 1.0, 10).to_half();
-        assert_eq!(plan.run(&b), plan.run_oneshot(&b));
     }
 }

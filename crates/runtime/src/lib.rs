@@ -16,24 +16,27 @@
 //!   Blocked-ELL, dense), prices each with its cost model on the target
 //!   device, and returns the cheapest as an `Arc<dyn `[`MatmulPlan`]`>` —
 //!   so a model mixes formats per layer and callers never name one.
-//!   [`Engine::plan_auto_measured`] adds a measured micro-autotune on
-//!   top of the cost model; [`Engine::plan_with_format`] pins a format
-//!   explicitly and reports *why* when the weights cannot serve it.
-//! * The specialised builders remain: [`SpmmPlan`] captures, at build
-//!   time, the autotuned [`TileConfig`] for the `(weight, b_cols)`
-//!   shape, the weight's f32-staged operands condensed into a per-row
-//!   `(value, B-row)` stream in the kernel's exact accumulation order,
-//!   and the priced launch. [`GemmPlan`] is the dense analogue, priced
-//!   on the cuBLAS model by [`Engine::plan_gemm`]; [`FormatPlan`] hosts
-//!   the remaining formats through the same condensed stream;
-//!   [`BandPlan`] is the bandwidth-optimized non-mma V:N:M variant
-//!   (FlashSparse-style swapped-operand replay, priced on DRAM bytes)
-//!   that [`Engine::plan_auto`] routes memory-bound shapes to; and
-//!   [`QuantSpmmPlan`] is the int8 sibling — descriptors with
-//!   [`descriptor::DType::I8`] plan the calibrated quantized V:N:M
-//!   container, execute with exact i32 accumulation, and are priced on
-//!   the `Uint8` `mma.sp` profile (half the operand bytes, half the
-//!   instruction count).
+//!   [`Engine::plan_with_format`] pins a format explicitly and reports
+//!   *why* when the weights cannot serve it; [`Engine::plan_spmm`],
+//!   [`Engine::plan_quant_spmm`], [`Engine::plan_gemm`] and
+//!   [`Engine::plan_band_hinted`] build one known kind of plan.
+//! * Every one of them returns the same type, [`Plan`]: the descriptor,
+//!   the priced launch and its resource counts, the compressed weight
+//!   the per-call reference runs, and one of three executors. The f32
+//!   **stream** holds the weight's f32-staged operands condensed into a
+//!   per-row `(value, B-row)` list in the kernel's exact accumulation
+//!   order; it serves V:N:M (with the autotuned [`TileConfig`] for the
+//!   `(weight, b_cols)` shape) and every other format. The **band**
+//!   executor is the bandwidth-optimized non-mma replay of the same
+//!   V:N:M weight (FlashSparse-style, priced on DRAM bytes) that
+//!   [`Engine::plan_auto`] routes memory-bound shapes to. The **int**
+//!   executor serves descriptors with [`descriptor::DType::I8`]: the
+//!   calibrated quantized V:N:M container with exact i32 accumulation,
+//!   priced on the `Uint8` `mma.sp` profile (half the operand bytes,
+//!   half the instruction count).
+//! * [`Engine::plan_attention`] plans the activation side: the masked
+//!   attention pipeline for one `(seq, hidden, heads, mask)` shape,
+//!   shared by every layer of that shape through its `Arc`.
 //!
 //! Every plan execution is **bit-identical** to the one-shot path it
 //! amortises: the stream stores each row's nonzeros in the same order the
@@ -55,19 +58,15 @@ pub mod engine;
 pub mod matmul;
 pub mod plan;
 pub mod pricing;
-pub mod qplan;
+mod qplan;
 pub mod serve;
 pub mod stage;
 
-pub use attn::{
-    attention_key, AttentionMask, AttentionPlan, AttnCacheStats, AttnPlanCache, SddmmPath,
-    SddmmPlan,
-};
+pub use attn::{AttentionMask, AttentionPlan, SddmmPath, SddmmPlan};
 pub use descriptor::{DType, Epilogue, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};
-pub use plan::{BandPlan, FormatPlan, GemmPlan, SpmmPlan};
-pub use qplan::QuantSpmmPlan;
+pub use plan::Plan;
 pub use serve::{
     CacheStats, FaultConfig, FaultPlan, FaultTrips, HealthReport, PlanBuildError, PlanCache,
     PlanKey, RetryPolicy, ServeConfig, ServeError, ServeReport, Server,

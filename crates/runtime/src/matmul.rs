@@ -3,12 +3,14 @@
 //!
 //! A [`MatmulPlan`] is the execute half of the cuSPARSELt-style
 //! descriptor/plan split: built once by the [`crate::Engine`] for one
-//! [`MatmulDescriptor`], replayed on every request. All five sparse
-//! formats and the dense path implement it — [`crate::SpmmPlan`]
-//! (V:N:M on the Spatha kernel), [`crate::GemmPlan`] (dense), and
-//! [`crate::FormatPlan`] (N:M, CSR, CVSE, Blocked-ELL through the
-//! condensed stream) — so layers, models and the CLI hold
-//! `Arc<dyn MatmulPlan>` and mix formats per weight.
+//! [`MatmulDescriptor`], replayed on every request. One type implements
+//! it for every format, dtype and executor: [`crate::Plan`], whose
+//! executor is the f32 stream (V:N:M on the Spatha path, dense, N:M,
+//! CSR, CVSE, Blocked-ELL), the band replay (V:N:M, memory-bound
+//! shapes) or the int8 stream (quantized V:N:M). Layers, models and the
+//! CLI hold `Arc<dyn MatmulPlan>` and mix formats per weight; the
+//! serving stack's fault-injecting wrapper is the trait's other
+//! implementation.
 //!
 //! Every plan carries two execution paths with one bitwise contract:
 //!
@@ -114,13 +116,12 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     /// Stored operand count of the condensed stream.
     fn stored_values(&self) -> usize;
 
-    /// Approximate resident bytes of the plan — the condensed stream's
-    /// per-operand value (`f32`) and source-row index (`u32`) planes
-    /// plus a fixed structural overhead. The currency of the serving
-    /// plan cache's byte budget ([`crate::serve::PlanCache`]).
-    fn approx_bytes(&self) -> usize {
-        64 + self.stored_values() * (core::mem::size_of::<f32>() + core::mem::size_of::<u32>())
-    }
+    /// Approximate resident bytes of the plan: a fixed 64-byte
+    /// structural overhead plus the executor's values, source indices
+    /// and row pointers — the bytes a dispatch reads as compulsory
+    /// operand traffic. The currency of the serving plan cache's byte
+    /// budget ([`crate::serve::PlanCache`]).
+    fn approx_bytes(&self) -> usize;
 
     /// Reconstructs the dense weight (pruned entries are zero) — used to
     /// re-plan a weight in another format.

@@ -1,7 +1,7 @@
-//! Execution plans: the condensed instruction streams and their run paths.
+//! Execution plans: one [`Plan`] type over three condensed executors.
 //!
-//! A plan's stream stores, for every output row, the row's nonzero
-//! operands as `(f32 value, source B row)` pairs in the exact order the
+//! A plan's executor stores, for every output row, the row's nonzero
+//! operands as `(value, source B row)` pairs in the exact order the
 //! format's one-shot path accumulates them — ascending `(K group, slot)`
 //! for the V:N:M kernel, ascending `k` for the dense GEMM, stored order
 //! for CSR/CVSE/Blocked-ELL — with explicit zeros dropped exactly where
@@ -11,24 +11,41 @@
 //! while touching each operand once, at full output width, instead of
 //! through per-call staging rebuilt on every dispatch.
 //!
-//! Four plan types share the execution surface (`StreamExec`) and
-//! implement the format-erased [`MatmulPlan`] trait: [`SpmmPlan`]
-//! (V:N:M, autotuned and priced on the Spatha cost model), [`GemmPlan`]
-//! (dense, priced on the cuBLAS model), [`FormatPlan`] (any other
-//! [`SparseKernel`], priced by its format's baseline model), and
-//! [`BandPlan`] (the bandwidth-optimized non-mma V:N:M path: a narrow
-//! f16-bits/u16-index stream executed with the FlashSparse-style
-//! register-panel accumulator, priced on the CUDA-core roofline).
+//! Formats differ in data, not in type. A [`Plan`] pairs one of three
+//! executors with the weight in its compressed format, which the
+//! per-call reference path ([`MatmulPlan::run_oneshot`]) runs:
+//!
+//! * **stream** — f32 values and u32 sources, replayed by a
+//!   quad-unrolled loop standing in for the `mma.sp` pipeline. It serves
+//!   V:N:M (autotuned and priced on the Spatha model; per-call
+//!   reference `venom_core::spmm`, or `spmm_ref` below V = 16), dense
+//!   (cuBLAS model; `gemm_parallel`) and N:M, CSR, CVSE and Blocked-ELL
+//!   (their baselines' models; the format's own `spmm_parallel`).
+//! * **band** — f16 bits and u16 sources over the same V:N:M weight,
+//!   replayed with the FlashSparse-style register-panel accumulator and
+//!   priced on the CUDA-core DRAM roofline; the per-call reference is
+//!   `venom_core::spmm_swapped`. It is a second executor, not a second
+//!   kind of plan: [`crate::Engine::plan_auto`] prices it next to the
+//!   stream and routes memory-bound shapes to it.
+//! * **int** — i16-staged int8 codes with i32 accumulation (see the
+//!   `qplan` module), quantizing activations at the boundary; the
+//!   per-call reference is `spmm_parallel_i8` plus dequantization.
+//!
+//! The stream and band executors share their staging, batching and
+//! fused-linear dispatch through `StreamExec`; the int executor stages
+//! i16 codes and keeps its own bodies.
 
 use crate::arena;
-use crate::descriptor::MatmulDescriptor;
+use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::stage;
+use crate::qplan::{self, IntStream};
+use crate::{pricing, stage};
 use rayon::prelude::*;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{MatmulFormat, SparseKernel, VnmMatrix};
+use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix};
 use venom_fp16::Half;
+use venom_quant::Calibration;
 use venom_sim::pipeline::KernelCounts;
 use venom_sim::{DeviceConfig, KernelTiming};
 use venom_tensor::Matrix;
@@ -43,8 +60,8 @@ const BAND_ROWS: usize = 16;
 /// f32 buffer ([`Self::run_into`]) inherits the staged, batched and
 /// fused-linear dispatch paths — [`Stream`] (the f32 quad-unrolled
 /// replay) and `BandStream` (the narrow bandwidth-optimized replay)
-/// both execute through these defaults, so the plan types differ only in
-/// their inner loop and pricing, never in staging behaviour.
+/// both execute through these defaults, so the two executors differ only
+/// in their inner loop and pricing, never in staging behaviour.
 pub(crate) trait StreamExec {
     /// Output rows.
     fn rows(&self) -> usize;
@@ -423,487 +440,177 @@ impl StreamExec for BandStream {
     }
 }
 
-/// A plan for `C = A * B` with a static V:N:M weight `A` — built once,
-/// run on every request.
+/// The condensed executor a [`Plan`] replays.
 #[derive(Clone, Debug)]
-pub struct SpmmPlan {
-    weight: VnmMatrix,
-    stream: Stream,
-    dev: DeviceConfig,
-    desc: MatmulDescriptor,
-    opts: SpmmOptions,
-    /// Autotuned instantiation at the planned bound; `None` when `V` is
-    /// below the kernel's 16-row fragment contract (the stream executes
-    /// any `V`; only the GPU pricing needs a launchable tile).
-    tile: Option<TileConfig>,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
+enum Exec {
+    /// The f32 quad-unrolled stream.
+    Stream(Stream),
+    /// The narrow band replay of a V:N:M weight.
+    Band(BandStream),
+    /// The i16-staged int8 stream.
+    Int(IntStream),
 }
 
-impl SpmmPlan {
-    /// Builds a plan; prefer [`crate::Engine::plan_spmm`].
-    pub(crate) fn build(
+impl Exec {
+    fn rows(&self) -> usize {
+        match self {
+            Exec::Stream(s) => s.rows(),
+            Exec::Band(s) => s.rows(),
+            Exec::Int(s) => s.rows(),
+        }
+    }
+
+    fn k(&self) -> usize {
+        match self {
+            Exec::Stream(s) => s.k(),
+            Exec::Band(s) => s.k(),
+            Exec::Int(s) => s.k(),
+        }
+    }
+
+    fn nnz(&self) -> usize {
+        match self {
+            Exec::Stream(s) => s.nnz(),
+            Exec::Band(s) => s.nnz(),
+            Exec::Int(s) => s.nnz(),
+        }
+    }
+
+    /// Resident bytes: values, sources and row pointers.
+    fn stream_bytes(&self) -> u64 {
+        match self {
+            Exec::Stream(s) => s.stream_bytes(),
+            Exec::Band(s) => s.stream_bytes(),
+            Exec::Int(s) => s.stream_bytes(),
+        }
+    }
+}
+
+/// The weight in its compressed format, kept for the per-call reference
+/// path and for re-planning.
+#[derive(Clone, Debug)]
+enum Reference {
+    /// V:N:M through `venom_core::spmm` (`spmm_ref` below V = 16).
+    Spatha {
+        weight: VnmMatrix,
+        opts: SpmmOptions,
+        dev: DeviceConfig,
+    },
+    /// V:N:M through the per-call swapped-operand kernel.
+    Swapped(VnmMatrix),
+    /// Dense through `gemm_parallel`.
+    Dense(Matrix<Half>),
+    /// N:M, CSR, CVSE or Blocked-ELL through the format's `spmm_parallel`.
+    Kernel(Arc<dyn SparseKernel>),
+    /// Int8 V:N:M through `spmm_parallel_i8` and dequantization.
+    Quant {
+        weight: QuantVnmMatrix,
+        act_calib: Calibration,
+    },
+}
+
+/// A built execution plan for one weight matmul — built once by the
+/// [`crate::Engine`], replayed bit-exactly on every request.
+///
+/// Every format, dtype and executor is this one type; see the module
+/// docs for what each executor serves. State only some plans have is
+/// behind `Option`-returning accessors ([`Self::tile`], [`Self::vnm`],
+/// [`Self::quantized`], [`Self::dense`], [`Self::run_i8`]).
+#[derive(Clone, Debug)]
+pub struct Plan {
+    desc: MatmulDescriptor,
+    exec: Exec,
+    reference: Reference,
+    timing: Option<KernelTiming>,
+    counts: Option<KernelCounts>,
+    /// Autotuned Spatha instantiation at the planned bound.
+    tile: Option<TileConfig>,
+}
+
+/// Autotunes and prices the Spatha launch of `a` at `b_cols` columns, or
+/// returns `(None, None)` when V is below the kernel's 16-row fragment
+/// contract (the streams execute any V; only GPU pricing needs a
+/// launchable tile).
+fn price_spatha(
+    a: &VnmMatrix,
+    b_cols: usize,
+    opts: &SpmmOptions,
+    dev: &DeviceConfig,
+    counts: impl FnOnce(&TileConfig) -> KernelCounts,
+) -> (Option<TileConfig>, Option<(KernelTiming, KernelCounts)>) {
+    let v = a.config().v;
+    if v < 16 || !v.is_multiple_of(16) {
+        return (None, None);
+    }
+    let tile = opts
+        .tile
+        .unwrap_or_else(|| venom_core::autotune(a, b_cols, opts, dev).0);
+    let counts = counts(&tile);
+    let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
+        panic!(
+            "planned configuration {tile} cannot launch on {}: {e:?}",
+            dev.name
+        )
+    });
+    (Some(tile), Some((timing, counts)))
+}
+
+impl Plan {
+    fn new(
+        desc: MatmulDescriptor,
+        exec: Exec,
+        reference: Reference,
+        tile: Option<TileConfig>,
+        priced: Option<(KernelTiming, KernelCounts)>,
+    ) -> Self {
+        assert_eq!(
+            (exec.rows(), exec.k()),
+            (desc.out_features, desc.in_features),
+            "weight shape does not match the descriptor"
+        );
+        let (timing, counts) = priced.unzip();
+        Plan {
+            desc,
+            exec,
+            reference,
+            timing,
+            counts,
+            tile,
+        }
+    }
+
+    /// The V:N:M stream plan on the Spatha path; prefer
+    /// [`crate::Engine::plan_spmm`].
+    pub(crate) fn build_vnm(
         a: &VnmMatrix,
         desc: MatmulDescriptor,
         opts: &SpmmOptions,
         dev: &DeviceConfig,
     ) -> Self {
-        assert_eq!(
-            a.shape(),
-            (desc.out_features, desc.in_features),
-            "weight shape does not match the descriptor"
-        );
-        let stream = Stream::from_kernel(a);
-        let v = a.config().v;
-        let (tile, timing, counts) = if v >= 16 && v.is_multiple_of(16) {
-            let tile = opts
-                .tile
-                .unwrap_or_else(|| venom_core::autotune(a, desc.b_cols, opts, dev).0);
-            let counts = venom_core::build_counts(a, desc.b_cols, &tile, opts);
-            let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
-                panic!(
-                    "planned configuration {tile} cannot launch on {}: {e:?}",
-                    dev.name
-                )
-            });
-            (Some(tile), Some(timing), Some(counts))
-        } else {
-            (None, None, None)
-        };
-        SpmmPlan {
+        let (tile, priced) = price_spatha(a, desc.b_cols, opts, dev, |tile| {
+            venom_core::build_counts(a, desc.b_cols, tile, opts)
+        });
+        let reference = Reference::Spatha {
             weight: a.clone(),
-            stream,
-            dev: dev.clone(),
-            desc,
             opts: *opts,
-            tile,
-            timing,
-            counts,
-        }
+            dev: dev.clone(),
+        };
+        let exec = Exec::Stream(Stream::from_kernel(a));
+        Self::new(desc, exec, reference, tile, priced)
     }
 
-    /// The compressed weight the plan executes.
-    pub fn weight(&self) -> &VnmMatrix {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.weight.shape()
-    }
-
-    /// Stored nonzeros in the condensed stream.
-    pub fn nnz(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    /// The output-column bound the tile was tuned (and priced) for. Runs
-    /// beyond the bound stay exact; only the captured pricing assumes it.
-    pub fn b_cols_bound(&self) -> usize {
-        self.desc.b_cols
-    }
-
-    /// The autotuned template instantiation (`None` for V < 16 patterns,
-    /// which only the functional stream supports).
-    pub fn tile(&self) -> Option<TileConfig> {
-        self.tile
-    }
-
-    /// Simulated timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Priced resource counts at the planned bound.
-    pub fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    /// Prices a dispatch at a different width with the planned tile.
-    pub fn price(&self, b_cols: usize, opts: &SpmmOptions) -> Option<KernelTiming> {
-        let tile = self.tile?;
-        let (r, k) = self.weight.shape();
-        let counts =
-            venom_core::build_counts_shape(r, k, b_cols, self.weight.config(), &tile, opts);
-        venom_sim::pipeline::simulate(&self.dev, &counts).ok()
-    }
-
-    /// Executes `C = A * B`; bit-identical to
-    /// `venom_core::spmm(&a, &b, ..).c` (and to `a.spmm_ref(&b)`).
-    ///
-    /// # Panics
-    /// Panics if `B` has a row count different from the planned K.
-    pub fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    /// One dispatch over many requests: concatenates the operands along
-    /// the output-column dimension, multiplies once, and splits the
-    /// result. Bit-identical to running each operand separately (columns
-    /// are independent in every path).
-    ///
-    /// # Panics
-    /// Panics if any operand has a row count different from the planned K.
-    pub fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    /// The fused layer forward `y = x W^T + b`: stages `x` through f16
-    /// rounding into the kernel orientation, runs the stream, and returns
-    /// the transposed-plus-bias output — bit-identical to the per-call
-    /// chain `spmm(&w, &x.to_half().transpose(), ..).c.transpose()` with
-    /// the bias added row-wise afterwards.
-    ///
-    /// # Panics
-    /// Panics on feature or bias length mismatch.
-    pub fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    /// [`Self::run_linear`] over a pre-staged operand (see
-    /// [`crate::stage::stage_activations_t`]); `tokens` is the activation
-    /// row count the buffer was staged from.
-    pub fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-}
-
-impl MatmulPlan for SpmmPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        SpmmPlan::timing(self)
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        SpmmPlan::counts(self)
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.decompress()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        SpmmPlan::run(self, b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        SpmmPlan::run_batch(self, bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        SpmmPlan::run_linear(self, x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        SpmmPlan::run_linear_staged(self, staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        if self.tile.is_some() {
-            // The full per-call entry point: tile selection, pricing and
-            // staging redone on every dispatch.
-            venom_core::spmm(&self.weight, b, &self.opts, &self.dev).c
-        } else {
-            // V below the fragment contract has no launchable kernel; the
-            // compressed-format oracle is the per-call reference there.
-            self.weight.spmm_ref(b)
-        }
-    }
-}
-
-/// A plan for a dense half weight — the unpruned layers of a partially
-/// sparsified model go through the same plan/execute seam.
-#[derive(Clone, Debug)]
-pub struct GemmPlan {
-    weight: Matrix<Half>,
-    stream: Stream,
-    desc: MatmulDescriptor,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
-}
-
-impl GemmPlan {
-    /// Plans a dense weight without pricing (no device in scope). Prefer
-    /// [`Engine::plan_gemm`], which attaches cost-model timing for the
-    /// engine's device.
-    ///
-    /// [`Engine::plan_gemm`]: crate::Engine::plan_gemm
-    pub fn new(w: &Matrix<Half>) -> Self {
-        GemmPlan {
-            weight: w.clone(),
-            stream: Stream::from_kernel(w),
-            desc: MatmulDescriptor::for_weight(w),
-            timing: None,
-            counts: None,
-        }
-    }
-
-    /// Plans a dense weight priced on the cuBLAS model at the
-    /// descriptor's column bound; prefer [`crate::Engine::plan_gemm`].
-    pub(crate) fn build(w: &Matrix<Half>, desc: MatmulDescriptor, dev: &DeviceConfig) -> Self {
-        desc.assert_matches(w);
-        GemmPlan {
-            weight: w.clone(),
-            stream: Stream::from_kernel(w),
-            desc,
-            timing: Some(crate::pricing::price_dense(desc.gemm_shape(), dev)),
-            counts: Some(crate::pricing::dense_counts(desc.gemm_shape(), dev)),
-        }
-    }
-
-    /// The dense weight the plan executes.
-    pub fn weight(&self) -> &Matrix<Half> {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.weight.rows(), self.weight.cols())
-    }
-
-    /// Cost-model timing of one dispatch at the planned bound (`None`
-    /// for plans built without a device via [`Self::new`]).
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Executes `C = W * B`; bit-identical to
-    /// `venom_tensor::gemm::gemm_parallel(&w, &b)` (and `gemm_ref`).
-    ///
-    /// # Panics
-    /// Panics if `B` has a row count different from the weight columns.
-    pub fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    /// Batched dispatch over concatenated requests (see
-    /// [`SpmmPlan::run_batch`]).
-    pub fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    /// The fused layer forward `y = x W^T + b`; bit-identical to the
-    /// per-call chain through `gemm_parallel` (see
-    /// [`SpmmPlan::run_linear`]).
-    ///
-    /// # Panics
-    /// Panics on feature or bias length mismatch.
-    pub fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    /// [`Self::run_linear`] over a pre-staged operand.
-    pub fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-}
-
-impl MatmulPlan for GemmPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Dense
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        GemmPlan::timing(self)
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.clone()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        GemmPlan::run(self, b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        GemmPlan::run_batch(self, bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        GemmPlan::run_linear(self, x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        GemmPlan::run_linear_staged(self, staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        venom_tensor::gemm::gemm_parallel(&self.weight, b)
-    }
-}
-
-/// A plan over any [`SparseKernel`] — the N:M, CSR, CVSE and Blocked-ELL
-/// backends execute through it (V:N:M and dense have the specialised
-/// [`SpmmPlan`]/[`GemmPlan`], which capture extra format state).
-#[derive(Clone, Debug)]
-pub struct FormatPlan {
-    kernel: Arc<dyn SparseKernel>,
-    stream: Stream,
-    desc: MatmulDescriptor,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
-}
-
-impl FormatPlan {
-    /// Wraps a compressed kernel with its priced launch and the resource
-    /// counts the timing was priced on (so the plan can report its
-    /// roofline regime); built by [`crate::Engine::plan_with_format`] /
-    /// [`crate::Engine::plan_auto`].
-    pub(crate) fn build_counted(
-        kernel: Arc<dyn SparseKernel>,
-        desc: MatmulDescriptor,
-        timing: Option<KernelTiming>,
-        counts: Option<KernelCounts>,
-    ) -> Self {
-        let (r, k) = kernel.shape();
-        assert_eq!(
-            (r, k),
-            (desc.out_features, desc.in_features),
-            "kernel/descriptor mismatch"
-        );
-        let stream = Stream::from_kernel(kernel.as_ref());
-        FormatPlan {
-            kernel,
-            stream,
-            desc,
-            timing,
-            counts,
-        }
-    }
-
-    /// The compressed weight the plan executes.
-    pub fn kernel(&self) -> &dyn SparseKernel {
-        self.kernel.as_ref()
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.kernel.shape()
-    }
-}
-
-impl MatmulPlan for FormatPlan {
-    fn format(&self) -> MatmulFormat {
-        self.kernel.format()
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.kernel.to_dense()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        // The format's own per-call staged path (bit-identical to its
-        // spmm_ref, re-staging B on every dispatch).
-        self.kernel.spmm_parallel(b)
-    }
-}
-
-/// The bandwidth-optimized non-mma plan for a V:N:M weight.
-///
-/// Executes the same compressed operand as [`SpmmPlan`] but through the
-/// narrow `BandStream` replay, and is priced on the CUDA-core DRAM
-/// roofline ([`venom_core::build_counts_band`]) instead of the Spatha
-/// `mma.sp` pipeline — so on memory-bound shapes (small output widths,
-/// tall-skinny weights) its modelled cost undercuts the mma stream and
-/// [`crate::Engine::plan_auto`] routes to it at the ridge point. Results
-/// stay bit-identical to `spmm_ref` on every dispatch path.
-#[derive(Clone, Debug)]
-pub struct BandPlan {
-    weight: VnmMatrix,
-    stream: BandStream,
-    desc: MatmulDescriptor,
-    timing: KernelTiming,
-    counts: KernelCounts,
-}
-
-impl BandPlan {
-    /// Builds the band plan; prefer [`crate::Engine::plan_band`] (or
-    /// [`crate::Engine::plan_auto`], which considers it as a candidate).
+    /// The band plan of a V:N:M weight, priced on the CUDA-core DRAM
+    /// roofline ([`venom_core::build_counts_band`]).
     ///
     /// # Errors
     /// [`PlanError::Incompatible`] when `K` does not fit the stream's
     /// 16-bit source indices.
-    pub(crate) fn build(
-        a: &VnmMatrix,
+    pub(crate) fn build_band(
+        a: VnmMatrix,
         desc: MatmulDescriptor,
         dev: &DeviceConfig,
     ) -> Result<Self, PlanError> {
-        assert_eq!(
-            a.shape(),
-            (desc.out_features, desc.in_features),
-            "weight shape does not match the descriptor"
-        );
-        let stream = BandStream::from_vnm(a).ok_or_else(|| PlanError::Incompatible {
+        let stream = BandStream::from_vnm(&a).ok_or_else(|| PlanError::Incompatible {
             format: MatmulFormat::Vnm,
             reason: format!(
                 "the band stream stores 16-bit source indices; K = {} does not fit",
@@ -914,48 +621,130 @@ impl BandPlan {
         let counts = venom_core::build_counts_band(r, k, desc.b_cols, stream.nnz());
         let timing = venom_sim::pipeline::simulate(dev, &counts)
             .expect("the band kernel uses no shared memory and always launches");
-        Ok(BandPlan {
-            weight: a.clone(),
-            stream,
-            desc,
-            timing,
-            counts,
-        })
+        let exec = Exec::Band(stream);
+        let priced = Some((timing, counts));
+        Ok(Self::new(desc, exec, Reference::Swapped(a), None, priced))
     }
 
-    /// The compressed weight the plan executes.
-    pub fn weight(&self) -> &VnmMatrix {
-        &self.weight
+    /// Quantizes a V:N:M weight under `calib` (which also calibrates the
+    /// activations per call) and plans its int8 dispatch, priced on the
+    /// `Uint8` `mma.sp` profile; prefer [`crate::Engine::plan_quant_spmm`].
+    pub(crate) fn build_quant(
+        a: &VnmMatrix,
+        calib: Calibration,
+        desc: MatmulDescriptor,
+        opts: &SpmmOptions,
+        dev: &DeviceConfig,
+    ) -> Self {
+        let desc = desc.with_dtype(DType::I8);
+        let weight = QuantVnmMatrix::quantize(a, calib);
+        let (tile, priced) = price_spatha(a, desc.b_cols, opts, dev, |tile| {
+            venom_core::build_counts_i8(&weight, desc.b_cols, tile, opts)
+        });
+        let exec = Exec::Int(IntStream::from_quant(&weight, calib));
+        let reference = Reference::Quant {
+            weight,
+            act_calib: calib,
+        };
+        Self::new(desc, exec, reference, tile, priced)
     }
 
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.weight.shape()
+    /// A dense plan, priced on the cuBLAS model when a device is given.
+    pub(crate) fn build_dense(
+        w: &Matrix<Half>,
+        desc: MatmulDescriptor,
+        dev: Option<&DeviceConfig>,
+    ) -> Self {
+        let priced = dev.map(|dev| {
+            let shape = desc.gemm_shape();
+            (
+                pricing::price_dense(shape, dev),
+                pricing::dense_counts(shape, dev),
+            )
+        });
+        let exec = Exec::Stream(Stream::from_kernel(w));
+        Self::new(desc, exec, Reference::Dense(w.clone()), None, priced)
     }
 
-    /// Stored nonzeros in the narrow stream.
-    pub fn nnz(&self) -> usize {
-        self.stream.nnz()
+    /// A plan over any other [`SparseKernel`] (N:M, CSR, CVSE,
+    /// Blocked-ELL) with its priced launch and the counts it was priced on.
+    pub(crate) fn build_kernel(
+        kernel: Arc<dyn SparseKernel>,
+        desc: MatmulDescriptor,
+        timing: KernelTiming,
+        counts: KernelCounts,
+    ) -> Self {
+        let exec = Exec::Stream(Stream::from_kernel(kernel.as_ref()));
+        let priced = Some((timing, counts));
+        Self::new(desc, exec, Reference::Kernel(kernel), None, priced)
     }
 
-    /// Simulated timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> &KernelTiming {
-        &self.timing
+    /// Plans a dense weight without pricing (no device in scope). Prefer
+    /// [`crate::Engine::plan_gemm`], which attaches cost-model timing for
+    /// the engine's device.
+    pub fn from_dense(w: &Matrix<Half>) -> Self {
+        Self::build_dense(w, MatmulDescriptor::for_weight(w), None)
     }
 
-    /// Priced resource counts at the planned bound.
-    pub fn counts(&self) -> &KernelCounts {
-        &self.counts
+    /// The autotuned template instantiation (`None` off the V:N:M mma
+    /// and int8 paths, and for V < 16 patterns, which only the
+    /// functional streams support).
+    pub fn tile(&self) -> Option<TileConfig> {
+        self.tile
+    }
+
+    /// The compressed V:N:M weight of an f16 V:N:M plan (mma or band).
+    pub fn vnm(&self) -> Option<&VnmMatrix> {
+        match &self.reference {
+            Reference::Spatha { weight, .. } | Reference::Swapped(weight) => Some(weight),
+            _ => None,
+        }
+    }
+
+    /// The calibrated int8 container of an int8 plan.
+    pub fn quantized(&self) -> Option<&QuantVnmMatrix> {
+        match &self.reference {
+            Reference::Quant { weight, .. } => Some(weight),
+            _ => None,
+        }
+    }
+
+    /// The half weight of a dense plan.
+    pub fn dense(&self) -> Option<&Matrix<Half>> {
+        match &self.reference {
+            Reference::Dense(w) => Some(w),
+            _ => None,
+        }
+    }
+
+    /// The exact integer entry point of an int8 plan: `C = A_q * B_q`
+    /// with i32 accumulation, bit-identical to
+    /// [`QuantVnmMatrix::spmm_ref_i8`] on the planned weight.
+    ///
+    /// # Panics
+    /// Panics if `B` has a row count different from the planned K.
+    pub fn run_i8(&self, b: &Matrix<i8>) -> Option<Matrix<i32>> {
+        match &self.exec {
+            Exec::Int(s) => Some(s.run_i8(b)),
+            _ => None,
+        }
     }
 }
 
-impl MatmulPlan for BandPlan {
+impl MatmulPlan for Plan {
     fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
+        match &self.reference {
+            Reference::Dense(_) => MatmulFormat::Dense,
+            Reference::Kernel(k) => k.format(),
+            _ => MatmulFormat::Vnm,
+        }
     }
 
     fn path(&self) -> &'static str {
-        "band"
+        match self.exec {
+            Exec::Band(_) => "band",
+            _ => self.format().name(),
+        }
     }
 
     fn descriptor(&self) -> &MatmulDescriptor {
@@ -963,52 +752,90 @@ impl MatmulPlan for BandPlan {
     }
 
     fn timing(&self) -> Option<&KernelTiming> {
-        Some(&self.timing)
+        self.timing.as_ref()
     }
 
     fn counts(&self) -> Option<&KernelCounts> {
-        Some(&self.counts)
+        self.counts.as_ref()
     }
 
     fn stored_values(&self) -> usize {
-        self.stream.nnz()
+        self.exec.nnz()
     }
 
     fn approx_bytes(&self) -> usize {
-        // 4 bytes per stored operand (f16 bits + u16 source index) plus
-        // the row pointers.
-        64 + self.stream.nnz() * 4 + (self.stream.rows + 1) * 4
+        64 + self.exec.stream_bytes() as usize
     }
 
     fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.decompress()
+        match &self.reference {
+            Reference::Spatha { weight, .. } | Reference::Swapped(weight) => weight.decompress(),
+            Reference::Dense(w) => w.clone(),
+            Reference::Kernel(k) => k.to_dense(),
+            Reference::Quant { weight, .. } => weight.to_dense(),
+        }
     }
 
     fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
+        match &self.exec {
+            Exec::Stream(s) => s.run_half(b),
+            Exec::Band(s) => s.run_half(b),
+            Exec::Int(s) => s.run_half(b),
+        }
     }
 
     fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
+        match &self.exec {
+            Exec::Stream(s) => s.run_batch(bs),
+            Exec::Band(s) => s.run_batch(bs),
+            Exec::Int(s) => s.run_batch(bs),
+        }
     }
 
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
+        match &self.exec {
+            Exec::Stream(s) => s.run_linear(x, bias),
+            Exec::Band(s) => s.run_linear(x, bias),
+            Exec::Int(s) => s.run_linear(x, bias),
+        }
     }
 
     fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
         assert_eq!(
             staged.len(),
-            self.stream.k * tokens,
+            self.desc.in_features * tokens,
             "staged operand size mismatch"
         );
-        self.stream.run_linear_staged(staged, tokens, bias)
+        match &self.exec {
+            Exec::Stream(s) => s.run_linear_staged(staged, tokens, bias),
+            Exec::Band(s) => s.run_linear_staged(staged, tokens, bias),
+            Exec::Int(s) => s.run_linear_staged(staged, tokens, bias),
+        }
     }
 
     fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        // The per-call swapped-operand kernel: B decoded in one pass,
-        // product accumulated transposed, transposed back by a move.
-        venom_core::spmm_swapped(&self.weight, b)
+        match &self.reference {
+            // The full per-call entry point: tile selection, pricing and
+            // staging redone on every dispatch. V below the fragment
+            // contract has no launchable kernel; the compressed-format
+            // oracle is the per-call reference there.
+            Reference::Spatha { weight, opts, dev } => match self.tile {
+                Some(_) => venom_core::spmm(weight, b, opts, dev).c,
+                None => weight.spmm_ref(b),
+            },
+            // B decoded in one pass, product accumulated transposed,
+            // transposed back by a move.
+            Reference::Swapped(weight) => venom_core::spmm_swapped(weight, b),
+            Reference::Dense(w) => venom_tensor::gemm::gemm_parallel(w, b),
+            // The format's own per-call staged path.
+            Reference::Kernel(k) => k.spmm_parallel(b),
+            // Re-quantize the operand, run the container's own parallel
+            // integer kernel, dequantize through the shared expression.
+            Reference::Quant { weight, act_calib } => {
+                let (b_q, act_scale) = qplan::quantize_operand(b, *act_calib);
+                qplan::dequantize(weight.spmm_parallel_i8(&b_q), weight.scales(), act_scale)
+            }
+        }
     }
 }
 
@@ -1030,9 +857,9 @@ mod tests {
         VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg)
     }
 
-    fn build(a: &VnmMatrix, b_cols: usize) -> SpmmPlan {
+    fn build(a: &VnmMatrix, b_cols: usize) -> Plan {
         let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        SpmmPlan::build(a, desc, &SpmmOptions::default(), &dev())
+        Plan::build_vnm(a, desc, &SpmmOptions::default(), &dev())
     }
 
     #[test]
@@ -1101,7 +928,7 @@ mod tests {
     fn gemm_plan_matches_gemm_parallel() {
         let w = random::normal_matrix(33, 29, 0.0, 1.0, 11).to_half();
         let b = random::normal_matrix(29, 21, 0.0, 1.0, 12).to_half();
-        let plan = GemmPlan::new(&w);
+        let plan = Plan::from_dense(&w);
         assert_eq!(plan.run(&b), gemm::gemm_parallel(&w, &b));
         assert!(plan.timing().is_none(), "unpriced without a device");
         // Batched dense dispatch equals separate runs too.
@@ -1115,7 +942,7 @@ mod tests {
         let w = random::normal_matrix(24, 40, 0.0, 1.0, 13).to_half();
         let bias: Vec<f32> = (0..24).map(|i| (i as f32).sin()).collect();
         let x = random::activation_matrix(15, 40, 14);
-        let plan = GemmPlan::new(&w);
+        let plan = Plan::from_dense(&w);
         let got = plan.run_linear(&x, &bias);
         assert_eq!(got, MatmulPlan::run_linear_percall(&plan, &x, &bias));
         let xt = x.to_half().transpose();
@@ -1138,7 +965,11 @@ mod tests {
         };
         let csr = CsrMatrix::from_dense(&dense);
         let desc = MatmulDescriptor::new(37, 53).with_b_cols(21);
-        let plan = FormatPlan::build_counted(Arc::new(csr.clone()), desc, None, None);
+        let (timing, counts) = (
+            pricing::price_csr(&csr, 21, &dev()),
+            pricing::csr_counts(&csr, 21),
+        );
+        let plan = Plan::build_kernel(Arc::new(csr.clone()), desc, timing, counts);
         let b = random::normal_matrix(53, 21, 0.0, 1.0, 16).to_half();
         assert_eq!(plan.run(&b), csr.spmm_ref(&b));
         assert_eq!(plan.run_oneshot(&b), csr.spmm_ref(&b));
@@ -1185,9 +1016,9 @@ mod tests {
         let _ = plan.run(&Matrix::<Half>::zeros(16, 4));
     }
 
-    fn band_build(a: &VnmMatrix, b_cols: usize) -> BandPlan {
+    fn band_build(a: &VnmMatrix, b_cols: usize) -> Plan {
         let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        BandPlan::build(a, desc, &dev()).expect("K fits 16-bit indices")
+        Plan::build_band(a.clone(), desc, &dev()).expect("K fits 16-bit indices")
     }
 
     #[test]
@@ -1253,7 +1084,7 @@ mod tests {
         let mask = venom_format::SparsityMask::from_fn(16, k, |_, c| c % 8 < 2);
         let a = VnmMatrix::compress(&w, &mask, cfg);
         let desc = MatmulDescriptor::new(16, k).with_b_cols(8);
-        let err = BandPlan::build(&a, desc, &dev()).unwrap_err();
+        let err = Plan::build_band(a, desc, &dev()).unwrap_err();
         assert!(
             err.to_string().contains("16-bit source indices"),
             "got: {err}"

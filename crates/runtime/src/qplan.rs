@@ -1,17 +1,17 @@
-//! The int8-quantized execution plan: the i32-accumulating sibling of
-//! [`crate::SpmmPlan`].
+//! The int8 executor: the i32-accumulating stream a [`crate::Plan`]
+//! built for an `i8` descriptor replays.
 //!
-//! A [`QuantSpmmPlan`] captures, at build time, the calibrated
+//! An int8 plan captures, at build time, the calibrated
 //! [`QuantVnmMatrix`] (per-output-channel symmetric scales), its operand
-//! stream condensed into a per-row `(i8 value, B row)` CSR — half the
-//! bytes of the f32 stream — and the int8-priced launch (Table 1's
-//! `Uint8` `mma.sp` row: half the operand bytes, double the k-depth per
+//! stream condensed into a per-row `(i8 value, B row)` CSR — the
+//! `IntStream` below — and the int8-priced launch (Table 1's `Uint8`
+//! `mma.sp` row: half the operand bytes, double the k-depth per
 //! instruction).
 //!
 //! Numerics contract, stated precisely because it differs from the f16
 //! plans:
 //!
-//! * The **integer core** is exact: [`QuantSpmmPlan::run_i8`] equals
+//! * The **integer core** is exact: [`crate::Plan::run_i8`] equals
 //!   [`QuantVnmMatrix::spmm_ref_i8`] (and [`venom_quant::gemm_ref_i8`]
 //!   over the dense i8 plane) bit-for-bit, for any worker count —
 //!   integer accumulation never rounds, so ordering is irrelevant.
@@ -25,16 +25,11 @@
 //!   they carry the calibrator-bounded quantization error the accuracy
 //!   suites measure.
 
-use crate::descriptor::{DType, MatmulDescriptor};
-use crate::matmul::MatmulPlan;
 use crate::stage;
 use rayon::prelude::*;
-use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{MatmulFormat, QuantVnmMatrix, VnmMatrix};
+use venom_format::QuantVnmMatrix;
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration};
-use venom_sim::pipeline::KernelCounts;
-use venom_sim::{DeviceConfig, KernelTiming};
 use venom_tensor::Matrix;
 
 /// Row height of one parallel task (matches the f32 stream's banding).
@@ -49,18 +44,22 @@ const BAND_ROWS: usize = 16;
 /// where a 32-bit integer multiply would fall back to scalar code. The
 /// widening changes no value (`|code| <= 127`).
 #[derive(Clone, Debug)]
-struct IntStream {
+pub(crate) struct IntStream {
     rows: usize,
     k: usize,
     row_ptr: Vec<u32>,
     vals: Vec<i16>,
     srcs: Vec<u32>,
+    /// Per-row weight scales of the quantized container.
+    scales: Vec<f32>,
+    /// Per-call calibrator of the activation operand.
+    act_calib: Calibration,
 }
 
 impl IntStream {
     /// Condenses the quantized container into its operand stream (two
     /// visitor passes, like the f32 `Stream`).
-    fn from_quant(a: &QuantVnmMatrix) -> Self {
+    pub(crate) fn from_quant(a: &QuantVnmMatrix, act_calib: Calibration) -> Self {
         let (rows, k) = a.shape();
         let mut row_ptr = vec![0u32; rows + 1];
         a.for_each_operand_i8(&mut |r, _, _| row_ptr[r + 1] += 1);
@@ -83,11 +82,30 @@ impl IntStream {
             row_ptr,
             vals,
             srcs,
+            scales: a.scales().to_vec(),
+            act_calib,
         }
     }
 
-    fn nnz(&self) -> usize {
+    /// Output rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Reduction depth K.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Stored operand count.
+    pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
+    }
+
+    /// Resident bytes of the stream: i16 code + u32 source per operand,
+    /// plus the row pointers.
+    pub(crate) fn stream_bytes(&self) -> u64 {
+        (self.vals.len() * 2 + self.srcs.len() * 4 + self.row_ptr.len() * 4) as u64
     }
 
     /// Accumulates one output row's stream chain into `orow` — THE
@@ -184,131 +202,21 @@ impl IntStream {
             });
         Matrix::from_vec(self.rows, b_cols, out)
     }
-}
-
-/// A plan for `C = A * B` with a static calibrated int8 V:N:M weight —
-/// built once, run on every request with exact i32 accumulation.
-#[derive(Clone, Debug)]
-pub struct QuantSpmmPlan {
-    weight: QuantVnmMatrix,
-    stream: IntStream,
-    desc: MatmulDescriptor,
-    /// Per-call calibrator of the activation operand.
-    act_calib: Calibration,
-    tile: Option<TileConfig>,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
-}
-
-impl QuantSpmmPlan {
-    /// Quantizes a compressed f16 V:N:M weight under `weight_calib` and
-    /// builds its int8 plan; prefer [`crate::Engine::plan_quant_spmm`].
-    pub(crate) fn build(
-        a: &VnmMatrix,
-        weight_calib: Calibration,
-        act_calib: Calibration,
-        desc: MatmulDescriptor,
-        opts: &SpmmOptions,
-        dev: &DeviceConfig,
-    ) -> Self {
-        assert_eq!(
-            a.shape(),
-            (desc.out_features, desc.in_features),
-            "weight shape does not match the descriptor"
-        );
-        let desc = desc.with_dtype(DType::I8);
-        let weight = QuantVnmMatrix::quantize(a, weight_calib);
-        let stream = IntStream::from_quant(&weight);
-        let v = a.config().v;
-        let (tile, timing, counts) = if v >= 16 && v.is_multiple_of(16) {
-            let tile = opts
-                .tile
-                .unwrap_or_else(|| venom_core::autotune(a, desc.b_cols, opts, dev).0);
-            let counts = venom_core::build_counts_i8(&weight, desc.b_cols, &tile, opts);
-            let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
-                panic!(
-                    "planned configuration {tile} cannot launch on {}: {e:?}",
-                    dev.name
-                )
-            });
-            (Some(tile), Some(timing), Some(counts))
-        } else {
-            (None, None, None)
-        };
-        QuantSpmmPlan {
-            weight,
-            stream,
-            desc,
-            act_calib,
-            tile,
-            timing,
-            counts,
-        }
-    }
-
-    /// The quantized weight the plan executes.
-    pub fn weight(&self) -> &QuantVnmMatrix {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.weight.shape()
-    }
-
-    /// Stored nonzeros in the condensed int8 stream.
-    pub fn nnz(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    /// The autotuned template instantiation (`None` for V < 16 patterns).
-    pub fn tile(&self) -> Option<TileConfig> {
-        self.tile
-    }
-
-    /// Int8 cost-model timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Priced int8 resource counts at the planned bound.
-    pub fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    /// The per-call activation calibrator.
-    pub fn activation_calibration(&self) -> Calibration {
-        self.act_calib
-    }
 
     /// The exact integer entry point: `C = A_q * B_q` with i32
-    /// accumulation, bit-identical to
-    /// [`QuantVnmMatrix::spmm_ref_i8`] on the planned weight (the codes
-    /// are staged to i16 internally; `|code| <= 127` makes the widening
-    /// value-preserving).
+    /// accumulation (the codes are staged to i16; `|code| <= 127` makes
+    /// the widening value-preserving).
     ///
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
-    pub fn run_i8(&self, b: &Matrix<i8>) -> Matrix<i32> {
-        assert_eq!(
-            b.rows(),
-            self.stream.k,
-            "B must have K = {} rows",
-            self.stream.k
-        );
+    pub(crate) fn run_i8(&self, b: &Matrix<i8>) -> Matrix<i32> {
+        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
         let staged: Vec<i16> = b.as_slice().iter().map(|&q| q as i16).collect();
-        self.stream.run(&staged, b.cols())
+        self.run(&staged, b.cols())
     }
 
-    /// Quantizes an activation operand with the plan's per-call
-    /// calibrator: one per-tensor scale over the exactly-decoded halves.
-    pub fn quantize_operand(&self, b: &Matrix<Half>) -> (Matrix<i8>, f32) {
-        let (q, params) = venom_quant::quantize_slice(b.as_slice(), self.act_calib);
-        (Matrix::from_vec(b.rows(), b.cols(), q), params.scale)
-    }
-
-    /// [`Self::quantize_operand`] staged directly to the i16 codes the
-    /// stream consumes — numerically identical codes, one pass.
+    /// [`quantize_operand`] staged directly to the i16 codes the stream
+    /// consumes — numerically identical codes, one pass.
     fn quantize_operand_i16(&self, b: &Matrix<Half>) -> (Vec<i16>, f32) {
         let (q, params) = venom_quant::quantize_slice_i16(b.as_slice(), self.act_calib);
         (q, params.scale)
@@ -319,68 +227,31 @@ impl QuantSpmmPlan {
     /// the integer accumulators by.
     #[inline]
     fn dequant_scale(&self, r: usize, act_scale: f32) -> f32 {
-        self.weight.scales()[r] * act_scale
+        self.scales[r] * act_scale
     }
 
-    /// Dequantizes an integer result into f32 (`acc * row_scale *
-    /// act_scale`, one rounding per element).
-    fn dequantize(&self, acc: Matrix<i32>, act_scale: f32) -> Matrix<f32> {
-        let (rows, cols) = (acc.rows(), acc.cols());
-        let mut out = vec![0.0f32; rows * cols];
-        for r in 0..rows {
-            let s = self.dequant_scale(r, act_scale);
-            for (o, &a) in out[r * cols..(r + 1) * cols].iter_mut().zip(acc.row(r)) {
-                *o = a as f32 * s;
-            }
-        }
-        Matrix::from_vec(rows, cols, out)
-    }
-}
-
-impl MatmulPlan for QuantSpmmPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        QuantSpmmPlan::timing(self)
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        venom_format::SparseKernel::to_dense(&self.weight)
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(
-            b.rows(),
-            self.stream.k,
-            "B must have K = {} rows",
-            self.stream.k
-        );
+    /// `C = A * B` over a half RHS: quantize, integer multiply, fused
+    /// dequantization.
+    pub(crate) fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
+        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
         let (b_q, act_scale) = self.quantize_operand_i16(b);
-        let scales: Vec<f32> = (0..self.stream.rows)
+        let scales: Vec<f32> = (0..self.rows)
             .map(|r| self.dequant_scale(r, act_scale))
             .collect();
-        self.stream.run_dequant(&b_q, b.cols(), &scales)
+        self.run_dequant(&b_q, b.cols(), &scales)
     }
 
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
+    /// One dispatch over many requests; each request keeps its own
+    /// per-tensor scale.
+    pub(crate) fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.stream.k;
+        let k = self.k;
         let total: usize = bs.iter().map(|b| b.cols()).sum();
-        // Each request keeps its own per-tensor scale; the concatenated
-        // integer dispatch is column-independent, so one multiply and a
-        // per-block dequantization is bit-identical to separate runs.
+        // The concatenated integer dispatch is column-independent, so one
+        // multiply and a per-block dequantization is bit-identical to
+        // separate runs.
         let mut staged = vec![0i16; k * total];
         let mut scales = Vec::with_capacity(bs.len());
         let mut col0 = 0usize;
@@ -395,8 +266,8 @@ impl MatmulPlan for QuantSpmmPlan {
             }
             col0 += cols;
         }
-        let acc = self.stream.run(&staged, total);
-        let rows = self.stream.rows;
+        let acc = self.run(&staged, total);
+        let rows = self.rows;
         let mut out = Vec::with_capacity(bs.len());
         let mut col0 = 0usize;
         for (b, &act_scale) in bs.iter().zip(&scales) {
@@ -415,19 +286,21 @@ impl MatmulPlan for QuantSpmmPlan {
         out
     }
 
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.stream.k, "input features mismatch");
+    /// The fused layer forward `y = x W^T + b`.
+    pub(crate) fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
+        assert_eq!(x.cols(), self.k, "input features mismatch");
         let staged = stage::stage_activations_t(x);
         self.run_linear_staged(&staged, x.rows(), bias)
     }
 
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        assert_eq!(bias.len(), self.stream.rows, "bias must match out_features");
+    /// [`Self::run_linear`] over a pre-staged operand.
+    pub(crate) fn run_linear_staged(
+        &self,
+        staged: &[f32],
+        tokens: usize,
+        bias: &[f32],
+    ) -> Matrix<f32> {
+        assert_eq!(bias.len(), self.rows, "bias must match out_features");
         // The staged buffer holds exact f16 decodes, so calibrating it
         // equals calibrating the half operand, and mapping each value's
         // f16 bits through the code table lands on the same codes the
@@ -438,13 +311,13 @@ impl MatmulPlan for QuantSpmmPlan {
             .iter()
             .map(|&v| table[venom_fp16::f32_to_f16_bits(v) as usize] as i16)
             .collect();
-        let mut acc = vec![0i32; self.stream.rows * tokens];
-        self.stream.run_into(&b_q, tokens, &mut acc);
+        let mut acc = vec![0i32; self.rows * tokens];
+        self.run_into(&b_q, tokens, &mut acc);
         // Dequantization folded into the tiled transpose+bias epilogue:
         // y[t][r] = acc[r][t] * s_r + bias[r], the exact expression of
         // the per-call chain (`run_oneshot` dequant, transpose, bias).
         const TILE: usize = 32;
-        let rows = self.stream.rows;
+        let rows = self.rows;
         let mut y = vec![0.0f32; tokens * rows];
         for t0 in (0..tokens).step_by(TILE) {
             let t1 = (t0 + TILE).min(tokens);
@@ -461,22 +334,37 @@ impl MatmulPlan for QuantSpmmPlan {
         }
         Matrix::from_vec(tokens, rows, y)
     }
+}
 
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        // Per-call: re-quantize the operand and run the container's own
-        // parallel integer kernel, then dequantize through the shared
-        // expression — bit-identical to the planned `run`.
-        let (b_q, act_scale) = self.quantize_operand(b);
-        let acc = self.weight.spmm_parallel_i8(&b_q);
-        self.dequantize(acc, act_scale)
+/// Quantizes an activation operand under `calib`: one per-tensor scale
+/// over the exactly-decoded halves.
+pub(crate) fn quantize_operand(b: &Matrix<Half>, calib: Calibration) -> (Matrix<i8>, f32) {
+    let (q, params) = venom_quant::quantize_slice(b.as_slice(), calib);
+    (Matrix::from_vec(b.rows(), b.cols(), q), params.scale)
+}
+
+/// Dequantizes an integer result into f32 (`acc * (row_scale *
+/// act_scale)`, one rounding per element) — the expression the planned
+/// paths fold into their epilogues.
+pub(crate) fn dequantize(acc: Matrix<i32>, scales: &[f32], act_scale: f32) -> Matrix<f32> {
+    let (rows, cols) = (acc.rows(), acc.cols());
+    let mut out = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        let s = scales[r] * act_scale;
+        for (o, &a) in out[r * cols..(r + 1) * cols].iter_mut().zip(acc.row(r)) {
+            *o = a as f32 * s;
+        }
     }
+    Matrix::from_vec(rows, cols, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_format::{SparsityMask, VnmConfig};
+    use crate::{DType, MatmulDescriptor, MatmulPlan, Plan, SpmmOptions};
+    use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
     use venom_quant::gemm_ref_i8;
+    use venom_sim::DeviceConfig;
     use venom_tensor::random;
 
     fn dev() -> DeviceConfig {
@@ -489,11 +377,10 @@ mod tests {
         VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg)
     }
 
-    fn build(a: &VnmMatrix, b_cols: usize) -> QuantSpmmPlan {
+    fn build(a: &VnmMatrix, b_cols: usize) -> Plan {
         let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        QuantSpmmPlan::build(
+        Plan::build_quant(
             a,
-            Calibration::AbsMax,
             Calibration::AbsMax,
             desc,
             &SpmmOptions::default(),
@@ -506,9 +393,9 @@ mod tests {
         let a = vnm_fixture(70, 93, VnmConfig::new(16, 2, 10), 1);
         let plan = build(&a, 64);
         let b = Matrix::from_fn(93, 37, |r, c| ((r * 19 + c * 7) % 255) as i32 as u8 as i8);
-        let got = plan.run_i8(&b);
-        assert_eq!(got, plan.weight().spmm_ref_i8(&b));
-        assert_eq!(got, gemm_ref_i8(&plan.weight().dense_i8(), &b));
+        let got = plan.run_i8(&b).unwrap();
+        assert_eq!(got, plan.quantized().unwrap().spmm_ref_i8(&b));
+        assert_eq!(got, gemm_ref_i8(&plan.quantized().unwrap().dense_i8(), &b));
     }
 
     #[test]
@@ -548,7 +435,7 @@ mod tests {
         let plan = build(&a, 1024);
         assert_eq!(plan.descriptor().dtype, DType::I8);
         let t8 = plan.timing().expect("launchable V is priced").time_ms;
-        let f16 = crate::plan::SpmmPlan::build(
+        let f16 = Plan::build_vnm(
             &a,
             MatmulDescriptor::new(128, 1024).with_b_cols(1024),
             &SpmmOptions::default(),
@@ -564,7 +451,10 @@ mod tests {
         let plan = build(&a, 16);
         assert!(plan.tile().is_none());
         let b = Matrix::from_fn(40, 9, |r, c| ((r + c * 3) % 100) as i8);
-        assert_eq!(plan.run_i8(&b), plan.weight().spmm_ref_i8(&b));
+        assert_eq!(
+            plan.run_i8(&b).unwrap(),
+            plan.quantized().unwrap().spmm_ref_i8(&b)
+        );
     }
 
     #[test]

@@ -477,7 +477,7 @@ mod tests {
         // with no fault armed, the builder hands back the inner plan
         // itself — no wrapper, no per-dispatch draws.
         let w = Matrix::<Half>::zeros(8, 8);
-        let plan: Arc<dyn MatmulPlan> = Arc::new(crate::plan::GemmPlan::new(&w));
+        let plan: Arc<dyn MatmulPlan> = Arc::new(crate::Plan::from_dense(&w));
         let clean = {
             let p = Arc::clone(&plan);
             FaultConfig::default().wrap_builder(move || Arc::clone(&p))

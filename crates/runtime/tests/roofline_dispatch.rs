@@ -15,9 +15,16 @@
 //! 3. **Bit-exactness across the V x N:M grid.** The band replay and
 //!    the swapped-operand per-call kernel agree with `spmm_ref` (and
 //!    with the mma-stream plan) to the bit for every probed pattern.
+//! 4. **One contract per route.** Every route `plan_auto` can pick —
+//!    the V:N:M mma stream, the band replay, the int8 V:N:M stream, and
+//!    the N:M, CSR, CVSE, Blocked-ELL and dense streams — replays
+//!    bit-identically to its per-call reference on every dispatch path,
+//!    carries the counts it was priced on, and charges the plan cache
+//!    for exactly the bytes its executor keeps resident.
 
 use proptest::prelude::*;
-use venom_runtime::{Engine, MatmulFormat, Regime, VnmConfig};
+use std::sync::Arc;
+use venom_runtime::{DType, Engine, MatmulFormat, MatmulPlan, Regime, VnmConfig};
 use venom_sim::DeviceConfig;
 use venom_tensor::{random, Matrix};
 
@@ -140,4 +147,97 @@ fn band_paths_are_bit_identical_across_the_config_grid() {
             assert_eq!(mma.run(&b), reference, "V={v} M={m}: mma stream");
         }
     }
+}
+
+/// Resident bytes per stored operand of each executor: f32 value + u32
+/// source (stream), f16 bits + u16 source (band), i16 code + u32 source
+/// (int8). Row pointers are a u32 per row plus one.
+fn expected_bytes(plan: &dyn MatmulPlan, per_operand: usize) -> usize {
+    let rows = plan.descriptor().out_features;
+    64 + plan.stored_values() * per_operand + (rows + 1) * 4
+}
+
+#[test]
+fn every_route_replays_bitwise_and_reports_its_pricing() {
+    // A 2:4-pruned weight complies with every format's structure, so
+    // one weight reaches every route; 64 x 96 lets Blocked-ELL tile it.
+    let (r, k) = (64usize, 96usize);
+    let w = vnm_dense(r, k, VnmConfig::new(64, 2, 4), 31);
+    let engine = Engine::new(dev()).with_b_cols_hint(16);
+    let f16 = engine.descriptor(r, k);
+    let i8 = f16.with_dtype(DType::I8);
+    let format = |f: MatmulFormat| engine.plan_with_format(f, &f16, &w).unwrap();
+    let routes: Vec<(&str, Arc<dyn MatmulPlan>, usize)> = vec![
+        ("vnm", format(MatmulFormat::Vnm), 8),
+        ("band", engine.plan_band_hinted(&f16, &w, None).unwrap(), 4),
+        (
+            "vnm-i8",
+            engine.plan_with_format(MatmulFormat::Vnm, &i8, &w).unwrap(),
+            6,
+        ),
+        ("nm", format(MatmulFormat::Nm), 8),
+        ("csr", format(MatmulFormat::Csr), 8),
+        ("cvse", format(MatmulFormat::Cvse), 8),
+        ("blocked-ell", format(MatmulFormat::BlockedEll), 8),
+        ("dense", format(MatmulFormat::Dense), 8),
+    ];
+    let b = random::normal_matrix(k, 13, 0.0, 1.0, 32).to_half();
+    let batch: Vec<Matrix<venom_fp16::Half>> = [5usize, 11, 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| random::normal_matrix(k, c, 0.0, 1.0, 33 + i as u64).to_half())
+        .collect();
+    let x = random::activation_matrix(9, k, 36);
+    let bias: Vec<f32> = (0..r).map(|i| i as f32 * 0.125 - 2.0).collect();
+    for (route, plan, per_operand) in &routes {
+        let label = match plan.descriptor().dtype {
+            DType::I8 => format!("{}-i8", plan.path()),
+            DType::F16 => plan.path().to_string(),
+        };
+        assert_eq!(&label, route, "the route label names the executor");
+        assert_eq!(
+            plan.run(&b),
+            plan.run_oneshot(&b),
+            "{route}: planned vs per-call"
+        );
+        let refs: Vec<_> = batch.iter().collect();
+        let together = plan.run_batch(&refs);
+        assert_eq!(
+            together.len(),
+            batch.len(),
+            "{route}: one result per request"
+        );
+        for (got, one) in together.iter().zip(&batch) {
+            assert_eq!(got, &plan.run(one), "{route}: batched vs separate");
+        }
+        assert_eq!(
+            plan.run_linear(&x, &bias),
+            plan.run_linear_percall(&x, &bias),
+            "{route}: fused linear vs per-call chain"
+        );
+        assert!(plan.counts().is_some(), "{route}: priced counts");
+        assert!(plan.regime(&dev()).is_some(), "{route}: roofline regime");
+        assert_eq!(
+            plan.approx_bytes(),
+            expected_bytes(plan.as_ref(), *per_operand),
+            "{route}: cache bytes are the executor's resident bytes"
+        );
+    }
+}
+
+#[test]
+fn i8_auto_winner_reports_counts_and_regime() {
+    // Fig. 9's BERT-large layer at the wide bound: the int8 V:N:M
+    // candidate wins auto, and the winner must still answer the
+    // roofline questions the dispatch and telemetry layers ask.
+    let cfg = VnmConfig::new(128, 2, 10);
+    let w = vnm_dense(1024, 768, cfg, 7);
+    let engine = Engine::new(dev()).with_b_cols_hint(4096);
+    let desc = engine.descriptor(1024, 768).with_dtype(DType::I8);
+    let plan = engine.plan_auto(&desc, &w);
+    assert_eq!(plan.descriptor().dtype, DType::I8, "the i8 candidate wins");
+    let counts = plan.counts().expect("an int8 plan keeps its priced counts");
+    assert!(counts.effective_flops > 0, "{}", counts.name);
+    assert!(plan.roofline(engine.device()).is_some());
+    assert!(plan.regime(engine.device()).is_some());
 }

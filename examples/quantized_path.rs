@@ -2,7 +2,9 @@
 //! EXPERIMENTS.md int8-vs-f16 accuracy table.
 //!
 //! For each Fig. 9 layer shape and each calibrator, quantizes a
-//! magnitude-pruned V:N:M weight, plans the i32-accumulating dispatch,
+//! magnitude-pruned V:N:M weight, plans the i32-accumulating dispatch
+//! (`Engine::plan_quant_spmm`: a `Plan` on the int8 executor, next to
+//! the f16 `Plan` on the stream executor from `Engine::plan_spmm`),
 //! and reports max-abs / relative error of the dequantized output
 //! against the f16 planned path, plus wall time of both.
 //!
@@ -39,9 +41,9 @@ fn main() {
         let f16_ms = t0.elapsed().as_secs_f64() * 1e3;
         for calib in [Calibration::AbsMax, Calibration::Percentile(99.5)] {
             let qplan = engine.clone().with_calibration(calib).plan_quant_spmm(&a);
-            let y_i8 = MatmulPlan::run(&qplan, &b);
+            let y_i8 = qplan.run(&b);
             let t0 = Instant::now();
-            let _ = std::hint::black_box(MatmulPlan::run(&qplan, &b));
+            let _ = std::hint::black_box(qplan.run(&b));
             let i8_ms = t0.elapsed().as_secs_f64() * 1e3;
             let max_abs = venom::tensor::norms::max_abs_diff(&y_i8, &y_f16);
             let rel = venom::tensor::norms::rel_frobenius_error(&y_i8, &y_f16);

@@ -14,7 +14,8 @@
 //! * [`spatha`] — the Spatha SpMM library (the paper's contribution).
 //! * [`runtime`] — the plan-once/run-many inference engine: descriptor
 //!   in, format-erased [`runtime::MatmulPlan`] out, with automatic
-//!   format selection ([`runtime::Engine::plan_auto`]).
+//!   format selection ([`runtime::Engine::plan_auto`]). Every plan is
+//!   one [`runtime::Plan`] over the stream, band or int8 executor.
 //! * [`baselines`] — cuBLAS-, cuSparseLt-, Sputnik- and CLASP-like models.
 //! * [`pruner`] — magnitude and second-order (OBS) pruning, energy metric,
 //!   gradual structure-decay scheduling.
@@ -61,9 +62,7 @@ pub mod prelude {
     };
     pub use venom_fp16::Half;
     pub use venom_quant::Calibration;
-    pub use venom_runtime::{
-        DType, Engine, GemmPlan, MatmulDescriptor, MatmulPlan, PlanError, QuantSpmmPlan, SpmmPlan,
-    };
+    pub use venom_runtime::{DType, Engine, MatmulDescriptor, MatmulPlan, Plan, PlanError};
     pub use venom_sim::{DeviceConfig, KernelTiming};
     pub use venom_tensor::{GemmShape, Matrix};
 }

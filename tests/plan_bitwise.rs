@@ -2,7 +2,7 @@
 //!
 //! A plan captures the weight's staged operands and tile selection at
 //! build time; this suite pins the contract that *nothing* about planning
-//! changes the numerics: `SpmmPlan::run` (single, batched, repeated, and
+//! changes the numerics: `Plan::run` (single, batched, repeated, and
 //! fused-layer calls) must be bit-identical to the one-shot `spmm`
 //! dispatch — and to the compressed-format oracle `spmm_ref` — across the
 //! V x N:M grid, including V = 8, which only the plan's stream executes
@@ -141,7 +141,7 @@ proptest! {
         let cfg = VnmConfig::new(GRID_V[vi], n, m);
         let a = fixture(cfg, seed);
         let plan = engine().plan_spmm(&a); // bound = 64 via the hint
-        prop_assert!(b_cols <= plan.b_cols_bound());
+        prop_assert!(b_cols <= plan.descriptor().b_cols);
         let b = random::normal_matrix(a.cols(), b_cols, 0.0, 1.0, seed + 1).to_half();
         let got = plan.run(&b);
         prop_assert_eq!(&got, &a.spmm_ref(&b));

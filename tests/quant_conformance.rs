@@ -4,7 +4,7 @@
 //!
 //! 1. **Exactness of the integer core** — the full
 //!    quantize → compress → plan → run chain (engine-built
-//!    [`QuantSpmmPlan`], i16-staged stream, banded parallel replay) is
+//!    int8 [`Plan`], i16-staged stream, banded parallel replay) is
 //!    *bit-identical* to the scalar i32 oracle: the container's
 //!    `spmm_ref_i8` and, behind it, `venom::quant::gemm_ref_i8` over the
 //!    decompressed i8 plane. Integer accumulation never rounds, so any
@@ -73,14 +73,18 @@ fn plan_run_is_bit_identical_to_the_i8_oracle_across_the_grid() {
                 let eng = engine().with_calibration(calib);
                 let plan = eng.plan_quant_spmm(&a);
                 assert_eq!(
-                    plan.weight().values(),
+                    plan.quantized().expect("an int8 plan").values(),
                     q.values(),
                     "{tag}: containers agree"
                 );
                 // ... -> run: bit-identical to the scalar i32 oracle.
                 let b = to_i8(&i8_operand(k, 13, v + m));
                 let want = q.spmm_ref_i8(&b);
-                assert_eq!(plan.run_i8(&b), want, "{tag}: plan vs spmm_ref_i8");
+                assert_eq!(
+                    plan.run_i8(&b),
+                    Some(want.clone()),
+                    "{tag}: plan vs spmm_ref_i8"
+                );
                 assert_eq!(gemm_ref_i8(&q.dense_i8(), &b), want, "{tag}: dense oracle");
                 assert_eq!(
                     q.spmm_parallel_i8(&b),
