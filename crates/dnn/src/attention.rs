@@ -515,6 +515,67 @@ mod tests {
     }
 
     #[test]
+    fn planned_attention_matches_dense_bitwise_on_non_finite_inputs() {
+        // NaN propagation through the masked softmax, pinned against the
+        // dense reference chain: Q/K/V carry NaN, ±inf, f32 subnormals
+        // (which round to zero halves) and -0.0, and one row's scores
+        // overflow to +inf. NaN outputs are compared by their bits.
+        let (seq, hidden, heads) = (24usize, 32usize, 2usize);
+        let mha = MultiHeadAttention::dense(hidden, heads, 51);
+        let x = Matrix::<f32>::zeros(seq, hidden);
+        let mut q = random::activation_matrix(seq, hidden, 52);
+        let mut k = random::activation_matrix(seq, hidden, 53);
+        let mut v = random::activation_matrix(seq, hidden, 54);
+        // Head 0, Q column 1: zero halves (-0.0 and a subnormal) meeting
+        // an infinite K entry — the dense GEMM skips the zero operand,
+        // so 0 · inf must not turn these scores NaN.
+        for r in 0..seq {
+            q.set(r, 1, if r % 2 == 0 { -0.0 } else { 1e-40 });
+        }
+        k.set(3, 1, f32::INFINITY);
+        // Row 9: a Q value beyond the f16 range overflows its scores to
+        // ±inf (the row max is +inf, so the row turns NaN).
+        q.set(9, 2, 7.0e4);
+        // Row 14: a NaN query makes every score of the row NaN.
+        q.set(14, 5, f32::NAN);
+        // Head 1: NaN and -inf keys, a -0.0 and a subnormal query.
+        k.set(7, 20, f32::NAN);
+        k.set(12, 18, f32::NEG_INFINITY);
+        q.set(4, 17, -0.0);
+        q.set(6, 19, -1e-39);
+        // Values: NaN, ±inf, subnormals and -0.0 in both heads.
+        v.set(10, 3, f32::from_bits(0x7FC0_1234));
+        v.set(11, 4, f32::INFINITY);
+        v.set(2, 20, f32::NEG_INFINITY);
+        v.set(16, 21, 1e-41);
+        v.set(17, 0, -0.0);
+        for mask in [
+            AttentionMask::Causal,
+            AttentionMask::SlidingWindow { window: 5 },
+            AttentionMask::Blockwise { block: 8 },
+        ] {
+            let plan = AttentionPlan::build(seq, hidden, heads, mask, engine().device())
+                .unwrap_or_else(|e| panic!("{mask}: {e}"));
+            let planned = plan.attention(&q, &k, &v);
+            let dense = mha.attention_core(&x, &q, &k, &v, Some(&mask));
+            for r in 0..seq {
+                for c in 0..hidden {
+                    let (p, d) = (planned.get(r, c), dense.get(r, c));
+                    assert_eq!(
+                        p.to_bits(),
+                        d.to_bits(),
+                        "{mask}: ({r},{c}) planned {p} vs dense {d}"
+                    );
+                }
+            }
+            assert!(
+                dense.as_slice().iter().any(|v| v.is_nan()),
+                "{mask}: the inputs must reach a NaN output"
+            );
+        }
+    }
+
+    #[test]
     fn forward_causal_routes_through_the_causal_mask() {
         // The satellite refactor: forward_causal is now
         // forward_masked(Causal); both must produce identical bits.

@@ -24,7 +24,7 @@ pub mod lut;
 mod ops;
 pub mod slice;
 
-pub use convert::{f16_bits_to_f32, f32_to_f16_bits};
+pub use convert::{f16_bits_to_f32, f32_to_f16_bits, f32_to_f16_bits_ref};
 pub use lut::{f16_bits_to_f32_lut, f16_to_f32_table};
 
 /// IEEE 754 binary16 floating point number.

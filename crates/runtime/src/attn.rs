@@ -310,41 +310,20 @@ impl SddmmPlan {
         let d = self.d;
         let timer = venom_obs::profile::PhaseTimer::start();
         let mut out = vec![Half::ZERO; self.rows * self.cols];
-        match self.path {
-            // Row-major replay: each row walks its condensed gather
-            // order (the mma schedule's tile order).
-            SddmmPath::Mma => {
-                out.par_chunks_mut(self.cols)
-                    .enumerate()
-                    .for_each(|(r, orow)| {
-                        let qrow = &q_f32[r * d..(r + 1) * d];
-                        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                        for &c in &self.cols_idx[lo..hi] {
-                            let kcol = &self.kt_f32[c as usize * d..(c as usize + 1) * d];
-                            orow[c as usize] = Half::from_f32(dot_f32(qrow, kcol));
-                        }
-                    });
-            }
-            // Swapped-operand replay: stream Q once per condensed
-            // column slab. Each sampled dot still accumulates in `kk`
-            // order over the same staged values, so the bits cannot
-            // differ — only the traversal (and the priced schedule)
-            // does.
-            SddmmPath::Swapped => {
-                out.par_chunks_mut(self.cols)
-                    .enumerate()
-                    .for_each(|(r, orow)| {
-                        let qrow = &q_f32[r * d..(r + 1) * d];
-                        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                        // Walk the slab column-major within the row's run:
-                        // identical element set, identical per-element chain.
-                        for &c in self.cols_idx[lo..hi].iter() {
-                            let kcol = &self.kt_f32[c as usize * d..(c as usize + 1) * d];
-                            orow[c as usize] = Half::from_f32(dot_f32(qrow, kcol));
-                        }
-                    });
-            }
-        }
+        // Both priced schedules (`self.path`) replay the same way: each
+        // row walks its condensed gather order, and every sampled dot
+        // accumulates in `kk` order over the same staged values — the
+        // schedules differ in tiling and pricing, never in bits.
+        out.par_chunks_mut(self.cols)
+            .enumerate()
+            .for_each(|(r, orow)| {
+                let qrow = &q_f32[r * d..(r + 1) * d];
+                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+                for &c in &self.cols_idx[lo..hi] {
+                    let kcol = &self.kt_f32[c as usize * d..(c as usize + 1) * d];
+                    orow[c as usize] = Half::from_f32(dot_f32(qrow, kcol));
+                }
+            });
         // Compulsory traffic of the gather-order replay: the staged K
         // panel, the condensed index planes, and the sampled outputs.
         timer.stop(
@@ -497,13 +476,32 @@ impl AttentionPlan {
     /// `softmax(Q_h K_hᵀ / sqrt(d)) V_h`, computed only at the mask's
     /// sampled positions. Bit-identical to the dense per-head chain
     /// (`gemm_parallel` scores, in-place mask, `softmax_rows`,
-    /// `gemm_parallel` context) at every position.
+    /// `gemm_parallel` context) at every position, NaN and infinity
+    /// included.
+    ///
+    /// Layout: Q, K and V are staged once per call (rounded through f16
+    /// and decoded exactly, as the dense path's `.to_half()` does) into
+    /// arena-leased head-major panels — Q and V as `[h][r][kk]`, K
+    /// transposed as `[h][kk][c]`. One parallel region then walks the
+    /// context rows, heads inner. A row's sampled columns are one
+    /// contiguous run, so `Q Kᵀ` is swept across that run of the K panel:
+    /// `s[c] += q[kk] * kᵀ[kk][c]` for `kk = 0..d`.
+    ///
+    /// Why the bits cannot move: that sweep is the dense `gemm_parallel`
+    /// loop itself — each score starts at `0.0` and accumulates `q * k`
+    /// in `kk` order with a separate multiply and add, skipping zero `q`
+    /// — only vectorized across columns. Scaling, the max fold, `exp`,
+    /// the running sum, the f16 rounding of `p` and the zero-`p` skip in
+    /// `P·V` then run in the dense order over the sampled entries.
+    /// Masked entries are the only ones left out, and in the dense chain
+    /// they are `-inf` scores whose `exp` adds `+0.0` to a nonnegative
+    /// sum and whose zero-half probabilities `P·V` skips.
     ///
     /// # Panics
     /// Panics when the operand shapes disagree with the planned
     /// `(seq, hidden)`.
     pub fn attention(&self, q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>) -> Matrix<f32> {
-        let (seq, hidden, d) = (self.seq, self.hidden, self.d_head);
+        let (seq, hidden, heads, d) = (self.seq, self.hidden, self.heads, self.d_head);
         for (name, m) in [("Q", q), ("K", k), ("V", v)] {
             assert_eq!(
                 (m.rows(), m.cols()),
@@ -512,88 +510,113 @@ impl AttentionPlan {
             );
         }
         let table = f16_to_f32_table();
-        // Round through f16 and decode exactly — per element the same
-        // value the dense path's `.to_half()` + staged decode produces.
-        let stage = |m: &Matrix<f32>, c0: usize, buf: &mut [f32]| {
-            for r in 0..seq {
-                let row = &m.row(r)[c0..c0 + d];
-                for (kk, &x) in row.iter().enumerate() {
-                    buf[r * d + kk] = table[f32_to_f16_bits(x) as usize];
+        let round = |x: f32| table[f32_to_f16_bits(x) as usize];
+        let panel = seq * d;
+        let timer = venom_obs::profile::PhaseTimer::start();
+        let mut qp = crate::arena::lease(seq * hidden);
+        let mut kt = crate::arena::lease(seq * hidden);
+        let mut vp = crate::arena::lease(seq * hidden);
+        for r in 0..seq {
+            for h in 0..heads {
+                let (src, dst) = (h * d..(h + 1) * d, h * panel + r * d);
+                for (o, &x) in qp[dst..dst + d].iter_mut().zip(&q.row(r)[src.clone()]) {
+                    *o = round(x);
+                }
+                for (o, &x) in vp[dst..dst + d].iter_mut().zip(&v.row(r)[src.clone()]) {
+                    *o = round(x);
+                }
+                for (kk, &x) in k.row(r)[src].iter().enumerate() {
+                    kt[h * panel + kk * seq + r] = round(x);
                 }
             }
-        };
+        }
+        timer.stop("attention", "stage", (3 * seq * hidden * 4) as u64);
+
+        let timer = venom_obs::profile::PhaseTimer::start();
         let mut ctx = Matrix::<f32>::zeros(seq, hidden);
-        let mut qh = vec![0.0f32; seq * d];
-        let mut kh = vec![0.0f32; seq * d];
-        let mut vh = vec![0.0f32; seq * d];
-        for h in 0..self.heads {
-            let c0 = h * d;
-            let timer = venom_obs::profile::PhaseTimer::start();
-            stage(q, c0, &mut qh);
-            stage(k, c0, &mut kh);
-            stage(v, c0, &mut vh);
-            timer.stop("attention", "stage", (3 * seq * d * 4) as u64);
-            let timer = venom_obs::profile::PhaseTimer::start();
-            let (qh, kh, vh) = (&qh, &kh, &vh);
-            ctx.as_mut_slice()
-                .par_chunks_mut(hidden)
-                .enumerate()
-                .for_each(|(r, orow)| {
-                    let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                    let sampled = &self.cols[lo..hi];
-                    let qrow = &qh[r * d..(r + 1) * d];
-                    // Scores at the sampled positions, in ascending
-                    // column order — the dense accumulation order minus
-                    // the masked entries (whose -inf scores the dense
-                    // path writes and then reduces to exact zeros).
-                    let mut s: Vec<f32> = sampled
-                        .iter()
-                        .map(|&c| {
-                            let kcol = &kh[c as usize * d..(c as usize + 1) * d];
-                            dot_f32(qrow, kcol) * self.scale
-                        })
-                        .collect();
+        let (qs, ks, vs) = (&qp[..], &kt[..], &vp[..]);
+        ctx.as_mut_slice()
+            .par_chunks_mut(hidden)
+            .enumerate()
+            .for_each(|(r, orow)| {
+                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+                if lo == hi {
+                    // No sampled column: the dense guarded softmax yields
+                    // zeros, so the context row stays zero.
+                    return;
+                }
+                // The sampled run `c0..c0 + n`, in ascending column order
+                // — the dense accumulation order minus the masked entries.
+                let (c0, n) = (self.cols[lo] as usize, hi - lo);
+                // Leased at the full `seq` so the buffer a thread reuses
+                // never regrows as the runs lengthen.
+                let mut scratch = crate::arena::lease(seq);
+                let s = &mut scratch[..n];
+                for h in 0..heads {
+                    let qrow = &qs[h * panel + r * d..h * panel + (r + 1) * d];
+                    let kth = &ks[h * panel..(h + 1) * panel];
+                    s.fill(0.0);
+                    for (kk, &qv) in qrow.iter().enumerate() {
+                        if qv == 0.0 {
+                            // Zero Q entries are skipped, as the dense
+                            // GEMM skips zero A entries (0 · ±inf would
+                            // otherwise turn the score NaN).
+                            continue;
+                        }
+                        let krun = &kth[kk * seq + c0..kk * seq + c0 + n];
+                        for (sv, &kv) in s.iter_mut().zip(krun) {
+                            *sv += qv * kv;
+                        }
+                    }
+                    for sv in s.iter_mut() {
+                        *sv *= self.scale;
+                    }
                     // Masked softmax over the compressed row. The row
                     // max over sampled entries equals the dense row max
                     // (masked entries are -inf); masked exp terms are
                     // +0.0 and leave the dense running sum bit-exact.
                     let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    let out = &mut orow[c0..c0 + d];
                     if max == f32::NEG_INFINITY {
-                        // Fully-masked (or empty) row: the dense guarded
-                        // softmax yields zeros, so P·V contributes
-                        // nothing and the context row stays zero.
-                        return;
+                        // Every sampled score is -inf or NaN: the dense
+                        // guarded softmax zeroes the row, so P·V
+                        // contributes nothing.
+                        continue;
                     }
                     let mut sum = 0.0f32;
                     for sv in s.iter_mut() {
                         *sv = (*sv - max).exp();
                         sum += *sv;
                     }
-                    // P·V over the same gather order: probabilities
-                    // round through f16 exactly as the dense path's
-                    // `probs.to_half()`, and exact-zero probabilities
-                    // are skipped — the dense kernel skips them too.
-                    for (sv, &c) in s.iter().zip(sampled) {
-                        let p = Half::from_f32(*sv / sum);
+                    // P·V over the same run: probabilities round through
+                    // f16 exactly as the dense path's `probs.to_half()`,
+                    // and exact-zero probabilities are skipped — the
+                    // dense kernel skips them too.
+                    let out = &mut orow[h * d..(h + 1) * d];
+                    let vh = &vs[h * panel..(h + 1) * panel];
+                    for (c, &sv) in s.iter().enumerate() {
+                        let p = Half::from_f32(sv / sum);
                         if p.is_zero() {
                             continue;
                         }
                         let pv = table[p.to_bits() as usize];
-                        let vrow = &vh[c as usize * d..(c as usize + 1) * d];
+                        let vrow = &vh[(c0 + c) * d..(c0 + c + 1) * d];
                         for (o, &x) in out.iter_mut().zip(vrow) {
                             *o += pv * x;
                         }
                     }
-                });
-            // Per-head compulsory traffic: the staged K and V panels,
-            // the context slice written once, and the condensed index
-            // planes driving the gather.
-            timer.stop(
-                "attention",
-                "mma",
-                (3 * seq * d * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4) as u64,
-            );
+                }
+                crate::arena::release(scratch);
+            });
+        // Compulsory traffic of the sweep, booked once for all heads: the
+        // staged K and V panels, the context written once, and the
+        // condensed index planes driving the gather.
+        timer.stop(
+            "attention",
+            "mma",
+            (3 * seq * hidden * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4) as u64,
+        );
+        for buf in [qp, kt, vp] {
+            crate::arena::release(buf);
         }
         ctx
     }

@@ -579,8 +579,11 @@ fn shutdown_shared(shared: &Arc<WorkerShared>) {
     }
 }
 
-/// Spawns one worker and records its handle for shutdown.
+/// Spawns one worker and records its handle for shutdown. The worker
+/// counts as live from here, not from when its thread is first
+/// scheduled, so `health()` never misses a spawned replacement.
 fn spawn_worker(shared: &Arc<WorkerShared>) {
+    shared.live.fetch_add(1, Ordering::Relaxed);
     let worker_shared = Arc::clone(shared);
     let handle = std::thread::spawn(move || worker_main(&worker_shared));
     lock_recover(&shared.handles).push(handle);
@@ -590,24 +593,16 @@ fn spawn_worker(shared: &Arc<WorkerShared>) {
 /// containing batch panics and self-respawning within the restart
 /// budget.
 fn worker_main(shared: &Arc<WorkerShared>) {
-    shared.live.fetch_add(1, Ordering::Relaxed);
     while let Some(batch) = shared.queue.pop_coalesced(shared.config.max_batch.max(1)) {
         let outcome = catch_unwind(AssertUnwindSafe(|| process_batch(shared, &batch)));
         if outcome.is_err() {
-            // The batch died mid-dispatch. Answer exactly its requests
-            // (first-write-wins skips any already delivered), hand the
-            // thread back, and respawn if the budget allows. The live
-            // count drops *before* the requests are answered, so a
-            // client that observes the error sees consistent health.
+            // The batch died mid-dispatch. Respawn if the budget allows,
+            // hand this thread back, then answer exactly its requests
+            // (first-write-wins skips any already delivered). The
+            // replacement and this worker's exit are both counted
+            // *before* the requests are answered, so a client that
+            // observes the error sees consistent health.
             shared.panics.fetch_add(1, Ordering::Relaxed);
-            shared.live.fetch_sub(1, Ordering::Relaxed);
-            let mut newly_errored = 0u64;
-            for req in &batch {
-                if req.fulfill(Err(ServeError::WorkerPanicked)) {
-                    newly_errored += 1;
-                }
-            }
-            lock_recover(&shared.metrics).note_errored(newly_errored);
             let within_budget = shared
                 .restarts
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
@@ -617,6 +612,14 @@ fn worker_main(shared: &Arc<WorkerShared>) {
             if within_budget {
                 spawn_worker(shared);
             }
+            shared.live.fetch_sub(1, Ordering::Relaxed);
+            let mut newly_errored = 0u64;
+            for req in &batch {
+                if req.fulfill(Err(ServeError::WorkerPanicked)) {
+                    newly_errored += 1;
+                }
+            }
+            lock_recover(&shared.metrics).note_errored(newly_errored);
             return;
         }
     }
