@@ -28,6 +28,7 @@ pub fn lease(len: usize) -> Vec<f32> {
 }
 
 /// Returns a buffer to the pool for the next lease on this thread.
+#[inline]
 pub fn release(buf: Vec<f32>) {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();

@@ -5,7 +5,9 @@
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::plan::Plan;
-use crate::pricing;
+use crate::pricing::{self, Priced, VnmPrice};
+use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use venom_core::SpmmOptions;
 use venom_format::{
@@ -30,6 +32,9 @@ const AUTO_CVSE_L: [usize; 3] = [16, 8, 4];
 
 /// Block sizes probed for Blocked-ELL (must divide both dimensions).
 const AUTO_ELL_BS: [usize; 4] = [32, 16, 8, 4];
+
+/// The hardware N:M pattern the cuSPARSELt model consumes.
+const NM_2_4: NmConfig = NmConfig { n: 2, m: 4 };
 
 /// Builds plans for one device configuration. Cheap to clone; layers and
 /// models hold the plans, not the engine.
@@ -105,6 +110,11 @@ impl Engine {
     /// Plans a V:N:M SpMM on the Spatha path, tuned and priced at the
     /// engine's column hint (wider runs stay exact; only the captured
     /// pricing assumes the bound).
+    ///
+    /// # Panics
+    /// Panics if the engine's explicit [`SpmmOptions::tile`] cannot
+    /// launch for `a` on the device (its `BSr` is not `V`, or its block
+    /// does not fit an SM).
     pub fn plan_spmm(&self, a: &VnmMatrix) -> Plan {
         let (r, k) = a.shape();
         Plan::build_vnm(a, self.descriptor(r, k), &self.opts, &self.dev)
@@ -113,6 +123,10 @@ impl Engine {
     /// Quantizes a compressed V:N:M weight with the engine's calibrator
     /// and plans its i32-accumulating int8 dispatch at the engine's
     /// column hint.
+    ///
+    /// # Panics
+    /// Panics under the same unlaunchable explicit tile as
+    /// [`Self::plan_spmm`].
     pub fn plan_quant_spmm(&self, a: &VnmMatrix) -> Plan {
         let (r, k) = a.shape();
         let desc = self.descriptor(r, k);
@@ -125,10 +139,12 @@ impl Engine {
     /// are fair.
     pub fn plan_gemm(&self, w: &Matrix<Half>) -> Plan {
         let desc = MatmulDescriptor::for_weight(w).with_b_cols(self.b_cols_hint);
-        Plan::build_dense(w, desc, Some(&self.dev))
+        Plan::build_dense(w, desc, Some(self.price_dense(&desc)))
     }
 
-    /// Plans `weights` in an explicitly chosen storage format.
+    /// Plans `weights` in an explicitly chosen storage format: prices
+    /// the format exactly as [`Self::plan_auto`] prices its candidate,
+    /// then builds that one plan.
     ///
     /// The weight's *nonzero structure* decides eligibility: `vnm` and
     /// `nm` require the zeros to comply with a supported pattern
@@ -141,8 +157,9 @@ impl Engine {
     ///
     /// # Errors
     /// Returns [`PlanError::Incompatible`] with the reason when the
-    /// weights cannot be served in `format` (structure mismatch, or an
-    /// `i8` descriptor on a format with no int8 path).
+    /// weights cannot be served in `format` (structure mismatch, an
+    /// `i8` descriptor on a format with no int8 path, or an explicit
+    /// [`SpmmOptions::tile`] that cannot launch the V:N:M weight).
     ///
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
@@ -153,46 +170,57 @@ impl Engine {
         weights: &Matrix<Half>,
     ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
         desc.assert_matches(weights);
+        let w = Weight::new(weights);
+        let quote = self.quote(format, desc, &w)?;
+        Ok(Arc::new(self.build(quote, *desc, &w)))
+    }
+
+    /// Prices `format` for the weight without building its executor —
+    /// the per-format pricing both [`Self::plan_with_format`] and
+    /// [`Self::plan_auto`] go through. V:N:M prices the Spatha stream
+    /// of the descriptor's dtype; `plan_auto` quotes the band executor
+    /// next to it.
+    fn quote(
+        &self,
+        format: MatmulFormat,
+        desc: &MatmulDescriptor,
+        w: &Weight<'_>,
+    ) -> Result<Quote, PlanError> {
         let incompatible = |reason: String| PlanError::Incompatible { format, reason };
         let (b_cols, dev) = (desc.b_cols, &self.dev);
-        let (kernel, timing, counts): (Arc<dyn SparseKernel>, _, _) = match format {
+        match format {
             MatmulFormat::Vnm => {
-                let a = self.compress_vnm_detected(weights, None)?;
-                return Ok(Arc::new(match desc.dtype {
-                    DType::I8 => Plan::build_quant(&a, self.calibration, *desc, &self.opts, dev),
-                    DType::F16 => Plan::build_vnm(&a, *desc, &self.opts, dev),
-                }));
+                let a = self.compress_vnm_detected(w, None)?;
+                let price = pricing::price_vnm(&a, b_cols, desc.dtype, &self.opts, dev)?;
+                let a = Rc::new(a);
+                Ok(match desc.dtype {
+                    DType::I8 => Quote::Quant(a, price),
+                    DType::F16 => Quote::Spatha(a, price),
+                })
             }
-            other if desc.dtype == DType::I8 => {
-                return Err(incompatible(format!(
-                    "dtype i8 is ineligible for '{other}': the int8 path \
-                     (i32-accumulating stream, Uint8 mma.sp pricing) is only \
-                     implemented for the quantized V:N:M container — \
-                     request format 'vnm' or dtype 'f16'"
-                )))
-            }
-            MatmulFormat::Dense => {
-                return Ok(Arc::new(Plan::build_dense(weights, *desc, Some(dev))))
-            }
+            other if desc.dtype == DType::I8 => Err(incompatible(format!(
+                "dtype i8 is ineligible for '{other}': the int8 path \
+                 (i32-accumulating stream, Uint8 mma.sp pricing) is only \
+                 implemented for the quantized V:N:M container — \
+                 request format 'vnm' or dtype 'f16'"
+            ))),
+            MatmulFormat::Dense => Ok(Quote::Dense(self.price_dense(desc))),
             MatmulFormat::Nm => {
-                let mask = nonzero_mask(weights);
-                let nm = NmConfig::new(2, 4);
-                if !mask.complies_nm(nm) {
+                if !w.mask().complies_nm(NM_2_4) {
                     return Err(incompatible(
                         "nonzero pattern violates the hardware 2:4 pattern cuSPARSELt consumes"
                             .to_string(),
                     ));
                 }
-                let a = NmCompressed::compress(weights, &mask, nm);
-                let timing = pricing::price_nm(&a, b_cols, dev);
-                let counts = pricing::nm_counts(&a, b_cols);
-                (Arc::new(a), timing, counts)
+                let shape = desc.gemm_shape();
+                let priced = (pricing::price_nm(shape, dev), pricing::nm_counts(shape));
+                Ok(Quote::Nm(priced))
             }
             MatmulFormat::Csr => {
-                let a = CsrMatrix::from_dense(weights);
+                let a = CsrMatrix::from_dense(w.dense);
                 let timing = pricing::price_csr(&a, b_cols, dev);
                 let counts = pricing::csr_counts(&a, b_cols);
-                (Arc::new(a), timing, counts)
+                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
             }
             MatmulFormat::Cvse => {
                 // Probe the vector-length ladder and keep the cheapest
@@ -200,17 +228,17 @@ impl Engine {
                 let (a, timing) = AUTO_CVSE_L
                     .iter()
                     .map(|&l| {
-                        let a = CvseMatrix::from_dense(weights, l);
+                        let a = CvseMatrix::from_dense(w.dense, l);
                         let t = pricing::price_cvse(&a, b_cols, dev);
                         (a, t)
                     })
                     .min_by(|x, y| pricing::cost_cmp(x.1.time_ms, y.1.time_ms))
                     .expect("the ladder is nonempty");
                 let counts = pricing::cvse_counts(&a, b_cols);
-                (Arc::new(a), timing, counts)
+                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
             }
             MatmulFormat::BlockedEll => {
-                let (r, k) = (weights.rows(), weights.cols());
+                let (r, k) = (w.dense.rows(), w.dense.cols());
                 let bs = AUTO_ELL_BS
                     .iter()
                     .copied()
@@ -220,13 +248,41 @@ impl Engine {
                             "no probed block size {AUTO_ELL_BS:?} divides both {r} and {k}"
                         ))
                     })?;
-                let a = BlockedEllMatrix::from_dense(weights, bs);
+                let a = BlockedEllMatrix::from_dense(w.dense, bs);
                 let timing = pricing::price_blocked_ell(&a, b_cols, dev);
                 let counts = pricing::blocked_ell_counts(&a, b_cols);
-                (Arc::new(a), timing, counts)
+                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
             }
-        };
-        Ok(Arc::new(Plan::build_kernel(kernel, *desc, timing, counts)))
+        }
+    }
+
+    /// Builds the executor and per-call reference of a priced candidate.
+    /// A candidate sharing its V:N:M compression with candidates that
+    /// lost moves it into the plan; only a still-shared one is cloned.
+    fn build(&self, quote: Quote, desc: MatmulDescriptor, w: &Weight<'_>) -> Plan {
+        let owned = |a: Rc<VnmMatrix>| Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
+        match quote {
+            Quote::Spatha(a, price) => Plan::spatha(owned(a), desc, &self.opts, &self.dev, price),
+            Quote::Quant(a, price) => Plan::quant(&a, self.calibration, desc, price),
+            Quote::Band(a, priced) => Plan::band(owned(a), desc, priced),
+            Quote::Dense(priced) => Plan::build_dense(w.dense, desc, Some(priced)),
+            Quote::Nm((timing, counts)) => {
+                let a = NmCompressed::compress(w.dense, w.mask(), NM_2_4);
+                Plan::build_kernel(Arc::new(a), desc, timing, counts)
+            }
+            Quote::Kernel(kernel, (timing, counts)) => {
+                Plan::build_kernel(kernel, desc, timing, counts)
+            }
+        }
+    }
+
+    /// The cuBLAS-model pricing of a dense GEMM of the descriptor's shape.
+    fn price_dense(&self, desc: &MatmulDescriptor) -> Priced {
+        let shape = desc.gemm_shape();
+        (
+            pricing::price_dense(shape, &self.dev),
+            pricing::dense_counts(shape, &self.dev),
+        )
     }
 
     /// Detects a complying V:2:M pattern and compresses, preferring a
@@ -235,13 +291,13 @@ impl Engine {
     /// it).
     fn compress_vnm_detected(
         &self,
-        weights: &Matrix<Half>,
+        w: &Weight<'_>,
         pattern: Option<VnmConfig>,
     ) -> Result<VnmMatrix, PlanError> {
-        let mask = nonzero_mask(weights);
+        let mask = w.mask();
         let cfg = pattern
             .filter(|&cfg| mask.complies_vnm(cfg))
-            .or_else(|| self.vnm_candidates(&mask, weights).into_iter().next())
+            .or_else(|| detect_vnm(mask))
             .ok_or_else(|| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
                 reason: format!(
@@ -249,7 +305,7 @@ impl Engine {
                      (V in {AUTO_V:?}, M in {AUTO_M:?})"
                 ),
             })?;
-        Ok(VnmMatrix::compress(weights, &mask, cfg))
+        Ok(VnmMatrix::compress(w.dense, mask, cfg))
     }
 
     /// Plans the bandwidth-optimized non-mma V:N:M band executor
@@ -285,22 +341,33 @@ impl Engine {
                     .to_string(),
             });
         }
-        let a = self.compress_vnm_detected(weights, pattern)?;
+        let a = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
         Ok(Arc::new(Plan::build_band(a, *desc, &self.dev)?))
     }
 
     /// Plans `weights` in the cost-model-cheapest eligible format.
     ///
-    /// Every format the nonzero structure is eligible for is compressed,
-    /// tuned (V:N:M autotunes its template space, CVSE its vector
-    /// length) and priced for the descriptor's shape on this engine's
-    /// device; the cheapest plan wins. The dense path always competes,
-    /// so a weight that is not sparse enough to pay off simply plans
-    /// dense — the FlashSparse-style per-shape layout choice. V:N:M
-    /// weights field *two* executors: the Spatha `mma.sp` stream and the
-    /// bandwidth-optimized band replay — both priced in DRAM bytes, so
-    /// memory-bound shapes (small `b_cols`, tall-skinny weights) route
-    /// to the non-mma path at the device's ridge point.
+    /// Every candidate the nonzero structure is eligible for is *priced*
+    /// for the descriptor's shape on this engine's device, and only the
+    /// cheapest is *built*. Pricing reads what each cost model reads and
+    /// no more: the dense path (the cuBLAS model) and the hardware 2:4
+    /// path (the cuSPARSELt model, after a compliance check on the
+    /// weight's nonzero mask) price from the shape alone; V:N:M
+    /// compresses once and autotunes its template space; CSR, CVSE
+    /// (which also tunes its vector length) and Blocked-ELL build the
+    /// containers their models count. Candidates compare in a fixed
+    /// order under [`pricing::cost_cmp`], the first minimum winning, and
+    /// the winner's executor — the condensed stream, band replay or int8
+    /// stream — is built last, so a loser never builds one.
+    ///
+    /// The dense path always competes, so a weight that is not sparse
+    /// enough to pay off simply plans dense — the FlashSparse-style
+    /// per-shape layout choice. V:N:M weights field *two* executors: the
+    /// Spatha `mma.sp` stream and the bandwidth-optimized band replay —
+    /// both priced in DRAM bytes, so memory-bound shapes (small
+    /// `b_cols`, tall-skinny weights) route to the non-mma path at the
+    /// device's ridge point. A V:N:M stream whose explicit
+    /// [`SpmmOptions::tile`] cannot launch is ineligible, not an error.
     ///
     /// The descriptor's dtype widens the candidate set: an `i8`
     /// descriptor *allows* the quantized int8 V:N:M plan, which is then
@@ -321,9 +388,11 @@ impl Engine {
 
     /// [`Self::plan_auto`] with a known prune pattern: when the caller
     /// pruned the weights itself (e.g. a magnitude V:N:M pruner), the
-    /// pattern seeds the V:N:M candidate directly instead of relying on
+    /// pattern seeds the V:N:M candidates directly instead of relying on
     /// the probed re-detection grid — so patterns outside the grid
-    /// (other N, unusual M) still compete as V:N:M.
+    /// (other N, unusual M) still compete as V:N:M. Pricing and building
+    /// are as in [`Self::plan_auto`]: every candidate priced, the
+    /// cheapest built.
     ///
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
@@ -335,48 +404,49 @@ impl Engine {
     ) -> Arc<dyn MatmulPlan> {
         desc.assert_matches(weights);
         let f16_desc = desc.with_dtype(DType::F16);
-        let mut candidates: Vec<Arc<dyn MatmulPlan>> = Vec::new();
-        // Detect and compress the V:N:M structure once: the mma, band
-        // and (for i8 descriptors) quantized candidates share the
-        // compression, and the i8 build reuses the mma candidate's
-        // autotuned tile — the sweep is deterministic on the same
-        // inputs, so this removes repeated work without changing the
-        // result.
-        if let Ok(a) = self.compress_vnm_detected(weights, pattern) {
-            let mma = Plan::build_vnm(&a, f16_desc, &self.opts, &self.dev);
+        let (b_cols, dev) = (desc.b_cols, &self.dev);
+        let w = Weight::new(weights);
+        let mut quotes: Vec<Quote> = Vec::new();
+        // The V:N:M candidates share one compression, and the i8 stream
+        // is priced on the f16 stream's autotuned tile (the int8 plan
+        // runs the same template).
+        if let Ok(a) = self.compress_vnm_detected(&w, pattern) {
+            let a = Rc::new(a);
+            let mma = pricing::price_vnm(&a, b_cols, DType::F16, &self.opts, dev);
             if desc.dtype == DType::I8 {
-                let opts = SpmmOptions {
-                    tile: mma.tile().or(self.opts.tile),
-                    ..self.opts
+                let tile = match &mma {
+                    Ok(Some(price)) => Some(price.tile),
+                    _ => self.opts.tile,
                 };
-                let quant = Plan::build_quant(&a, self.calibration, *desc, &opts, &self.dev);
-                candidates.push(Arc::new(quant));
+                let opts = SpmmOptions { tile, ..self.opts };
+                if let Ok(price) = pricing::price_vnm(&a, b_cols, DType::I8, &opts, dev) {
+                    quotes.push(Quote::Quant(Rc::clone(&a), price));
+                }
             }
-            candidates.push(Arc::new(mma));
+            if let Ok(price) = mma {
+                quotes.push(Quote::Spatha(Rc::clone(&a), price));
+            }
             // The band executor competes over the same compression: its
             // DRAM-byte pricing undercuts the mma stream left of the
             // ridge point, so routing flips there — no hard-coded
             // threshold.
-            if let Ok(band) = Plan::build_band(a, f16_desc, &self.dev) {
-                candidates.push(Arc::new(band));
+            if let Ok(priced) = pricing::price_band(&a, b_cols, dev) {
+                quotes.push(Quote::Band(a, priced));
             }
         }
         for &f in MatmulFormat::ALL
             .iter()
             .filter(|&&f| f != MatmulFormat::Vnm)
         {
-            if let Ok(plan) = self.plan_with_format(f, &f16_desc, weights) {
-                candidates.push(plan);
+            if let Ok(quote) = self.quote(f, &f16_desc, &w) {
+                quotes.push(quote);
             }
         }
-        candidates
+        let best = quotes
             .into_iter()
-            .min_by(|a, b| {
-                let ca = a.cost_ms().unwrap_or(f64::INFINITY);
-                let cb = b.cost_ms().unwrap_or(f64::INFINITY);
-                pricing::cost_cmp(ca, cb)
-            })
-            .expect("the dense path is always eligible")
+            .min_by(|a, b| pricing::cost_cmp(a.cost_ms(), b.cost_ms()))
+            .expect("the dense path is always eligible");
+        Arc::new(self.build(best, f16_desc, &w))
     }
 
     /// Plans the activation-side attention pipeline for one
@@ -399,32 +469,84 @@ impl Engine {
     ) -> Result<Arc<crate::AttentionPlan>, PlanError> {
         crate::AttentionPlan::build(seq, hidden, heads, *mask, &self.dev).map(Arc::new)
     }
+}
 
-    /// The V:2:M patterns the nonzero mask complies with, best (largest
-    /// V, sparsest M) first. A pattern with larger V also complies at
-    /// every smaller probed V, so the first hit is the strongest
-    /// structure the weight actually has.
-    fn vnm_candidates(&self, mask: &SparsityMask, weights: &Matrix<Half>) -> Vec<VnmConfig> {
-        let (r, k) = (weights.rows(), weights.cols());
-        let mut out = Vec::new();
-        for &v in AUTO_V.iter().filter(|&&v| v <= r) {
-            for &m in AUTO_M.iter().filter(|&&m| m <= k) {
-                let cfg = VnmConfig::new(v, 2, m);
-                if mask.complies_vnm(cfg) {
-                    out.push(cfg);
-                }
-            }
-            if !out.is_empty() {
-                break; // smaller V adds no structure the largest V lacks
-            }
+/// The strongest V:2:M pattern of the probed grid the nonzero mask
+/// complies with: largest V, then sparsest M. A pattern with larger V
+/// also complies at every smaller probed V, so the first hit is the
+/// strongest structure the weight actually has.
+fn detect_vnm(mask: &SparsityMask) -> Option<VnmConfig> {
+    let (r, k) = (mask.rows(), mask.cols());
+    AUTO_V
+        .iter()
+        .filter(|&&v| v <= r)
+        .flat_map(|&v| {
+            AUTO_M
+                .iter()
+                .filter(move |&&m| m <= k)
+                .map(move |&m| VnmConfig::new(v, 2, m))
+        })
+        .find(|&cfg| mask.complies_vnm(cfg))
+}
+
+/// The weight being planned, with its nonzero mask — the structure
+/// eligibility is decided on — computed at most once, and only when a
+/// candidate asks for it.
+struct Weight<'a> {
+    dense: &'a Matrix<Half>,
+    mask: OnceCell<SparsityMask>,
+}
+
+impl<'a> Weight<'a> {
+    fn new(dense: &'a Matrix<Half>) -> Self {
+        Weight {
+            dense,
+            mask: OnceCell::new(),
         }
-        out
+    }
+
+    /// The mask of stored nonzeros.
+    fn mask(&self) -> &SparsityMask {
+        self.mask.get_or_init(|| {
+            let w = self.dense;
+            SparsityMask::from_fn(w.rows(), w.cols(), |r, c| !w.get(r, c).is_zero())
+        })
     }
 }
 
-/// The mask of stored nonzeros — the structure `plan_auto` inspects.
-fn nonzero_mask(w: &Matrix<Half>) -> SparsityMask {
-    SparsityMask::from_fn(w.rows(), w.cols(), |r, c| !w.get(r, c).is_zero())
+/// A plan candidate that is priced but not built: what its cost model
+/// read, and what building its executor needs beyond the weight.
+enum Quote {
+    /// The f16 Spatha `mma.sp` stream over the compressed V:N:M weight
+    /// (`None`: V below the kernel's fragment contract, unpriced).
+    Spatha(Rc<VnmMatrix>, Option<VnmPrice>),
+    /// The int8 stream over the quantized V:N:M weight.
+    Quant(Rc<VnmMatrix>, Option<VnmPrice>),
+    /// The band replay of the compressed V:N:M weight.
+    Band(Rc<VnmMatrix>, Priced),
+    /// The dense stream on the cuBLAS model.
+    Dense(Priced),
+    /// The hardware 2:4 stream, compressed when built.
+    Nm(Priced),
+    /// CSR, CVSE or Blocked-ELL: the container its model counted.
+    Kernel(Arc<dyn SparseKernel>, Priced),
+}
+
+impl Quote {
+    /// The price candidates compare on — the built plan's
+    /// [`MatmulPlan::cost_ms`], with an unpriced plan infinitely
+    /// expensive.
+    fn cost_ms(&self) -> f64 {
+        match self {
+            Quote::Spatha(_, price) | Quote::Quant(_, price) => {
+                price.as_ref().map_or(f64::INFINITY, |p| p.timing.time_ms)
+            }
+            Quote::Band(_, (timing, _))
+            | Quote::Dense((timing, _))
+            | Quote::Nm((timing, _))
+            | Quote::Kernel(_, (timing, _)) => timing.time_ms,
+        }
+    }
 }
 
 #[cfg(test)]

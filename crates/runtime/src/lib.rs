@@ -11,13 +11,14 @@
 //! * A [`MatmulDescriptor`] describes the matmul — weight shape, dtype,
 //!   bias/activation epilogue, and the output-column bound the plan is
 //!   tuned and priced for.
-//! * [`Engine::plan_auto`] compresses the weights into every format
-//!   their nonzero structure is eligible for (V:N:M, 2:4, CSR, CVSE,
-//!   Blocked-ELL, dense), prices each with its cost model on the target
-//!   device, and returns the cheapest as an `Arc<dyn `[`MatmulPlan`]`>` —
-//!   so a model mixes formats per layer and callers never name one.
-//!   [`Engine::plan_with_format`] pins a format explicitly and reports
-//!   *why* when the weights cannot serve it; [`Engine::plan_spmm`],
+//! * [`Engine::plan_auto`] prices every format the weights' nonzero
+//!   structure is eligible for (V:N:M, 2:4, CSR, CVSE, Blocked-ELL,
+//!   dense) with its cost model on the target device, then builds only
+//!   the cheapest, returned as an `Arc<dyn `[`MatmulPlan`]`>` — so a
+//!   model mixes formats per layer and callers never name one.
+//!   [`Engine::plan_with_format`] prices and builds one pinned format
+//!   through the same per-format pricing, and reports *why* when the
+//!   weights cannot serve it; [`Engine::plan_spmm`],
 //!   [`Engine::plan_quant_spmm`], [`Engine::plan_gemm`] and
 //!   [`Engine::plan_band_hinted`] build one known kind of plan.
 //! * Every one of them returns the same type, [`Plan`]: the descriptor,

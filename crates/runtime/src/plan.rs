@@ -38,8 +38,9 @@
 use crate::arena;
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
+use crate::pricing::{self, Priced, VnmPrice};
 use crate::qplan::{self, IntStream};
-use crate::{pricing, stage};
+use crate::stage;
 use rayon::prelude::*;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
@@ -341,13 +342,14 @@ pub(crate) struct BandStream {
 }
 
 impl BandStream {
-    /// Condenses a V:N:M weight into the narrow stream, or `None` when
-    /// `K` exceeds the 16-bit source-index range.
-    fn from_vnm(a: &VnmMatrix) -> Option<Self> {
+    /// Condenses a V:N:M weight into the narrow stream.
+    ///
+    /// # Panics
+    /// Panics if `K` exceeds the 16-bit source-index range (pricing,
+    /// [`pricing::price_band`], rejects such weights first).
+    fn from_vnm(a: &VnmMatrix) -> Self {
         let (rows, k) = a.shape();
-        if k > u16::MAX as usize + 1 {
-            return None;
-        }
+        assert!(k <= u16::MAX as usize + 1, "K = {k} exceeds 16-bit sources");
         let mut row_ptr = vec![0u32; rows + 1];
         a.for_each_nonzero(|r, _, _| row_ptr[r + 1] += 1);
         for i in 0..rows {
@@ -363,13 +365,13 @@ impl BandStream {
             srcs[i] = s as u16;
             cursor[r] += 1;
         });
-        Some(BandStream {
+        BandStream {
             rows,
             k,
             row_ptr,
             vals,
             srcs,
-        })
+        }
     }
 
     /// Stored operand count.
@@ -527,32 +529,10 @@ pub struct Plan {
     tile: Option<TileConfig>,
 }
 
-/// Autotunes and prices the Spatha launch of `a` at `b_cols` columns, or
-/// returns `(None, None)` when V is below the kernel's 16-row fragment
-/// contract (the streams execute any V; only GPU pricing needs a
-/// launchable tile).
-fn price_spatha(
-    a: &VnmMatrix,
-    b_cols: usize,
-    opts: &SpmmOptions,
-    dev: &DeviceConfig,
-    counts: impl FnOnce(&TileConfig) -> KernelCounts,
-) -> (Option<TileConfig>, Option<(KernelTiming, KernelCounts)>) {
-    let v = a.config().v;
-    if v < 16 || !v.is_multiple_of(16) {
-        return (None, None);
-    }
-    let tile = opts
-        .tile
-        .unwrap_or_else(|| venom_core::autotune(a, b_cols, opts, dev).0);
-    let counts = counts(&tile);
-    let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
-        panic!(
-            "planned configuration {tile} cannot launch on {}: {e:?}",
-            dev.name
-        )
-    });
-    (Some(tile), Some((timing, counts)))
+/// The Spatha pricing of a plan-building entry point that promises a
+/// plan: an instantiation that cannot launch is the caller's error.
+fn launchable(priced: Result<Option<VnmPrice>, PlanError>) -> Option<VnmPrice> {
+    priced.unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Plan {
@@ -561,7 +541,7 @@ impl Plan {
         exec: Exec,
         reference: Reference,
         tile: Option<TileConfig>,
-        priced: Option<(KernelTiming, KernelCounts)>,
+        priced: Option<Priced>,
     ) -> Self {
         assert_eq!(
             (exec.rows(), exec.k()),
@@ -579,28 +559,52 @@ impl Plan {
         }
     }
 
-    /// The V:N:M stream plan on the Spatha path; prefer
-    /// [`crate::Engine::plan_spmm`].
+    /// The V:N:M stream plan on the Spatha path, priced and then built;
+    /// prefer [`crate::Engine::plan_spmm`].
+    ///
+    /// # Panics
+    /// Panics if an explicit `opts.tile` cannot launch for `a` on `dev`.
     pub(crate) fn build_vnm(
         a: &VnmMatrix,
         desc: MatmulDescriptor,
         opts: &SpmmOptions,
         dev: &DeviceConfig,
     ) -> Self {
-        let (tile, priced) = price_spatha(a, desc.b_cols, opts, dev, |tile| {
-            venom_core::build_counts(a, desc.b_cols, tile, opts)
-        });
+        let price = pricing::price_vnm(a, desc.b_cols, DType::F16, opts, dev);
+        Self::spatha(a.clone(), desc, opts, dev, launchable(price))
+    }
+
+    /// Builds the V:N:M stream plan over an already priced launch
+    /// (`None`: V below the fragment contract, unpriced).
+    pub(crate) fn spatha(
+        a: VnmMatrix,
+        desc: MatmulDescriptor,
+        opts: &SpmmOptions,
+        dev: &DeviceConfig,
+        price: Option<VnmPrice>,
+    ) -> Self {
+        let exec = Exec::Stream(Stream::from_kernel(&a));
         let reference = Reference::Spatha {
-            weight: a.clone(),
+            weight: a,
             opts: *opts,
             dev: dev.clone(),
         };
-        let exec = Exec::Stream(Stream::from_kernel(a));
+        Self::priced_vnm(desc, exec, reference, price)
+    }
+
+    /// A V:N:M plan carrying its Spatha pricing.
+    fn priced_vnm(
+        desc: MatmulDescriptor,
+        exec: Exec,
+        reference: Reference,
+        price: Option<VnmPrice>,
+    ) -> Self {
+        let (tile, priced) = price.map(|p| (p.tile, (p.timing, p.counts))).unzip();
         Self::new(desc, exec, reference, tile, priced)
     }
 
     /// The band plan of a V:N:M weight, priced on the CUDA-core DRAM
-    /// roofline ([`venom_core::build_counts_band`]).
+    /// roofline ([`pricing::price_band`]) and then built.
     ///
     /// # Errors
     /// [`PlanError::Incompatible`] when `K` does not fit the stream's
@@ -610,25 +614,22 @@ impl Plan {
         desc: MatmulDescriptor,
         dev: &DeviceConfig,
     ) -> Result<Self, PlanError> {
-        let stream = BandStream::from_vnm(&a).ok_or_else(|| PlanError::Incompatible {
-            format: MatmulFormat::Vnm,
-            reason: format!(
-                "the band stream stores 16-bit source indices; K = {} does not fit",
-                a.shape().1
-            ),
-        })?;
-        let (r, k) = a.shape();
-        let counts = venom_core::build_counts_band(r, k, desc.b_cols, stream.nnz());
-        let timing = venom_sim::pipeline::simulate(dev, &counts)
-            .expect("the band kernel uses no shared memory and always launches");
-        let exec = Exec::Band(stream);
-        let priced = Some((timing, counts));
-        Ok(Self::new(desc, exec, Reference::Swapped(a), None, priced))
+        let priced = pricing::price_band(&a, desc.b_cols, dev)?;
+        Ok(Self::band(a, desc, priced))
+    }
+
+    /// Builds the band plan over its [`pricing::price_band`] pricing.
+    pub(crate) fn band(a: VnmMatrix, desc: MatmulDescriptor, priced: Priced) -> Self {
+        let exec = Exec::Band(BandStream::from_vnm(&a));
+        Self::new(desc, exec, Reference::Swapped(a), None, Some(priced))
     }
 
     /// Quantizes a V:N:M weight under `calib` (which also calibrates the
     /// activations per call) and plans its int8 dispatch, priced on the
     /// `Uint8` `mma.sp` profile; prefer [`crate::Engine::plan_quant_spmm`].
+    ///
+    /// # Panics
+    /// Panics if an explicit `opts.tile` cannot launch for `a` on `dev`.
     pub(crate) fn build_quant(
         a: &VnmMatrix,
         calib: Calibration,
@@ -636,32 +637,33 @@ impl Plan {
         opts: &SpmmOptions,
         dev: &DeviceConfig,
     ) -> Self {
+        let price = pricing::price_vnm(a, desc.b_cols, DType::I8, opts, dev);
+        Self::quant(a, calib, desc, launchable(price))
+    }
+
+    /// Quantizes and builds the int8 plan over an already priced launch.
+    pub(crate) fn quant(
+        a: &VnmMatrix,
+        calib: Calibration,
+        desc: MatmulDescriptor,
+        price: Option<VnmPrice>,
+    ) -> Self {
         let desc = desc.with_dtype(DType::I8);
         let weight = QuantVnmMatrix::quantize(a, calib);
-        let (tile, priced) = price_spatha(a, desc.b_cols, opts, dev, |tile| {
-            venom_core::build_counts_i8(&weight, desc.b_cols, tile, opts)
-        });
         let exec = Exec::Int(IntStream::from_quant(&weight, calib));
         let reference = Reference::Quant {
             weight,
             act_calib: calib,
         };
-        Self::new(desc, exec, reference, tile, priced)
+        Self::priced_vnm(desc, exec, reference, price)
     }
 
-    /// A dense plan, priced on the cuBLAS model when a device is given.
+    /// A dense plan, carrying its cuBLAS-model pricing when it has one.
     pub(crate) fn build_dense(
         w: &Matrix<Half>,
         desc: MatmulDescriptor,
-        dev: Option<&DeviceConfig>,
+        priced: Option<Priced>,
     ) -> Self {
-        let priced = dev.map(|dev| {
-            let shape = desc.gemm_shape();
-            (
-                pricing::price_dense(shape, dev),
-                pricing::dense_counts(shape, dev),
-            )
-        });
         let exec = Exec::Stream(Stream::from_kernel(w));
         Self::new(desc, exec, Reference::Dense(w.clone()), None, priced)
     }

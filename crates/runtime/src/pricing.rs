@@ -8,13 +8,23 @@
 //! cuSPARSE-style block-kernel model defined here (dense tensor-core
 //! `mma` over every stored block, padding included — the format's honest
 //! cost).
+//!
+//! No function here builds an executor: each reads what its model reads
+//! (a shape, a nonzero count, a compressed container), so `plan_auto`
+//! prices every candidate and builds only the winner.
 
+use crate::descriptor::DType;
+use crate::matmul::PlanError;
 use venom_baselines::{ClaspSpmm, DenseGemm, SparseLtSpmm, SputnikSpmm};
-use venom_core::SpmmOptions;
-use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, NmCompressed, VnmMatrix};
+use venom_core::{SpmmOptions, TileConfig};
+use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, VnmMatrix};
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig, KernelTiming};
 use venom_tensor::GemmShape;
+
+/// A priced launch: the simulated timing and the counts it was
+/// simulated from.
+pub(crate) type Priced = (KernelTiming, KernelCounts);
 
 /// Output columns per thread block of the Blocked-ELL model.
 pub const ELL_COLS_PER_BLOCK: usize = 64;
@@ -31,10 +41,10 @@ pub fn dense_counts(shape: GemmShape, dev: &DeviceConfig) -> KernelCounts {
     DenseGemm::select(shape, dev)
 }
 
-/// Counts of the cuSPARSELt-model launch for an N:M weight.
-pub fn nm_counts(a: &NmCompressed, b_cols: usize) -> KernelCounts {
-    let (r, k) = a.shape();
-    SparseLtSpmm::counts(GemmShape::new(r, k, b_cols))
+/// Counts of the cuSPARSELt-model launch for an N:M weight of GEMM
+/// `shape` (the model reads the shape only).
+pub fn nm_counts(shape: GemmShape) -> KernelCounts {
+    SparseLtSpmm::counts(shape)
 }
 
 /// Counts of the Sputnik-model launch for a CSR weight.
@@ -47,56 +57,101 @@ pub fn cvse_counts(a: &CvseMatrix, b_cols: usize) -> KernelCounts {
     ClaspSpmm::counts(a, b_cols)
 }
 
-/// Prices a V:N:M SpMM by autotuning the Spatha template space; `None`
-/// when `V` violates the kernel's 16-row fragment contract (the
-/// functional stream still executes such weights — they just have no
-/// launchable configuration to price).
+/// The priced Spatha launch of a V:N:M weight: the template
+/// instantiation and what the cost model says one launch of it costs.
+#[derive(Clone, Debug)]
+pub struct VnmPrice {
+    /// `SpmmOptions::tile` when set, else the autotuned instantiation.
+    pub tile: TileConfig,
+    /// Simulated timing of one launch.
+    pub timing: KernelTiming,
+    /// The counts the timing was simulated from.
+    pub counts: KernelCounts,
+}
+
+/// Prices a V:N:M SpMM on the Spatha template: `opts.tile` when set,
+/// else the autotuned instantiation of the template space, counted with
+/// the operand profile of `dtype`. `I8` is the int8-quantized container:
+/// the same template (the autotune is the f16 one), 1-byte value/B
+/// planes (half the bytes), Table 1's doubled k-depth per `mma.sp` (half
+/// the instructions) and the per-row dequantization scales.
+///
+/// `Ok(None)` when `V` violates the kernel's 16-row fragment contract:
+/// the functional streams still execute such weights, they just have no
+/// launchable configuration to price.
+///
+/// # Errors
+/// [`PlanError::Incompatible`] when an explicit `opts.tile` cannot
+/// launch: its `BSr` is not `V`, or its block does not fit an SM.
 pub fn price_vnm(
     a: &VnmMatrix,
     b_cols: usize,
+    dtype: DType,
     opts: &SpmmOptions,
     dev: &DeviceConfig,
-) -> Option<KernelTiming> {
-    let v = a.config().v;
-    if v < 16 || !v.is_multiple_of(16) {
-        return None;
+) -> Result<Option<VnmPrice>, PlanError> {
+    let cfg = a.config();
+    if cfg.v < 16 || !cfg.v.is_multiple_of(16) {
+        return Ok(None);
     }
     let tile = opts
         .tile
         .unwrap_or_else(|| venom_core::autotune(a, b_cols, opts, dev).0);
-    let counts = venom_core::build_counts(a, b_cols, &tile, opts);
-    simulate(dev, &counts).ok()
+    let unlaunchable = |why: String| PlanError::Incompatible {
+        format: MatmulFormat::Vnm,
+        reason: format!("planned configuration {tile} cannot launch: {why}"),
+    };
+    if tile.bs_r != cfg.v {
+        return Err(unlaunchable(format!(
+            "BSr = {} but the weight has V = {}",
+            tile.bs_r, cfg.v
+        )));
+    }
+    let (r, k) = a.shape();
+    let counts = match dtype {
+        DType::F16 => venom_core::build_counts_shape(r, k, b_cols, cfg, &tile, opts),
+        DType::I8 => venom_core::build_counts_shape_i8(r, k, b_cols, cfg, &tile, opts),
+    };
+    let timing =
+        simulate(dev, &counts).map_err(|e| unlaunchable(format!("{e:?} on {}", dev.name)))?;
+    Ok(Some(VnmPrice {
+        tile,
+        timing,
+        counts,
+    }))
 }
 
-/// Prices the int8-quantized V:N:M SpMM: the same autotuned template as
-/// [`price_vnm`], counted with the `Uint8` operand profile — 1-byte
-/// value/B planes (half the bytes) and Table 1's doubled k-depth per
-/// `mma.sp` (half the instructions), plus the per-row dequantization
-/// scales. `None` under the same 16-row fragment contract as the f16
-/// model.
-pub fn price_vnm_i8(
+/// Prices the band replay of a V:N:M weight on the CUDA-core DRAM
+/// roofline ([`venom_core::build_counts_band`]) from its shape and its
+/// stored nonzeros ([`VnmMatrix::nnz`], the operands the band stream
+/// keeps).
+///
+/// # Errors
+/// [`PlanError::Incompatible`] when `K` does not fit the band stream's
+/// 16-bit source indices.
+pub(crate) fn price_band(
     a: &VnmMatrix,
     b_cols: usize,
-    opts: &SpmmOptions,
     dev: &DeviceConfig,
-) -> Option<KernelTiming> {
-    let v = a.config().v;
-    if v < 16 || !v.is_multiple_of(16) {
-        return None;
-    }
-    let tile = opts
-        .tile
-        .unwrap_or_else(|| venom_core::autotune(a, b_cols, opts, dev).0);
+) -> Result<Priced, PlanError> {
     let (r, k) = a.shape();
-    let counts = venom_core::build_counts_shape_i8(r, k, b_cols, a.config(), &tile, opts);
-    simulate(dev, &counts).ok()
+    if k > u16::MAX as usize + 1 {
+        return Err(PlanError::Incompatible {
+            format: MatmulFormat::Vnm,
+            reason: format!("the band stream stores 16-bit source indices; K = {k} does not fit"),
+        });
+    }
+    let counts = venom_core::build_counts_band(r, k, b_cols, a.nnz());
+    let timing =
+        simulate(dev, &counts).expect("the band kernel uses no shared memory and always launches");
+    Ok((timing, counts))
 }
 
-/// Prices an N:M SpMM via the cuSPARSELt model (the vendor kernel
-/// skeleton; its hardware-native pattern is 2:4).
-pub fn price_nm(a: &NmCompressed, b_cols: usize, dev: &DeviceConfig) -> KernelTiming {
-    let (r, k) = a.shape();
-    SparseLtSpmm::time(GemmShape::new(r, k, b_cols), dev)
+/// Prices an N:M SpMM of GEMM `shape` via the cuSPARSELt model (the
+/// vendor kernel skeleton; its hardware-native pattern is 2:4). The model
+/// reads the shape only, so a weight is priced before it is compressed.
+pub fn price_nm(shape: GemmShape, dev: &DeviceConfig) -> KernelTiming {
+    SparseLtSpmm::time(shape, dev)
 }
 
 /// Prices a CSR SpMM via the Sputnik model (CUDA cores, measured load

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use venom_core::SpmmOptions;
 use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
-use venom_runtime::pricing;
+use venom_runtime::{pricing, DType};
 use venom_sim::DeviceConfig;
 use venom_tensor::{random, Matrix};
 
@@ -36,6 +36,15 @@ fn unstructured(r: usize, k: usize, keep_pct: usize, seed: u64) -> Matrix<Half> 
     mask.apply_f32(&w).to_half()
 }
 
+/// The priced Spatha launch time of `a` at `c` columns, autotuned.
+fn vnm_ms(a: &VnmMatrix, c: usize, dtype: DType) -> f64 {
+    pricing::price_vnm(a, c, dtype, &SpmmOptions::default(), &dev())
+        .expect("the autotuned tile launches")
+        .expect("launchable V")
+        .timing
+        .time_ms
+}
+
 /// A compliant V:2:M weight (keep the first two columns of each group).
 fn vnm_weight(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
     let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
@@ -55,13 +64,10 @@ proptest! {
     ) {
         let v = 64 << vexp; // 64 or 128
         let (r, k, c) = (4 * v, 1600, 2048);
-        let opts = SpmmOptions::default();
         let mut prev = f64::INFINITY;
         for m in [8usize, 10, 16, 20, 40] {
             let a = vnm_weight(r, k, VnmConfig::new(v, 2, m), seed);
-            let t = pricing::price_vnm(&a, c, &opts, &dev())
-                .expect("launchable V")
-                .time_ms;
+            let t = vnm_ms(&a, c, DType::F16);
             prop_assert!(t <= prev, "V={v} M={m}: {t} > {prev}");
             prev = t;
         }
@@ -123,10 +129,9 @@ proptest! {
     ) {
         let v = 64 << vexp;
         let (r, k, c) = (2 * v, 1600 * kmul, 4096); // wide C: bandwidth-bound
-        let opts = SpmmOptions::default();
         let a = vnm_weight(r, k, VnmConfig::new(v, 2, m), seed);
-        let f16 = pricing::price_vnm(&a, c, &opts, &dev()).expect("launchable").time_ms;
-        let i8 = pricing::price_vnm_i8(&a, c, &opts, &dev()).expect("launchable").time_ms;
+        let f16 = vnm_ms(&a, c, DType::F16);
+        let i8 = vnm_ms(&a, c, DType::I8);
         prop_assert!(i8 < f16, "V={v} M={m} k={k}: i8 {i8} !< f16 {f16}");
     }
 }
