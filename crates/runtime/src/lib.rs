@@ -61,6 +61,7 @@ pub mod plan;
 pub mod pricing;
 mod qplan;
 pub mod serve;
+mod simd;
 pub mod stage;
 
 pub use attn::{AttentionMask, AttentionPlan, SddmmPath, SddmmPlan};

@@ -15,12 +15,12 @@
 //! executors with the weight in its compressed format, which the
 //! per-call reference path ([`MatmulPlan::run_oneshot`]) runs:
 //!
-//! * **stream** — f32 values and u32 sources, replayed by a
-//!   quad-unrolled loop standing in for the `mma.sp` pipeline. It serves
-//!   V:N:M (autotuned and priced on the Spatha model; per-call
-//!   reference `venom_core::spmm`, or `spmm_ref` below V = 16), dense
-//!   (cuBLAS model; `gemm_parallel`) and N:M, CSR, CVSE and Blocked-ELL
-//!   (their baselines' models; the format's own `spmm_parallel`).
+//! * **stream** — f32 values and u32 sources, replayed by a K-chunked
+//!   band sweep standing in for the `mma.sp` pipeline. It serves V:N:M
+//!   (autotuned and priced on the Spatha model; per-call reference
+//!   `venom_core::spmm`, or `spmm_ref` below V = 16), dense (cuBLAS
+//!   model; `gemm_parallel`) and N:M, CSR, CVSE and Blocked-ELL (their
+//!   baselines' models; the format's own `spmm_parallel`).
 //! * **band** — f16 bits and u16 sources over the same V:N:M weight,
 //!   replayed with the FlashSparse-style register-panel accumulator and
 //!   priced on the CUDA-core DRAM roofline; the per-call reference is
@@ -34,14 +34,30 @@
 //! The stream and band executors share their staging, batching and
 //! fused-linear dispatch through `StreamExec`; the int executor stages
 //! i16 codes and keeps its own bodies.
+//!
+//! The stream replay works one band of `BAND_ROWS` output rows at a
+//! time. It walks K in chunks of about `CHUNK_BYTES` of staged B (more
+//! where that holds less than one quad of operands per row), and in
+//! each chunk replays every row's operands whose sources lie below the
+//! chunk's end, so the V rows of a V:N:M block fetch their shared
+//! selected B rows once per band (Spatha's B-tile reuse) instead of once
+//! per operand. The stream and int hot loops are compiled twice, for the
+//! baseline target and for AVX2, and the AVX2 instance runs where the
+//! host has it (see the `simd` module). Neither change can move a bit:
+//! each row still consumes its stream strictly in order, wider lanes run
+//! the same per-element chain, and `fma` is never enabled. (As in any
+//! compiled f32 code, which NaN payload survives where two NaNs meet is
+//! left to the compiler; a NaN result stays NaN.)
 
 use crate::arena;
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::pricing::{self, Priced, VnmPrice};
 use crate::qplan::{self, IntStream};
+use crate::simd::avx2_dispatch;
 use crate::stage;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
 use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix};
@@ -51,16 +67,35 @@ use venom_sim::pipeline::KernelCounts;
 use venom_sim::{DeviceConfig, KernelTiming};
 use venom_tensor::Matrix;
 
-/// Row height of one parallel task; matches `gemm_parallel`'s banding so
-/// task granularity is comparable across the dense and sparse paths.
-const BAND_ROWS: usize = 16;
+/// Row height of one parallel task in every executor; matches
+/// `gemm_parallel`'s banding so task granularity is comparable across the
+/// dense and sparse paths.
+///
+/// It is also the unit of B-row reuse in [`Stream`]'s sweep. The rows of
+/// one V:N:M block share their column-loc selection, so a band's rows
+/// fetch the same selected B rows only when the band lies inside one
+/// V-block: V >= `BAND_ROWS` and V divisible by `BAND_ROWS`. Other
+/// patterns (V = 8, say) replay exactly, with less reuse.
+pub(crate) const BAND_ROWS: usize = 16;
+
+/// Bytes of staged B that one K-chunk of [`Stream`]'s band sweep spans:
+/// the chunk's B rows stay cache-resident while every row of the band
+/// replays against them.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Operands per row that one K-chunk holds at least, on average: one
+/// quad of [`Stream`]'s unrolled replay. A quad split across two chunks
+/// reads and writes its output row once more, so where the byte budget
+/// spans fewer operands (a wide `b_cols` over a sparse stream) the chunk
+/// widens past it.
+const CHUNK_MIN_OPS: usize = 4;
 
 /// The shared execution surface over a condensed operand stream.
 ///
 /// Any backing store that can replay `C = A * B` into a zero-initialised
 /// f32 buffer ([`Self::run_into`]) inherits the staged, batched and
-/// fused-linear dispatch paths — [`Stream`] (the f32 quad-unrolled
-/// replay) and `BandStream` (the narrow bandwidth-optimized replay)
+/// fused-linear dispatch paths — [`Stream`] (the f32 K-chunked band
+/// sweep) and `BandStream` (the narrow bandwidth-optimized replay)
 /// both execute through these defaults, so the two executors differ only
 /// in their inner loop and pricing, never in staging behaviour.
 pub(crate) trait StreamExec {
@@ -74,8 +109,8 @@ pub(crate) trait StreamExec {
     /// [`venom_obs::profile`]).
     fn profile_kernel(&self) -> &'static str;
 
-    /// Phase name of the inner compute loop — `"mma"` for the f32 quad
-    /// replay standing in for the `mma.sp` pipeline, `"band"` for the
+    /// Phase name of the inner compute loop — `"mma"` for the f32 band
+    /// sweep standing in for the `mma.sp` pipeline, `"band"` for the
     /// narrow bandwidth-optimized replay.
     fn profile_phase(&self) -> &'static str;
 
@@ -87,7 +122,8 @@ pub(crate) trait StreamExec {
     /// `out` (`rows x b_cols`, zero-initialised). Output rows are
     /// disjoint across parallel bands and each element accumulates
     /// sequentially in stream order, so the result is bit-identical
-    /// regardless of the worker count.
+    /// regardless of the worker count, of how an executor tiles K or
+    /// columns, and of the vector width its loop is compiled for.
     fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]);
 
     /// [`Self::run_into`] with an owned result matrix.
@@ -260,6 +296,96 @@ impl Stream {
     fn nnz(&self) -> usize {
         self.vals.len()
     }
+
+    /// The hot body of [`StreamExec::run_into`]: accumulates the band of
+    /// output rows starting at `row0` into `out` (its `rows x b_cols`
+    /// slice, at most [`BAND_ROWS`] rows) — a K-chunked sweep.
+    ///
+    /// K is walked in chunks of `CHUNK_BYTES / (4 * b_cols)` B rows, or
+    /// more where that would hold fewer than `CHUNK_MIN_OPS` operands
+    /// per row on average (see [`Self::chunk_rows`]). For each chunk,
+    /// every row of the band replays the next run of its stream whose
+    /// sources lie below the chunk's end, and a per-row cursor remembers
+    /// where the run stopped; the last chunk takes the rest of each row
+    /// without scanning. Where the band's rows share
+    /// their selected columns (a V:N:M band inside one V-block, see
+    /// [`BAND_ROWS`]), each selected B row is fetched from memory once per
+    /// band, then hit in cache by the other rows.
+    ///
+    /// Why the bits cannot move: each row still consumes its stream
+    /// strictly in order — a run ends at the first operand at or past the
+    /// chunk's end, even when a later one lies below it — so every output
+    /// element accumulates the same chain as a one-pass replay. Formats
+    /// whose stored sources are not ascending only reuse less.
+    #[inline(always)]
+    fn sweep_band(&self, row0: usize, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
+        let chunk = self.chunk_rows(b_cols);
+        let mut cursor = [0usize; BAND_ROWS];
+        for (i, c) in cursor.iter_mut().take(out.len() / b_cols).enumerate() {
+            *c = self.row_ptr[row0 + i] as usize;
+        }
+        let mut k_end = chunk;
+        while k_end < self.k {
+            for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+                let (lo, hi) = (cursor[i], self.row_ptr[row0 + i + 1] as usize);
+                let end = self.srcs[lo..hi]
+                    .iter()
+                    .position(|&s| s as usize >= k_end)
+                    .map_or(hi, |p| lo + p);
+                self.replay(lo..end, b_f32, b_cols, orow);
+                cursor[i] = end;
+            }
+            k_end += chunk;
+        }
+        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+            let hi = self.row_ptr[row0 + i + 1] as usize;
+            self.replay(cursor[i]..hi, b_f32, b_cols, orow);
+        }
+    }
+
+    /// B rows per K-chunk of [`Self::sweep_band`] at output width
+    /// `b_cols`: the `CHUNK_BYTES` budget, widened to hold
+    /// `CHUNK_MIN_OPS` operands per row on average.
+    fn chunk_rows(&self, b_cols: usize) -> usize {
+        let budget = CHUNK_BYTES / (4 * b_cols);
+        let min_ops = CHUNK_MIN_OPS * self.k * self.rows / self.nnz().max(1);
+        budget.max(min_ops).max(1)
+    }
+
+    /// Replays the stream entries `ops` into one output row, four at a
+    /// time, reading and writing the row once per quad. The per-element
+    /// sum is evaluated left to right (`((o + v0*b0) + v1*b1) + ...`),
+    /// which is exactly the accumulation chain of one-entry-at-a-time
+    /// iteration — the unroll changes traffic, not bits.
+    #[inline(always)]
+    fn replay(&self, ops: Range<usize>, b_f32: &[f32], b_cols: usize, orow: &mut [f32]) {
+        let (vals, srcs) = (&self.vals[ops.clone()], &self.srcs[ops]);
+        let brow = |s: u32| &b_f32[s as usize * b_cols..][..b_cols];
+        let quads = vals.len() / 4 * 4;
+        for (v, s) in vals[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
+            let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+            let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
+            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = *o + v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
+            }
+        }
+        for (&v, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
+            for (o, &x) in orow.iter_mut().zip(brow(s)) {
+                *o += v * x;
+            }
+        }
+    }
+}
+
+avx2_dispatch! {
+    /// [`Stream::sweep_band`], compiled for AVX2 where the host has it.
+    fn dispatch_sweep_band(
+        s: &Stream,
+        row0: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        out: &mut [f32],
+    ) = Stream::sweep_band;
 }
 
 impl StreamExec for Stream {
@@ -284,41 +410,16 @@ impl StreamExec for Stream {
         (self.vals.len() * 4 + self.srcs.len() * 4 + self.row_ptr.len() * 4) as u64
     }
 
-    /// The inner loop walks four stream entries at a time, reading and
-    /// writing the output row once per quad. The per-element sum is
-    /// evaluated left to right (`((o + v0*b0) + v1*b1) + ...`), which is
-    /// exactly the accumulation chain of one-entry-at-a-time iteration —
-    /// the unroll changes traffic, not bits.
+    /// One parallel task per band of [`BAND_ROWS`] output rows, each a
+    /// K-chunked sweep ([`Stream::sweep_band`]) run through the AVX2
+    /// dispatch (see the `simd` module); neither changes a bit.
     fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
         assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
         assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
-                let row0 = band * BAND_ROWS;
-                for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    let r = row0 + i;
-                    let lo = self.row_ptr[r] as usize;
-                    let hi = self.row_ptr[r + 1] as usize;
-                    let mut s = lo;
-                    while s + 4 <= hi {
-                        let v = &self.vals[s..s + 4];
-                        let b0 = &b_f32[self.srcs[s] as usize * b_cols..][..b_cols];
-                        let b1 = &b_f32[self.srcs[s + 1] as usize * b_cols..][..b_cols];
-                        let b2 = &b_f32[self.srcs[s + 2] as usize * b_cols..][..b_cols];
-                        let b3 = &b_f32[self.srcs[s + 3] as usize * b_cols..][..b_cols];
-                        for (j, o) in orow.iter_mut().enumerate() {
-                            *o = *o + v[0] * b0[j] + v[1] * b1[j] + v[2] * b2[j] + v[3] * b3[j];
-                        }
-                        s += 4;
-                    }
-                    for (vf, src) in self.vals[s..hi].iter().zip(&self.srcs[s..hi]) {
-                        let brow = &b_f32[*src as usize * b_cols..][..b_cols];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += vf * bv;
-                        }
-                    }
-                }
+                dispatch_sweep_band(self, band * BAND_ROWS, b_f32, b_cols, chunk)
             });
     }
 }
@@ -445,7 +546,7 @@ impl StreamExec for BandStream {
 /// The condensed executor a [`Plan`] replays.
 #[derive(Clone, Debug)]
 enum Exec {
-    /// The f32 quad-unrolled stream.
+    /// The f32 stream, replayed by the K-chunked band sweep.
     Stream(Stream),
     /// The narrow band replay of a V:N:M weight.
     Band(BandStream),
@@ -1016,6 +1117,257 @@ mod tests {
         let a = vnm_fixture(16, 32, cfg, 19);
         let plan = build(&a, 8);
         let _ = plan.run(&Matrix::<Half>::zeros(16, 4));
+    }
+
+    /// Output widths of the replay oracles: below, at and around one AVX2
+    /// lane block and the 256-column encoder width.
+    const WIDTHS: [usize; 7] = [1, 7, 8, 9, 255, 256, 300];
+
+    /// Element bits with every NaN mapped to one pattern. Rust leaves the
+    /// payload of a NaN that arithmetic produces unspecified, so the
+    /// oracles compare NaN as NaN and every other value bit for bit.
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// NaN, ±Inf, f16 subnormals of both signs and -0.0.
+    const SPECIALS: [Half; 6] = [
+        Half::NAN,
+        Half::INFINITY,
+        Half::NEG_INFINITY,
+        Half::MIN_SUBNORMAL,
+        Half::from_bits(0x8201),
+        Half::from_bits(0x8000),
+    ];
+
+    /// Overwrites a few entries of `m` that `keep` allows with
+    /// [`SPECIALS`], at seeded positions.
+    fn inject(m: &mut Matrix<Half>, seed: usize, keep: impl Fn(usize, usize) -> bool) {
+        let (rows, cols) = (m.rows(), m.cols());
+        let mut placed = 0;
+        for i in 0..rows * cols {
+            let (r, c) = ((seed + i * 7919) % rows, (seed * 31 + i * 104_729) % cols);
+            if keep(r, c) {
+                m.set(r, c, SPECIALS[placed]);
+                placed += 1;
+                if placed == SPECIALS.len() {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// A seeded `k x width` half operand carrying [`SPECIALS`].
+    fn operand(k: usize, width: usize, seed: u64) -> Matrix<Half> {
+        let mut b = random::normal_matrix(k, width, 0.0, 1.0, seed).to_half();
+        inject(&mut b, seed as usize, |_, _| true);
+        b
+    }
+
+    /// A magnitude-pruned V:N:M weight whose kept values include
+    /// [`SPECIALS`].
+    fn vnm_special(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
+        let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
+        let mask = magnitude::prune_vnm(&w, cfg);
+        let mut dense = mask.apply_f32(&w).to_half();
+        inject(&mut dense, seed as usize, |r, c| mask.get(r, c));
+        VnmMatrix::compress(&dense, &mask, cfg)
+    }
+
+    /// A seeded dense weight, 60% zeros, carrying [`SPECIALS`].
+    fn sparse_special(r: usize, k: usize, seed: u64) -> Matrix<Half> {
+        let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
+        let mask = venom_format::SparsityMask::from_fn(r, k, |i, j| (i * 31 + j * 17) % 10 < 4);
+        let mut dense = mask.apply_f32(&w).to_half();
+        inject(&mut dense, seed as usize, |i, j| mask.get(i, j));
+        dense
+    }
+
+    /// The shapes of the stream oracle: K = 1, a row count and a K that
+    /// are multiples of neither 16 nor any chunk, and (at widths 8 and 9)
+    /// a K three chunks deep.
+    fn stream_shapes(width: usize) -> Vec<(usize, usize)> {
+        let mut shapes = vec![(37, 1), (150, 230)];
+        if width == 8 || width == 9 {
+            shapes.push((21, 2 * (CHUNK_BYTES / (4 * width)) + 5));
+        }
+        shapes
+    }
+
+    /// Runs `plan` on a seeded operand of `width` columns: the dispatched
+    /// replay ([`MatmulPlan::run`]) must equal the baseline-compiled band
+    /// sweep and the per-call reference ([`MatmulPlan::run_oneshot`]).
+    /// Returns whether the output mixes NaN and finite values, so that
+    /// callers can check the special values reached it.
+    fn check_stream_plan(label: &str, plan: &Plan, width: usize, seed: u64) -> bool {
+        let Exec::Stream(stream) = &plan.exec else {
+            panic!("{label}: not a stream plan")
+        };
+        let (rows, k) = (stream.rows, stream.k);
+        let b = operand(k, width, seed);
+        let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
+        let got = plan.run(&b);
+        let mut base = vec![0.0f32; rows * width];
+        for (band, chunk) in base.chunks_mut(BAND_ROWS * width).enumerate() {
+            stream.sweep_band(band * BAND_ROWS, &staged, width, chunk);
+        }
+        let at = format!("{label} {rows}x{k} width {width}");
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&base),
+            "{at}: dispatched != baseline"
+        );
+        let oneshot = plan.run_oneshot(&b);
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(oneshot.as_slice()),
+            "{at}: planned != oneshot"
+        );
+        let out = got.as_slice();
+        out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
+    }
+
+    #[test]
+    fn vnm_stream_replay_matches_baseline_and_oneshot() {
+        // V = 64 and 128 put each band inside one V-block; V = 8 makes
+        // every band straddle two blocks.
+        for cfg in [
+            VnmConfig::new(64, 2, 10),
+            VnmConfig::new(128, 2, 20),
+            VnmConfig::new(8, 2, 4),
+        ] {
+            let mut mixed = false;
+            for width in WIDTHS {
+                for (rows, k) in stream_shapes(width) {
+                    let a = vnm_special(rows, k, cfg, (rows + k) as u64);
+                    mixed |=
+                        check_stream_plan(&cfg.to_string(), &build(&a, width), width, k as u64);
+                }
+            }
+            assert!(mixed, "{cfg}: the special values must reach the output");
+        }
+    }
+
+    #[test]
+    fn wide_sparse_stream_widens_its_chunks() {
+        // At width 1024 the 64 KiB budget spans 16 B rows, where a 2:20
+        // row holds 1.6 operands: the chunk widens to one quad per row.
+        let (rows, k, width) = (37, 230, 1024);
+        let a = vnm_special(rows, k, VnmConfig::new(128, 2, 20), 5);
+        let plan = build(&a, width);
+        let Exec::Stream(stream) = &plan.exec else {
+            panic!("not a stream plan")
+        };
+        let chunk = stream.chunk_rows(width);
+        assert!(
+            chunk > CHUNK_BYTES / (4 * width) && chunk < k,
+            "chunk {chunk}"
+        );
+        check_stream_plan("128:2:20", &plan, width, 6);
+    }
+
+    #[test]
+    fn dense_stream_replay_matches_baseline_and_oneshot() {
+        let mut mixed = false;
+        for width in WIDTHS {
+            for (rows, k) in stream_shapes(width) {
+                let w = sparse_special(rows, k, (rows * k) as u64);
+                mixed |= check_stream_plan("dense", &Plan::from_dense(&w), width, k as u64);
+            }
+        }
+        assert!(mixed, "the special values must reach the output");
+    }
+
+    #[test]
+    fn format_stream_replay_matches_baseline_and_oneshot() {
+        use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix};
+        // CVSE and Blocked-ELL emit each row's operands in block order,
+        // so their sources are not ascending.
+        let mut mixed = [false; 3];
+        for width in WIDTHS {
+            for (rows, k) in stream_shapes(width) {
+                let w = sparse_special(rows, k, (rows + 3 * k) as u64);
+                let desc = MatmulDescriptor::new(rows, k).with_b_cols(width);
+                let csr = CsrMatrix::from_dense(&w);
+                let (t, c) = (
+                    pricing::price_csr(&csr, width, &dev()),
+                    pricing::csr_counts(&csr, width),
+                );
+                let plan = Plan::build_kernel(Arc::new(csr), desc, t, c);
+                mixed[0] |= check_stream_plan("csr", &plan, width, k as u64);
+                let cvse = CvseMatrix::from_dense(&w, 4);
+                let (t, c) = (
+                    pricing::price_cvse(&cvse, width, &dev()),
+                    pricing::cvse_counts(&cvse, width),
+                );
+                let plan = Plan::build_kernel(Arc::new(cvse), desc, t, c);
+                mixed[1] |= check_stream_plan("cvse", &plan, width, k as u64);
+                // The block edge must divide both dimensions.
+                let bs = [5, 3, 1]
+                    .into_iter()
+                    .find(|bs| rows % bs == 0 && k % bs == 0);
+                let ell = BlockedEllMatrix::from_dense(&w, bs.expect("1 divides"));
+                let (t, c) = (
+                    pricing::price_blocked_ell(&ell, width, &dev()),
+                    pricing::blocked_ell_counts(&ell, width),
+                );
+                let plan = Plan::build_kernel(Arc::new(ell), desc, t, c);
+                mixed[2] |= check_stream_plan("blocked-ell", &plan, width, k as u64);
+            }
+        }
+        assert_eq!(
+            mixed, [true; 3],
+            "the special values must reach every output"
+        );
+    }
+
+    #[test]
+    fn stream_sweep_keeps_unordered_sources_in_stream_order() {
+        // Two bands (one partial) of rows whose sources jump back and
+        // forth across four chunks, with values spanning 37 binades, so
+        // that any reordering changes a rounding. A row's run in a chunk
+        // must stop at its first source past the chunk, and the nearer
+        // ones after it must wait: only an order-preserving cursor
+        // reproduces the one-pass chain.
+        let (rows, per_row, width) = (21usize, 23usize, 256usize);
+        let k = 3 * (CHUNK_BYTES / (4 * width)) + 5;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as u32
+        };
+        let srcs: Vec<u32> = (0..rows * per_row).map(|_| next() % k as u32).collect();
+        let vals: Vec<f32> = (0..rows * per_row)
+            .map(|_| {
+                let v = (next() % 2001) as f32 / 1000.0 - 1.0;
+                v * 2f32.powi((next() % 37) as i32 - 10)
+            })
+            .collect();
+        let b: Vec<f32> = (0..k * width)
+            .map(|_| (next() % 2001) as f32 / 1000.0 - 1.0)
+            .collect();
+        let stream = Stream {
+            rows,
+            k,
+            row_ptr: (0..=rows).map(|r| (r * per_row) as u32).collect(),
+            vals: vals.clone(),
+            srcs: srcs.clone(),
+        };
+        assert_eq!(stream.chunk_rows(width), CHUNK_BYTES / (4 * width));
+        let mut got = vec![0.0f32; rows * width];
+        stream.run_into(&b, width, &mut got);
+        let mut want = vec![0.0f32; rows * width];
+        for (i, (&v, &s)) in vals.iter().zip(&srcs).enumerate() {
+            let orow = &mut want[i / per_row * width..][..width];
+            for (o, &x) in orow.iter_mut().zip(&b[s as usize * width..][..width]) {
+                *o += v * x;
+            }
+        }
+        assert_eq!(bits(&got), bits(&want));
     }
 
     fn band_build(a: &VnmMatrix, b_cols: usize) -> Plan {

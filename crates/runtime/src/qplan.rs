@@ -25,15 +25,14 @@
 //!   they carry the calibrator-bounded quantization error the accuracy
 //!   suites measure.
 
+use crate::plan::BAND_ROWS;
+use crate::simd::avx2_dispatch;
 use crate::stage;
 use rayon::prelude::*;
 use venom_format::QuantVnmMatrix;
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration};
 use venom_tensor::Matrix;
-
-/// Row height of one parallel task (matches the f32 stream's banding).
-const BAND_ROWS: usize = 16;
 
 /// The condensed int8 stream: CSR-like over quantized values, with
 /// `srcs[i]` naming the RHS row each value multiplies.
@@ -112,35 +111,27 @@ impl IntStream {
     /// integer kernel: a 4-way-unrolled walk multiplying i16 codes
     /// (exact: both factors are i8-ranged) before the widening add, the
     /// shape baseline vector ISAs execute without a 32-bit integer
-    /// multiply. Both run paths call this one body, which is what keeps
-    /// fused-dequant and plain runs bit-identical by construction.
-    #[inline]
+    /// multiply. Both run paths call this one body, through the AVX2
+    /// dispatch (`dispatch_accumulate_row`), which is what keeps
+    /// fused-dequant and plain runs bit-identical by construction; integer
+    /// accumulation is exact, so lane width cannot change a bit either.
+    #[inline(always)]
     fn accumulate_row(&self, r: usize, b_i16: &[i16], b_cols: usize, orow: &mut [i32]) {
         let lo = self.row_ptr[r] as usize;
         let hi = self.row_ptr[r + 1] as usize;
-        let mut s = lo;
-        while s + 4 <= hi {
-            let v0 = self.vals[s];
-            let v1 = self.vals[s + 1];
-            let v2 = self.vals[s + 2];
-            let v3 = self.vals[s + 3];
-            let b0 = &b_i16[self.srcs[s] as usize * b_cols..][..b_cols];
-            let b1 = &b_i16[self.srcs[s + 1] as usize * b_cols..][..b_cols];
-            let b2 = &b_i16[self.srcs[s + 2] as usize * b_cols..][..b_cols];
-            let b3 = &b_i16[self.srcs[s + 3] as usize * b_cols..][..b_cols];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o += (v0 * b0[j]) as i32
-                    + (v1 * b1[j]) as i32
-                    + (v2 * b2[j]) as i32
-                    + (v3 * b3[j]) as i32;
+        let (vals, srcs) = (&self.vals[lo..hi], &self.srcs[lo..hi]);
+        let brow = |s: u32| &b_i16[s as usize * b_cols..][..b_cols];
+        let quads = vals.len() / 4 * 4;
+        for (v, s) in vals[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
+            let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+            let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
+            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o += (v0 * x0) as i32 + (v1 * x1) as i32 + (v2 * x2) as i32 + (v3 * x3) as i32;
             }
-            s += 4;
         }
-        for (vq, src) in self.vals[s..hi].iter().zip(&self.srcs[s..hi]) {
-            let vi = *vq;
-            let brow = &b_i16[*src as usize * b_cols..][..b_cols];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += (vi * bv) as i32;
+        for (&vi, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
+            for (o, &x) in orow.iter_mut().zip(brow(s)) {
+                *o += (vi * x) as i32;
             }
         }
     }
@@ -157,7 +148,7 @@ impl IntStream {
             .for_each(|(band, chunk)| {
                 let row0 = band * BAND_ROWS;
                 for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    self.accumulate_row(row0 + i, b_i16, b_cols, orow);
+                    dispatch_accumulate_row(self, row0 + i, b_i16, b_cols, orow);
                 }
             });
     }
@@ -189,7 +180,7 @@ impl IntStream {
                 // band scratch.
                 let mut acc = vec![0i32; band_rows * b_cols];
                 for (i, arow) in acc.chunks_mut(b_cols).enumerate() {
-                    self.accumulate_row(row0 + i, b_i16, b_cols, arow);
+                    dispatch_accumulate_row(self, row0 + i, b_i16, b_cols, arow);
                 }
                 for (i, (orow, arow)) in
                     chunk.chunks_mut(b_cols).zip(acc.chunks(b_cols)).enumerate()
@@ -336,6 +327,18 @@ impl IntStream {
     }
 }
 
+avx2_dispatch! {
+    /// [`IntStream::accumulate_row`], compiled for AVX2 where the host has
+    /// it.
+    fn dispatch_accumulate_row(
+        s: &IntStream,
+        r: usize,
+        b_i16: &[i16],
+        b_cols: usize,
+        orow: &mut [i32],
+    ) = IntStream::accumulate_row;
+}
+
 /// Quantizes an activation operand under `calib`: one per-tensor scale
 /// over the exactly-decoded halves.
 pub(crate) fn quantize_operand(b: &Matrix<Half>, calib: Calibration) -> (Matrix<i8>, f32) {
@@ -468,5 +471,34 @@ mod tests {
         let oracle = a.spmm_ref(&b);
         let rel = venom_tensor::norms::rel_frobenius_error(&got, &oracle);
         assert!(rel < 0.05, "relative error {rel} too large");
+    }
+    #[test]
+    fn int_replay_matches_baseline_and_the_i8_oracle() {
+        // Widths around one AVX2 lane block, row counts off the band
+        // height, K = 1, and codes at both ends of the i8 range.
+        for cfg in [VnmConfig::new(64, 2, 10), VnmConfig::new(8, 2, 4)] {
+            for (rows, k) in [(37usize, 1usize), (150, 230)] {
+                let a = vnm_fixture(rows, k, cfg, (rows + k) as u64);
+                let weight = QuantVnmMatrix::quantize(&a, Calibration::AbsMax);
+                let stream = IntStream::from_quant(&weight, Calibration::AbsMax);
+                for width in [1usize, 7, 8, 9, 255, 256, 300] {
+                    let b = Matrix::from_fn(k, width, |r, c| match (r * 7 + c * 13) % 11 {
+                        0 => i8::MIN,
+                        1 => i8::MAX,
+                        2 => -127,
+                        _ => ((r * 19 + c * 7) % 255) as u8 as i8,
+                    });
+                    let staged: Vec<i16> = b.as_slice().iter().map(|&q| q as i16).collect();
+                    let got = stream.run_i8(&b);
+                    let mut base = vec![0i32; rows * width];
+                    for (r, orow) in base.chunks_mut(width).enumerate() {
+                        stream.accumulate_row(r, &staged, width, orow);
+                    }
+                    let at = format!("{cfg} {rows}x{k} width {width}");
+                    assert_eq!(got.as_slice(), &base[..], "{at}: dispatched != baseline");
+                    assert_eq!(got, weight.spmm_ref_i8(&b), "{at}: planned != spmm_ref_i8");
+                }
+            }
+        }
     }
 }
