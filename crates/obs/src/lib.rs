@@ -9,7 +9,9 @@
 //! * [`metrics`] — a process-wide [`metrics::MetricsRegistry`] of
 //!   lock-free counters, gauges and log-bucketed latency histograms
 //!   (bounded relative quantile error, mergeable across worker threads),
-//!   with Prometheus-style text exposition and a JSON snapshot.
+//!   with Prometheus-style text exposition and a JSON snapshot. Instance
+//!   handles give each cache or server its own exact store, and the
+//!   exposition sums them into one series per name and label set.
 //! * [`trace`] — a span API that is zero-allocation when disabled and
 //!   emits chrome://tracing-compatible JSON when enabled, so a full
 //!   `venom serve` run opens in a trace viewer with request-id

@@ -7,9 +7,17 @@
 //! no lock and no allocation. The registry itself is only locked on
 //! handle creation and on exposition ([`MetricsRegistry::prometheus_text`]
 //! / [`MetricsRegistry::json_snapshot`]).
+//!
+//! An owner that needs its own exact count (one plan cache's hits, one
+//! server's latencies) keeps it in an *instance* handle, its one store
+//! ([`MetricsRegistry::instance_counter`] / `instance_histogram`). The
+//! exposition reports a series as its shared handle plus every instance
+//! handle, counters summed and histograms merged, so a scraper sees one
+//! process-wide series however many instances feed it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonically increasing event count.
@@ -152,21 +160,9 @@ impl Histogram {
         let v = if v.is_nan() { 0.0 } else { v };
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        let _ = self
-            .sum_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + v).to_bits())
-            });
-        let _ = self
-            .min_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                (v < f64::from_bits(bits)).then(|| v.to_bits())
-            });
-        let _ = self
-            .max_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                (v > f64::from_bits(bits)).then(|| v.to_bits())
-            });
+        update_f64(&self.sum_bits, |sum| Some(sum + v));
+        update_f64(&self.min_bits, |min| (v < min).then_some(v));
+        update_f64(&self.max_bits, |max| (v > max).then_some(v));
     }
 
     /// Recorded sample count.
@@ -228,25 +224,13 @@ impl Histogram {
         }
         self.count.fetch_add(other.count(), Ordering::Relaxed);
         let osum = other.sum();
-        let _ = self
-            .sum_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                Some((f64::from_bits(bits) + osum).to_bits())
-            });
+        update_f64(&self.sum_bits, |sum| Some(sum + osum));
         let (omin, omax) = (
             f64::from_bits(other.min_bits.load(Ordering::Relaxed)),
             f64::from_bits(other.max_bits.load(Ordering::Relaxed)),
         );
-        let _ = self
-            .min_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                (omin < f64::from_bits(bits)).then(|| omin.to_bits())
-            });
-        let _ = self
-            .max_bits
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
-                (omax > f64::from_bits(bits)).then(|| omax.to_bits())
-            });
+        update_f64(&self.min_bits, |min| (omin < min).then_some(omin));
+        update_f64(&self.max_bits, |max| (omax > max).then_some(omax));
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, for cumulative
@@ -272,6 +256,14 @@ impl Histogram {
     }
 }
 
+/// Atomically replaces the f64 stored as `bits` with `f` of it; `None`
+/// keeps it.
+fn update_f64(bits: &AtomicU64, f: impl Fn(f64) -> Option<f64>) {
+    let _ = bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+        f(f64::from_bits(b)).map(f64::to_bits)
+    });
+}
+
 /// One registered metric.
 #[derive(Clone, Debug)]
 enum Metric {
@@ -288,6 +280,44 @@ impl Metric {
             Metric::Histogram(_) => "histogram",
         }
     }
+
+    /// Adds `other`'s counts into `self`: counters sum, histograms
+    /// merge. Gauges have no instance handles, so never absorb.
+    fn absorb(&self, other: &Metric) {
+        match (self, other) {
+            (Metric::Counter(a), Metric::Counter(b)) => a.add(b.get()),
+            (Metric::Histogram(a), Metric::Histogram(b)) => a.merge_from(b),
+            _ => unreachable!("a series' handles share one kind"),
+        }
+    }
+}
+
+/// One series' handles: first the one every [`MetricsRegistry::counter`]
+/// (or `gauge` / `histogram`) caller shares, then one per
+/// `instance_*` call, each owned by its caller.
+type Series = Vec<Metric>;
+
+/// Folds instance handles whose owners dropped them into the shared
+/// handle: their counts stay in the series, and the series keeps one
+/// handle per live owner.
+fn fold_dropped(series: &mut Series) {
+    let mut i = 1;
+    while i < series.len() {
+        let owners = match &series[i] {
+            Metric::Counter(c) => Arc::strong_count(c),
+            Metric::Gauge(g) => Arc::strong_count(g),
+            Metric::Histogram(h) => Arc::strong_count(h),
+        };
+        if owners > 1 {
+            i += 1;
+            continue;
+        }
+        // Pairs with the owner's release of its last reference (as in
+        // `Arc::drop`), so every update it made is visible here.
+        fence(Ordering::Acquire);
+        let handle = series.swap_remove(i);
+        series[0].absorb(&handle);
+    }
 }
 
 /// `(metric name, sorted label pairs)` — the identity of one series.
@@ -298,10 +328,12 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// [`registry`] returns the global instance every runtime layer shares;
 /// independent instances exist only for tests. Getting a handle for an
 /// existing `(name, labels)` pair returns the same underlying series, so
-/// worker threads converge on one set of atomics.
+/// worker threads converge on one set of atomics. Instance handles are
+/// the exception: each is a new store that one owner reads exactly,
+/// while the exposition reports the series as the sum over its handles.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    series: Mutex<BTreeMap<SeriesKey, Metric>>,
+    series: Mutex<BTreeMap<SeriesKey, Series>>,
 }
 
 /// The process-wide registry.
@@ -325,15 +357,29 @@ impl MetricsRegistry {
         (name.to_string(), labels)
     }
 
-    fn get_or_insert(
+    /// The series' shared handle, or with `instance` a new handle the
+    /// series also holds. On a kind mismatch it returns the shared
+    /// handle, which the caller then rejects.
+    fn handle(
         &self,
         name: &str,
         labels: &[(&str, &str)],
-        make: impl FnOnce() -> Metric,
+        make: fn() -> Metric,
+        instance: bool,
     ) -> Metric {
         let key = Self::key(name, labels);
         let mut series = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        series.entry(key).or_insert_with(make).clone()
+        let handles = series.entry(key).or_insert_with(|| vec![make()]);
+        if !instance {
+            return handles[0].clone();
+        }
+        let handle = make();
+        if handle.kind() != handles[0].kind() {
+            return handles[0].clone();
+        }
+        fold_dropped(handles);
+        handles.push(handle.clone());
+        handle
     }
 
     /// Counter handle for `(name, labels)`, creating the series on first
@@ -342,7 +388,20 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if the series is already registered as another kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.get_or_insert(name, labels, || Metric::Counter(Arc::default())) {
+        match self.handle(name, labels, || Metric::Counter(Arc::default()), false) {
+            Metric::Counter(c) => c,
+            other => panic!("metric '{name}' is a {}, not a counter", other.kind()),
+        }
+    }
+
+    /// A new counter owned by the caller: its own exact count, exposed
+    /// summed with every other handle of the `(name, labels)` series. A
+    /// dropped instance's count stays in that sum.
+    ///
+    /// # Panics
+    /// Panics if the series is already registered as another kind.
+    pub fn instance_counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+        match self.handle(name, labels, || Metric::Counter(Arc::default()), true) {
             Metric::Counter(c) => c,
             other => panic!("metric '{name}' is a {}, not a counter", other.kind()),
         }
@@ -353,7 +412,7 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if the series is already registered as another kind.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        match self.get_or_insert(name, labels, || Metric::Gauge(Arc::default())) {
+        match self.handle(name, labels, || Metric::Gauge(Arc::default()), false) {
             Metric::Gauge(g) => g,
             other => panic!("metric '{name}' is a {}, not a gauge", other.kind()),
         }
@@ -364,15 +423,44 @@ impl MetricsRegistry {
     /// # Panics
     /// Panics if the series is already registered as another kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        match self.get_or_insert(name, labels, || Metric::Histogram(Arc::default())) {
+        match self.handle(name, labels, || Metric::Histogram(Arc::default()), false) {
             Metric::Histogram(h) => h,
             other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
         }
     }
 
+    /// A new histogram owned by the caller, exposed merged with every
+    /// other handle of the `(name, labels)` series (see
+    /// [`Self::instance_counter`]).
+    ///
+    /// # Panics
+    /// Panics if the series is already registered as another kind.
+    pub fn instance_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        match self.handle(name, labels, || Metric::Histogram(Arc::default()), true) {
+            Metric::Histogram(h) => h,
+            other => panic!("metric '{name}' is a {}, not a histogram", other.kind()),
+        }
+    }
+
+    /// Every series as one handle: a lone handle as is, else a new one
+    /// that absorbed all of the series' handles.
     fn snapshot(&self) -> Vec<(SeriesKey, Metric)> {
-        let series = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        series.iter().map(|(k, m)| (k.clone(), m.clone())).collect()
+        let mut series = self.series.lock().unwrap_or_else(|e| e.into_inner());
+        let mut out = Vec::with_capacity(series.len());
+        for (key, handles) in series.iter_mut() {
+            fold_dropped(handles);
+            let total = match &handles[0] {
+                _ if handles.len() == 1 => handles[0].clone(),
+                Metric::Counter(_) => Metric::Counter(Arc::default()),
+                Metric::Gauge(_) => unreachable!("gauges have no instance handles"),
+                Metric::Histogram(_) => Metric::Histogram(Arc::default()),
+            };
+            if handles.len() > 1 {
+                handles.iter().for_each(|h| total.absorb(h));
+            }
+            out.push((key.clone(), total));
+        }
+        out
     }
 
     /// Prometheus text exposition (version 0.0.4): one `# TYPE` line per
@@ -383,26 +471,16 @@ impl MetricsRegistry {
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last_name = String::new();
+        // Writing into a `String` cannot fail.
         for ((name, labels), metric) in self.snapshot() {
             if name != last_name {
-                out.push_str(&format!("# TYPE {name} {}\n", metric.kind()));
+                let _ = writeln!(out, "# TYPE {name} {}", metric.kind());
                 last_name = name.clone();
             }
-            match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!(
-                        "{name}{} {}\n",
-                        prom_labels(&labels, None),
-                        c.get()
-                    ));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "{name}{} {}\n",
-                        prom_labels(&labels, None),
-                        fmt_f64(g.get())
-                    ));
-                }
+            let plain = prom_labels(&labels, None);
+            let _ = match metric {
+                Metric::Counter(c) => writeln!(out, "{name}{plain} {}", c.get()),
+                Metric::Gauge(g) => writeln!(out, "{name}{plain} {}", g.get()),
                 Metric::Histogram(h) => {
                     let mut cum = 0u64;
                     for (upper, n) in h.nonzero_buckets() {
@@ -410,34 +488,26 @@ impl MetricsRegistry {
                         let le = if upper.is_infinite() {
                             "+Inf".to_string()
                         } else {
-                            fmt_f64(upper)
+                            upper.to_string()
                         };
-                        out.push_str(&format!(
-                            "{name}_bucket{} {cum}\n",
+                        let _ = writeln!(
+                            out,
+                            "{name}_bucket{} {cum}",
                             prom_labels(&labels, Some(&le))
-                        ));
+                        );
                     }
-                    if cum < h.count() {
-                        // Concurrent recording between bucket and count
-                        // reads; keep the +Inf bucket consistent.
-                        cum = h.count();
-                    }
-                    out.push_str(&format!(
-                        "{name}_bucket{} {cum}\n",
-                        prom_labels(&labels, Some("+Inf"))
-                    ));
-                    out.push_str(&format!(
-                        "{name}_sum{} {}\n",
-                        prom_labels(&labels, None),
-                        fmt_f64(h.sum())
-                    ));
-                    out.push_str(&format!(
-                        "{name}_count{} {}\n",
-                        prom_labels(&labels, None),
-                        h.count()
-                    ));
+                    // A sample recorded between the bucket and count
+                    // reads still lands in the +Inf bucket.
+                    let count = h.count();
+                    let inf = prom_labels(&labels, Some("+Inf"));
+                    let _ = writeln!(out, "{name}_bucket{inf} {}", cum.max(count));
+                    writeln!(
+                        out,
+                        "{name}_sum{plain} {}\n{name}_count{plain} {count}",
+                        h.sum()
+                    )
                 }
-            }
+            };
         }
         out
     }
@@ -480,13 +550,11 @@ impl MetricsRegistry {
 /// Formats a label set as `{k="v",...}` (empty string when no labels),
 /// optionally appending a histogram `le` label.
 fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    let mut pairs: Vec<String> = labels
+    let pairs: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", prom_escape(v)))
+        .chain(le.map(|le| format!("le=\"{le}\"")))
         .collect();
-    if let Some(le) = le {
-        pairs.push(format!("le=\"{le}\""));
-    }
     if pairs.is_empty() {
         String::new()
     } else {
@@ -518,18 +586,14 @@ fn json_str(v: &str) -> String {
     out
 }
 
-/// JSON number formatting: finite f64s verbatim, everything else 0.
+/// JSON number formatting: finite f64s verbatim (shortest round-trip),
+/// everything else 0.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        fmt_f64(v)
+        v.to_string()
     } else {
         "0".to_string()
     }
-}
-
-/// Shortest-round-trip float formatting (Rust's `{}` for f64).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
 }
 
 #[cfg(test)]
@@ -594,6 +658,47 @@ mod tests {
         assert_eq!(a.get(), 3, "one series behind both handles");
         let other = reg.counter("requests_total", &[("outcome", "shed")]);
         assert_eq!(other.get(), 0, "distinct labels, distinct series");
+    }
+
+    #[test]
+    fn instance_handles_are_exact_and_exposed_as_their_series_sum() {
+        let reg = MetricsRegistry::new();
+        let labels = [("cache", "plan")];
+        reg.counter("hits_total", &labels).add(1);
+        let a = reg.instance_counter("hits_total", &labels);
+        let b = reg.instance_counter("hits_total", &labels);
+        a.add(2);
+        b.add(4);
+        assert_eq!((a.get(), b.get()), (2, 4), "each instance is exact");
+        assert!(reg
+            .prometheus_text()
+            .contains("hits_total{cache=\"plan\"} 7"));
+        drop(b);
+        let c = reg.instance_counter("hits_total", &labels);
+        c.add(8);
+        let text = reg.prometheus_text();
+        assert!(text.contains("hits_total{cache=\"plan\"} 15"), "{text}");
+        assert_eq!(text.matches("# TYPE hits_total").count(), 1, "{text}");
+
+        let h1 = reg.instance_histogram("lat_ms", &[]);
+        let h2 = reg.instance_histogram("lat_ms", &[]);
+        h1.record(1.0);
+        h2.record(2.0);
+        h2.record(3.0);
+        assert_eq!((h1.count(), h2.count()), (1, 2));
+        drop(h1);
+        let text = reg.prometheus_text();
+        assert!(text.contains("lat_ms_count 3"), "{text}");
+        assert!(text.contains("lat_ms_sum 6"), "{text}");
+        assert!(reg.json_snapshot().contains("\"max\":3"));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a histogram")]
+    fn instance_handles_reject_kind_mismatches() {
+        let reg = MetricsRegistry::new();
+        let _ = reg.counter("y_total", &[]);
+        let _ = reg.instance_histogram("y_total", &[]);
     }
 
     #[test]

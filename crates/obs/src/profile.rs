@@ -49,7 +49,7 @@ pub struct PhaseStat {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseRecord {
     /// Kernel label (e.g. `spmm[mma]`, `sddmm`, `attention`).
-    pub kernel: String,
+    pub kernel: &'static str,
     /// Phase within the kernel (`stage`, `gather`, `mma`, `band`,
     /// `epilogue`).
     pub phase: &'static str,
@@ -57,7 +57,8 @@ pub struct PhaseRecord {
     pub stat: PhaseStat,
 }
 
-type Store = BTreeMap<(String, &'static str), PhaseStat>;
+/// Keyed by literals, so a record into an existing key allocates nothing.
+type Store = BTreeMap<(&'static str, &'static str), PhaseStat>;
 
 fn store() -> &'static Mutex<Store> {
     static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
@@ -65,12 +66,12 @@ fn store() -> &'static Mutex<Store> {
 }
 
 /// Accumulates one phase execution (no-op while disabled).
-pub fn record(kernel: &str, phase: &'static str, ns: u64, bytes: u64) {
+pub fn record(kernel: &'static str, phase: &'static str, ns: u64, bytes: u64) {
     if !enabled() {
         return;
     }
     let mut store = store().lock().unwrap_or_else(|e| e.into_inner());
-    let stat = store.entry((kernel.to_string(), phase)).or_default();
+    let stat = store.entry((kernel, phase)).or_default();
     stat.calls += 1;
     stat.ns += ns;
     stat.bytes += bytes;
@@ -83,7 +84,7 @@ pub fn snapshot() -> Vec<PhaseRecord> {
         .unwrap_or_else(|e| e.into_inner())
         .iter()
         .map(|((kernel, phase), stat)| PhaseRecord {
-            kernel: kernel.clone(),
+            kernel,
             phase,
             stat: *stat,
         })
@@ -98,15 +99,15 @@ pub fn reset() {
 
 /// Sums a snapshot's time and bytes per kernel:
 /// `(kernel, total_ns, total_bytes)`.
-pub fn kernel_totals(records: &[PhaseRecord]) -> Vec<(String, u64, u64)> {
-    let mut totals: Vec<(String, u64, u64)> = Vec::new();
+pub fn kernel_totals(records: &[PhaseRecord]) -> Vec<(&'static str, u64, u64)> {
+    let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
     for r in records {
         match totals.iter_mut().find(|(k, _, _)| *k == r.kernel) {
             Some((_, ns, bytes)) => {
                 *ns += r.stat.ns;
                 *bytes += r.stat.bytes;
             }
-            None => totals.push((r.kernel.clone(), r.stat.ns, r.stat.bytes)),
+            None => totals.push((r.kernel, r.stat.ns, r.stat.bytes)),
         }
     }
     totals
@@ -129,7 +130,7 @@ impl PhaseTimer {
     }
 
     /// Stops and accumulates into `(kernel, phase)`.
-    pub fn stop(self, kernel: &str, phase: &'static str, bytes: u64) {
+    pub fn stop(self, kernel: &'static str, phase: &'static str, bytes: u64) {
         if let Some(start) = self.start {
             record(
                 kernel,

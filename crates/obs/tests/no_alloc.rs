@@ -1,6 +1,7 @@
 //! The overhead gate's allocation half: disabled spans and phase timers
-//! must not allocate on the hot path. A counting global allocator
-//! wraps the system one; the disabled paths must leave the counter
+//! must not allocate on the hot path, and an enabled phase record into
+//! an existing `(kernel, phase)` key must not either. A counting global
+//! allocator wraps the system one; those paths must leave the counter
 //! untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -31,6 +32,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+// One test function: the counting allocator is shared by every thread
+// of this binary, so a second test running in parallel would perturb it.
 #[test]
 fn disabled_spans_and_timers_do_not_allocate() {
     venom_obs::trace::set_enabled(false);
@@ -47,6 +50,21 @@ fn disabled_spans_and_timers_do_not_allocate() {
         after - before,
         0,
         "disabled telemetry allocated {} times on the hot path",
+        after - before
+    );
+
+    venom_obs::profile::set_enabled(true);
+    venom_obs::profile::record("warm_kernel", "mma", 1, 64);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..10_000u64 {
+        venom_obs::profile::record("warm_kernel", "mma", 1, 64);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    venom_obs::profile::set_enabled(false);
+    assert_eq!(
+        after - before,
+        0,
+        "enabled profiling allocated {} times recording into a warm key",
         after - before
     );
 }

@@ -12,6 +12,7 @@ use super::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use crate::descriptor::MatmulDescriptor;
 use crate::matmul::MatmulPlan;
 use venom_fp16::Half;
+use venom_obs::Counter;
 use venom_tensor::Matrix;
 
 /// The cache key: the planned matmul's descriptor plus a fingerprint of
@@ -185,20 +186,16 @@ struct Inner {
 pub struct PlanCache {
     inner: Mutex<Inner>,
     budget: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    builds: AtomicU64,
+    // This cache's registry instance handles, the one store of each
+    // count: [`Self::stats`] reads them, and the exposition sums them
+    // with every other cache's into `cache_*_total{cache="plan"}`.
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    builds: Arc<Counter>,
+    // No registry series: plain per-cache tallies.
     failed_builds: AtomicU64,
     build_timeouts: AtomicU64,
-    // Registry mirrors of the per-instance counters above, published as
-    // `cache_*_total{cache="plan"}`. [`Self::stats`] keeps reading the
-    // instance atomics so a private cache's snapshot stays exact even
-    // when several caches share the process-wide registry series.
-    obs_hits: Arc<venom_obs::Counter>,
-    obs_misses: Arc<venom_obs::Counter>,
-    obs_evictions: Arc<venom_obs::Counter>,
-    obs_builds: Arc<venom_obs::Counter>,
 }
 
 impl Default for PlanCache {
@@ -226,16 +223,12 @@ impl PlanCache {
         PlanCache {
             inner: Mutex::new(Inner::default()),
             budget,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
+            hits: reg.instance_counter("cache_hits_total", &labels),
+            misses: reg.instance_counter("cache_misses_total", &labels),
+            evictions: reg.instance_counter("cache_evictions_total", &labels),
+            builds: reg.instance_counter("cache_builds_total", &labels),
             failed_builds: AtomicU64::new(0),
             build_timeouts: AtomicU64::new(0),
-            obs_hits: reg.counter("cache_hits_total", &labels),
-            obs_misses: reg.counter("cache_misses_total", &labels),
-            obs_evictions: reg.counter("cache_evictions_total", &labels),
-            obs_builds: reg.counter("cache_builds_total", &labels),
         }
     }
 
@@ -263,27 +256,20 @@ impl PlanCache {
                     Arc::clone(&e.slot)
                 }
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    self.obs_misses.inc();
+                    self.misses.inc();
                     return None;
                 }
             }
         };
         let plan = lock_recover(&slot.state).plan.clone();
-        match plan {
-            Some(p) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.inc();
-                Some(p)
-            }
-            None => {
-                // Entry exists but a racing build has not finished (or
-                // failed and is being torn down) — a miss to this caller.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.inc();
-                None
-            }
+        // An entry whose racing build has not finished (or failed and is
+        // being torn down) is a miss to this caller.
+        if plan.is_some() {
+            self.hits.inc();
+        } else {
+            self.misses.inc();
         }
+        plan
     }
 
     /// Fetches (inserting if absent) the slot for `key`, counting a hit
@@ -295,13 +281,11 @@ impl PlanCache {
         match inner.entries.get_mut(&key) {
             Some(e) => {
                 e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs_hits.inc();
+                self.hits.inc();
                 Arc::clone(&e.slot)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs_misses.inc();
+                self.misses.inc();
                 let slot = Arc::new(Slot::default());
                 inner.entries.insert(
                     key,
@@ -328,8 +312,7 @@ impl PlanCache {
             state.building = false;
             match result {
                 Ok(plan) => {
-                    self.builds.fetch_add(1, Ordering::Relaxed);
-                    self.obs_builds.inc();
+                    self.builds.inc();
                     state.plan = Some(Arc::clone(&plan));
                     state.last_error = None;
                     Some(plan.approx_bytes())
@@ -508,10 +491,10 @@ impl PlanCache {
             (built.clone().count(), built.map(|e| e.bytes).sum())
         };
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            builds: self.builds.get(),
             failed_builds: self.failed_builds.load(Ordering::Relaxed),
             build_timeouts: self.build_timeouts.load(Ordering::Relaxed),
             resident_plans,
@@ -575,8 +558,7 @@ impl PlanCache {
             match victim {
                 Some(k) => {
                     inner.entries.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.obs_evictions.inc();
+                    self.evictions.inc();
                 }
                 // Everything over budget is in use: keep it resident.
                 None => return,

@@ -21,6 +21,7 @@ use crate::descriptor::MatmulDescriptor;
 use crate::matmul::MatmulPlan;
 use venom_format::MatmulFormat;
 use venom_fp16::Half;
+use venom_obs::Counter;
 use venom_sim::KernelTiming;
 use venom_tensor::Matrix;
 
@@ -86,32 +87,27 @@ mod site {
 /// probabilities that were merely armed). [`FaultConfig`] is `Copy` and
 /// cannot own shared state, so the tally lives in an `Arc` threaded
 /// through [`FaultConfig::wrap_builder_counted`] /
-/// [`FaultPlan::wrap_counted`]; each trip is mirrored into the registry
-/// as `fault_trips_total{fault="..."}`.
+/// [`FaultPlan::wrap_counted`]. Each site is one registry instance
+/// handle, the trip count's only store: the getters read it, and the
+/// exposition sums every tally into `fault_trips_total{fault="..."}`.
 #[derive(Debug)]
 pub struct FaultTrips {
-    build_fail: AtomicU64,
-    build_stall: AtomicU64,
-    run_panic: AtomicU64,
-    run_slow: AtomicU64,
-    obs_build_fail: Arc<venom_obs::Counter>,
-    obs_build_stall: Arc<venom_obs::Counter>,
-    obs_run_panic: Arc<venom_obs::Counter>,
-    obs_run_slow: Arc<venom_obs::Counter>,
+    build_fail: Arc<Counter>,
+    build_stall: Arc<Counter>,
+    run_panic: Arc<Counter>,
+    run_slow: Arc<Counter>,
 }
 
 impl Default for FaultTrips {
     fn default() -> Self {
-        let reg = venom_obs::registry();
+        let site = |fault| {
+            venom_obs::registry().instance_counter("fault_trips_total", &[("fault", fault)])
+        };
         FaultTrips {
-            build_fail: AtomicU64::new(0),
-            build_stall: AtomicU64::new(0),
-            run_panic: AtomicU64::new(0),
-            run_slow: AtomicU64::new(0),
-            obs_build_fail: reg.counter("fault_trips_total", &[("fault", "build_fail")]),
-            obs_build_stall: reg.counter("fault_trips_total", &[("fault", "build_stall")]),
-            obs_run_panic: reg.counter("fault_trips_total", &[("fault", "run_panic")]),
-            obs_run_slow: reg.counter("fault_trips_total", &[("fault", "run_slow")]),
+            build_fail: site("build_fail"),
+            build_stall: site("build_stall"),
+            run_panic: site("run_panic"),
+            run_slow: site("run_slow"),
         }
     }
 }
@@ -122,44 +118,24 @@ impl FaultTrips {
         Self::default()
     }
 
-    fn trip_build_fail(&self) {
-        self.build_fail.fetch_add(1, Ordering::Relaxed);
-        self.obs_build_fail.inc();
-    }
-
-    fn trip_build_stall(&self) {
-        self.build_stall.fetch_add(1, Ordering::Relaxed);
-        self.obs_build_stall.inc();
-    }
-
-    fn trip_run_panic(&self) {
-        self.run_panic.fetch_add(1, Ordering::Relaxed);
-        self.obs_run_panic.inc();
-    }
-
-    fn trip_run_slow(&self) {
-        self.run_slow.fetch_add(1, Ordering::Relaxed);
-        self.obs_run_slow.inc();
-    }
-
     /// Injected build failures tripped so far.
     pub fn build_fail(&self) -> u64 {
-        self.build_fail.load(Ordering::Relaxed)
+        self.build_fail.get()
     }
 
     /// Injected build stalls tripped so far.
     pub fn build_stall(&self) -> u64 {
-        self.build_stall.load(Ordering::Relaxed)
+        self.build_stall.get()
     }
 
     /// Injected dispatch panics tripped so far.
     pub fn run_panic(&self) -> u64 {
-        self.run_panic.load(Ordering::Relaxed)
+        self.run_panic.get()
     }
 
     /// Injected slow dispatches tripped so far.
     pub fn run_slow(&self) -> u64 {
-        self.run_slow.load(Ordering::Relaxed)
+        self.run_slow.get()
     }
 
     /// All trips across the four sites.
@@ -280,11 +256,11 @@ impl FaultConfig {
             }
             let n = attempts.fetch_add(1, Ordering::Relaxed);
             if cfg.roll(site::BUILD_STALL, n, cfg.build_stall) {
-                trips.trip_build_stall();
+                trips.build_stall.inc();
                 std::thread::sleep(Duration::from_millis(cfg.stall_ms));
             }
             if cfg.roll(site::BUILD_FAIL, n, cfg.build_fail) {
-                trips.trip_build_fail();
+                trips.build_fail.inc();
                 return Err(format!("injected build failure (attempt {n})"));
             }
             Ok(FaultPlan::wrap_counted(build(), cfg, Arc::clone(&trips)))
@@ -338,12 +314,12 @@ impl FaultPlan {
     fn before_dispatch(&self) {
         let n = self.events.fetch_add(1, Ordering::Relaxed);
         if self.cfg.roll(site::RUN_SLOW, n, self.cfg.run_slow) {
-            self.trips.trip_run_slow();
+            self.trips.run_slow.inc();
             std::thread::sleep(Duration::from_millis(self.cfg.slow_ms));
         }
         if self.cfg.roll(site::RUN_PANIC, n, self.cfg.run_panic) {
             // Booked before the unwind so the tally survives the panic.
-            self.trips.trip_run_panic();
+            self.trips.run_panic.inc();
             panic_any(InjectedPanic { event: n });
         }
     }

@@ -27,6 +27,7 @@ use super::retry::RetryPolicy;
 use super::sync::{lock_recover, read_recover, write_recover};
 use crate::matmul::MatmulPlan;
 use venom_fp16::Half;
+use venom_obs::{Counter, Histogram};
 use venom_tensor::Matrix;
 
 /// Serving-loop knobs.
@@ -167,9 +168,11 @@ pub struct ServeReport {
     pub max_ms: f64,
 }
 
-/// A point-in-time liveness snapshot, pollable while the server runs —
-/// the signal an operator (or an orchestration layer) watches to decide
-/// whether the process is still worth sending traffic to.
+/// A liveness snapshot, pollable while the server runs — the signal an
+/// operator (or an orchestration layer) watches to decide whether the
+/// process is still worth sending traffic to. Each field is read on its
+/// own, not under one lock: while workers run, two fields may straddle
+/// a batch (say `served` already counting it and `degraded` not yet).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Worker threads currently alive and draining the queue.
@@ -192,66 +195,46 @@ pub struct HealthReport {
     pub errored: u64,
 }
 
-/// Per-server tallies plus their process-wide registry mirrors. The
-/// latency distribution lives in a log-bucketed [`venom_obs::Histogram`]
-/// (bounded relative quantile error, no per-request allocation) instead
-/// of the sorted-`Vec` this replaced; `serve_latency_ms` in the registry
-/// accumulates the same samples across every server in the process.
+/// One server's counts and latencies, each stored only in its registry
+/// instance handle: [`Server::health`] and [`Server::shutdown`] read the
+/// handles, and the exposition sums every server's into
+/// `serve_requests_total`, `serve_batches_total` and `serve_latency_ms`.
 #[derive(Debug)]
 struct Metrics {
-    latency: venom_obs::Histogram,
-    served: u64,
-    errored: u64,
-    degraded: u64,
-    batches: u64,
-    obs_latency: Arc<venom_obs::Histogram>,
-    obs_served: Arc<venom_obs::Counter>,
-    obs_errored: Arc<venom_obs::Counter>,
-    obs_degraded: Arc<venom_obs::Counter>,
-    obs_batches: Arc<venom_obs::Counter>,
+    latency: Arc<Histogram>,
+    served: Arc<Counter>,
+    errored: Arc<Counter>,
+    degraded: Arc<Counter>,
+    batches: Arc<Counter>,
 }
 
 impl Default for Metrics {
     fn default() -> Self {
         let reg = venom_obs::registry();
+        let requests =
+            |outcome| reg.instance_counter("serve_requests_total", &[("outcome", outcome)]);
         Metrics {
-            latency: venom_obs::Histogram::new(),
-            served: 0,
-            errored: 0,
-            degraded: 0,
-            batches: 0,
-            obs_latency: reg.histogram("serve_latency_ms", &[]),
-            obs_served: reg.counter("serve_requests_total", &[("outcome", "served")]),
-            obs_errored: reg.counter("serve_requests_total", &[("outcome", "errored")]),
-            obs_degraded: reg.counter("serve_requests_total", &[("outcome", "degraded")]),
-            obs_batches: reg.counter("serve_batches_total", &[]),
+            latency: reg.instance_histogram("serve_latency_ms", &[]),
+            served: requests("served"),
+            errored: requests("errored"),
+            degraded: requests("degraded"),
+            batches: reg.instance_counter("serve_batches_total", &[]),
         }
     }
 }
 
 impl Metrics {
-    /// Books an errored-request count into both the per-server tally and
-    /// the registry mirror.
-    fn note_errored(&mut self, n: u64) {
-        self.errored += n;
-        self.obs_errored.add(n);
-    }
-
-    fn record_latency(&self, ms: f64) {
-        self.latency.record(ms);
-        self.obs_latency.record(ms);
-    }
-
     fn report(&self) -> ServeReport {
+        let (served, batches) = (self.served.get(), self.batches.get());
         ServeReport {
-            served: self.served,
-            errored: self.errored,
-            degraded: self.degraded,
-            batches: self.batches,
-            mean_batch: if self.batches == 0 {
+            served,
+            errored: self.errored.get(),
+            degraded: self.degraded.get(),
+            batches,
+            mean_batch: if batches == 0 {
                 0.0
             } else {
-                self.served as f64 / self.batches as f64
+                served as f64 / batches as f64
             },
             p50_ms: self.latency.quantile(0.50),
             p99_ms: self.latency.quantile(0.99),
@@ -259,9 +242,7 @@ impl Metrics {
             max_ms: self.latency.max(),
             // Queue- and supervision-side tallies are merged by the
             // caller, which owns those counters.
-            shed: 0,
-            deadline_expired: 0,
-            worker_restarts: 0,
+            ..ServeReport::default()
         }
     }
 }
@@ -283,7 +264,7 @@ struct WorkerShared {
     queue: Arc<RequestQueue>,
     cache: Arc<PlanCache>,
     registry: RwLock<HashMap<PlanKey, Registration>>,
-    metrics: Mutex<Metrics>,
+    metrics: Metrics,
     config: ServeConfig,
     live: AtomicUsize,
     panics: AtomicU64,
@@ -311,7 +292,7 @@ impl Server {
             queue,
             cache,
             registry: RwLock::new(HashMap::new()),
-            metrics: Mutex::new(Metrics::default()),
+            metrics: Metrics::default(),
             config,
             live: AtomicUsize::new(0),
             panics: AtomicU64::new(0),
@@ -514,10 +495,7 @@ impl Server {
 
     /// A liveness snapshot: worker, queue and fault counters as of now.
     pub fn health(&self) -> HealthReport {
-        let (served, errored, degraded) = {
-            let m = lock_recover(&self.shared.metrics);
-            (m.served, m.errored, m.degraded)
-        };
+        let m = &self.shared.metrics;
         HealthReport {
             live_workers: self.shared.live.load(Ordering::Relaxed),
             queue_depth: self.shared.queue.len(),
@@ -525,9 +503,9 @@ impl Server {
             worker_restarts: self.shared.restarts.load(Ordering::Relaxed),
             shed: self.shared.queue.shed_count(),
             deadline_expired: self.shared.queue.expired_count(),
-            degraded,
-            served,
-            errored,
+            degraded: m.degraded.get(),
+            served: m.served.get(),
+            errored: m.errored.get(),
         }
     }
 
@@ -537,7 +515,7 @@ impl Server {
     /// died), and returns the session's metrics.
     pub fn shutdown(self) -> ServeReport {
         shutdown_shared(&self.shared);
-        let mut report = lock_recover(&self.shared.metrics).report();
+        let mut report = self.shared.metrics.report();
         report.shed = self.shared.queue.shed_count();
         report.deadline_expired = self.shared.queue.expired_count();
         report.worker_restarts = self.shared.restarts.load(Ordering::Relaxed);
@@ -575,7 +553,7 @@ fn shutdown_shared(shared: &Arc<WorkerShared>) {
                 flushed += 1;
             }
         }
-        lock_recover(&shared.metrics).note_errored(flushed);
+        shared.metrics.errored.add(flushed);
     }
 }
 
@@ -619,7 +597,7 @@ fn worker_main(shared: &Arc<WorkerShared>) {
                     newly_errored += 1;
                 }
             }
-            lock_recover(&shared.metrics).note_errored(newly_errored);
+            shared.metrics.errored.add(newly_errored);
             return;
         }
     }
@@ -688,10 +666,10 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
         Resolution::Planned(plan) => (plan, false),
         Resolution::Degraded(baseline) => (baseline, true),
         Resolution::Failed(err) => {
+            shared.metrics.errored.add(batch.len() as u64);
             for req in batch {
                 req.fulfill(Err(err.clone()));
             }
-            lock_recover(&shared.metrics).note_errored(batch.len() as u64);
             return;
         }
     };
@@ -699,6 +677,10 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
     let (good, bad): (Vec<_>, Vec<_>) = batch
         .iter()
         .partition(|req| req.operand.rows() == expected_k);
+    // Requests are counted before they are answered, so a client holding
+    // its response already sees it in `health()`.
+    let m = &shared.metrics;
+    m.errored.add(bad.len() as u64);
     for req in &bad {
         req.fulfill(Err(ServeError::OperandShape {
             expected_k,
@@ -719,25 +701,18 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
         let operands: Vec<&Matrix<Half>> = good.iter().map(|req| &req.operand).collect();
         plan.run_batch(&operands)
     };
-    let mut latencies = Vec::with_capacity(good.len());
-    for (req, out) in good.iter().zip(outputs) {
-        latencies.push(req.submitted.elapsed().as_secs_f64() * 1e3);
-        req.fulfill(Ok(out));
-    }
-    let mut m = lock_recover(&shared.metrics);
-    m.served += latencies.len() as u64;
-    m.obs_served.add(latencies.len() as u64);
-    m.note_errored(bad.len() as u64);
+    let served = outputs.len() as u64;
+    m.served.add(served);
     if degraded {
-        m.degraded += latencies.len() as u64;
-        m.obs_degraded.add(latencies.len() as u64);
+        m.degraded.add(served);
     }
-    if !latencies.is_empty() {
-        m.batches += 1;
-        m.obs_batches.inc();
+    if served > 0 {
+        m.batches.inc();
     }
-    for ms in latencies {
-        m.record_latency(ms);
+    for (req, out) in good.iter().zip(outputs) {
+        m.latency
+            .record(req.submitted.elapsed().as_secs_f64() * 1e3);
+        req.fulfill(Ok(out));
     }
 }
 
@@ -751,7 +726,7 @@ mod tests {
     /// exact — the report's numbers are a drop-in for the old math.
     #[test]
     fn report_percentiles_track_exact_within_bounded_drift() {
-        let mut m = Metrics::default();
+        let m = Metrics::default();
         let mut exact: Vec<f64> = Vec::new();
         let mut state = 0x5eed_f00du64;
         for _ in 0..5000 {
@@ -763,8 +738,8 @@ mod tests {
             // latencies take (a long right tail).
             let ms = 0.05 * 400f64.powf(unit);
             exact.push(ms);
-            m.record_latency(ms);
-            m.served += 1;
+            m.latency.record(ms);
+            m.served.inc();
         }
         exact.sort_by(f64::total_cmp);
         let pct = |q: f64| exact[(q * (exact.len() - 1) as f64).round() as usize];

@@ -10,10 +10,18 @@ Checks that
   the complete-event shape (``ph == "X"``, microsecond ``ts``/``dur``);
 * the two artifacts agree: the number of ``plan_build`` spans in the
   trace equals the ``cache_builds_total{cache="plan"}`` counter, so a
-  span dropped (or double-recorded) anywhere in the cache path fails CI.
+  span dropped (or double-recorded) anywhere in the cache path fails CI;
+* the exposition agrees with itself: ``serve_latency_ms_count`` equals
+  ``serve_requests_total{outcome="served"}`` (one latency sample per
+  served request);
+* with ``--serve-log``, the exposition agrees with the run's own report:
+  the ``plan cache`` footer line of ``venom serve`` (which runs exactly
+  one plan cache) equals the ``cache_{hits,misses,builds}_total``
+  samples.
 
 Usage:
-  check_telemetry.py --metrics metrics.txt --trace trace.json
+  check_telemetry.py --metrics metrics.txt --trace trace.json \
+      [--serve-log serve.txt]
 """
 
 import argparse
@@ -25,6 +33,11 @@ SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?P<labels>\{[^}]*\})?\s+"
     r"(?P<value>[^\s]+)$"
+)
+
+FOOTER_RE = re.compile(
+    r"^plan cache\s*:\s*(?P<hits>\d+)\s+hit\(s\),\s*(?P<misses>\d+)\s+miss\(es\),"
+    r"\s*(?P<builds>\d+)\s+build\(s\)"
 )
 
 REQUIRED_SAMPLES = [
@@ -91,10 +104,28 @@ def parse_trace(path: str) -> list:
     return events
 
 
+def check_serve_log(path: str, samples: dict) -> str:
+    """Requires the serve footer's cache counts to equal the exposition's."""
+    with open(path, encoding="utf-8") as f:
+        footers = [m for m in map(FOOTER_RE.match, (l.strip() for l in f)) if m]
+    if len(footers) != 1:
+        fail(f"{path}: expected one 'plan cache' footer line, found {len(footers)}")
+    for field in ("hits", "misses", "builds"):
+        logged = int(footers[0].group(field))
+        exposed = samples[f'cache_{field}_total{{cache="plan"}}']
+        if logged != exposed:
+            fail(
+                f"serve log/exposition disagreement: {logged} {field} in {path} "
+                f"vs cache_{field}_total{{cache=\"plan\"}} = {exposed:g}"
+            )
+    return ", serve log cache counts == exposition"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--metrics", required=True, help="Prometheus text file")
     ap.add_argument("--trace", required=True, help="chrome://tracing JSON file")
+    ap.add_argument("--serve-log", help="stdout of the `venom serve` run")
     args = ap.parse_args()
 
     samples = parse_metrics(args.metrics)
@@ -104,6 +135,12 @@ def main() -> None:
     served = samples['serve_requests_total{outcome="served"}']
     if served <= 0:
         fail(f"served counter must be positive, got {served}")
+    latency_count = samples["serve_latency_ms_count"]
+    if latency_count != served:
+        fail(
+            f"serve_latency_ms_count = {latency_count:g} vs "
+            f"serve_requests_total{{outcome=\"served\"}} = {served:g}"
+        )
 
     events = parse_trace(args.trace)
     names = {}
@@ -120,9 +157,11 @@ def main() -> None:
             f"span(s) vs cache_builds_total{{cache=\"plan\"}} = {builds:g}"
         )
 
+    log_note = check_serve_log(args.serve_log, samples) if args.serve_log else ""
     print(
         f"OK: {len(samples)} samples, {len(events)} spans, "
-        f"{served:g} served, plan_build spans == builds counter ({builds:g})"
+        f"{served:g} served == latency count, "
+        f"plan_build spans == builds counter ({builds:g}){log_note}"
     )
 
 
