@@ -16,7 +16,6 @@
 //! process-wide series however many instances feed it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -160,9 +159,21 @@ impl Histogram {
         let v = if v.is_nan() { 0.0 } else { v };
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        update_f64(&self.sum_bits, |sum| Some(sum + v));
-        update_f64(&self.min_bits, |min| (v < min).then_some(v));
-        update_f64(&self.max_bits, |max| (v > max).then_some(v));
+        let _ = self
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + v).to_bits())
+            });
+        let _ = self
+            .min_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                (v < f64::from_bits(bits)).then(|| v.to_bits())
+            });
+        let _ = self
+            .max_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                (v > f64::from_bits(bits)).then(|| v.to_bits())
+            });
     }
 
     /// Recorded sample count.
@@ -224,13 +235,25 @@ impl Histogram {
         }
         self.count.fetch_add(other.count(), Ordering::Relaxed);
         let osum = other.sum();
-        update_f64(&self.sum_bits, |sum| Some(sum + osum));
+        let _ = self
+            .sum_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + osum).to_bits())
+            });
         let (omin, omax) = (
             f64::from_bits(other.min_bits.load(Ordering::Relaxed)),
             f64::from_bits(other.max_bits.load(Ordering::Relaxed)),
         );
-        update_f64(&self.min_bits, |min| (omin < min).then_some(omin));
-        update_f64(&self.max_bits, |max| (omax > max).then_some(omax));
+        let _ = self
+            .min_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                (omin < f64::from_bits(bits)).then(|| omin.to_bits())
+            });
+        let _ = self
+            .max_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                (omax > f64::from_bits(bits)).then(|| omax.to_bits())
+            });
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, for cumulative
@@ -254,14 +277,6 @@ impl Histogram {
             })
             .collect()
     }
-}
-
-/// Atomically replaces the f64 stored as `bits` with `f` of it; `None`
-/// keeps it.
-fn update_f64(bits: &AtomicU64, f: impl Fn(f64) -> Option<f64>) {
-    let _ = bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-        f(f64::from_bits(b)).map(f64::to_bits)
-    });
 }
 
 /// One registered metric.
@@ -327,10 +342,13 @@ type SeriesKey = (String, Vec<(String, String)>);
 ///
 /// [`registry`] returns the global instance every runtime layer shares;
 /// independent instances exist only for tests. Getting a handle for an
-/// existing `(name, labels)` pair returns the same underlying series, so
-/// worker threads converge on one set of atomics. Instance handles are
-/// the exception: each is a new store that one owner reads exactly,
-/// while the exposition reports the series as the sum over its handles.
+/// existing `(name, labels)` pair returns the series' one shared handle,
+/// so worker threads converge on one set of atomics. Instance handles
+/// are the exception: each is a new store that one owner reads exactly.
+/// The shared handle is then one part of the series: direct updates plus
+/// the counts of dropped instances, folded into it. The series' total,
+/// summed over all its handles, comes only from
+/// [`Self::prometheus_text`] / [`Self::json_snapshot`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     series: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -382,8 +400,11 @@ impl MetricsRegistry {
         handle
     }
 
-    /// Counter handle for `(name, labels)`, creating the series on first
-    /// use.
+    /// The shared counter handle for `(name, labels)`, creating the
+    /// series on first use. Beside instance handles it is one part of
+    /// the series (direct adds plus dropped instances' counts); the
+    /// series' total is exposed only by [`Self::prometheus_text`] /
+    /// [`Self::json_snapshot`].
     ///
     /// # Panics
     /// Panics if the series is already registered as another kind.
@@ -418,7 +439,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Histogram handle for `(name, labels)`.
+    /// The shared histogram handle for `(name, labels)`: like
+    /// [`Self::counter`], one part of the series once it has instance
+    /// handles.
     ///
     /// # Panics
     /// Panics if the series is already registered as another kind.
@@ -471,16 +494,26 @@ impl MetricsRegistry {
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         let mut last_name = String::new();
-        // Writing into a `String` cannot fail.
         for ((name, labels), metric) in self.snapshot() {
             if name != last_name {
-                let _ = writeln!(out, "# TYPE {name} {}", metric.kind());
+                out.push_str(&format!("# TYPE {name} {}\n", metric.kind()));
                 last_name = name.clone();
             }
-            let plain = prom_labels(&labels, None);
-            let _ = match metric {
-                Metric::Counter(c) => writeln!(out, "{name}{plain} {}", c.get()),
-                Metric::Gauge(g) => writeln!(out, "{name}{plain} {}", g.get()),
+            match metric {
+                Metric::Counter(c) => {
+                    out.push_str(&format!(
+                        "{name}{} {}\n",
+                        prom_labels(&labels, None),
+                        c.get()
+                    ));
+                }
+                Metric::Gauge(g) => {
+                    out.push_str(&format!(
+                        "{name}{} {}\n",
+                        prom_labels(&labels, None),
+                        fmt_f64(g.get())
+                    ));
+                }
                 Metric::Histogram(h) => {
                     let mut cum = 0u64;
                     for (upper, n) in h.nonzero_buckets() {
@@ -488,26 +521,34 @@ impl MetricsRegistry {
                         let le = if upper.is_infinite() {
                             "+Inf".to_string()
                         } else {
-                            upper.to_string()
+                            fmt_f64(upper)
                         };
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {cum}",
+                        out.push_str(&format!(
+                            "{name}_bucket{} {cum}\n",
                             prom_labels(&labels, Some(&le))
-                        );
+                        ));
                     }
-                    // A sample recorded between the bucket and count
-                    // reads still lands in the +Inf bucket.
-                    let count = h.count();
-                    let inf = prom_labels(&labels, Some("+Inf"));
-                    let _ = writeln!(out, "{name}_bucket{inf} {}", cum.max(count));
-                    writeln!(
-                        out,
-                        "{name}_sum{plain} {}\n{name}_count{plain} {count}",
-                        h.sum()
-                    )
+                    if cum < h.count() {
+                        // Concurrent recording between bucket and count
+                        // reads; keep the +Inf bucket consistent.
+                        cum = h.count();
+                    }
+                    out.push_str(&format!(
+                        "{name}_bucket{} {cum}\n",
+                        prom_labels(&labels, Some("+Inf"))
+                    ));
+                    out.push_str(&format!(
+                        "{name}_sum{} {}\n",
+                        prom_labels(&labels, None),
+                        fmt_f64(h.sum())
+                    ));
+                    out.push_str(&format!(
+                        "{name}_count{} {}\n",
+                        prom_labels(&labels, None),
+                        h.count()
+                    ));
                 }
-            };
+            }
         }
         out
     }
@@ -550,11 +591,13 @@ impl MetricsRegistry {
 /// Formats a label set as `{k="v",...}` (empty string when no labels),
 /// optionally appending a histogram `le` label.
 fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    let pairs: Vec<String> = labels
+    let mut pairs: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", prom_escape(v)))
-        .chain(le.map(|le| format!("le=\"{le}\"")))
         .collect();
+    if let Some(le) = le {
+        pairs.push(format!("le=\"{le}\""));
+    }
     if pairs.is_empty() {
         String::new()
     } else {
@@ -586,14 +629,18 @@ fn json_str(v: &str) -> String {
     out
 }
 
-/// JSON number formatting: finite f64s verbatim (shortest round-trip),
-/// everything else 0.
+/// JSON number formatting: finite f64s verbatim, everything else 0.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        v.to_string()
+        fmt_f64(v)
     } else {
         "0".to_string()
     }
+}
+
+/// Shortest-round-trip float formatting (Rust's `{}` for f64).
+fn fmt_f64(v: f64) -> String {
+    format!("{v}")
 }
 
 #[cfg(test)]

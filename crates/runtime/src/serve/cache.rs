@@ -262,14 +262,18 @@ impl PlanCache {
             }
         };
         let plan = lock_recover(&slot.state).plan.clone();
-        // An entry whose racing build has not finished (or failed and is
-        // being torn down) is a miss to this caller.
-        if plan.is_some() {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
+        match plan {
+            Some(p) => {
+                self.hits.inc();
+                Some(p)
+            }
+            None => {
+                // Entry exists but a racing build has not finished (or
+                // failed and is being torn down) — a miss to this caller.
+                self.misses.inc();
+                None
+            }
         }
-        plan
     }
 
     /// Fetches (inserting if absent) the slot for `key`, counting a hit

@@ -242,7 +242,9 @@ impl Metrics {
             max_ms: self.latency.max(),
             // Queue- and supervision-side tallies are merged by the
             // caller, which owns those counters.
-            ..ServeReport::default()
+            shed: 0,
+            deadline_expired: 0,
+            worker_restarts: 0,
         }
     }
 }
@@ -677,8 +679,11 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
     let (good, bad): (Vec<_>, Vec<_>) = batch
         .iter()
         .partition(|req| req.operand.rows() == expected_k);
-    // Requests are counted before they are answered, so a client holding
-    // its response already sees it in `health()`.
+    // On every path in this function requests are counted before they
+    // are answered, so a client holding its response already sees it in
+    // `health()`. The panic path in `worker_main` and the shutdown flush
+    // count only the answers their first-write-wins `fulfill` delivered,
+    // so they book their count after they answer.
     let m = &shared.metrics;
     m.errored.add(bad.len() as u64);
     for req in &bad {

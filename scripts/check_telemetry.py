@@ -14,14 +14,14 @@ Checks that
 * the exposition agrees with itself: ``serve_latency_ms_count`` equals
   ``serve_requests_total{outcome="served"}`` (one latency sample per
   served request);
-* with ``--serve-log``, the exposition agrees with the run's own report:
+* the exposition agrees with the run's own report (``--serve-log``):
   the ``plan cache`` footer line of ``venom serve`` (which runs exactly
   one plan cache) equals the ``cache_{hits,misses,builds}_total``
   samples.
 
 Usage:
   check_telemetry.py --metrics metrics.txt --trace trace.json \
-      [--serve-log serve.txt]
+      --serve-log serve.txt
 """
 
 import argparse
@@ -104,7 +104,7 @@ def parse_trace(path: str) -> list:
     return events
 
 
-def check_serve_log(path: str, samples: dict) -> str:
+def check_serve_log(path: str, samples: dict) -> None:
     """Requires the serve footer's cache counts to equal the exposition's."""
     with open(path, encoding="utf-8") as f:
         footers = [m for m in map(FOOTER_RE.match, (l.strip() for l in f)) if m]
@@ -118,14 +118,15 @@ def check_serve_log(path: str, samples: dict) -> str:
                 f"serve log/exposition disagreement: {logged} {field} in {path} "
                 f"vs cache_{field}_total{{cache=\"plan\"}} = {exposed:g}"
             )
-    return ", serve log cache counts == exposition"
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--metrics", required=True, help="Prometheus text file")
     ap.add_argument("--trace", required=True, help="chrome://tracing JSON file")
-    ap.add_argument("--serve-log", help="stdout of the `venom serve` run")
+    ap.add_argument(
+        "--serve-log", required=True, help="stdout of the `venom serve` run"
+    )
     args = ap.parse_args()
 
     samples = parse_metrics(args.metrics)
@@ -157,11 +158,12 @@ def main() -> None:
             f"span(s) vs cache_builds_total{{cache=\"plan\"}} = {builds:g}"
         )
 
-    log_note = check_serve_log(args.serve_log, samples) if args.serve_log else ""
+    check_serve_log(args.serve_log, samples)
     print(
         f"OK: {len(samples)} samples, {len(events)} spans, "
         f"{served:g} served == latency count, "
-        f"plan_build spans == builds counter ({builds:g}){log_note}"
+        f"plan_build spans == builds counter ({builds:g}), "
+        f"serve log cache counts == exposition"
     )
 
 
