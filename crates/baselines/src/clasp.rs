@@ -31,9 +31,26 @@ impl ClaspSpmm {
     /// Builds counts from the actual CVSE structure.
     pub fn counts(a: &CvseMatrix, b_cols: usize) -> KernelCounts {
         let (r, k) = a.shape();
-        let l = a.vector_len();
-        let bands = a.bands().max(1);
-        let vectors = a.vector_count().max(1);
+        let (l, bands, vectors) = (a.vector_len(), a.bands(), a.vector_count());
+        Self::counts_from(r, k, l, bands, vectors, a.imbalance(), b_cols)
+    }
+
+    /// Builds counts from the numbers the model reads of an `r x k` CVSE
+    /// weight with vector length `l`: its band count, its kept-vector
+    /// count and its band [`CvseMatrix::imbalance`] (which a caller
+    /// holding only the nonzero mask computes with
+    /// [`venom_format::load_imbalance`]).
+    pub fn counts_from(
+        r: usize,
+        k: usize,
+        l: usize,
+        bands: usize,
+        vectors: usize,
+        imbalance: f64,
+        b_cols: usize,
+    ) -> KernelCounts {
+        let bands = bands.max(1);
+        let vectors = vectors.max(1);
         let vectors_per_band = vectors as f64 / bands as f64;
 
         // One block: one band x COLS_PER_BLOCK output columns.
@@ -46,7 +63,6 @@ impl ClaspSpmm {
         // Loads: vector values (l halves each) + one B row per vector.
         let a_bytes = (vectors_per_band * (l * 2) as f64) as u64 + (vectors_per_band * 4.0) as u64;
         let b_bytes = (vectors_per_band * (COLS_PER_BLOCK * 2) as f64) as u64;
-        let imbalance = a.imbalance();
         let mma_charged = (mma as f64 * imbalance) as u64;
         KernelCounts {
             name: format!("clasp[vw_{l}]"),

@@ -34,7 +34,21 @@ impl SputnikSpmm {
     /// Builds counts from the actual CSR structure (nnz, imbalance).
     pub fn counts(a: &CsrMatrix, b_cols: usize) -> KernelCounts {
         let (r, k) = a.shape();
-        let nnz = a.nnz().max(1);
+        Self::counts_from(r, k, a.nnz(), a.imbalance(), b_cols)
+    }
+
+    /// Builds counts from the numbers the model reads of an `r x k` CSR
+    /// weight: its nonzero count and its row [`CsrMatrix::imbalance`]
+    /// (which a caller holding only the nonzero mask computes with
+    /// [`venom_format::load_imbalance`]).
+    pub fn counts_from(
+        r: usize,
+        k: usize,
+        nnz: usize,
+        imbalance: f64,
+        b_cols: usize,
+    ) -> KernelCounts {
+        let nnz = nnz.max(1);
         let grid = (r.div_ceil(ROWS_PER_BLOCK) * b_cols.div_ceil(COLS_PER_BLOCK)) as u64;
         let nnz_per_block = nnz as u64 * ROWS_PER_BLOCK as u64 / r as u64;
         // Each nonzero: one FMA per output column of the tile.
@@ -50,7 +64,6 @@ impl SputnikSpmm {
         // The imbalance factor stretches the effective work of the busiest
         // block; charging it on the FMA count models warp divergence and
         // tail rows (the paper's "inter- and intra-warp load balance").
-        let imbalance = a.imbalance();
         let fma_charged = (fma as f64 * imbalance) as u64;
         KernelCounts {
             name: format!("sputnik[{}x{}]", ROWS_PER_BLOCK, COLS_PER_BLOCK),

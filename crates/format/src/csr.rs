@@ -97,16 +97,8 @@ impl CsrMatrix {
     /// Load-imbalance factor: max row nnz / mean row nnz (1.0 = perfectly
     /// balanced). Drives the Sputnik timing model's divergence penalty.
     pub fn imbalance(&self) -> f64 {
-        if self.values.is_empty() {
-            return 1.0;
-        }
         let max = (0..self.rows).map(|r| self.row_nnz(r)).max().unwrap_or(0);
-        let mean = self.values.len() as f64 / self.rows as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            (max as f64 / mean).max(1.0)
-        }
+        crate::load_imbalance(max, self.nnz(), self.rows)
     }
 
     /// Bytes of the compressed structure (2B values, 4B column indices,

@@ -110,15 +110,11 @@ impl CvseMatrix {
 
     /// Load-imbalance factor across bands (max kept vectors / mean).
     pub fn imbalance(&self) -> f64 {
-        if self.col_idx.is_empty() {
-            return 1.0;
-        }
         let max = (0..self.bands())
             .map(|b| self.band_nnz_vectors(b))
             .max()
             .unwrap_or(0);
-        let mean = self.col_idx.len() as f64 / self.bands() as f64;
-        (max as f64 / mean).max(1.0)
+        crate::load_imbalance(max, self.vector_count(), self.bands())
     }
 
     /// Bytes of the compressed structure (2B values, 4B indices/pointers).

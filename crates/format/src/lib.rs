@@ -45,6 +45,20 @@ pub use vnm::VnmMatrix;
 /// at 4 because the selected columns must form the SPTC-native 2:4 pattern.
 pub const SELECTED_COLUMNS: usize = 4;
 
+/// Load-imbalance factor of `total` units of work split over `parts`
+/// workers whose busiest holds `max`: `max / mean`, at least 1.0, and 1.0
+/// when there is no work. [`CsrMatrix::imbalance`] (over rows) and
+/// [`CvseMatrix::imbalance`] (over bands) are this of their counts, so a
+/// caller that reads the same counts off a [`SparsityMask`] gets the same
+/// bits without building the container.
+pub fn load_imbalance(max: usize, total: usize, parts: usize) -> f64 {
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / parts as f64;
+    (max as f64 / mean).max(1.0)
+}
+
 /// An N:M sparsity pattern: at most `n` nonzeros in every group of `m`
 /// consecutive row elements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

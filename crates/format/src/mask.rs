@@ -1,13 +1,16 @@
 //! Packed sparsity masks with pattern-compliance checks.
 
 use crate::{NmConfig, VnmConfig, SELECTED_COLUMNS};
+use std::ops::Range;
 use venom_fp16::Half;
 use venom_tensor::Matrix;
 
 /// A `rows x cols` bitmask: bit set = weight kept, bit clear = pruned.
 ///
 /// Backed by one `u64` word per 64 columns per row (row-padded so rows start
-/// on word boundaries, which keeps per-row operations simple).
+/// on word boundaries, which keeps per-row operations simple). Column `c`
+/// of a row is bit `c % 64` of the row's word `c / 64`; the padding bits
+/// past `cols` stay clear, so the checks below count whole words.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SparsityMask {
     rows: usize,
@@ -56,6 +59,27 @@ impl SparsityMask {
     /// Mask of the nonzero entries of a dense matrix.
     pub fn from_nonzeros(m: &Matrix<f32>) -> Self {
         Self::from_fn(m.rows(), m.cols(), |r, c| m.get(r, c) != 0.0)
+    }
+
+    /// Mask of the stored nonzeros of a half matrix: bit set where
+    /// [`Half::is_zero`] is false, so both zeros are pruned and every
+    /// subnormal, infinity and NaN is kept. Equal to
+    /// `from_fn(rows, cols, |r, c| !m.get(r, c).is_zero())`, but packs each
+    /// row slice 64 halves per word.
+    ///
+    /// # Panics
+    /// Panics if `m` has a zero dimension.
+    pub fn from_nonzero_halves(m: &Matrix<Half>) -> Self {
+        let mut mask = Self::empty(m.rows(), m.cols());
+        for (r, words) in mask.bits.chunks_exact_mut(mask.words_per_row).enumerate() {
+            for (word, halves) in words.iter_mut().zip(m.row(r).chunks(64)) {
+                *word = halves
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (i, h)| acc | u64::from(!h.is_zero()) << i);
+            }
+        }
+        mask
     }
 
     /// Number of rows.
@@ -121,56 +145,94 @@ impl SparsityMask {
 
     /// Checks row-wise N:M compliance: every aligned group of `m` columns in
     /// every row holds at most `n` kept entries. A final partial group is
-    /// checked against the same bound.
+    /// checked against the same bound. Each group is one popcount over the
+    /// column range `g*m .. min((g+1)*m, cols)` of the row's words, which
+    /// may span word boundaries (and more than one word when `m > 64`).
     pub fn complies_nm(&self, nm: NmConfig) -> bool {
-        for r in 0..self.rows {
-            for g in 0..self.cols.div_ceil(nm.m) {
-                let start = g * nm.m;
-                let end = (start + nm.m).min(self.cols);
-                let kept = (start..end).filter(|&c| self.get(r, c)).count();
-                if kept > nm.n {
-                    return false;
-                }
-            }
-        }
-        true
+        self.bits.chunks_exact(self.words_per_row).all(|row| {
+            self.groups(nm.m)
+                .all(|(c0, c1)| ones_in(row, c0, c1) <= nm.n)
+        })
     }
 
     /// Checks V:N:M compliance: additionally to [`Self::complies_nm`], the
     /// union of kept columns across the `v` rows of every `V x M` block must
-    /// not exceed [`SELECTED_COLUMNS`].
+    /// not exceed [`SELECTED_COLUMNS`]. The union is the OR of the block's
+    /// row words (a partial last row block ORs the rows it has), and each
+    /// group is a popcount over its column range of that OR.
     pub fn complies_vnm(&self, cfg: VnmConfig) -> bool {
         if !self.complies_nm(cfg.nm()) {
             return false;
         }
-        for b in 0..cfg.row_blocks(self.rows) {
-            let r0 = b * cfg.v;
-            let r1 = (r0 + cfg.v).min(self.rows);
-            for g in 0..cfg.k_groups(self.cols) {
-                let c0 = g * cfg.m;
-                let c1 = (c0 + cfg.m).min(self.cols);
-                let used = (c0..c1)
-                    .filter(|&c| (r0..r1).any(|r| self.get(r, c)))
-                    .count();
-                if used > SELECTED_COLUMNS {
-                    return false;
-                }
-            }
-        }
-        true
+        let mut union = Vec::new();
+        (0..cfg.row_blocks(self.rows)).all(|b| {
+            self.union_words(self.block_rows(cfg, b), &mut union);
+            self.groups(cfg.m)
+                .all(|(c0, c1)| ones_in(&union, c0, c1) <= SELECTED_COLUMNS)
+        })
     }
 
     /// The columns (relative to the group) used by a `V x M` block,
-    /// ascending. Used by V:N:M compression to derive `column-loc`.
+    /// ascending: the set bits of the group's column range in the OR of the
+    /// block's rows.
     pub fn block_used_columns(&self, cfg: VnmConfig, block: usize, group: usize) -> Vec<usize> {
-        let r0 = block * cfg.v;
-        let r1 = (r0 + cfg.v).min(self.rows);
+        let mut union = Vec::new();
+        self.union_words(self.block_rows(cfg, block), &mut union);
         let c0 = group * cfg.m;
-        let c1 = (c0 + cfg.m).min(self.cols);
-        (c0..c1)
-            .filter(|&c| (r0..r1).any(|r| self.get(r, c)))
-            .map(|c| c - c0)
-            .collect()
+        ones_at(&union, c0, (c0 + cfg.m).min(self.cols)).collect()
+    }
+
+    /// Distinct columns kept in any of `rows`: the popcount of the OR of
+    /// their words (the kept column vectors of a CVSE band).
+    ///
+    /// # Panics
+    /// Panics if `rows` reaches past the last row.
+    pub fn union_nnz(&self, rows: Range<usize>) -> usize {
+        let mut union = Vec::new();
+        self.union_words(rows, &mut union);
+        union.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Aligned `bs`-column blocks holding a kept entry in any of `rows`:
+    /// the column blocks `bc*bs .. (bc+1)*bs` (the last one clipped to
+    /// `cols`) with a set bit in the OR of the rows' words (the stored
+    /// blocks of a Blocked-ELL block row).
+    ///
+    /// # Panics
+    /// Panics if `bs` is zero or `rows` reaches past the last row.
+    pub fn union_blocks(&self, rows: Range<usize>, bs: usize) -> usize {
+        let mut union = Vec::new();
+        self.union_words(rows, &mut union);
+        self.groups(bs)
+            .filter(|&(c0, c1)| ones_in(&union, c0, c1) > 0)
+            .count()
+    }
+
+    /// Overwrites `out` with the OR of the words of `rows`.
+    pub(crate) fn union_words(&self, rows: Range<usize>, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(self.words_per_row, 0);
+        for row in self.bits[rows.start * self.words_per_row..rows.end * self.words_per_row]
+            .chunks_exact(self.words_per_row)
+        {
+            for (o, w) in out.iter_mut().zip(row) {
+                *o |= w;
+            }
+        }
+    }
+
+    /// The rows of row block `block` under `cfg`, clipped to the mask.
+    pub(crate) fn block_rows(&self, cfg: VnmConfig, block: usize) -> Range<usize> {
+        let r0 = block * cfg.v;
+        r0..(r0 + cfg.v).min(self.rows)
+    }
+
+    /// The aligned column groups of width `m`, as `(start, end)` with the
+    /// last one clipped to `cols`.
+    fn groups(&self, m: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.cols)
+            .step_by(m)
+            .map(move |c0| (c0, (c0 + m).min(self.cols)))
     }
 
     /// Applies the mask to an `f32` matrix, zeroing pruned entries.
@@ -229,9 +291,220 @@ impl SparsityMask {
     }
 }
 
+/// Set bits of `words` in columns `c0..c1` (`c0 < c1`), which may span
+/// any number of words.
+fn ones_in(words: &[u64], c0: usize, c1: usize) -> usize {
+    let (w0, w1) = (c0 / 64, (c1 - 1) / 64);
+    let (lo, hi) = (!0u64 << (c0 % 64), !0u64 >> (63 - (c1 - 1) % 64));
+    if w0 == w1 {
+        return (words[w0] & lo & hi).count_ones() as usize;
+    }
+    let inner: u32 = words[w0 + 1..w1].iter().map(|w| w.count_ones()).sum();
+    ((words[w0] & lo).count_ones() + inner + (words[w1] & hi).count_ones()) as usize
+}
+
+/// Positions of the set bits of `words` in columns `c0..c1` (`c0 < c1`),
+/// relative to `c0`, ascending.
+pub(crate) fn ones_at(words: &[u64], c0: usize, c1: usize) -> impl Iterator<Item = usize> + '_ {
+    let (w0, w1) = (c0 / 64, (c1 - 1) / 64);
+    (w0..=w1).flat_map(move |w| {
+        let mut bits = words[w];
+        if w == w0 {
+            bits &= !0u64 << (c0 % 64);
+        }
+        if w == w1 {
+            bits &= !0u64 >> (63 - (c1 - 1) % 64);
+        }
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let at = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + at - c0
+            })
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bit-by-bit N:M check: the oracle [`SparsityMask::complies_nm`]
+    /// must equal.
+    fn complies_nm_ref(mask: &SparsityMask, nm: NmConfig) -> bool {
+        for r in 0..mask.rows {
+            for g in 0..mask.cols.div_ceil(nm.m) {
+                let start = g * nm.m;
+                let end = (start + nm.m).min(mask.cols);
+                let kept = (start..end).filter(|&c| mask.get(r, c)).count();
+                if kept > nm.n {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Bit-by-bit V:N:M check: the oracle [`SparsityMask::complies_vnm`]
+    /// must equal.
+    fn complies_vnm_ref(mask: &SparsityMask, cfg: VnmConfig) -> bool {
+        if !complies_nm_ref(mask, cfg.nm()) {
+            return false;
+        }
+        for b in 0..cfg.row_blocks(mask.rows) {
+            let r0 = b * cfg.v;
+            let r1 = (r0 + cfg.v).min(mask.rows);
+            for g in 0..cfg.k_groups(mask.cols) {
+                let c0 = g * cfg.m;
+                let c1 = (c0 + cfg.m).min(mask.cols);
+                let used = (c0..c1)
+                    .filter(|&c| (r0..r1).any(|r| mask.get(r, c)))
+                    .count();
+                if used > SELECTED_COLUMNS {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Bit-by-bit used columns of a block: the oracle
+    /// [`SparsityMask::block_used_columns`] must equal.
+    fn block_used_columns_ref(
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+        block: usize,
+        group: usize,
+    ) -> Vec<usize> {
+        let r0 = block * cfg.v;
+        let r1 = (r0 + cfg.v).min(mask.rows);
+        let c0 = group * cfg.m;
+        let c1 = (c0 + cfg.m).min(mask.cols);
+        (c0..c1)
+            .filter(|&c| (r0..r1).any(|r| mask.get(r, c)))
+            .map(|c| c - c0)
+            .collect()
+    }
+
+    /// A `rows x cols` half matrix near the V:N:M pattern `v:2:m`: each
+    /// `v x m` block draws up to four live columns and each row keeps up
+    /// to two of them. Then, by the seed, five rows spread two entries
+    /// each over one group (which breaks the four-column union of a block
+    /// holding three of them) and one row crowds three entries into a
+    /// group (which breaks N = 2).
+    /// Kept entries draw from nonzero specials (subnormals, ±Inf, NaN),
+    /// pruned ones from ±0.0.
+    fn near_vnm_halves(rows: usize, cols: usize, v: usize, m: usize, seed: u64) -> Matrix<Half> {
+        const KEPT: [u16; 9] = [
+            0x0001, 0x8001, 0x03FF, 0x3C00, 0xC000, 0x7C00, 0xFC00, 0x7E00, 0xFE01,
+        ];
+        let mut state = seed;
+        let mut next = move |below: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % below as u64) as usize
+        };
+        let mut out = Matrix::<Half>::zeros(rows, cols);
+        let keep = |out: &mut Matrix<Half>, r: usize, c: usize, k: usize| {
+            out.set(r, c, Half::from_bits(KEPT[k % KEPT.len()]));
+        };
+        for r in 0..rows {
+            for c in 0..cols {
+                out.set(r, c, Half::from_bits([0x0000, 0x8000][next(2)]));
+            }
+        }
+        for r0 in (0..rows).step_by(v) {
+            for c0 in (0..cols).step_by(m) {
+                let width = m.min(cols - c0);
+                let live: Vec<usize> = (0..1 + next(4)).map(|_| c0 + next(width)).collect();
+                for r in r0..(r0 + v).min(rows) {
+                    for _ in 0..next(3) {
+                        keep(&mut out, r, live[next(live.len())], next(9));
+                    }
+                }
+            }
+        }
+        let fault = next(4);
+        let group = |g: usize| g * m..((g + 1) * m).min(cols);
+        if fault % 2 == 1 {
+            let (r0, cs) = (next(rows), group(next(cols.div_ceil(m))));
+            for (i, r) in (r0..(r0 + 5).min(rows)).enumerate() {
+                for c in cs.clone() {
+                    out.set(r, c, Half::ZERO);
+                }
+                for j in [2 * i, 2 * i + 1] {
+                    keep(&mut out, r, cs.start + j % cs.len(), next(9));
+                }
+            }
+        }
+        if fault >= 2 {
+            let (r, cs) = (next(rows), group(next(cols.div_ceil(m))));
+            for c in cs.take(3) {
+                keep(&mut out, r, c, next(9));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The word-parallel mask constructor and checks equal their
+        /// bit-by-bit oracles: column counts on, across and past a word
+        /// boundary, group widths below and above 64, partial tail groups
+        /// and partial last row blocks.
+        #[test]
+        fn word_parallel_checks_equal_the_bitwise_oracles(
+            cols in prop::sample::select(vec![1usize, 63, 64, 65, 130, 768]),
+            m in prop::sample::select(vec![4usize, 8, 10, 12, 20, 40, 100]),
+            v in prop::sample::select(vec![1usize, 2, 3, 4, 16]),
+            rows in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let w = near_vnm_halves(rows, cols, v, m, seed);
+            let mask = SparsityMask::from_nonzero_halves(&w);
+            let want = SparsityMask::from_fn(rows, cols, |r, c| !w.get(r, c).is_zero());
+            prop_assert_eq!(&mask, &want);
+            for n in 1..=3 {
+                let nm = NmConfig::new(n, m);
+                prop_assert_eq!(mask.complies_nm(nm), complies_nm_ref(&mask, nm), "{}", nm);
+                for check_v in [v, 1, 2, 3, 16, 128] {
+                    let cfg = VnmConfig::new(check_v, n, m);
+                    prop_assert_eq!(
+                        mask.complies_vnm(cfg),
+                        complies_vnm_ref(&mask, cfg),
+                        "{}",
+                        cfg
+                    );
+                }
+            }
+            let cfg = VnmConfig::new(v, 2, m);
+            // Compression derives column-loc from each row block's OR: the
+            // used columns, padded with the last one (0 when none).
+            let compressed = mask
+                .complies_vnm(cfg)
+                .then(|| crate::VnmMatrix::compress(&w, &mask, cfg));
+            for b in 0..cfg.row_blocks(rows) {
+                for g in 0..cfg.k_groups(cols) {
+                    let mut used = block_used_columns_ref(&mask, cfg, b, g);
+                    prop_assert_eq!(mask.block_used_columns(cfg, b, g), used.clone());
+                    if let Some(a) = &compressed {
+                        let pad = used.last().copied().unwrap_or(0);
+                        used.resize(SELECTED_COLUMNS, pad);
+                        let at = (b * cfg.k_groups(cols) + g) * SELECTED_COLUMNS;
+                        let loc: Vec<usize> = a.column_loc()[at..at + SELECTED_COLUMNS]
+                            .iter()
+                            .map(|&c| usize::from(c))
+                            .collect();
+                        prop_assert_eq!(loc, used);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn set_get_roundtrip_across_word_boundary() {

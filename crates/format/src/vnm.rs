@@ -15,6 +15,7 @@
 //! *condensed* matrix of selected columns (`R x (K/M)*4`), while column-loc
 //! drives the gather of rows from the dense operand B (Fig. 4).
 
+use crate::mask::ones_at;
 use crate::{SparsityMask, VnmConfig, SELECTED_COLUMNS};
 use venom_fp16::Half;
 use venom_tensor::Matrix;
@@ -61,20 +62,27 @@ impl VnmMatrix {
         let k_groups = cfg.k_groups(cols);
         let row_blocks = cfg.row_blocks(rows);
 
-        // Stage 1: column-loc — which 4 columns of each V x M block are live.
+        // Stage 1: column-loc — which 4 columns of each V x M block are live,
+        // read per group from the OR of the block's rows (computed once per
+        // row block).
         let mut column_loc = vec![0u16; row_blocks * k_groups * SELECTED_COLUMNS];
-        for b in 0..row_blocks {
-            for g in 0..k_groups {
-                let mut used = mask.block_used_columns(cfg, b, g);
-                debug_assert!(used.len() <= SELECTED_COLUMNS);
-                let pad = *used.last().unwrap_or(&0);
-                while used.len() < SELECTED_COLUMNS {
-                    used.push(pad);
+        let mut union = Vec::new();
+        for (b, block_loc) in column_loc
+            .chunks_exact_mut(k_groups * SELECTED_COLUMNS)
+            .enumerate()
+        {
+            mask.union_words(mask.block_rows(cfg, b), &mut union);
+            for (g, sel) in block_loc.chunks_exact_mut(SELECTED_COLUMNS).enumerate() {
+                let c0 = g * cfg.m;
+                let mut used = 0;
+                for c in ones_at(&union, c0, (c0 + cfg.m).min(cols)) {
+                    debug_assert!(used < SELECTED_COLUMNS);
+                    sel[used] = c as u16;
+                    used += 1;
                 }
-                let base = (b * k_groups + g) * SELECTED_COLUMNS;
-                for (j, &c) in used.iter().enumerate() {
-                    column_loc[base + j] = c as u16;
-                }
+                // Pad with the last used column (0 when none is used).
+                let pad = if used > 0 { sel[used - 1] } else { 0 };
+                sel[used..].fill(pad);
             }
         }
 

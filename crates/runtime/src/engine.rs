@@ -5,7 +5,7 @@
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::plan::Plan;
-use crate::pricing::{self, Priced, VnmPrice};
+use crate::pricing::{self, Baseline, Priced, VnmPrice};
 use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -179,7 +179,9 @@ impl Engine {
     /// the per-format pricing both [`Self::plan_with_format`] and
     /// [`Self::plan_auto`] go through. V:N:M prices the Spatha stream
     /// of the descriptor's dtype; `plan_auto` quotes the band executor
-    /// next to it.
+    /// next to it. CSR, CVSE (every rung of its vector-length ladder)
+    /// and Blocked-ELL price from popcounts of the weight's nonzero mask
+    /// and build no container; [`Self::build`] makes the winner's.
     fn quote(
         &self,
         format: MatmulFormat,
@@ -216,26 +218,19 @@ impl Engine {
                 let priced = (pricing::price_nm(shape, dev), pricing::nm_counts(shape));
                 Ok(Quote::Nm(priced))
             }
-            MatmulFormat::Csr => {
-                let a = CsrMatrix::from_dense(w.dense);
-                let timing = pricing::price_csr(&a, b_cols, dev);
-                let counts = pricing::csr_counts(&a, b_cols);
-                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
-            }
+            MatmulFormat::Csr => Ok(Quote::Kernel(
+                Baseline::Csr,
+                Baseline::Csr.price(w.mask(), b_cols, dev),
+            )),
             MatmulFormat::Cvse => {
                 // Probe the vector-length ladder and keep the cheapest
                 // encoding (the format's one tuning knob).
-                let (a, timing) = AUTO_CVSE_L
+                let (l, priced) = AUTO_CVSE_L
                     .iter()
-                    .map(|&l| {
-                        let a = CvseMatrix::from_dense(w.dense, l);
-                        let t = pricing::price_cvse(&a, b_cols, dev);
-                        (a, t)
-                    })
-                    .min_by(|x, y| pricing::cost_cmp(x.1.time_ms, y.1.time_ms))
+                    .map(|&l| (l, Baseline::Cvse(l).price(w.mask(), b_cols, dev)))
+                    .min_by(|(_, (x, _)), (_, (y, _))| pricing::cost_cmp(x.time_ms, y.time_ms))
                     .expect("the ladder is nonempty");
-                let counts = pricing::cvse_counts(&a, b_cols);
-                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
+                Ok(Quote::Kernel(Baseline::Cvse(l), priced))
             }
             MatmulFormat::BlockedEll => {
                 let (r, k) = (w.dense.rows(), w.dense.cols());
@@ -248,10 +243,8 @@ impl Engine {
                             "no probed block size {AUTO_ELL_BS:?} divides both {r} and {k}"
                         ))
                     })?;
-                let a = BlockedEllMatrix::from_dense(w.dense, bs);
-                let timing = pricing::price_blocked_ell(&a, b_cols, dev);
-                let counts = pricing::blocked_ell_counts(&a, b_cols);
-                Ok(Quote::Kernel(Arc::new(a), (timing, counts)))
+                let ell = Baseline::BlockedEll(bs);
+                Ok(Quote::Kernel(ell, ell.price(w.mask(), b_cols, dev)))
             }
         }
     }
@@ -270,7 +263,12 @@ impl Engine {
                 let a = NmCompressed::compress(w.dense, w.mask(), NM_2_4);
                 Plan::build_kernel(Arc::new(a), desc, timing, counts)
             }
-            Quote::Kernel(kernel, (timing, counts)) => {
+            Quote::Kernel(baseline, (timing, counts)) => {
+                let kernel: Arc<dyn SparseKernel> = match baseline {
+                    Baseline::Csr => Arc::new(CsrMatrix::from_dense(w.dense)),
+                    Baseline::Cvse(l) => Arc::new(CvseMatrix::from_dense(w.dense, l)),
+                    Baseline::BlockedEll(bs) => Arc::new(BlockedEllMatrix::from_dense(w.dense, bs)),
+                };
                 Plan::build_kernel(kernel, desc, timing, counts)
             }
         }
@@ -354,11 +352,13 @@ impl Engine {
     /// path (the cuSPARSELt model, after a compliance check on the
     /// weight's nonzero mask) price from the shape alone; V:N:M
     /// compresses once and autotunes its template space; CSR, CVSE
-    /// (which also tunes its vector length) and Blocked-ELL build the
-    /// containers their models count. Candidates compare in a fixed
-    /// order under [`pricing::cost_cmp`], the first minimum winning, and
-    /// the winner's executor — the condensed stream, band replay or int8
-    /// stream — is built last, so a loser never builds one.
+    /// (which also tunes its vector length) and Blocked-ELL price from
+    /// row and band popcounts of the nonzero mask, without building
+    /// their containers. Candidates compare in a fixed order under
+    /// [`pricing::cost_cmp`], the first minimum winning, and the
+    /// winner's container and executor — the condensed stream, band
+    /// replay or int8 stream — are built last, so a loser never builds
+    /// one.
     ///
     /// The dense path always competes, so a weight that is not sparse
     /// enough to pay off simply plans dense — the FlashSparse-style
@@ -490,8 +490,9 @@ fn detect_vnm(mask: &SparsityMask) -> Option<VnmConfig> {
 }
 
 /// The weight being planned, with its nonzero mask — the structure
-/// eligibility is decided on — computed at most once, and only when a
-/// candidate asks for it.
+/// eligibility is decided on and the CSR, CVSE and Blocked-ELL models
+/// are priced from — computed at most once, and only when a candidate
+/// asks for it.
 struct Weight<'a> {
     dense: &'a Matrix<Half>,
     mask: OnceCell<SparsityMask>,
@@ -507,10 +508,8 @@ impl<'a> Weight<'a> {
 
     /// The mask of stored nonzeros.
     fn mask(&self) -> &SparsityMask {
-        self.mask.get_or_init(|| {
-            let w = self.dense;
-            SparsityMask::from_fn(w.rows(), w.cols(), |r, c| !w.get(r, c).is_zero())
-        })
+        self.mask
+            .get_or_init(|| SparsityMask::from_nonzero_halves(self.dense))
     }
 }
 
@@ -528,8 +527,10 @@ enum Quote {
     Dense(Priced),
     /// The hardware 2:4 stream, compressed when built.
     Nm(Priced),
-    /// CSR, CVSE or Blocked-ELL: the container its model counted.
-    Kernel(Arc<dyn SparseKernel>, Priced),
+    /// CSR, CVSE (with its vector length) or Blocked-ELL (with its block
+    /// size), priced from the nonzero mask; the container is built only
+    /// for the winner.
+    Kernel(Baseline, Priced),
 }
 
 impl Quote {
@@ -559,6 +560,147 @@ mod tests {
         let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
         let mask = magnitude::prune_vnm(&w, cfg);
         mask.apply_f32(&w).to_half()
+    }
+
+    /// A `rows x cols` weight keeping about `density` of its entries,
+    /// plus a nonzero at `(0, 0)` when `one` is set, with kept
+    /// values drawn from ±1, subnormals, ±Inf and NaN and pruned ones
+    /// from ±0.0.
+    fn structured(rows: usize, cols: usize, density: f64, one: bool, seed: u64) -> Matrix<Half> {
+        const KEPT: [u16; 6] = [0x3C00, 0xBC00, 0x0001, 0x7C00, 0xFC00, 0x7E00];
+        let hash = |r: usize, c: usize| {
+            let mut z = seed ^ ((r as u64) << 32 | c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^ (z >> 31)
+        };
+        Matrix::from_fn(rows, cols, |r, c| {
+            let h = hash(r, c);
+            let kept = (h >> 11) as f64 / (1u64 << 53) as f64 <= density && density > 0.0;
+            let bits = match (kept || (one && r == 0 && c == 0), h % 6) {
+                (true, i) => KEPT[i as usize],
+                (false, i) => [0x0000, 0x8000][i as usize % 2],
+            };
+            Half::from_bits(bits)
+        })
+    }
+
+    /// The summary-priced baseline quote must equal the container-priced
+    /// one: counts and time bits.
+    fn assert_summary_prices(w: &Matrix<Half>, case: &str) {
+        let mask = SparsityMask::from_nonzero_halves(w);
+        let dev = DeviceConfig::rtx3090();
+        let same = |got: Priced, want: Priced, what: String| {
+            assert_eq!(got.1, want.1, "{case} {what}: counts");
+            assert_eq!(
+                got.0.time_ms.to_bits(),
+                want.0.time_ms.to_bits(),
+                "{case} {what}: time bits"
+            );
+        };
+        for width in [8usize, 256, 4096] {
+            let csr = CsrMatrix::from_dense(w);
+            let want = (
+                pricing::price_csr(&csr, width, &dev),
+                pricing::csr_counts(&csr, width),
+            );
+            same(
+                Baseline::Csr.price(&mask, width, &dev),
+                want,
+                format!("csr c={width}"),
+            );
+            for l in AUTO_CVSE_L {
+                let cvse = CvseMatrix::from_dense(w, l);
+                let want = (
+                    pricing::price_cvse(&cvse, width, &dev),
+                    pricing::cvse_counts(&cvse, width),
+                );
+                let got = Baseline::Cvse(l).price(&mask, width, &dev);
+                same(got, want, format!("cvse l={l} c={width}"));
+            }
+            for bs in AUTO_ELL_BS {
+                if !w.rows().is_multiple_of(bs) || !w.cols().is_multiple_of(bs) {
+                    continue;
+                }
+                let ell = BlockedEllMatrix::from_dense(w, bs);
+                let want = (
+                    pricing::price_blocked_ell(&ell, width, &dev),
+                    pricing::blocked_ell_counts(&ell, width),
+                );
+                let got = Baseline::BlockedEll(bs).price(&mask, width, &dev);
+                same(got, want, format!("ell bs={bs} c={width}"));
+            }
+        }
+    }
+
+    /// `plan_with_format(Cvse)` builds only its winning rung, and must
+    /// return the plan that building every rung, pricing each container
+    /// and planning the first cheapest gave: same `l`, cost bits, stored
+    /// values and run bits.
+    fn assert_cvse_plan_unchanged(w: &Matrix<Half>, case: &str) {
+        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(64);
+        let desc = engine.descriptor(w.rows(), w.cols());
+        let (cvse, timing) = AUTO_CVSE_L
+            .iter()
+            .map(|&l| {
+                let a = CvseMatrix::from_dense(w, l);
+                let t = pricing::price_cvse(&a, desc.b_cols, engine.device());
+                (a, t)
+            })
+            .min_by(|x, y| pricing::cost_cmp(x.1.time_ms, y.1.time_ms))
+            .expect("the ladder is nonempty");
+        let counts = pricing::cvse_counts(&cvse, desc.b_cols);
+        let want = Plan::build_kernel(Arc::new(cvse), desc, timing, counts);
+        let got = engine
+            .plan_with_format(MatmulFormat::Cvse, &desc, w)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(got.counts(), want.counts(), "{case}: counts name vw_l");
+        assert_eq!(
+            got.cost_ms().map(f64::to_bits),
+            want.cost_ms().map(f64::to_bits),
+            "{case}: cost bits"
+        );
+        assert_eq!(got.stored_values(), want.stored_values(), "{case}: values");
+        let b = random::normal_matrix(w.cols(), 3, 0.0, 1.0, 9).to_half();
+        let bits = |m: Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.run(&b)), bits(want.run(&b)), "{case}: run bits");
+    }
+
+    #[test]
+    fn baseline_summaries_price_like_their_containers() {
+        // Edge structures: all-zero, one nonzero, fully dense; rows not a
+        // multiple of any vector length; the 63 x 80 shape no probed
+        // Blocked-ELL block size divides.
+        let cases = [
+            ("all-zero 64x64", structured(64, 64, 0.0, false, 1)),
+            ("one nonzero 63x80", structured(63, 80, 0.0, true, 2)),
+            ("one nonzero 1x1", structured(1, 1, 0.0, true, 3)),
+            ("dense 64x96", structured(64, 96, 1.0, false, 4)),
+            ("dense 17x65", structured(17, 65, 1.0, false, 5)),
+            ("10% 63x80", structured(63, 80, 0.1, false, 6)),
+            ("30% 37x130", structured(37, 130, 0.3, false, 7)),
+        ];
+        for (case, w) in &cases {
+            assert_summary_prices(w, case);
+            assert_cvse_plan_unchanged(w, case);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The same equality over generated shapes and densities.
+        #[test]
+        fn baseline_summaries_price_like_their_containers_generated(
+            rows in 1usize..100,
+            cols in proptest::sample::select(vec![1usize, 8, 63, 64, 65, 80, 128, 130]),
+            density in proptest::sample::select(vec![0.0, 0.002, 0.05, 0.3, 0.9, 1.0]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let w = structured(rows, cols, density, false, seed);
+            let case = format!("{rows}x{cols} at {density}");
+            assert_summary_prices(&w, &case);
+            assert_cvse_plan_unchanged(&w, &case);
+        }
     }
 
     #[test]

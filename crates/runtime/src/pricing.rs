@@ -9,15 +9,22 @@
 //! `mma` over every stored block, padding included — the format's honest
 //! cost).
 //!
-//! No function here builds an executor: each reads what its model reads
-//! (a shape, a nonzero count, a compressed container), so `plan_auto`
-//! prices every candidate and builds only the winner.
+//! No function here builds an executor or a container: each reads what
+//! its model reads — a shape, a V:N:M weight's stored nonzeros, or, for
+//! the CSR, CVSE and Blocked-ELL models, a few popcounts of the weight's
+//! packed nonzero mask ([`SparsityMask::row_nnz`],
+//! [`SparsityMask::union_nnz`], [`SparsityMask::union_blocks`]) — so
+//! `plan_auto` prices every candidate and builds only the winner. The
+//! container-taking `*_counts` / `price_*` functions read the same
+//! numbers off a built container and call the same formulas.
 
 use crate::descriptor::DType;
 use crate::matmul::PlanError;
 use venom_baselines::{ClaspSpmm, DenseGemm, SparseLtSpmm, SputnikSpmm};
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, VnmMatrix};
+use venom_format::{
+    load_imbalance, BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, SparsityMask, VnmMatrix,
+};
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig, KernelTiming};
 use venom_tensor::GemmShape;
@@ -55,6 +62,69 @@ pub fn csr_counts(a: &CsrMatrix, b_cols: usize) -> KernelCounts {
 /// Counts of the CLASP-model launch for a CVSE weight.
 pub fn cvse_counts(a: &CvseMatrix, b_cols: usize) -> KernelCounts {
     ClaspSpmm::counts(a, b_cols)
+}
+
+/// A CSR, CVSE or Blocked-ELL encoding of a weight, priced from its
+/// nonzero mask and built only when it wins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Baseline {
+    /// CSR on the Sputnik model.
+    Csr,
+    /// CVSE with this vector length on the CLASP model.
+    Cvse(usize),
+    /// Blocked-ELL with this block size (dividing both dimensions).
+    BlockedEll(usize),
+}
+
+impl Baseline {
+    /// The counts of this encoding's model for the weight whose stored
+    /// nonzeros `mask` marks, equal to the counts of the built container.
+    /// They come from the mask's words: row popcounts (CSR `nnz` and its
+    /// busiest row), popcounts of the OR of each `l`-row band (CVSE kept
+    /// vectors per band), and the populated `bs`-column blocks of the OR
+    /// of each block row (Blocked-ELL `ell_width`).
+    pub(crate) fn counts(self, mask: &SparsityMask, b_cols: usize) -> KernelCounts {
+        let (r, k) = (mask.rows(), mask.cols());
+        match self {
+            Baseline::Csr => {
+                let per_row: Vec<usize> = (0..r).map(|row| mask.row_nnz(row)).collect();
+                let (nnz, max) = sum_max(&per_row);
+                SputnikSpmm::counts_from(r, k, nnz, load_imbalance(max, nnz, r), b_cols)
+            }
+            Baseline::Cvse(l) => {
+                let per_band: Vec<usize> = (0..r)
+                    .step_by(l)
+                    .map(|r0| mask.union_nnz(r0..(r0 + l).min(r)))
+                    .collect();
+                let ((vectors, max), bands) = (sum_max(&per_band), per_band.len());
+                let imbalance = load_imbalance(max, vectors, bands);
+                ClaspSpmm::counts_from(r, k, l, bands, vectors, imbalance, b_cols)
+            }
+            Baseline::BlockedEll(bs) => {
+                let width = (0..r)
+                    .step_by(bs)
+                    .map(|r0| mask.union_blocks(r0..r0 + bs, bs))
+                    .max()
+                    .unwrap_or(0);
+                blocked_ell_counts_from(r, k, bs, width, b_cols)
+            }
+        }
+    }
+
+    /// Prices this encoding of the weight `mask` marks on `dev`.
+    pub(crate) fn price(self, mask: &SparsityMask, b_cols: usize, dev: &DeviceConfig) -> Priced {
+        let counts = self.counts(mask, b_cols);
+        let timing = simulate(dev, &counts).expect("small fixed blocks always fit");
+        (timing, counts)
+    }
+}
+
+/// The sum and the maximum of per-worker counts.
+fn sum_max(counts: &[usize]) -> (usize, usize) {
+    (
+        counts.iter().sum(),
+        counts.iter().copied().max().unwrap_or(0),
+    )
 }
 
 /// The priced Spatha launch of a V:N:M weight: the template
@@ -168,6 +238,13 @@ pub fn price_cvse(a: &CvseMatrix, b_cols: usize, dev: &DeviceConfig) -> KernelTi
 
 /// Builds the kernel counts of the Blocked-ELL model from the actual
 /// stored structure.
+pub fn blocked_ell_counts(a: &BlockedEllMatrix, b_cols: usize) -> KernelCounts {
+    let (r, k) = a.shape();
+    blocked_ell_counts_from(r, k, a.block_size(), a.ell_width(), b_cols)
+}
+
+/// The counts of the Blocked-ELL model for an `r x k` weight stored in
+/// `bs x bs` blocks, `ell_width` of them per block row.
 ///
 /// One thread block covers one block row x [`ELL_COLS_PER_BLOCK`] output
 /// columns and iterates the row's `ell_width` stored blocks. Every
@@ -176,11 +253,15 @@ pub fn price_cvse(a: &CvseMatrix, b_cols: usize, dev: &DeviceConfig) -> KernelTi
 /// count does not shrink with small blocks), its value bytes, and the
 /// gather of its `bs` B rows. That is exactly the regular-layout waste
 /// that makes the format lose at skewed DL sparsity.
-pub fn blocked_ell_counts(a: &BlockedEllMatrix, b_cols: usize) -> KernelCounts {
-    let (r, k) = a.shape();
-    let bs = a.block_size();
+fn blocked_ell_counts_from(
+    r: usize,
+    k: usize,
+    bs: usize,
+    ell_width: usize,
+    b_cols: usize,
+) -> KernelCounts {
     let brs = (r / bs).max(1);
-    let width = a.ell_width().max(1);
+    let width = ell_width.max(1);
     let grid = (brs * b_cols.div_ceil(ELL_COLS_PER_BLOCK)) as u64;
     // Per stored block: bs/16 fragment rows x 64/8 fragment cols x bs/16
     // K steps of dense mma (ceil: partial fragments cost full issues).
