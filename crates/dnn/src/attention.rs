@@ -5,17 +5,19 @@
 //! a projection can be dense, V:N:M, or any other planned format, and
 //! one attention layer can mix them. The attention matmuls (`Q K^T` and
 //! `P V`) stay dense, and softmax sits between them, exactly as in the
-//! figure. The planned forward stages the activations once and runs the
-//! Q/K/V plans over the shared staged operand; the per-call path
-//! ([`ExecPath::PerCall`]) re-stages per projection — both paths share
-//! one body and are bit-identical.
+//! figure. One body ([`MultiHeadAttention::forward_via`], with an
+//! optional mask) serves both execution paths: the planned path stages
+//! the activations once and runs the Q/K/V plans over the shared staged
+//! operand, the per-call path ([`ExecPath::PerCall`]) re-stages per
+//! projection, and the two are bit-identical. [`SparseAttention`] runs
+//! the same planned Q/K/V projections around its [`AttentionPlan`].
 //!
 //! [`MatmulPlan`]: venom_runtime::MatmulPlan
 
 use crate::layers::{softmax_rows, ExecPath, Linear, PlanStrategy, PlannedLinear};
 use std::sync::Arc;
 use venom_format::VnmConfig;
-use venom_runtime::{stage, AttentionMask, AttentionPlan, Engine, PlanCache, PlanError};
+use venom_runtime::{stage, AttentionMask, AttentionPlan, Engine, PlanError};
 use venom_tensor::{gemm, Matrix};
 
 /// Multi-head self-attention over a single sequence.
@@ -83,41 +85,6 @@ impl MultiHeadAttention {
         cfg: VnmConfig,
         strategy: PlanStrategy,
     ) -> Result<(), PlanError> {
-        self.sparsify_inner(cfg, |lin, mask| {
-            lin.to_sparse_with(engine, mask, cfg, strategy)
-        })
-    }
-
-    /// [`Self::sparsify_with`] resolving every projection's plan through
-    /// a shared [`PlanCache`] — projections already planned under the
-    /// same strategy (by any thread or replica stack) reuse the cached
-    /// plan instead of re-compressing and re-tuning.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve a pruned
-    /// projection.
-    pub fn sparsify_cached(
-        &mut self,
-        engine: &Engine,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<(), PlanError> {
-        self.sparsify_inner(cfg, |lin, mask| {
-            lin.to_sparse_cached(engine, mask, cfg, strategy, cache)
-        })
-    }
-
-    /// The shared sparsify body: prune each still-dense projection and
-    /// plan it through `plan_one`.
-    fn sparsify_inner(
-        &mut self,
-        cfg: VnmConfig,
-        mut plan_one: impl FnMut(
-            &Linear,
-            &venom_format::SparsityMask,
-        ) -> Result<PlannedLinear, PlanError>,
-    ) -> Result<(), PlanError> {
         for proj in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
             if proj.format() != venom_format::MatmulFormat::Dense {
                 continue;
@@ -125,7 +92,7 @@ impl MultiHeadAttention {
             let w = proj.plan.weight_dense();
             let lin = Linear::from_half(&w, proj.bias.clone());
             let mask = venom_pruner::magnitude::prune_vnm(&w.to_f32(), cfg);
-            *proj = plan_one(&lin, &mask)?;
+            *proj = lin.to_sparse_with(engine, &mask, cfg, strategy)?;
         }
         Ok(())
     }
@@ -135,50 +102,20 @@ impl MultiHeadAttention {
     /// # Panics
     /// Panics on feature mismatch.
     pub fn forward(&self, x: &Matrix<f32>) -> Matrix<f32> {
-        self.forward_inner(x, None, ExecPath::Planned)
-    }
-
-    /// Causal (decoder) self-attention: position `i` attends only to
-    /// positions `<= i` — the GPT-style masking of the paper's GPT-2/GPT-3
-    /// case-study models. Routed through [`AttentionMask::Causal`]: the
-    /// triangular predicate is applied per row range, never materialized
-    /// as an `O(seq²)` mask matrix.
-    ///
-    /// # Panics
-    /// Panics on feature mismatch.
-    pub fn forward_causal(&self, x: &Matrix<f32>) -> Matrix<f32> {
-        self.forward_inner(x, Some(&AttentionMask::Causal), ExecPath::Planned)
+        self.forward_via(ExecPath::Planned, x, None)
     }
 
     /// Masked self-attention under any [`AttentionMask`] — the dense
     /// reference the planned [`SparseAttention`] pipeline is
-    /// bit-identical to.
+    /// bit-identical to. [`AttentionMask::Causal`] gives GPT-style
+    /// decoder attention (position `i` attends only to positions
+    /// `<= i`); every mask applies per row range, never materialized as
+    /// an `O(seq²)` mask matrix.
     ///
     /// # Panics
     /// Panics on feature mismatch.
     pub fn forward_masked(&self, x: &Matrix<f32>, mask: &AttentionMask) -> Matrix<f32> {
-        self.forward_inner(x, Some(mask), ExecPath::Planned)
-    }
-
-    /// [`Self::forward_masked`] through the chosen execution path.
-    ///
-    /// # Panics
-    /// Panics on feature mismatch.
-    pub fn forward_masked_via(
-        &self,
-        path: ExecPath,
-        x: &Matrix<f32>,
-        mask: &AttentionMask,
-    ) -> Matrix<f32> {
-        self.forward_inner(x, Some(mask), path)
-    }
-
-    /// Forward through the chosen execution path (bidirectional).
-    ///
-    /// # Panics
-    /// Panics on feature mismatch.
-    pub fn forward_via(&self, path: ExecPath, x: &Matrix<f32>) -> Matrix<f32> {
-        self.forward_inner(x, None, path)
+        self.forward_via(ExecPath::Planned, x, Some(mask))
     }
 
     /// The retained per-call path: every projection converts, transposes
@@ -189,17 +126,32 @@ impl MultiHeadAttention {
     /// # Panics
     /// Panics on feature mismatch.
     pub fn forward_percall(&self, x: &Matrix<f32>) -> Matrix<f32> {
-        self.forward_inner(x, None, ExecPath::PerCall)
+        self.forward_via(ExecPath::PerCall, x, None)
     }
 
-    /// The single forward body both execution paths share.
-    fn forward_inner(
+    /// The single forward body both execution paths share:
+    /// bidirectional when `mask` is `None`, masked otherwise.
+    ///
+    /// # Panics
+    /// Panics on feature mismatch.
+    pub fn forward_via(
         &self,
+        path: ExecPath,
         x: &Matrix<f32>,
         mask: Option<&AttentionMask>,
-        path: ExecPath,
     ) -> Matrix<f32> {
-        let (q, k, v) = match path {
+        let (q, k, v) = self.project_qkv(path, x);
+        let ctx = self.attention_core(x, &q, &k, &v, mask);
+        self.wo.forward_via(path, &ctx)
+    }
+
+    /// The three input projections of `x` through the chosen path.
+    fn project_qkv(
+        &self,
+        path: ExecPath,
+        x: &Matrix<f32>,
+    ) -> (Matrix<f32>, Matrix<f32>, Matrix<f32>) {
+        match path {
             ExecPath::Planned => {
                 // One staging pass feeds all three input projections (they
                 // share the operand; per-plan staging would produce the
@@ -216,9 +168,7 @@ impl MultiHeadAttention {
                 self.wk.forward_percall(x),
                 self.wv.forward_percall(x),
             ),
-        };
-        let ctx = self.attention_core(x, &q, &k, &v, mask);
-        self.wo.forward_via(path, &ctx)
+        }
     }
 
     /// The attention matmuls between the projections: per-head
@@ -314,33 +264,8 @@ impl SparseAttention {
     /// # Panics
     /// Panics when `x` disagrees with the planned `(seq, hidden)`.
     pub fn forward(&self, x: &Matrix<f32>) -> Matrix<f32> {
-        self.forward_via(ExecPath::Planned, x)
-    }
-
-    /// [`Self::forward`] with the projections on the chosen execution
-    /// path; the attention pipeline itself always replays the plan.
-    ///
-    /// # Panics
-    /// Panics when `x` disagrees with the planned `(seq, hidden)`.
-    pub fn forward_via(&self, path: ExecPath, x: &Matrix<f32>) -> Matrix<f32> {
-        let mha = &self.mha;
-        let (q, k, v) = match path {
-            ExecPath::Planned => {
-                let staged = stage::stage_activations_t(x);
-                (
-                    mha.wq.forward_staged(&staged, x.rows()),
-                    mha.wk.forward_staged(&staged, x.rows()),
-                    mha.wv.forward_staged(&staged, x.rows()),
-                )
-            }
-            ExecPath::PerCall => (
-                mha.wq.forward_percall(x),
-                mha.wk.forward_percall(x),
-                mha.wv.forward_percall(x),
-            ),
-        };
-        let ctx = self.plan.attention(&q, &k, &v);
-        mha.wo.forward_via(path, &ctx)
+        let (q, k, v) = self.mha.project_qkv(ExecPath::Planned, x);
+        self.mha.wo.forward(&self.plan.attention(&q, &k, &v))
     }
 
     /// The unplanned per-call baseline: per-call projections and the
@@ -352,7 +277,7 @@ impl SparseAttention {
     /// Panics on feature mismatch.
     pub fn forward_percall(&self, x: &Matrix<f32>) -> Matrix<f32> {
         self.mha
-            .forward_masked_via(ExecPath::PerCall, x, &self.plan.mask())
+            .forward_via(ExecPath::PerCall, x, Some(&self.plan.mask()))
     }
 }
 
@@ -472,11 +397,11 @@ mod tests {
         // changing later rows must not affect it.
         let mha = MultiHeadAttention::dense(32, 2, 9);
         let mut x = random::activation_matrix(8, 32, 10);
-        let y1 = mha.forward_causal(&x);
+        let y1 = mha.forward_masked(&x, &AttentionMask::Causal);
         for c in 0..32 {
             x.set(5, c, x.get(5, c) + 7.0);
         }
-        let y2 = mha.forward_causal(&x);
+        let y2 = mha.forward_masked(&x, &AttentionMask::Causal);
         for c in 0..32 {
             assert!(
                 (y1.get(0, c) - y2.get(0, c)).abs() < 1e-5,
@@ -576,23 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_causal_routes_through_the_causal_mask() {
-        // The satellite refactor: forward_causal is now
-        // forward_masked(Causal); both must produce identical bits.
-        let mha = MultiHeadAttention::dense(32, 2, 45);
-        let x = random::activation_matrix(9, 32, 46);
-        assert_eq!(
-            mha.forward_causal(&x),
-            mha.forward_masked(&x, &AttentionMask::Causal)
-        );
-    }
-
-    #[test]
     fn causal_differs_from_bidirectional() {
         let mha = MultiHeadAttention::dense(32, 4, 11);
         let x = random::activation_matrix(8, 32, 12);
         let bi = mha.forward(&x);
-        let causal = mha.forward_causal(&x);
+        let causal = mha.forward_masked(&x, &AttentionMask::Causal);
         assert_ne!(bi, causal);
         // Probabilities still normalise: outputs stay finite.
         assert!(causal.as_slice().iter().all(|v| v.is_finite()));

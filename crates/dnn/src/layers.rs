@@ -18,9 +18,7 @@
 use std::sync::Arc;
 use venom_format::{MatmulFormat, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
-use venom_runtime::{
-    Calibration, DType, Engine, Epilogue, MatmulPlan, Plan, PlanCache, PlanError, PlanKey,
-};
+use venom_runtime::{Calibration, DType, Engine, Epilogue, MatmulPlan, Plan, PlanError};
 use venom_tensor::Matrix;
 
 /// Which of a layer's two bit-identical execution paths to take.
@@ -50,7 +48,10 @@ pub enum PlanStrategy {
     Format(MatmulFormat),
     /// Compress to V:N:M and quantize to the calibrated int8 container:
     /// the i32-accumulating plan with the dequantization scale folded
-    /// into the epilogue (the [`crate::QuantizedLinear`] path).
+    /// into the epilogue. Weights quantize once at plan build
+    /// (per-output-channel symmetric scales); activations quantize per
+    /// call at the matmul boundary, the same way on the planned and
+    /// per-call paths.
     Quantized(Calibration),
     /// Automatic selection with int8 allowed: every f16 format competes
     /// with the quantized V:N:M candidate on the same cost currency, per
@@ -154,7 +155,8 @@ impl Linear {
     }
 
     /// Prunes with `mask` and plans the pruned weight per `strategy` —
-    /// fixed V:N:M, automatic format selection, or a forced format.
+    /// fixed V:N:M, automatic format selection, a forced format, or the
+    /// calibrated int8 container.
     ///
     /// # Errors
     /// Returns [`PlanError`] when a forced format cannot serve the
@@ -162,7 +164,8 @@ impl Linear {
     ///
     /// # Panics
     /// Panics if the mask shape mismatches, or (for
-    /// [`PlanStrategy::Vnm`]) violates `cfg`.
+    /// [`PlanStrategy::Vnm`] and [`PlanStrategy::Quantized`], which both
+    /// compress through [`VnmMatrix::compress`]) violates `cfg`.
     pub fn to_sparse_with(
         &self,
         engine: &Engine,
@@ -171,126 +174,33 @@ impl Linear {
         strategy: PlanStrategy,
     ) -> Result<PlannedLinear, PlanError> {
         let pruned = mask.apply_half(self.weight());
-        Ok(PlannedLinear {
-            plan: Self::plan_pruned(engine, &pruned, mask, cfg, strategy)?,
-            bias: self.bias.clone(),
-        })
-    }
-
-    /// [`Self::to_sparse_with`] resolved through a shared [`PlanCache`]:
-    /// a weight already planned under the same strategy (by any thread,
-    /// in any stack) reuses the cached plan instead of re-pruning,
-    /// re-compressing and re-tuning — the path serving stacks take so
-    /// identical models cost one planning pass, not one per replica.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve the
-    /// pruned weight's structure (failed builds are not cached).
-    pub fn to_sparse_cached(
-        &self,
-        engine: &Engine,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.weight());
-        let key = PlanKey::for_weight(Self::cache_descriptor(engine, &pruned, strategy), &pruned)
-            .with_salt(strategy_salt(strategy, cfg));
-        let plan = cache.try_get_or_plan(key, || {
-            Self::plan_pruned(engine, &pruned, mask, cfg, strategy)
-        })?;
+        let desc = engine
+            .descriptor(pruned.rows(), pruned.cols())
+            .with_epilogue(Epilogue::Bias);
+        let plan: Arc<dyn MatmulPlan> = match strategy {
+            PlanStrategy::Vnm => {
+                Arc::new(engine.plan_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
+            }
+            // The prune pattern is known here — seed the V:N:M candidate
+            // with it so patterns outside the engine's re-detection grid
+            // still compete.
+            PlanStrategy::Auto => engine.plan_auto_hinted(&desc, &pruned, Some(cfg)),
+            PlanStrategy::Band => engine.plan_band_hinted(&desc, &pruned, Some(cfg))?,
+            PlanStrategy::Format(f) => engine.plan_with_format(f, &desc, &pruned)?,
+            PlanStrategy::Quantized(calib) => {
+                let e = engine.clone().with_calibration(calib);
+                Arc::new(e.plan_quant_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
+            }
+            PlanStrategy::AutoQuantized(calib) => engine
+                .clone()
+                .with_calibration(calib)
+                .plan_auto_hinted(&desc.with_dtype(DType::I8), &pruned, Some(cfg)),
+        };
         Ok(PlannedLinear {
             plan,
             bias: self.bias.clone(),
         })
     }
-
-    /// The canonical descriptor a layer's plan is cached under: the
-    /// pruned weight's shape with the bias epilogue, in the dtype the
-    /// strategy executes in. Strategy details beyond the dtype (format
-    /// pin, calibration, prune pattern) are disambiguated by the cache
-    /// key's salt, not the descriptor.
-    fn cache_descriptor(
-        engine: &Engine,
-        pruned: &Matrix<Half>,
-        strategy: PlanStrategy,
-    ) -> venom_runtime::MatmulDescriptor {
-        let desc = engine
-            .descriptor(pruned.rows(), pruned.cols())
-            .with_epilogue(Epilogue::Bias);
-        match strategy {
-            PlanStrategy::Quantized(_) | PlanStrategy::AutoQuantized(_) => {
-                desc.with_dtype(DType::I8)
-            }
-            _ => desc,
-        }
-    }
-
-    /// Plans an already-pruned weight per `strategy` — the shared body
-    /// of the direct and cache-resolved sparsify paths.
-    fn plan_pruned(
-        engine: &Engine,
-        pruned: &Matrix<Half>,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        let plan: Arc<dyn MatmulPlan> = match strategy {
-            PlanStrategy::Vnm => {
-                Arc::new(engine.plan_spmm(&VnmMatrix::compress(pruned, mask, cfg)))
-            }
-            PlanStrategy::Auto => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
-                // The prune pattern is known here — seed the V:N:M
-                // candidate with it so patterns outside the engine's
-                // re-detection grid still compete.
-                engine.plan_auto_hinted(&desc, pruned, Some(cfg))
-            }
-            PlanStrategy::Band => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
-                engine.plan_band_hinted(&desc, pruned, Some(cfg))?
-            }
-            PlanStrategy::Format(f) => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
-                engine.plan_with_format(f, &desc, pruned)?
-            }
-            PlanStrategy::Quantized(calib) => {
-                let e = engine.clone().with_calibration(calib);
-                Arc::new(e.plan_quant_spmm(&VnmMatrix::compress(pruned, mask, cfg)))
-            }
-            PlanStrategy::AutoQuantized(calib) => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias)
-                    .with_dtype(DType::I8);
-                engine
-                    .clone()
-                    .with_calibration(calib)
-                    .plan_auto_hinted(&desc, pruned, Some(cfg))
-            }
-        };
-        Ok(plan)
-    }
-}
-
-/// The cache-key salt disambiguating *how* a weight is planned: the
-/// strategy discriminant (including its calibration) and the prune
-/// pattern, FNV-1a-folded — so the same weight planned as, say, forced
-/// CSR and auto never alias one cache line.
-fn strategy_salt(strategy: PlanStrategy, cfg: VnmConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{strategy:?}/{cfg}").bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A linear layer over a format-erased execution plan — the layer type
@@ -315,56 +225,6 @@ impl PlannedLinear {
             "bias must match out_features"
         );
         PlannedLinear { plan, bias }
-    }
-
-    /// Plans a compressed V:N:M weight on `engine` (the Spatha path).
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != weight.rows()`.
-    pub fn vnm(engine: &Engine, weight: VnmMatrix, bias: Vec<f32>) -> Self {
-        Self::new(Arc::new(engine.plan_spmm(&weight)), bias)
-    }
-
-    /// Plans dense half weights priced on `engine`'s device.
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != weight.rows()`.
-    pub fn dense(engine: &Engine, weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
-        Self::new(Arc::new(engine.plan_gemm(weight)), bias)
-    }
-
-    /// Plans `weight` in the cost-model-cheapest eligible format.
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != weight.rows()`.
-    pub fn auto(engine: &Engine, weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
-        let desc = engine
-            .descriptor(weight.rows(), weight.cols())
-            .with_epilogue(Epilogue::Bias);
-        Self::new(engine.plan_auto(&desc, weight), bias)
-    }
-
-    /// Plans `weight` in a forced storage format.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when the weight's structure cannot serve
-    /// `format`.
-    ///
-    /// # Panics
-    /// Panics if `bias.len() != weight.rows()`.
-    pub fn with_format(
-        engine: &Engine,
-        format: MatmulFormat,
-        weight: &Matrix<Half>,
-        bias: Vec<f32>,
-    ) -> Result<Self, PlanError> {
-        let desc = engine
-            .descriptor(weight.rows(), weight.cols())
-            .with_epilogue(Epilogue::Bias);
-        Ok(Self::new(
-            engine.plan_with_format(format, &desc, weight)?,
-            bias,
-        ))
     }
 
     /// The storage format the plan executes.
@@ -584,6 +444,27 @@ mod tests {
                 planned.format()
             );
         }
+    }
+
+    #[test]
+    fn quantized_forward_tracks_the_f16_layer() {
+        let cfg = VnmConfig::new(32, 2, 8);
+        let lin = Linear::glorot(64, 64, 3);
+        let mask = magnitude::prune_vnm(&lin.weight().to_f32(), cfg);
+        let q = lin
+            .to_sparse_with(
+                &engine(),
+                &mask,
+                cfg,
+                PlanStrategy::Quantized(Calibration::AbsMax),
+            )
+            .unwrap();
+        let f16 = lin.to_sparse(&engine(), &mask, cfg);
+        let x = random::activation_matrix(16, 64, 4);
+        let rel = venom_tensor::norms::rel_frobenius_error(&q.forward(&x), &f16.forward(&x));
+        assert!(rel < 0.05, "relative error {rel}");
+        assert_eq!(q.plan.descriptor().dtype, DType::I8);
+        assert_eq!(q.shape(), (64, 64));
     }
 
     #[test]

@@ -9,16 +9,12 @@
 //!   LayerNorm, GELU, row-softmax, with functional forward passes in
 //!   tensor-core numerics. Layers hold `venom_runtime` execution plans
 //!   behind the `MatmulPlan` trait (built once, replayed per request), so
-//!   one model mixes storage formats per weight; the per-call dispatch
+//!   one model mixes storage formats per weight — int8 included, through
+//!   [`layers::PlanStrategy::Quantized`] /
+//!   [`layers::PlanStrategy::AutoQuantized`]; the per-call dispatch
 //!   survives as the bit-identical `forward_percall` baseline the serving
 //!   benchmarks compare against — expressed through the same trait, not a
 //!   hand-written twin.
-//! * [`quantized`] — the int8 layer path: [`quantized::QuantizedLinear`]
-//!   over the calibrated i32-accumulating plan, activations quantized
-//!   per call at the boundary and the dequant scale folded into the
-//!   epilogue ([`layers::PlanStrategy::Quantized`] /
-//!   [`layers::PlanStrategy::AutoQuantized`] select it during
-//!   sparsification).
 //! * [`attention`] — multi-head attention (the pruned MHA of Fig. 14),
 //!   including the planned masked pipeline
 //!   ([`attention::SparseAttention`] over a `venom_runtime`
@@ -37,7 +33,6 @@ pub mod attention;
 pub mod layers;
 pub mod model;
 pub mod profile;
-pub mod quantized;
 pub mod sten;
 pub mod train;
 pub mod transformer;
@@ -46,5 +41,4 @@ pub use attention::{MultiHeadAttention, SparseAttention};
 pub use layers::{ExecPath, Linear, PlanStrategy, PlannedLinear};
 pub use model::{SparseTransformerEncoder, TransformerEncoder};
 pub use profile::{profile_model, LatencyBreakdown, WeightSparsity};
-pub use quantized::QuantizedLinear;
 pub use transformer::TransformerConfig;

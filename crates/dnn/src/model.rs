@@ -8,7 +8,10 @@
 //! generalises the conversion over the unified plan surface: with
 //! [`PlanStrategy::Auto`] every weight lands in the
 //! cost-model-cheapest storage format, so one stack mixes formats per
-//! layer. The sparse stack also serves batched multi-sequence requests:
+//! layer. This is the stack's one sparsify path; a replica of a planned
+//! stack is a `clone` (the plans are shared `Arc`s), and plan caching
+//! across weights lives in `venom_runtime::serve` alone. The sparse
+//! stack also serves batched multi-sequence requests:
 //! [`SparseTransformerEncoder::forward_batch`] runs every sequence
 //! through the same plans.
 
@@ -17,7 +20,7 @@ use crate::layers::{ExecPath, LayerNorm, PlanStrategy};
 use crate::transformer::{EncoderBlock, SparseEncoderBlock, TransformerConfig};
 use std::sync::Arc;
 use venom_format::{MatmulFormat, VnmConfig};
-use venom_runtime::{AttentionMask, Engine, PlanCache, PlanError};
+use venom_runtime::{AttentionMask, Engine, PlanError};
 use venom_tensor::Matrix;
 
 /// A dense encoder stack.
@@ -93,34 +96,6 @@ impl TransformerEncoder {
                 .blocks
                 .iter()
                 .map(|b| SparseEncoderBlock::from_dense_with(engine, b, pattern, strategy))
-                .collect::<Result<_, _>>()?,
-            ln_final: self.ln_final.clone(),
-            pattern,
-        })
-    }
-
-    /// [`Self::sparsify_with`] resolving every layer plan through a
-    /// shared [`PlanCache`] — the serving path. Sparsifying the same
-    /// stack twice (two replicas, a restart against a warm cache) builds
-    /// each weight's plan exactly once; the second pass is pure cache
-    /// hits.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve one of
-    /// the pruned weights.
-    pub fn sparsify_cached(
-        &self,
-        engine: &Engine,
-        pattern: VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<SparseTransformerEncoder, PlanError> {
-        Ok(SparseTransformerEncoder {
-            config: self.config,
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| SparseEncoderBlock::from_dense_cached(engine, b, pattern, strategy, cache))
                 .collect::<Result<_, _>>()?,
             ln_final: self.ln_final.clone(),
             pattern,
@@ -300,39 +275,6 @@ mod tests {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 32.0;
             assert!(mean.abs() < 1e-4, "row {r} mean {mean}");
         }
-    }
-
-    #[test]
-    fn cached_sparsify_plans_each_weight_exactly_once() {
-        let cache = PlanCache::new();
-        let eng = engine();
-        let cfg = VnmConfig::new(16, 2, 8);
-        let model = TransformerEncoder::new(mini(), 9);
-        let s1 = model
-            .sparsify_cached(&eng, cfg, PlanStrategy::Vnm, &cache)
-            .unwrap();
-        // Two layers x six weight tensors, each planned exactly once.
-        assert_eq!(cache.stats().builds, 12, "{:?}", cache.stats());
-        // A second identical replica resolves every plan from the cache:
-        // zero new builds, and the two stacks literally share plan Arcs.
-        let s2 = model
-            .sparsify_cached(&eng, cfg, PlanStrategy::Vnm, &cache)
-            .unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.builds, 12, "replica must not re-plan: {stats:?}");
-        assert_eq!(stats.resident_plans, 12);
-        let x = random::activation_matrix(16, 32, 1);
-        assert_eq!(s1.forward(&x), s2.forward(&x));
-        // Cache resolution must not change what gets planned: the
-        // uncached path produces bit-identical outputs.
-        let s3 = model.sparsify_with(&eng, cfg, PlanStrategy::Vnm).unwrap();
-        assert_eq!(s1.forward(&x), s3.forward(&x));
-        // A different strategy on the same weights is a different cache
-        // line, not a collision.
-        let _auto = model
-            .sparsify_cached(&eng, cfg, PlanStrategy::Auto, &cache)
-            .unwrap();
-        assert_eq!(cache.stats().builds, 24);
     }
 
     #[test]

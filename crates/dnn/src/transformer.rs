@@ -14,7 +14,7 @@
 
 use crate::attention::{MultiHeadAttention, SparseAttention};
 use crate::layers::{gelu, ExecPath, LayerNorm, Linear, PlanStrategy, PlannedLinear};
-use venom_runtime::{AttentionMask, Engine, PlanCache, PlanError};
+use venom_runtime::{Engine, PlanError};
 use venom_tensor::Matrix;
 
 /// Architecture hyperparameters of a transformer.
@@ -147,8 +147,8 @@ pub struct SparseEncoderBlock {
     /// Self-attention with planned projections.
     pub mha: MultiHeadAttention,
     /// Planned masked attention adopted via
-    /// [`Self::adopt_planned_attention`]; `None` keeps the dense
-    /// bidirectional attention core.
+    /// [`crate::SparseTransformerEncoder::adopt_planned_attention`];
+    /// `None` keeps the dense bidirectional attention core.
     pub planned_attn: Option<SparseAttention>,
     /// First planned feed-forward linear.
     pub ff1: PlannedLinear,
@@ -203,62 +203,6 @@ impl SparseEncoderBlock {
         })
     }
 
-    /// [`Self::from_dense_with`] with every plan resolved through a
-    /// shared [`PlanCache`]: a block whose weights are already cached
-    /// (an identical replica stack, a re-deployment of the same model)
-    /// plans nothing and simply re-arcs the cached plans.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve a pruned
-    /// weight.
-    pub fn from_dense_cached(
-        engine: &Engine,
-        block: &EncoderBlock,
-        cfg: venom_format::VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<Self, PlanError> {
-        let mut mha = block.mha.clone();
-        mha.sparsify_cached(engine, cfg, strategy, cache)?;
-        let sparsify = |lin: &Linear| -> Result<PlannedLinear, PlanError> {
-            let wf = lin.weight().to_f32();
-            let mask = venom_pruner::magnitude::prune_vnm(&wf, cfg);
-            lin.to_sparse_cached(engine, &mask, cfg, strategy, cache)
-        };
-        Ok(SparseEncoderBlock {
-            mha,
-            planned_attn: None,
-            ff1: sparsify(&block.ff1)?,
-            ff2: sparsify(&block.ff2)?,
-            ln1: block.ln1.clone(),
-            ln2: block.ln2.clone(),
-        })
-    }
-
-    /// Adopts a planned masked-attention pipeline for this block: the
-    /// attention core switches from the dense bidirectional chain to the
-    /// [`SparseAttention`] plan for `(seq, mask)` — the per-layer opt-in
-    /// the encoder stack's
-    /// [`crate::SparseTransformerEncoder::adopt_planned_attention`] applies
-    /// stack-wide. The projections keep their existing weight plans.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError::Unplannable`] from the plan build.
-    pub fn adopt_planned_attention(
-        &mut self,
-        engine: &Engine,
-        seq: usize,
-        mask: &AttentionMask,
-    ) -> Result<(), PlanError> {
-        self.planned_attn = Some(SparseAttention::from_mha(
-            self.mha.clone(),
-            engine,
-            seq,
-            mask,
-        )?);
-        Ok(())
-    }
-
     /// The six planned weight tensors of the block.
     pub fn plans(&self) -> [&PlannedLinear; 6] {
         [
@@ -285,7 +229,7 @@ impl SparseEncoderBlock {
                 ExecPath::Planned => attn.forward(&ln1),
                 ExecPath::PerCall => attn.forward_percall(&ln1),
             },
-            None => self.mha.forward_via(path, &ln1),
+            None => self.mha.forward_via(path, &ln1, None),
         };
         let mut h = x.clone();
         for (o, a) in h.as_mut_slice().iter_mut().zip(attn.as_slice()) {
