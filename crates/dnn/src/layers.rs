@@ -447,27 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_forward_tracks_the_f16_layer() {
-        let cfg = VnmConfig::new(32, 2, 8);
-        let lin = Linear::glorot(64, 64, 3);
-        let mask = magnitude::prune_vnm(&lin.weight().to_f32(), cfg);
-        let q = lin
-            .to_sparse_with(
-                &engine(),
-                &mask,
-                cfg,
-                PlanStrategy::Quantized(Calibration::AbsMax),
-            )
-            .unwrap();
-        let f16 = lin.to_sparse(&engine(), &mask, cfg);
-        let x = random::activation_matrix(16, 64, 4);
-        let rel = venom_tensor::norms::rel_frobenius_error(&q.forward(&x), &f16.forward(&x));
-        assert!(rel < 0.05, "relative error {rel}");
-        assert_eq!(q.plan.descriptor().dtype, DType::I8);
-        assert_eq!(q.shape(), (64, 64));
-    }
-
-    #[test]
     fn forced_format_error_names_the_reason() {
         let lin = Linear::glorot(32, 40, 9);
         let wf = lin.weight().to_f32();

@@ -33,6 +33,8 @@ pub mod attention;
 pub mod layers;
 pub mod model;
 pub mod profile;
+#[cfg(test)]
+mod quantized;
 pub mod sten;
 pub mod train;
 pub mod transformer;

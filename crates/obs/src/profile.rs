@@ -146,11 +146,18 @@ impl PhaseTimer {
 mod tests {
     use super::*;
 
-    // The store is process-global; tests reset it and only assert on
-    // their own kernel labels so parallel test threads cannot collide.
+    // The store is process-global; tests only assert on their own
+    // kernel labels, and hold this lock so one test's enable/disable
+    // cannot flip another's mid-body.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_timers_record_nothing() {
+        let _serial = serial();
         set_enabled(false);
         let t = PhaseTimer::start();
         t.stop("test_disabled_kernel", "stage", 128);
@@ -164,6 +171,7 @@ mod tests {
 
     #[test]
     fn enabled_timers_accumulate_per_phase() {
+        let _serial = serial();
         set_enabled(true);
         let t = PhaseTimer::start();
         t.stop("test_enabled_kernel", "stage", 100);

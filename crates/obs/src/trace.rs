@@ -168,12 +168,19 @@ pub fn drain_chrome_json() -> String {
 mod tests {
     use super::*;
 
-    // Tracing state is process-global; every test here leaves it
-    // disabled and drains its own events, so ordering between them (and
-    // other test binaries) cannot interfere.
+    // Tracing state is process-global: one test's `set_enabled(true)`
+    // would let another's "disabled" spans record, and its drain would
+    // shrink another's snapshot. Tests here hold this lock for their
+    // whole body and leave tracing disabled.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _serial = serial();
         set_enabled(false);
         let before = snapshot().len();
         {
@@ -185,6 +192,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_emit_loadable_chrome_json() {
+        let _serial = serial();
         set_enabled(true);
         {
             let _s = Span::begin("unit_test_span", "test", Some(42));
