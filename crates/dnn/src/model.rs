@@ -397,6 +397,40 @@ mod tests {
     }
 
     #[test]
+    fn census_reads_the_projections_the_forward_runs() {
+        let eng = engine();
+        let model = TransformerEncoder::new(mini(), 17);
+        let mut sparse = model.sparsify(&eng, VnmConfig::new(16, 2, 8));
+        sparse
+            .adopt_planned_attention(&eng, 16, &AttentionMask::Causal)
+            .expect("mini stack plans");
+        assert_eq!(sparse.format_census(), vec![(MatmulFormat::Vnm, 12)]);
+        // Re-plan one adopted projection dense: the census, the path
+        // census and the planned op time follow the plan `forward` runs.
+        let before_ms = sparse.planned_weight_op_ms();
+        let adopted = &mut sparse.blocks[0].planned_attn.as_mut().unwrap().mha;
+        let dense = eng.plan_gemm(&adopted.wq.plan.weight_dense());
+        adopted.wq.plan = Arc::new(dense);
+        let block = &sparse.blocks[0];
+        let runs = &block.planned_attn.as_ref().unwrap().mha.wq.plan;
+        assert!(Arc::ptr_eq(&block.plans()[0].plan, runs));
+        assert_eq!(
+            sparse.format_census(),
+            vec![(MatmulFormat::Dense, 1), (MatmulFormat::Vnm, 11)]
+        );
+        let paths = sparse.path_census(eng.device());
+        let total: usize = paths.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, 12, "{paths:?}");
+        assert!(
+            paths.iter().any(|(k, _)| k.starts_with("dense/")),
+            "{paths:?}"
+        );
+        assert_ne!(sparse.planned_weight_op_ms(), before_ms);
+        let x = random::activation_matrix(16, 32, 18);
+        assert_eq!(sparse.forward(&x), sparse.forward_percall(&x));
+    }
+
+    #[test]
     fn sparsify_records_the_pattern() {
         let model = TransformerEncoder::new(mini(), 5);
         let pattern = VnmConfig::new(16, 2, 8);

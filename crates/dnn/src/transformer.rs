@@ -203,16 +203,12 @@ impl SparseEncoderBlock {
         })
     }
 
-    /// The six planned weight tensors of the block.
+    /// The six planned weight tensors [`Self::forward`] runs: the
+    /// projections of the adopted attention when there is one, else
+    /// those of `mha`.
     pub fn plans(&self) -> [&PlannedLinear; 6] {
-        [
-            &self.mha.wq,
-            &self.mha.wk,
-            &self.mha.wv,
-            &self.mha.wo,
-            &self.ff1,
-            &self.ff2,
-        ]
+        let mha = self.planned_attn.as_ref().map_or(&self.mha, |a| &a.mha);
+        [&mha.wq, &mha.wk, &mha.wv, &mha.wo, &self.ff1, &self.ff2]
     }
 
     /// The shared forward body: the same dataflow as

@@ -15,7 +15,7 @@
 //! *condensed* matrix of selected columns (`R x (K/M)*4`), while column-loc
 //! drives the gather of rows from the dense operand B (Fig. 4).
 
-use crate::mask::ones_at;
+use crate::mask::{group_bits, ones_at};
 use crate::{SparsityMask, VnmConfig, SELECTED_COLUMNS};
 use venom_fp16::Half;
 use venom_tensor::Matrix;
@@ -39,87 +39,178 @@ pub struct VnmMatrix {
     column_loc: Vec<u16>,
 }
 
+/// The m-index of used column `c` (relative to its group) under the
+/// group's column-loc `sel`: the used columns below it. `sel` lists the
+/// used columns ascending, padded with the last one, so padding never
+/// counts.
+#[inline]
+fn rank(sel: &[u16], c: usize) -> u8 {
+    sel.iter().map(|&s| u8::from(usize::from(s) < c)).sum()
+}
+
+/// Why a weight cannot be compressed under a [`VnmConfig`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CompressError {
+    /// The dense matrix and the mask differ in shape.
+    ShapeMismatch {
+        /// `(rows, cols)` of the dense matrix.
+        dense: (usize, usize),
+        /// `(rows, cols)` of the mask.
+        mask: (usize, usize),
+    },
+    /// `cfg.m` exceeds the `u16` column-loc entries.
+    GroupTooWide(VnmConfig),
+    /// The mask violates the V:N:M pattern.
+    PatternViolation(VnmConfig),
+}
+
+impl core::fmt::Display for CompressError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            CompressError::ShapeMismatch { dense, mask } => write!(
+                f,
+                "shape mismatch: dense is {}x{}, mask is {}x{}",
+                dense.0, dense.1, mask.0, mask.1
+            ),
+            CompressError::GroupTooWide(cfg) => write!(
+                f,
+                "group width must fit u16 column-loc entries (pattern {cfg})"
+            ),
+            CompressError::PatternViolation(cfg) => write!(f, "mask violates the {cfg} pattern"),
+        }
+    }
+}
+
+impl std::error::Error for CompressError {}
+
 impl VnmMatrix {
     /// Compresses `dense` under `mask`, which must comply with `cfg`.
     ///
     /// # Panics
-    /// Panics if shapes mismatch, `cfg.m > 65535`, or the mask violates
-    /// the V:N:M pattern.
+    /// Panics where [`Self::try_compress`] errs: on a shape mismatch
+    /// (message `shape mismatch`), `cfg.m > 65535`, or a mask that
+    /// violates the V:N:M pattern (message `mask violates the <cfg>
+    /// pattern`).
     pub fn compress(dense: &Matrix<Half>, mask: &SparsityMask, cfg: VnmConfig) -> Self {
-        assert_eq!(
-            (dense.rows(), dense.cols()),
-            (mask.rows(), mask.cols()),
-            "shape mismatch"
-        );
-        assert!(
-            cfg.m <= u16::MAX as usize,
-            "group width must fit u16 column-loc entries"
-        );
-        assert!(mask.complies_vnm(cfg), "mask violates the {cfg} pattern");
+        Self::try_compress(dense, mask, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
 
-        let rows = dense.rows();
-        let cols = dense.cols();
+    /// Compresses `dense` under `mask` if the mask complies with `cfg`,
+    /// checking compliance once.
+    ///
+    /// Each row block is one pass over its mask words. Column-loc lists
+    /// the set bits of each group's range in the OR of the block's rows,
+    /// padded with the last one (0 when none). Each row then walks the set
+    /// bits of its own range: the value comes from `dense` (a kept entry
+    /// may be zero), and the m-index is the number of the block's used
+    /// columns below the bit. A group with fewer than `n` kept entries pads
+    /// with zero values carrying the last m-index (0 when none). For
+    /// `M <= 64` a group's bits are funnelled into one word first, and its
+    /// slots are written without branching on the bits.
+    ///
+    /// # Errors
+    /// [`CompressError::ShapeMismatch`] when `dense` and `mask` differ in
+    /// shape, [`CompressError::GroupTooWide`] when `cfg.m > 65535`, and
+    /// [`CompressError::PatternViolation`] exactly when
+    /// [`SparsityMask::complies_vnm`] is false.
+    pub fn try_compress(
+        dense: &Matrix<Half>,
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+    ) -> Result<Self, CompressError> {
+        let (rows, cols) = (dense.rows(), dense.cols());
+        if (rows, cols) != (mask.rows(), mask.cols()) {
+            return Err(CompressError::ShapeMismatch {
+                dense: (rows, cols),
+                mask: (mask.rows(), mask.cols()),
+            });
+        }
+        if cfg.m > u16::MAX as usize {
+            return Err(CompressError::GroupTooWide(cfg));
+        }
+        if !mask.complies_vnm(cfg) {
+            return Err(CompressError::PatternViolation(cfg));
+        }
+
+        let (n, m) = (cfg.n, cfg.m);
         let k_groups = cfg.k_groups(cols);
         let row_blocks = cfg.row_blocks(rows);
-
-        // Stage 1: column-loc — which 4 columns of each V x M block are live,
-        // read per group from the OR of the block's rows (computed once per
-        // row block).
+        let slots_per_row = k_groups * n;
+        let mut values = vec![Half::ZERO; rows * slots_per_row];
+        let mut m_indices = vec![0u8; rows * slots_per_row];
         let mut column_loc = vec![0u16; row_blocks * k_groups * SELECTED_COLUMNS];
+        let groups = |g: usize| (g * m, ((g + 1) * m).min(cols));
         let mut union = Vec::new();
         for (b, block_loc) in column_loc
             .chunks_exact_mut(k_groups * SELECTED_COLUMNS)
             .enumerate()
         {
-            mask.union_words(mask.block_rows(cfg, b), &mut union);
+            let block = mask.block_rows(cfg, b);
+            mask.union_words(block.clone(), &mut union);
             for (g, sel) in block_loc.chunks_exact_mut(SELECTED_COLUMNS).enumerate() {
-                let c0 = g * cfg.m;
+                let (c0, c1) = groups(g);
                 let mut used = 0;
-                for c in ones_at(&union, c0, (c0 + cfg.m).min(cols)) {
+                let mut put = |c: usize| {
                     debug_assert!(used < SELECTED_COLUMNS);
                     sel[used] = c as u16;
                     used += 1;
+                };
+                if m <= 64 {
+                    let mut bits = group_bits(&union, c0, c1);
+                    while bits != 0 {
+                        put(bits.trailing_zeros() as usize);
+                        bits &= bits - 1;
+                    }
+                } else {
+                    ones_at(&union, c0, c1).for_each(put);
                 }
-                // Pad with the last used column (0 when none is used).
                 let pad = if used > 0 { sel[used - 1] } else { 0 };
                 sel[used..].fill(pad);
             }
-        }
-
-        // Stage 2: values + m-indices per row, relative to the selection.
-        let n = cfg.n;
-        let mut values = Vec::with_capacity(rows * k_groups * n);
-        let mut m_indices = Vec::with_capacity(rows * k_groups * n);
-        for r in 0..rows {
-            let b = r / cfg.v;
-            for g in 0..k_groups {
-                let base = (b * k_groups + g) * SELECTED_COLUMNS;
-                let sel = &column_loc[base..base + SELECTED_COLUMNS];
-                let mut found = 0usize;
-                let mut last_idx = 0u8;
-                for (j, &rel) in sel.iter().enumerate() {
-                    // Skip padded duplicates so each live column is visited
-                    // exactly once.
-                    if sel[..j].contains(&rel) {
-                        continue;
+            let slots = block.start * slots_per_row..block.end * slots_per_row;
+            let rows_out = values[slots.clone()]
+                .chunks_exact_mut(slots_per_row)
+                .zip(m_indices[slots].chunks_exact_mut(slots_per_row));
+            for (r, (row_vals, row_idx)) in block.zip(rows_out) {
+                let (words, dense_row) = (mask.row_words(r), dense.row(r));
+                let groups_out = row_vals
+                    .chunks_exact_mut(n)
+                    .zip(row_idx.chunks_exact_mut(n))
+                    .enumerate();
+                for (g, (vals, idx)) in groups_out {
+                    let (c0, c1) = groups(g);
+                    let sel = &block_loc[g * SELECTED_COLUMNS..][..SELECTED_COLUMNS];
+                    if m <= 64 {
+                        // One slot per set bit of the row's range, in
+                        // order, then padding, with no branch on the data:
+                        // a spent `bits` reads column 0, drops the value
+                        // and keeps the last m-index.
+                        let mut bits = group_bits(words, c0, c1);
+                        let mut last = 0u8;
+                        for (v, j) in vals.iter_mut().zip(idx.iter_mut()) {
+                            let live = bits != 0;
+                            let c = (bits.trailing_zeros() % 64) as usize;
+                            last = if live { rank(sel, c) } else { last };
+                            *v = if live { dense_row[c0 + c] } else { Half::ZERO };
+                            *j = last;
+                            bits &= bits.wrapping_sub(1);
+                        }
+                        debug_assert_eq!(bits, 0, "nm compliance guarantees <= n nonzeros");
+                    } else {
+                        let mut found = 0usize;
+                        for c in ones_at(words, c0, c1) {
+                            vals[found] = dense_row[c0 + c];
+                            idx[found] = rank(sel, c);
+                            found += 1;
+                        }
+                        let last = if found > 0 { idx[found - 1] } else { 0 };
+                        idx[found..].fill(last);
                     }
-                    let c = g * cfg.m + rel as usize;
-                    if c < cols && mask.get(r, c) {
-                        values.push(dense.get(r, c));
-                        last_idx = j as u8;
-                        m_indices.push(last_idx);
-                        found += 1;
-                    }
-                }
-                debug_assert!(found <= n, "nm compliance guarantees <= n nonzeros");
-                for _ in found..n {
-                    values.push(Half::ZERO);
-                    m_indices.push(last_idx);
                 }
             }
         }
 
-        VnmMatrix {
+        Ok(VnmMatrix {
             cfg,
             rows,
             cols,
@@ -128,7 +219,7 @@ impl VnmMatrix {
             values,
             m_indices,
             column_loc,
-        }
+        })
     }
 
     /// The pattern descriptor.
@@ -328,7 +419,166 @@ impl VnmMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use venom_tensor::random;
+
+    /// The column-at-a-time compression [`VnmMatrix::try_compress`] must
+    /// equal bit for bit: column-loc from each row block's OR, then per
+    /// row and group `mask.get`/`dense.get` over the selected columns,
+    /// skipping padded duplicates.
+    fn compress_ref(dense: &Matrix<Half>, mask: &SparsityMask, cfg: VnmConfig) -> VnmMatrix {
+        assert!(mask.complies_vnm(cfg), "mask violates the {cfg} pattern");
+        let rows = dense.rows();
+        let cols = dense.cols();
+        let k_groups = cfg.k_groups(cols);
+        let row_blocks = cfg.row_blocks(rows);
+        let mut column_loc = vec![0u16; row_blocks * k_groups * SELECTED_COLUMNS];
+        let mut union = Vec::new();
+        for (b, block_loc) in column_loc
+            .chunks_exact_mut(k_groups * SELECTED_COLUMNS)
+            .enumerate()
+        {
+            mask.union_words(mask.block_rows(cfg, b), &mut union);
+            for (g, sel) in block_loc.chunks_exact_mut(SELECTED_COLUMNS).enumerate() {
+                let c0 = g * cfg.m;
+                let mut used = 0;
+                for c in ones_at(&union, c0, (c0 + cfg.m).min(cols)) {
+                    sel[used] = c as u16;
+                    used += 1;
+                }
+                let pad = if used > 0 { sel[used - 1] } else { 0 };
+                sel[used..].fill(pad);
+            }
+        }
+        let n = cfg.n;
+        let mut values = Vec::with_capacity(rows * k_groups * n);
+        let mut m_indices = Vec::with_capacity(rows * k_groups * n);
+        for r in 0..rows {
+            let b = r / cfg.v;
+            for g in 0..k_groups {
+                let base = (b * k_groups + g) * SELECTED_COLUMNS;
+                let sel = &column_loc[base..base + SELECTED_COLUMNS];
+                let mut found = 0usize;
+                let mut last_idx = 0u8;
+                for (j, &rel) in sel.iter().enumerate() {
+                    if sel[..j].contains(&rel) {
+                        continue;
+                    }
+                    let c = g * cfg.m + rel as usize;
+                    if c < cols && mask.get(r, c) {
+                        values.push(dense.get(r, c));
+                        last_idx = j as u8;
+                        m_indices.push(last_idx);
+                        found += 1;
+                    }
+                }
+                for _ in found..n {
+                    values.push(Half::ZERO);
+                    m_indices.push(last_idx);
+                }
+            }
+        }
+        VnmMatrix {
+            cfg,
+            rows,
+            cols,
+            k_groups,
+            row_blocks,
+            values,
+            m_indices,
+            column_loc,
+        }
+    }
+
+    /// A `rows x cols` mask near `cfg` and a dense matrix drawn apart from
+    /// it. Each `V x M` block draws up to four live columns and each row
+    /// keeps up to `n` of them, so groups and rows are often padded. When
+    /// `fault` holds, one row crowds `n + 1` entries into a group (or, in
+    /// a group too narrow for that, the mask is left compliant). Dense
+    /// entries draw from ±0, subnormals, normals, ±Inf and NaN, so kept
+    /// entries may be zero and pruned ones nonzero.
+    fn near_vnm(
+        rows: usize,
+        cols: usize,
+        cfg: VnmConfig,
+        fault: bool,
+        seed: u64,
+    ) -> (Matrix<Half>, SparsityMask) {
+        const BITS: [u16; 10] = [
+            0x0000, 0x8000, 0x0001, 0x83FF, 0x3C00, 0xC500, 0x7C00, 0xFC00, 0x7E00, 0xFE01,
+        ];
+        let mut state = seed;
+        let mut next = move |below: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % below as u64) as usize
+        };
+        let dense = Matrix::from_fn(rows, cols, |_, _| Half::from_bits(BITS[next(BITS.len())]));
+        let mut mask = SparsityMask::empty(rows, cols);
+        for r0 in (0..rows).step_by(cfg.v) {
+            for c0 in (0..cols).step_by(cfg.m) {
+                let width = cfg.m.min(cols - c0);
+                let live: Vec<usize> = (0..next(SELECTED_COLUMNS + 1))
+                    .map(|_| c0 + next(width))
+                    .collect();
+                if live.is_empty() {
+                    continue;
+                }
+                for r in r0..(r0 + cfg.v).min(rows) {
+                    for _ in 0..next(cfg.n + 1) {
+                        mask.set(r, live[next(live.len())], true);
+                    }
+                }
+            }
+        }
+        if fault {
+            let (r, g) = (next(rows), next(cfg.k_groups(cols)));
+            let c0 = g * cfg.m;
+            for c in c0..(c0 + cfg.n + 1).min(cols) {
+                mask.set(r, c, true);
+            }
+        }
+        (dense, mask)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Word-parallel compression equals the column-at-a-time oracle
+        /// bit for bit, and errs exactly where the mask violates the
+        /// pattern: group widths below, at and above 64, partial tail
+        /// groups and row blocks, V = 1, padded groups and special values.
+        #[test]
+        fn try_compress_equals_the_column_oracle(
+            cols in prop::sample::select(vec![1usize, 5, 63, 64, 65, 130, 200]),
+            m in prop::sample::select(vec![4usize, 8, 10, 16, 20, 32, 40, 64, 100]),
+            v in prop::sample::select(vec![1usize, 2, 3, 4, 16]),
+            n in 1usize..4,
+            rows in 1usize..40,
+            fault in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let cfg = VnmConfig::new(v, n, m);
+            let (dense, mask) = near_vnm(rows, cols, cfg, fault, seed);
+            match VnmMatrix::try_compress(&dense, &mask, cfg) {
+                Ok(a) => {
+                    prop_assert!(mask.complies_vnm(cfg), "{}", cfg);
+                    let want = compress_ref(&dense, &mask, cfg);
+                    let bits = |a: &VnmMatrix| a.values().iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&a), bits(&want), "{}", cfg);
+                    prop_assert_eq!(a.m_indices(), want.m_indices(), "{}", cfg);
+                    prop_assert_eq!(a.column_loc(), want.column_loc(), "{}", cfg);
+                    prop_assert_eq!((a.k_groups(), a.row_blocks()), (want.k_groups(), want.row_blocks()));
+                }
+                Err(e) => {
+                    prop_assert!(!mask.complies_vnm(cfg), "{}", cfg);
+                    prop_assert_eq!(e, CompressError::PatternViolation(cfg));
+                }
+            }
+        }
+    }
 
     /// Magnitude-based V:N:M mask (duplicated here in miniature so format
     /// tests do not depend on the pruner crate).
@@ -496,6 +746,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn try_compress_names_the_violated_pattern_and_shape() {
+        let cfg = VnmConfig::new(4, 2, 8);
+        let dense = Matrix::<Half>::zeros(8, 16);
+        let err = VnmMatrix::try_compress(&dense, &SparsityMask::dense(8, 16), cfg).unwrap_err();
+        assert_eq!(err, CompressError::PatternViolation(cfg));
+        assert_eq!(err.to_string(), "mask violates the 4:2:8 pattern");
+        let err = VnmMatrix::try_compress(&dense, &SparsityMask::empty(8, 8), cfg).unwrap_err();
+        assert_eq!(
+            err,
+            CompressError::ShapeMismatch {
+                dense: (8, 16),
+                mask: (8, 8)
+            }
+        );
+        assert!(err.to_string().starts_with("shape mismatch"));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn compress_panics_on_shape_mismatch() {
+        let cfg = VnmConfig::new(4, 2, 8);
+        let dense = Matrix::<Half>::zeros(8, 16);
+        let _ = VnmMatrix::compress(&dense, &SparsityMask::empty(8, 8), cfg);
     }
 
     #[test]

@@ -36,8 +36,16 @@ pub fn prune_nm(w: &Matrix<f32>, cfg: NmConfig) -> SparsityMask {
 /// Two-stage V:N:M magnitude pruning (Fig. 2): per `V x M` block, the four
 /// columns with the largest L1 norm survive vector-wise pruning; within
 /// each row, the `n` largest of the four selected survive N:M pruning.
+/// Each column's block L1 norm is summed once, rows ascending in `f64`,
+/// and the columns are stably sorted on those sums (ties keep column
+/// order).
+///
+/// # Panics
+/// Panics if either stage has to order a NaN (a NaN weight in a block
+/// or among a row's selected columns).
 pub fn prune_vnm(w: &Matrix<f32>, cfg: VnmConfig) -> SparsityMask {
     let mut mask = SparsityMask::empty(w.rows(), w.cols());
+    let mut cols: Vec<(usize, f64)> = Vec::with_capacity(cfg.m);
     for b in 0..cfg.row_blocks(w.rows()) {
         let r0 = b * cfg.v;
         let r1 = (r0 + cfg.v).min(w.rows());
@@ -45,17 +53,22 @@ pub fn prune_vnm(w: &Matrix<f32>, cfg: VnmConfig) -> SparsityMask {
             let c0 = g * cfg.m;
             let c1 = (c0 + cfg.m).min(w.cols());
             // Stage 1: column selection by block L1 norm.
-            let mut cols: Vec<usize> = (c0..c1).collect();
-            cols.sort_by(|&a, &bc| {
-                let sa: f64 = (r0..r1).map(|r| w.get(r, a).abs() as f64).sum();
-                let sb: f64 = (r0..r1).map(|r| w.get(r, bc).abs() as f64).sum();
-                sb.partial_cmp(&sa).unwrap()
-            });
-            let sel: Vec<usize> = cols.into_iter().take(SELECTED_COLUMNS).collect();
+            cols.clear();
+            cols.extend((c0..c1).map(|c| (c, (r0..r1).map(|r| w.get(r, c).abs() as f64).sum())));
+            cols.sort_by(|(_, sa), (_, sb)| sb.partial_cmp(sa).expect("column sums are not NaN"));
+            let kept = cols.len().min(SELECTED_COLUMNS);
+            let mut sel = [0usize; SELECTED_COLUMNS];
+            for (s, &(c, _)) in sel.iter_mut().zip(&cols) {
+                *s = c;
+            }
             // Stage 2: N:M within the selected columns, per row.
             for r in r0..r1 {
-                let mut sc = sel.clone();
-                sc.sort_by(|&a, &bc| w.get(r, bc).abs().partial_cmp(&w.get(r, a).abs()).unwrap());
+                let mut sc = sel;
+                let sc = &mut sc[..kept];
+                sc.sort_by(|&a, &bc| {
+                    let (wa, wb) = (w.get(r, a).abs(), w.get(r, bc).abs());
+                    wb.partial_cmp(&wa).expect("weights are not NaN")
+                });
                 for &c in sc.iter().take(cfg.n) {
                     mask.set(r, c, true);
                 }
@@ -166,6 +179,62 @@ mod tests {
             let mask = prune_vnm(&random::glorot_matrix(128, 400, 7), cfg);
             assert!(mask.complies_vnm(cfg), "{cfg}");
             assert!((mask.sparsity() - cfg.sparsity()).abs() < 0.02, "{cfg}");
+        }
+    }
+
+    /// The comparator-sum selection [`prune_vnm`] must equal: every
+    /// comparison re-sums both columns' block L1 norms.
+    fn prune_vnm_ref(w: &Matrix<f32>, cfg: VnmConfig) -> SparsityMask {
+        let mut mask = SparsityMask::empty(w.rows(), w.cols());
+        for b in 0..cfg.row_blocks(w.rows()) {
+            let r0 = b * cfg.v;
+            let r1 = (r0 + cfg.v).min(w.rows());
+            for g in 0..cfg.k_groups(w.cols()) {
+                let c0 = g * cfg.m;
+                let c1 = (c0 + cfg.m).min(w.cols());
+                let mut cols: Vec<usize> = (c0..c1).collect();
+                cols.sort_by(|&a, &bc| {
+                    let sa: f64 = (r0..r1).map(|r| w.get(r, a).abs() as f64).sum();
+                    let sb: f64 = (r0..r1).map(|r| w.get(r, bc).abs() as f64).sum();
+                    sb.partial_cmp(&sa).unwrap()
+                });
+                let sel: Vec<usize> = cols.into_iter().take(SELECTED_COLUMNS).collect();
+                for r in r0..r1 {
+                    let mut sc = sel.clone();
+                    sc.sort_by(|&a, &bc| {
+                        w.get(r, bc).abs().partial_cmp(&w.get(r, a).abs()).unwrap()
+                    });
+                    for &c in sc.iter().take(cfg.n) {
+                        mask.set(r, c, true);
+                    }
+                }
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn vnm_mask_equals_the_comparator_sum_oracle() {
+        // Seeded weights over partial row blocks and tail groups, M above
+        // 64 and V = 1, plus a quantized weight whose equal column sums
+        // make the sort's tie order matter.
+        let shapes = [(128, 400), (70, 93), (33, 230)];
+        let patterns = [(1, 2, 8), (16, 2, 8), (32, 1, 10), (64, 2, 20), (4, 3, 100)];
+        for (i, &(r, k)) in shapes.iter().enumerate() {
+            for (j, &(v, n, m)) in patterns.iter().enumerate() {
+                let cfg = VnmConfig::new(v, n, m);
+                let seed = (10 * i + j) as u64;
+                let w = random::glorot_matrix(r, k, seed);
+                assert_eq!(prune_vnm(&w, cfg), prune_vnm_ref(&w, cfg), "{r}x{k} {cfg}");
+                let ties = Matrix::from_fn(r, k, |a, b| {
+                    w.get(a, b).signum() * ((a * 7 + b * 3) % 4) as f32
+                });
+                assert_eq!(
+                    prune_vnm(&ties, cfg),
+                    prune_vnm_ref(&ties, cfg),
+                    "ties {r}x{k} {cfg}"
+                );
+            }
         }
     }
 

@@ -286,24 +286,24 @@ impl Engine {
     /// Detects a complying V:2:M pattern and compresses, preferring a
     /// caller-supplied pattern over grid re-detection (a pruner that
     /// knows its pattern should not depend on the probed grid containing
-    /// it).
+    /// it). Each tried pattern's compliance is checked once, by
+    /// [`VnmMatrix::try_compress`].
     fn compress_vnm_detected(
         &self,
         w: &Weight<'_>,
         pattern: Option<VnmConfig>,
     ) -> Result<VnmMatrix, PlanError> {
         let mask = w.mask();
-        let cfg = pattern
-            .filter(|&cfg| mask.complies_vnm(cfg))
-            .or_else(|| detect_vnm(mask))
+        pattern
+            .and_then(|cfg| VnmMatrix::try_compress(w.dense, mask, cfg).ok())
+            .or_else(|| detect_vnm(w.dense, mask))
             .ok_or_else(|| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
                 reason: format!(
                     "nonzero pattern complies with no probed V:2:M pattern \
                      (V in {AUTO_V:?}, M in {AUTO_M:?})"
                 ),
-            })?;
-        Ok(VnmMatrix::compress(w.dense, mask, cfg))
+            })
     }
 
     /// Plans the bandwidth-optimized non-mma V:N:M band executor
@@ -471,11 +471,11 @@ impl Engine {
     }
 }
 
-/// The strongest V:2:M pattern of the probed grid the nonzero mask
-/// complies with: largest V, then sparsest M. A pattern with larger V
-/// also complies at every smaller probed V, so the first hit is the
-/// strongest structure the weight actually has.
-fn detect_vnm(mask: &SparsityMask) -> Option<VnmConfig> {
+/// `dense` compressed under the strongest V:2:M pattern of the probed
+/// grid its nonzero mask complies with: largest V, then sparsest M. A
+/// pattern with larger V also complies at every smaller probed V, so the
+/// first hit is the strongest structure the weight actually has.
+fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<VnmMatrix> {
     let (r, k) = (mask.rows(), mask.cols());
     AUTO_V
         .iter()
@@ -486,7 +486,7 @@ fn detect_vnm(mask: &SparsityMask) -> Option<VnmConfig> {
                 .filter(move |&&m| m <= k)
                 .map(move |&m| VnmConfig::new(v, 2, m))
         })
-        .find(|&cfg| mask.complies_vnm(cfg))
+        .find_map(|cfg| VnmMatrix::try_compress(dense, mask, cfg).ok())
 }
 
 /// The weight being planned, with its nonzero mask — the structure

@@ -60,7 +60,7 @@ use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix};
+use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix, SELECTED_COLUMNS};
 use venom_fp16::Half;
 use venom_quant::Calibration;
 use venom_sim::pipeline::KernelCounts;
@@ -292,6 +292,21 @@ impl Stream {
         }
     }
 
+    /// Condenses a V:N:M weight in one pass over its slots (see
+    /// [`condense_vnm`]): the stream [`Self::from_kernel`] builds from
+    /// its `for_each_operand`, without the counting pass.
+    fn from_vnm(a: &VnmMatrix) -> Self {
+        let (rows, k) = a.shape();
+        let (row_ptr, vals, srcs) = condense_vnm(a, Half::to_f32, |s| s as u32);
+        Stream {
+            rows,
+            k,
+            row_ptr,
+            vals,
+            srcs,
+        }
+    }
+
     /// Stored operand count.
     fn nnz(&self) -> usize {
         self.vals.len()
@@ -443,7 +458,8 @@ pub(crate) struct BandStream {
 }
 
 impl BandStream {
-    /// Condenses a V:N:M weight into the narrow stream.
+    /// Condenses a V:N:M weight into the narrow stream, in one pass over
+    /// its slots (see [`condense_vnm`]).
     ///
     /// # Panics
     /// Panics if `K` exceeds the 16-bit source-index range (pricing,
@@ -451,21 +467,7 @@ impl BandStream {
     fn from_vnm(a: &VnmMatrix) -> Self {
         let (rows, k) = a.shape();
         assert!(k <= u16::MAX as usize + 1, "K = {k} exceeds 16-bit sources");
-        let mut row_ptr = vec![0u32; rows + 1];
-        a.for_each_nonzero(|r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0u16; nnz];
-        let mut srcs = vec![0u16; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        a.for_each_nonzero(|r, s, v| {
-            let i = cursor[r] as usize;
-            vals[i] = v.to_bits();
-            srcs[i] = s as u16;
-            cursor[r] += 1;
-        });
+        let (row_ptr, vals, srcs) = condense_vnm(a, Half::to_bits, |s| s as u16);
         BandStream {
             rows,
             k,
@@ -541,6 +543,47 @@ impl StreamExec for BandStream {
                 }
             });
     }
+}
+
+/// A V:N:M weight's operands in `spmm_ref` accumulation order — row by
+/// row, ascending `(K group, slot)`, zero slots skipped — as row pointers,
+/// `val` of each value and `src` of its B row. One row-major walk over
+/// the values, m-indices and column-loc, pushing into vectors sized by
+/// [`VnmMatrix::nnz`]: the same operands, in the same order, as two
+/// passes of [`SparseKernel::for_each_operand`].
+fn condense_vnm<V, S>(
+    a: &VnmMatrix,
+    val: impl Fn(Half) -> V,
+    src: impl Fn(usize) -> S,
+) -> (Vec<u32>, Vec<V>, Vec<S>) {
+    let cfg = a.config();
+    let slots_per_row = a.slots_per_row();
+    let loc_per_block = a.k_groups() * SELECTED_COLUMNS;
+    let nnz = a.nnz();
+    let mut row_ptr = Vec::with_capacity(a.rows() + 1);
+    let (mut vals, mut srcs) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    row_ptr.push(0);
+    let rows = a
+        .values()
+        .chunks_exact(slots_per_row)
+        .zip(a.m_indices().chunks_exact(slots_per_row));
+    for (r, (row_vals, row_idx)) in rows.enumerate() {
+        let loc = &a.column_loc()[r / cfg.v * loc_per_block..][..loc_per_block];
+        let groups = row_vals
+            .chunks_exact(cfg.n)
+            .zip(row_idx.chunks_exact(cfg.n))
+            .zip(loc.chunks_exact(SELECTED_COLUMNS));
+        for (g, ((group_vals, group_idx), sel)) in groups.enumerate() {
+            for (&v, &j) in group_vals.iter().zip(group_idx) {
+                if !v.is_zero() {
+                    vals.push(val(v));
+                    srcs.push(src(g * cfg.m + usize::from(sel[usize::from(j)])));
+                }
+            }
+        }
+        row_ptr.push(vals.len() as u32);
+    }
+    (row_ptr, vals, srcs)
 }
 
 /// The condensed executor a [`Plan`] replays.
@@ -684,7 +727,7 @@ impl Plan {
         dev: &DeviceConfig,
         price: Option<VnmPrice>,
     ) -> Self {
-        let exec = Exec::Stream(Stream::from_kernel(&a));
+        let exec = Exec::Stream(Stream::from_vnm(&a));
         let reference = Reference::Spatha {
             weight: a,
             opts: *opts,
@@ -1227,6 +1270,42 @@ mod tests {
         );
         let out = got.as_slice();
         out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
+    }
+
+    /// The one-pass condensation of a V:N:M weight equals the two-pass
+    /// `for_each_operand` stream: row pointers, value bits and sources,
+    /// for the f32 stream and the narrow band stream alike. Cases cover
+    /// V = 1, N = 1 and 3, M > 64, partial tail groups and row blocks,
+    /// kept -0.0 (skipped) and kept NaN, ±Inf and subnormals.
+    #[test]
+    fn one_pass_vnm_condensation_equals_the_two_pass_stream() {
+        let cases = [
+            (70, 93, VnmConfig::new(16, 2, 8)),
+            (33, 130, VnmConfig::new(1, 2, 8)),
+            (37, 230, VnmConfig::new(4, 3, 100)),
+            (64, 77, VnmConfig::new(64, 1, 10)),
+        ];
+        for (i, (r, k, cfg)) in cases.into_iter().enumerate() {
+            let a = vnm_special(r, k, cfg, 40 + i as u64);
+            let want = Stream::from_kernel(&a);
+            let want_bits: Vec<u32> = want.vals.iter().map(|v| v.to_bits()).collect();
+            assert!(want.vals.iter().any(|v| v.is_nan()), "{cfg}: specials kept");
+            let got = Stream::from_vnm(&a);
+            assert_eq!(got.row_ptr, want.row_ptr, "{cfg}");
+            let got_bits: Vec<u32> = got.vals.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{cfg}");
+            assert_eq!(got.srcs, want.srcs, "{cfg}");
+            let band = BandStream::from_vnm(&a);
+            assert_eq!(band.row_ptr, want.row_ptr, "{cfg}");
+            let band_bits: Vec<u32> = band
+                .vals
+                .iter()
+                .map(|&h| Half::from_bits(h).to_f32().to_bits())
+                .collect();
+            assert_eq!(band_bits, want_bits, "{cfg}");
+            let band_srcs: Vec<u32> = band.srcs.iter().map(|&s| u32::from(s)).collect();
+            assert_eq!(band_srcs, want.srcs, "{cfg}");
+        }
     }
 
     #[test]
