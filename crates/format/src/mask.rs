@@ -67,8 +67,12 @@ impl SparsityMask {
     /// `from_fn(rows, cols, |r, c| !m.get(r, c).is_zero())`, but packs each
     /// row slice 64 halves per word.
     ///
+    /// Always inlined, so that a caller can compile the packing loop for a
+    /// wider instruction set than the crate's baseline target.
+    ///
     /// # Panics
     /// Panics if `m` has a zero dimension.
+    #[inline(always)]
     pub fn from_nonzero_halves(m: &Matrix<Half>) -> Self {
         let mut mask = Self::empty(m.rows(), m.cols());
         for (r, words) in mask.bits.chunks_exact_mut(mask.words_per_row).enumerate() {

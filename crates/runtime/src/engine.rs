@@ -6,6 +6,7 @@ use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::plan::Plan;
 use crate::pricing::{self, Baseline, Priced, VnmPrice};
+use crate::simd::avx2_dispatch;
 use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -508,9 +509,15 @@ impl<'a> Weight<'a> {
 
     /// The mask of stored nonzeros.
     fn mask(&self) -> &SparsityMask {
-        self.mask
-            .get_or_init(|| SparsityMask::from_nonzero_halves(self.dense))
+        self.mask.get_or_init(|| pack_nonzeros(self.dense))
     }
+}
+
+avx2_dispatch! {
+    /// [`SparsityMask::from_nonzero_halves`], compiled for AVX2 where the
+    /// host has it: the packing is exact bit tests, so the instance
+    /// cannot change the mask.
+    fn pack_nonzeros(dense: &Matrix<Half>) -> SparsityMask = SparsityMask::from_nonzero_halves;
 }
 
 /// A plan candidate that is priced but not built: what its cost model
@@ -585,9 +592,12 @@ mod tests {
     }
 
     /// The summary-priced baseline quote must equal the container-priced
-    /// one: counts and time bits.
+    /// one: counts and time bits. The mask comes from the dispatched
+    /// packing `Engine` uses, and must equal the bit-by-bit one.
     fn assert_summary_prices(w: &Matrix<Half>, case: &str) {
-        let mask = SparsityMask::from_nonzero_halves(w);
+        let mask = pack_nonzeros(w);
+        let want = SparsityMask::from_fn(w.rows(), w.cols(), |r, c| !w.get(r, c).is_zero());
+        assert_eq!(mask, want, "{case}: dispatched mask");
         let dev = DeviceConfig::rtx3090();
         let same = |got: Priced, want: Priced, what: String| {
             assert_eq!(got.1, want.1, "{case} {what}: counts");

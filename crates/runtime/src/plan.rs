@@ -41,10 +41,13 @@
 //! each chunk replays every row's operands whose sources lie below the
 //! chunk's end, so the V rows of a V:N:M block fetch their shared
 //! selected B rows once per band (Spatha's B-tile reuse) instead of once
-//! per operand. The stream and int hot loops are compiled twice, for the
-//! baseline target and for AVX2, and the AVX2 instance runs where the
-//! host has it (see the `simd` module). Neither change can move a bit:
-//! each row still consumes its stream strictly in order, wider lanes run
+//! per operand. The band replay keeps each output row's columns in
+//! fixed-width register panels (32, then 8 columns, then a narrower
+//! tail) while the row's whole stream replays over them. The stream,
+//! band and int hot loops are compiled twice, for the baseline target
+//! and for AVX2, and the AVX2 instance runs where the host has it (see
+//! the `simd` module). None of this can move a bit: each row still
+//! consumes its stream strictly in order, wider lanes and panels run
 //! the same per-element chain, and `fma` is never enabled. (As in any
 //! compiled f32 code, which NaN payload survives where two NaNs meet is
 //! left to the compiler; a NaN result stays NaN.)
@@ -61,6 +64,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
 use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix, SELECTED_COLUMNS};
+use venom_fp16::lut::LUT_ENTRIES;
 use venom_fp16::Half;
 use venom_quant::Calibration;
 use venom_sim::pipeline::KernelCounts;
@@ -481,6 +485,80 @@ impl BandStream {
     fn nnz(&self) -> usize {
         self.vals.len()
     }
+
+    /// The hot body of [`StreamExec::run_into`]: output row `r` (`orow`,
+    /// `b_cols` wide) as fixed-width register panels, the FlashSparse
+    /// swap in register form. While at least `4 * SWAP_PANEL` columns
+    /// remain, a 32-wide accumulator replays the whole row's stream over
+    /// its B segments; then 8-wide panels do the same, then one narrower
+    /// tail. Each stored nonzero costs one LUT load and one contiguous B
+    /// segment read per panel, and each output element is written once.
+    ///
+    /// Why the bits cannot move: per `(row, column)` the sum is the same
+    /// left-to-right chain from `0.0` as `spmm_ref`'s. A wide panel only
+    /// evaluates more independent column chains per operand, and a fixed
+    /// width lets the compiler keep them in vector registers.
+    #[inline(always)]
+    fn replay_row(
+        &self,
+        r: usize,
+        lut: &[f32; LUT_ENTRIES],
+        b_f32: &[f32],
+        b_cols: usize,
+        orow: &mut [f32],
+    ) {
+        const PANEL: usize = venom_core::SWAP_PANEL;
+        let ops = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+        let (vals, srcs) = (&self.vals[ops.clone()], &self.srcs[ops]);
+        let mut j0 = 0usize;
+        while b_cols - j0 >= 4 * PANEL {
+            let acc = replay_panel::<{ 4 * PANEL }>(vals, srcs, lut, b_f32, b_cols, j0);
+            orow[j0..j0 + 4 * PANEL].copy_from_slice(&acc);
+            j0 += 4 * PANEL;
+        }
+        while b_cols - j0 >= PANEL {
+            let acc = replay_panel::<PANEL>(vals, srcs, lut, b_f32, b_cols, j0);
+            orow[j0..j0 + PANEL].copy_from_slice(&acc);
+            j0 += PANEL;
+        }
+        let w = b_cols - j0;
+        if w > 0 {
+            let mut acc = [0.0f32; PANEL];
+            for (&bits, &src) in vals.iter().zip(srcs) {
+                let vf = lut[usize::from(bits)];
+                let bseg = &b_f32[usize::from(src) * b_cols + j0..][..w];
+                for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
+                    *a += vf * bv;
+                }
+            }
+            orow[j0..].copy_from_slice(&acc[..w]);
+        }
+    }
+}
+
+/// One `W`-column panel of [`BandStream::replay_row`]: the row's stream
+/// (`vals` as f16 bits, `srcs` as B rows) replayed over columns
+/// `j0..j0 + W` of the staged RHS into a register accumulator.
+#[inline(always)]
+fn replay_panel<const W: usize>(
+    vals: &[u16],
+    srcs: &[u16],
+    lut: &[f32; LUT_ENTRIES],
+    b_f32: &[f32],
+    b_cols: usize,
+    j0: usize,
+) -> [f32; W] {
+    let mut acc = [0.0f32; W];
+    for (&bits, &src) in vals.iter().zip(srcs) {
+        let vf = lut[usize::from(bits)];
+        let bseg: &[f32; W] = b_f32[usize::from(src) * b_cols + j0..][..W]
+            .try_into()
+            .expect("a W-wide slice");
+        for (a, &bv) in acc.iter_mut().zip(bseg) {
+            *a += vf * bv;
+        }
+    }
+    acc
 }
 
 impl StreamExec for BandStream {
@@ -505,44 +583,33 @@ impl StreamExec for BandStream {
         (self.vals.len() * 2 + self.srcs.len() * 2 + self.row_ptr.len() * 4) as u64
     }
 
-    /// The inner loop is the FlashSparse swap in register form: per
-    /// output row, an 8-wide panel of columns accumulates in registers
-    /// while the whole row's stream replays over it — each stored
-    /// nonzero costs one LUT load and one narrow contiguous `B` segment
-    /// read, and the output is written exactly once per panel. Per
-    /// `(row, column)` the sum is the same left-to-right chain from
-    /// `0.0` as `spmm_ref`'s, so the panelling changes traffic, not
-    /// bits.
+    /// One parallel task per band of [`BAND_ROWS`] output rows, each row
+    /// replayed by [`BandStream::replay_row`] through the AVX2 dispatch
+    /// (see the `simd` module); neither changes a bit.
     fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
         assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
         assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
-        const PANEL: usize = venom_core::SWAP_PANEL;
         let lut = venom_fp16::f16_to_f32_table();
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
-                let row0 = band * BAND_ROWS;
                 for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    let r = row0 + i;
-                    let lo = self.row_ptr[r] as usize;
-                    let hi = self.row_ptr[r + 1] as usize;
-                    let mut j0 = 0usize;
-                    while j0 < b_cols {
-                        let w = (b_cols - j0).min(PANEL);
-                        let mut acc = [0.0f32; PANEL];
-                        for (bits, src) in self.vals[lo..hi].iter().zip(&self.srcs[lo..hi]) {
-                            let vf = lut[*bits as usize];
-                            let bseg = &b_f32[*src as usize * b_cols + j0..][..w];
-                            for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
-                                *a += vf * bv;
-                            }
-                        }
-                        orow[j0..j0 + w].copy_from_slice(&acc[..w]);
-                        j0 += w;
-                    }
+                    dispatch_replay_row(self, band * BAND_ROWS + i, lut, b_f32, b_cols, orow);
                 }
             });
     }
+}
+
+avx2_dispatch! {
+    /// [`BandStream::replay_row`], compiled for AVX2 where the host has it.
+    fn dispatch_replay_row(
+        s: &BandStream,
+        r: usize,
+        lut: &[f32; LUT_ENTRIES],
+        b_f32: &[f32],
+        b_cols: usize,
+        orow: &mut [f32],
+    ) = BandStream::replay_row;
 }
 
 /// A V:N:M weight's operands in `spmm_ref` accumulation order — row by
@@ -1454,6 +1521,67 @@ mod tests {
         Plan::build_band(a.clone(), desc, &dev()).expect("K fits 16-bit indices")
     }
 
+    /// Output widths of the band oracle: both sides of every panel
+    /// boundary of [`BandStream::replay_row`] (8 and 32 columns, their
+    /// multiples and the narrow tail) and of the 256-column encoder width.
+    const BAND_WIDTHS: [usize; 13] = [1, 7, 8, 9, 31, 32, 33, 40, 64, 65, 255, 256, 300];
+
+    /// Runs the band `plan` on a seeded operand of `width` columns: the
+    /// dispatched replay ([`MatmulPlan::run`]) must equal the
+    /// baseline-compiled row body and the per-call reference
+    /// ([`MatmulPlan::run_oneshot`]). Returns whether the output mixes NaN
+    /// and finite values, so that callers can check the special values
+    /// reached it.
+    fn check_band_plan(label: &str, plan: &Plan, width: usize, seed: u64) -> bool {
+        let Exec::Band(band) = &plan.exec else {
+            panic!("{label}: not a band plan")
+        };
+        let (rows, k) = (band.rows, band.k);
+        let b = operand(k, width, seed);
+        let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
+        let got = plan.run(&b);
+        let lut = venom_fp16::f16_to_f32_table();
+        let mut base = vec![0.0f32; rows * width];
+        for (r, orow) in base.chunks_mut(width).enumerate() {
+            band.replay_row(r, lut, &staged, width, orow);
+        }
+        let at = format!("{label} {rows}x{k} width {width}");
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(&base),
+            "{at}: dispatched != baseline"
+        );
+        let oneshot = plan.run_oneshot(&b);
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(oneshot.as_slice()),
+            "{at}: planned != oneshot"
+        );
+        let out = got.as_slice();
+        out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
+    }
+
+    #[test]
+    fn band_replay_matches_baseline_and_oneshot() {
+        // K = 1 and row counts off the 16-row band; V = 8 makes every
+        // band straddle two V-blocks.
+        for cfg in [
+            VnmConfig::new(64, 2, 10),
+            VnmConfig::new(128, 2, 20),
+            VnmConfig::new(8, 2, 4),
+        ] {
+            let mut mixed = false;
+            for width in BAND_WIDTHS {
+                for (rows, k) in [(37, 1), (150, 230)] {
+                    let a = vnm_special(rows, k, cfg, (rows + k) as u64);
+                    let plan = band_build(&a, width);
+                    mixed |= check_band_plan(&cfg.to_string(), &plan, width, k as u64);
+                }
+            }
+            assert!(mixed, "{cfg}: the special values must reach the output");
+        }
+    }
+
     #[test]
     fn band_plan_is_bit_identical_on_every_dispatch_path() {
         let cfg = VnmConfig::new(64, 2, 10);
@@ -1477,11 +1605,20 @@ mod tests {
         let a = vnm_fixture(64, 64, cfg, 23);
         let band = band_build(&a, 16);
         let mma = build(&a, 16);
-        let b1 = random::normal_matrix(64, 5, 0.0, 1.0, 24).to_half();
-        let b2 = random::normal_matrix(64, 19, 0.0, 1.0, 25).to_half();
-        let batch = band.run_batch(&[&b1, &b2]);
-        assert_eq!(batch[0], mma.run(&b1));
-        assert_eq!(batch[1], mma.run(&b2));
+        // The concatenated width (1155) puts each request's columns at a
+        // different offset within the 32- and 8-column panels.
+        let bs: Vec<Matrix<Half>> = BAND_WIDTHS
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| operand(64, w, 24 + i as u64))
+            .collect();
+        let batch = band.run_batch(&bs.iter().collect::<Vec<_>>());
+        assert_eq!(batch.len(), bs.len());
+        for (got, b) in batch.iter().zip(&bs) {
+            let at = format!("width {}", b.cols());
+            assert_eq!(bits(got.as_slice()), bits(band.run(b).as_slice()), "{at}");
+            assert_eq!(bits(got.as_slice()), bits(mma.run(b).as_slice()), "{at}");
+        }
         let x = random::activation_matrix(11, 64, 26);
         let bias: Vec<f32> = (0..64).map(|i| (i as f32).cos()).collect();
         assert_eq!(band.run_linear(&x, &bias), mma.run_linear(&x, &bias));

@@ -1,6 +1,13 @@
 //! Run-time instruction-set dispatch for the runtime's f32 and i32 hot
 //! loops.
 //!
+//! The dispatched loops are the f32 stream's band sweep
+//! (`Stream::sweep_band`), the narrow band replay
+//! (`BandStream::replay_row`), the int8 row accumulation
+//! (`IntStream::accumulate_row`) and, at plan-build time, the packing of
+//! a weight's nonzero mask (`SparsityMask::from_nonzero_halves`, exact
+//! bit tests).
+//!
 //! The workspace builds for the baseline target (SSE2 on x86-64): no
 //! `target-cpu`, no `.cargo/config`. A hot loop is written once, as an
 //! `#[inline(always)]` body. [`avx2_dispatch!`] wraps it in an entry
