@@ -27,6 +27,26 @@ pub fn lease(len: usize) -> Vec<f32> {
     buf
 }
 
+/// Elements of one 64-byte cache line of f32.
+const LINE: usize = 16;
+
+/// [`lease`] of `len` elements that start on a 64-byte boundary: returns
+/// the buffer and the offset `off` of that boundary, so that
+/// `buf[off..off + len]` is the zero-filled window. Hand the whole buffer
+/// back with [`release`].
+///
+/// A staged RHS read by vectorized loops runs measurably slower when its
+/// rows straddle cache lines, and a pooled buffer keeps whatever
+/// alignment the heap gave it for the life of the thread; aligning the
+/// window makes that cost the same on every run.
+pub fn lease_aligned(len: usize) -> (Vec<f32>, usize) {
+    let buf = lease(len + LINE - 1);
+    // An f32 pointer is 4-aligned, so the distance to the next line is a
+    // whole number of elements.
+    let off = (buf.as_ptr() as usize).wrapping_neg() % (LINE * 4) / 4;
+    (buf, off)
+}
+
 /// Returns a buffer to the pool for the next lease on this thread.
 #[inline]
 pub fn release(buf: Vec<f32>) {
@@ -51,6 +71,18 @@ mod tests {
         assert_eq!(b.len(), 16);
         assert!(b.iter().all(|&x| x == 0.0));
         release(b);
+    }
+
+    #[test]
+    fn aligned_lease_is_a_zeroed_line_aligned_window() {
+        for len in [0, 1, 15, 16, 1000] {
+            let (mut buf, off) = lease_aligned(len);
+            let window = &mut buf[off..off + len];
+            assert_eq!(window.as_ptr() as usize % 64, 0, "len {len}");
+            assert!(window.iter().all(|&x| x == 0.0));
+            window.iter_mut().for_each(|x| *x = 7.0);
+            release(buf);
+        }
     }
 
     #[test]

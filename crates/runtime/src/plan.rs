@@ -42,15 +42,16 @@
 //! chunk's end, so the V rows of a V:N:M block fetch their shared
 //! selected B rows once per band (Spatha's B-tile reuse) instead of once
 //! per operand. The band replay keeps each output row's columns in
-//! fixed-width register panels (32, then 8 columns, then a narrower
-//! tail) while the row's whole stream replays over them. The stream,
-//! band and int hot loops are compiled twice, for the baseline target
-//! and for AVX2, and the AVX2 instance runs where the host has it (see
-//! the `simd` module). None of this can move a bit: each row still
-//! consumes its stream strictly in order, wider lanes and panels run
-//! the same per-element chain, and `fma` is never enabled. (As in any
-//! compiled f32 code, which NaN payload survives where two NaNs meet is
-//! left to the compiler; a NaN result stays NaN.)
+//! fixed-width register panels (64 columns, then one panel as wide as
+//! the remaining 8-column groups, then a narrower tail) while the row's
+//! whole stream replays over them. The stream, band and int hot loops
+//! are compiled twice, for the baseline target and for AVX2, and the
+//! AVX2 instance runs where the host has it (see the `simd` module).
+//! None of this can move a bit: each row still consumes its stream
+//! strictly in order, wider lanes and panels run the same per-element
+//! chain, and `fma` is never enabled. (As in any compiled f32 code,
+//! which NaN payload survives where two NaNs meet is left to the
+//! compiler; a NaN result stays NaN.)
 
 use crate::arena;
 use crate::descriptor::{DType, MatmulDescriptor};
@@ -143,29 +144,33 @@ pub(crate) trait StreamExec {
         Matrix::from_vec(self.rows(), b_cols, out)
     }
 
-    /// `C = A * B` over a half RHS, staged through the arena.
+    /// `C = A * B` over a half RHS, staged through the arena on a cache
+    /// line boundary (see [`arena::lease_aligned`]).
     fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
         assert_eq!(b.rows(), self.k(), "B must have K = {} rows", self.k());
-        let mut staged = arena::lease(b.len());
+        let (mut buf, off) = arena::lease_aligned(b.len());
+        let staged = &mut buf[off..off + b.len()];
         let timer = venom_obs::profile::PhaseTimer::start();
-        stage::decode_rhs_into(b, &mut staged);
+        stage::decode_rhs_into(b, staged);
         timer.stop(self.profile_kernel(), "stage", (b.len() * 2) as u64);
-        let c = self.run(&staged, b.cols());
-        arena::release(staged);
+        let c = self.run(staged, b.cols());
+        arena::release(buf);
         c
     }
 
     /// One dispatch over many requests: concatenates the operands along
     /// the output-column dimension, multiplies once, and splits the
     /// result. Bit-identical to running each operand separately (columns
-    /// are independent in every path).
+    /// are independent in every path). The concatenation is staged on a
+    /// cache line boundary, as in [`Self::run_half`].
     fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
         if bs.is_empty() {
             return Vec::new();
         }
         let k = self.k();
         let total: usize = bs.iter().map(|b| b.cols()).sum();
-        let mut staged = arena::lease(k * total);
+        let (mut buf, off) = arena::lease_aligned(k * total);
+        let staged = &mut buf[off..off + k * total];
         let timer = venom_obs::profile::PhaseTimer::start();
         let mut col0 = 0usize;
         for b in bs {
@@ -180,8 +185,8 @@ pub(crate) trait StreamExec {
             col0 += cols;
         }
         timer.stop(self.profile_kernel(), "stage", (k * total * 2) as u64);
-        let c = self.run(&staged, total);
-        arena::release(staged);
+        let c = self.run(staged, total);
+        arena::release(buf);
 
         let mut out = Vec::with_capacity(bs.len());
         let rows = self.rows();
@@ -488,11 +493,17 @@ impl BandStream {
 
     /// The hot body of [`StreamExec::run_into`]: output row `r` (`orow`,
     /// `b_cols` wide) as fixed-width register panels, the FlashSparse
-    /// swap in register form. While at least `4 * SWAP_PANEL` columns
-    /// remain, a 32-wide accumulator replays the whole row's stream over
-    /// its B segments; then 8-wide panels do the same, then one narrower
-    /// tail. Each stored nonzero costs one LUT load and one contiguous B
-    /// segment read per panel, and each output element is written once.
+    /// swap in register form. While at least `8 * SWAP_PANEL` columns
+    /// remain, a 64-wide accumulator replays the whole row's stream over
+    /// its B segments. The remaining whole 8-column panels then share
+    /// one accumulator of their joint width, so any width up to 64 reads
+    /// the row's stream once (plus once more for a narrower tail). Each
+    /// stored nonzero costs one LUT load and one contiguous B segment
+    /// read per panel, and each output element is written once.
+    ///
+    /// One stream pass per 64 columns keeps a batch's cost growing with
+    /// its width, so served throughput does not hang on how many
+    /// requests happen to coalesce into a batch.
     ///
     /// Why the bits cannot move: per `(row, column)` the sum is the same
     /// left-to-right chain from `0.0` as `spmm_ref`'s. A wide panel only
@@ -508,19 +519,33 @@ impl BandStream {
         orow: &mut [f32],
     ) {
         const PANEL: usize = venom_core::SWAP_PANEL;
+        const WIDE: usize = 8 * PANEL;
         let ops = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
         let (vals, srcs) = (&self.vals[ops.clone()], &self.srcs[ops]);
         let mut j0 = 0usize;
-        while b_cols - j0 >= 4 * PANEL {
-            let acc = replay_panel::<{ 4 * PANEL }>(vals, srcs, lut, b_f32, b_cols, j0);
-            orow[j0..j0 + 4 * PANEL].copy_from_slice(&acc);
-            j0 += 4 * PANEL;
+        while b_cols - j0 >= WIDE {
+            replay_panel::<WIDE>(vals, srcs, lut, b_f32, b_cols, j0, &mut orow[j0..j0 + WIDE]);
+            j0 += WIDE;
         }
-        while b_cols - j0 >= PANEL {
-            let acc = replay_panel::<PANEL>(vals, srcs, lut, b_f32, b_cols, j0);
-            orow[j0..j0 + PANEL].copy_from_slice(&acc);
-            j0 += PANEL;
+        let panels = (b_cols - j0) / PANEL;
+        let out = &mut orow[j0..j0 + panels * PANEL];
+        macro_rules! pass {
+            ($w:expr) => {
+                replay_panel::<{ $w }>(vals, srcs, lut, b_f32, b_cols, j0, out)
+            };
         }
+        match panels {
+            0 => {}
+            1 => pass!(PANEL),
+            2 => pass!(2 * PANEL),
+            3 => pass!(3 * PANEL),
+            4 => pass!(4 * PANEL),
+            5 => pass!(5 * PANEL),
+            6 => pass!(6 * PANEL),
+            7 => pass!(7 * PANEL),
+            _ => unreachable!("fewer than {WIDE} columns remain"),
+        }
+        j0 += panels * PANEL;
         let w = b_cols - j0;
         if w > 0 {
             let mut acc = [0.0f32; PANEL];
@@ -538,7 +563,8 @@ impl BandStream {
 
 /// One `W`-column panel of [`BandStream::replay_row`]: the row's stream
 /// (`vals` as f16 bits, `srcs` as B rows) replayed over columns
-/// `j0..j0 + W` of the staged RHS into a register accumulator.
+/// `j0..j0 + W` of the staged RHS into a register accumulator, then
+/// written to `out` (`W` wide).
 #[inline(always)]
 fn replay_panel<const W: usize>(
     vals: &[u16],
@@ -547,7 +573,8 @@ fn replay_panel<const W: usize>(
     b_f32: &[f32],
     b_cols: usize,
     j0: usize,
-) -> [f32; W] {
+    out: &mut [f32],
+) {
     let mut acc = [0.0f32; W];
     for (&bits, &src) in vals.iter().zip(srcs) {
         let vf = lut[usize::from(bits)];
@@ -558,7 +585,7 @@ fn replay_panel<const W: usize>(
             *a += vf * bv;
         }
     }
-    acc
+    out.copy_from_slice(&acc);
 }
 
 impl StreamExec for BandStream {
@@ -1521,10 +1548,13 @@ mod tests {
         Plan::build_band(a.clone(), desc, &dev()).expect("K fits 16-bit indices")
     }
 
-    /// Output widths of the band oracle: both sides of every panel
-    /// boundary of [`BandStream::replay_row`] (8 and 32 columns, their
-    /// multiples and the narrow tail) and of the 256-column encoder width.
-    const BAND_WIDTHS: [usize; 13] = [1, 7, 8, 9, 31, 32, 33, 40, 64, 65, 255, 256, 300];
+    /// Output widths of the band oracle: every accumulator width of
+    /// [`BandStream::replay_row`]'s one-pass remainder (8 to 56 columns),
+    /// with and without a narrow tail, both sides of its 64-column panel,
+    /// and both sides of the 256-column encoder width.
+    const BAND_WIDTHS: [usize; 18] = [
+        1, 7, 8, 9, 16, 23, 31, 32, 33, 40, 48, 56, 63, 64, 65, 255, 256, 300,
+    ];
 
     /// Runs the band `plan` on a seeded operand of `width` columns: the
     /// dispatched replay ([`MatmulPlan::run`]) must equal the
@@ -1605,8 +1635,8 @@ mod tests {
         let a = vnm_fixture(64, 64, cfg, 23);
         let band = band_build(&a, 16);
         let mma = build(&a, 16);
-        // The concatenated width (1155) puts each request's columns at a
-        // different offset within the 32- and 8-column panels.
+        // The concatenated width (1307) puts each request's columns at a
+        // different offset within the 64-column panels.
         let bs: Vec<Matrix<Half>> = BAND_WIDTHS
             .iter()
             .enumerate()
