@@ -112,8 +112,19 @@ fn median_ms<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
+    median(&mut ts)
+}
+
+/// The median of `ts`: the middle time of an odd count, the mean of the
+/// two middle times of an even one.
+fn median(ts: &mut [f64]) -> f64 {
     ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ts[ts.len() / 2]
+    let mid = ts.len() / 2;
+    if ts.len().is_multiple_of(2) {
+        (ts[mid - 1] + ts[mid]) / 2.0
+    } else {
+        ts[mid]
+    }
 }
 
 struct Series {
@@ -1261,4 +1272,17 @@ fn main() {
 
     std::fs::write(&args.out, &json).unwrap_or_else(|e| panic!("write {}: {e}", args.out));
     eprintln!("wrote {}", args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median;
+
+    #[test]
+    fn median_takes_the_middle_or_the_mean_of_the_two_middles() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [9.6, 0.4]), 5.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+    }
 }

@@ -14,6 +14,12 @@
 //! operand layout of a native 2:4 sparse tensor-core instruction over the
 //! *condensed* matrix of selected columns (`R x (K/M)*4`), while column-loc
 //! drives the gather of rows from the dense operand B (Fig. 4).
+//!
+//! [`VnmMatrix::try_compress_with`] builds the three structures in one
+//! pass over the mask words, checking the pattern as it goes, and hands
+//! every stored nonzero to a sink in `spmm_ref` order. A cold plan in the
+//! runtime takes its operand stream from that sink, so building it reads
+//! the weight once.
 
 use crate::mask::{group_bits, ones_at};
 use crate::{SparsityMask, VnmConfig, SELECTED_COLUMNS};
@@ -37,15 +43,6 @@ pub struct VnmMatrix {
     /// start (`0..m`). Blocks using fewer than 4 distinct columns repeat
     /// their last used column (their values are zero, so this is harmless).
     column_loc: Vec<u16>,
-}
-
-/// The m-index of used column `c` (relative to its group) under the
-/// group's column-loc `sel`: the used columns below it. `sel` lists the
-/// used columns ascending, padded with the last one, so padding never
-/// counts.
-#[inline]
-fn rank(sel: &[u16], c: usize) -> u8 {
-    sel.iter().map(|&s| u8::from(usize::from(s) < c)).sum()
 }
 
 /// Why a weight cannot be compressed under a [`VnmConfig`].
@@ -95,28 +92,51 @@ impl VnmMatrix {
         Self::try_compress(dense, mask, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Compresses `dense` under `mask` if the mask complies with `cfg`,
-    /// checking compliance once.
-    ///
-    /// Each row block is one pass over its mask words. Column-loc lists
-    /// the set bits of each group's range in the OR of the block's rows,
-    /// padded with the last one (0 when none). Each row then walks the set
-    /// bits of its own range: the value comes from `dense` (a kept entry
-    /// may be zero), and the m-index is the number of the block's used
-    /// columns below the bit. A group with fewer than `n` kept entries pads
-    /// with zero values carrying the last m-index (0 when none). For
-    /// `M <= 64` a group's bits are funnelled into one word first, and its
-    /// slots are written without branching on the bits.
+    /// Compresses `dense` under `mask` if the mask complies with `cfg`:
+    /// [`Self::try_compress_with`] with no sink.
     ///
     /// # Errors
-    /// [`CompressError::ShapeMismatch`] when `dense` and `mask` differ in
-    /// shape, [`CompressError::GroupTooWide`] when `cfg.m > 65535`, and
-    /// [`CompressError::PatternViolation`] exactly when
-    /// [`SparsityMask::complies_vnm`] is false.
+    /// As [`Self::try_compress_with`].
     pub fn try_compress(
         dense: &Matrix<Half>,
         mask: &SparsityMask,
         cfg: VnmConfig,
+    ) -> Result<Self, CompressError> {
+        Self::try_compress_with(dense, mask, cfg, |_, _, _| {})
+    }
+
+    /// Compresses `dense` under `mask` if the mask complies with `cfg`,
+    /// in one pass over the mask words that also checks compliance, and
+    /// hands every stored nonzero to `emit` in `spmm_ref` order: once per
+    /// row, rows ascending, as `emit(row, values, columns)` with the row's
+    /// values and their columns ascending, kept zeros (which still fill
+    /// their slots) skipped. These are the operands
+    /// [`crate::SparseKernel::for_each_operand`] visits on the returned
+    /// weight. On an error the rows before the violation may have been
+    /// emitted.
+    ///
+    /// Each row block is one pass over its mask words. Column-loc lists
+    /// the set bits of each group's range in the OR of the block's rows,
+    /// padded with the last one (0 when none); a fifth one is a violation.
+    /// The block's m-indices come from a column→rank table filled as
+    /// column-loc is. Each row then walks the set bits of its own range:
+    /// the value comes from `dense` (a kept entry may be zero), and the
+    /// m-index from the table. A group with fewer than `n` kept entries
+    /// pads with zero values carrying the last m-index (0 when none); one
+    /// with more is a violation. For `M <= 64` a group's bits are
+    /// funnelled into one word first, and its slots are written without
+    /// branching on the bits.
+    ///
+    /// # Errors
+    /// [`CompressError::ShapeMismatch`] when `dense` and `mask` differ in
+    /// shape, then [`CompressError::GroupTooWide`] when `cfg.m > 65535`,
+    /// then [`CompressError::PatternViolation`] exactly when
+    /// [`SparsityMask::complies_vnm`] is false.
+    pub fn try_compress_with(
+        dense: &Matrix<Half>,
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+        mut emit: impl FnMut(usize, &[Half], &[usize]),
     ) -> Result<Self, CompressError> {
         let (rows, cols) = (dense.rows(), dense.cols());
         if (rows, cols) != (mask.rows(), mask.cols()) {
@@ -128,19 +148,25 @@ impl VnmMatrix {
         if cfg.m > u16::MAX as usize {
             return Err(CompressError::GroupTooWide(cfg));
         }
-        if !mask.complies_vnm(cfg) {
-            return Err(CompressError::PatternViolation(cfg));
-        }
 
+        let violation = CompressError::PatternViolation(cfg);
         let (n, m) = (cfg.n, cfg.m);
         let k_groups = cfg.k_groups(cols);
         let row_blocks = cfg.row_blocks(rows);
         let slots_per_row = k_groups * n;
-        let mut values = vec![Half::ZERO; rows * slots_per_row];
-        let mut m_indices = vec![0u8; rows * slots_per_row];
+        // The pass's own buffers come first, so that once freed they leave
+        // no holes between the long-lived ones: the m-index of each column
+        // the current row block uses, the current row's stored nonzeros
+        // and their columns, and the OR of the block's mask words.
+        let mut rank = vec![0u8; cols];
+        let (mut row_ops, mut row_cols) = (vec![Half::ZERO; slots_per_row], vec![0; slots_per_row]);
+        let mut union = Vec::with_capacity(cols.div_ceil(64));
+        // Values and m-indices grow a row block at a time, so a pattern
+        // that fails early (grid detection tries many) touches little.
+        let mut values = Vec::with_capacity(rows * slots_per_row);
+        let mut m_indices = Vec::with_capacity(rows * slots_per_row);
         let mut column_loc = vec![0u16; row_blocks * k_groups * SELECTED_COLUMNS];
         let groups = |g: usize| (g * m, ((g + 1) * m).min(cols));
-        let mut union = Vec::new();
         for (b, block_loc) in column_loc
             .chunks_exact_mut(k_groups * SELECTED_COLUMNS)
             .enumerate()
@@ -151,62 +177,87 @@ impl VnmMatrix {
                 let (c0, c1) = groups(g);
                 let mut used = 0;
                 let mut put = |c: usize| {
-                    debug_assert!(used < SELECTED_COLUMNS);
+                    if used == SELECTED_COLUMNS {
+                        return Err(violation);
+                    }
                     sel[used] = c as u16;
+                    rank[c0 + c] = used as u8;
                     used += 1;
+                    Ok(())
                 };
                 if m <= 64 {
                     let mut bits = group_bits(&union, c0, c1);
                     while bits != 0 {
-                        put(bits.trailing_zeros() as usize);
+                        put(bits.trailing_zeros() as usize)?;
                         bits &= bits - 1;
                     }
                 } else {
-                    ones_at(&union, c0, c1).for_each(put);
+                    ones_at(&union, c0, c1).try_for_each(put)?;
                 }
                 let pad = if used > 0 { sel[used - 1] } else { 0 };
                 sel[used..].fill(pad);
             }
             let slots = block.start * slots_per_row..block.end * slots_per_row;
+            values.resize(slots.end, Half::ZERO);
+            m_indices.resize(slots.end, 0);
             let rows_out = values[slots.clone()]
                 .chunks_exact_mut(slots_per_row)
                 .zip(m_indices[slots].chunks_exact_mut(slots_per_row));
             for (r, (row_vals, row_idx)) in block.zip(rows_out) {
                 let (words, dense_row) = (mask.row_words(r), dense.row(r));
+                // The row's nonzero slots are appended to `row_ops`.
+                let mut len = 0;
                 let groups_out = row_vals
                     .chunks_exact_mut(n)
                     .zip(row_idx.chunks_exact_mut(n))
                     .enumerate();
                 for (g, (vals, idx)) in groups_out {
                     let (c0, c1) = groups(g);
-                    let sel = &block_loc[g * SELECTED_COLUMNS..][..SELECTED_COLUMNS];
                     if m <= 64 {
                         // One slot per set bit of the row's range, in
-                        // order, then padding, with no branch on the data:
+                        // order, then padding, with no branch on the bits:
                         // a spent `bits` reads column 0, drops the value
-                        // and keeps the last m-index.
+                        // and keeps the last m-index. Bits left over are
+                        // more than `n` kept entries. Only a nonzero value
+                        // is branched on, to append it to the row's
+                        // operands.
                         let mut bits = group_bits(words, c0, c1);
                         let mut last = 0u8;
                         for (v, j) in vals.iter_mut().zip(idx.iter_mut()) {
                             let live = bits != 0;
-                            let c = (bits.trailing_zeros() % 64) as usize;
-                            last = if live { rank(sel, c) } else { last };
-                            *v = if live { dense_row[c0 + c] } else { Half::ZERO };
+                            let c = c0 + (bits.trailing_zeros() % 64) as usize;
+                            last = if live { rank[c] } else { last };
+                            *v = if live { dense_row[c] } else { Half::ZERO };
                             *j = last;
+                            if !v.is_zero() {
+                                (row_ops[len], row_cols[len]) = (*v, c);
+                                len += 1;
+                            }
                             bits &= bits.wrapping_sub(1);
                         }
-                        debug_assert_eq!(bits, 0, "nm compliance guarantees <= n nonzeros");
+                        if bits != 0 {
+                            return Err(violation);
+                        }
                     } else {
                         let mut found = 0usize;
                         for c in ones_at(words, c0, c1) {
-                            vals[found] = dense_row[c0 + c];
-                            idx[found] = rank(sel, c);
+                            if found == n {
+                                return Err(violation);
+                            }
+                            let c = c0 + c;
+                            vals[found] = dense_row[c];
+                            idx[found] = rank[c];
+                            if !vals[found].is_zero() {
+                                (row_ops[len], row_cols[len]) = (vals[found], c);
+                                len += 1;
+                            }
                             found += 1;
                         }
                         let last = if found > 0 { idx[found - 1] } else { 0 };
                         idx[found..].fill(last);
                     }
                 }
+                emit(r, &row_ops[..len], &row_cols[..len]);
             }
         }
 
@@ -490,18 +541,31 @@ mod tests {
         }
     }
 
+    /// How [`near_vnm`] breaks its mask.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        /// The mask is left as drawn, compliant.
+        None,
+        /// One row crowds `n + 1` entries into a group (or, in a group too
+        /// narrow for that, the mask is left compliant).
+        Crowd,
+        /// The rows of one row block spread over more than four columns of
+        /// a group, each keeping at most `n` (compliant where the block
+        /// has too few rows or the group too few columns for that).
+        Spread,
+    }
+
     /// A `rows x cols` mask near `cfg` and a dense matrix drawn apart from
     /// it. Each `V x M` block draws up to four live columns and each row
-    /// keeps up to `n` of them, so groups and rows are often padded. When
-    /// `fault` holds, one row crowds `n + 1` entries into a group (or, in
-    /// a group too narrow for that, the mask is left compliant). Dense
-    /// entries draw from ±0, subnormals, normals, ±Inf and NaN, so kept
-    /// entries may be zero and pruned ones nonzero.
+    /// keeps up to `n` of them, so groups and rows are often padded; then
+    /// `fault` may break the pattern. Dense entries draw from ±0,
+    /// subnormals, normals, ±Inf and NaN, so kept entries may be zero and
+    /// pruned ones nonzero.
     fn near_vnm(
         rows: usize,
         cols: usize,
         cfg: VnmConfig,
-        fault: bool,
+        fault: Fault,
         seed: u64,
     ) -> (Matrix<Half>, SparsityMask) {
         const BITS: [u16; 10] = [
@@ -533,11 +597,26 @@ mod tests {
                 }
             }
         }
-        if fault {
-            let (r, g) = (next(rows), next(cfg.k_groups(cols)));
-            let c0 = g * cfg.m;
-            for c in c0..(c0 + cfg.n + 1).min(cols) {
-                mask.set(r, c, true);
+        let (b, g) = (next(cfg.row_blocks(rows)), next(cfg.k_groups(cols)));
+        let (r0, c0) = (b * cfg.v, g * cfg.m);
+        let (block, group) = (r0..(r0 + cfg.v).min(rows), c0..(c0 + cfg.m).min(cols));
+        match fault {
+            Fault::None => {}
+            Fault::Crowd => {
+                let r = r0 + next(block.len());
+                for c in group.take(cfg.n + 1) {
+                    mask.set(r, c, true);
+                }
+            }
+            Fault::Spread => {
+                for (i, r) in block.enumerate() {
+                    for c in group.clone() {
+                        mask.set(r, c, false);
+                    }
+                    for j in 0..cfg.n {
+                        mask.set(r, c0 + (i * cfg.n + j) % group.len(), true);
+                    }
+                }
             }
         }
         (dense, mask)
@@ -547,35 +626,48 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Word-parallel compression equals the column-at-a-time oracle
-        /// bit for bit, and errs exactly where the mask violates the
-        /// pattern: group widths below, at and above 64, partial tail
-        /// groups and row blocks, V = 1, padded groups and special values.
+        /// bit for bit, emits exactly the operands `for_each_operand`
+        /// visits on the result, in order, and errs exactly where the mask
+        /// violates the pattern (a row's group over `n`, or a block's group
+        /// over four columns): group widths below, at and above 64, widths
+        /// not dividing 64, partial tail groups and row blocks, V = 1,
+        /// padded groups, kept ±0 and NaN, ±Inf and subnormal values.
         #[test]
         fn try_compress_equals_the_column_oracle(
             cols in prop::sample::select(vec![1usize, 5, 63, 64, 65, 130, 200]),
-            m in prop::sample::select(vec![4usize, 8, 10, 16, 20, 32, 40, 64, 100]),
+            m in prop::sample::select(vec![4usize, 8, 10, 16, 20, 32, 40, 64, 100, 128]),
             v in prop::sample::select(vec![1usize, 2, 3, 4, 16]),
             n in 1usize..4,
             rows in 1usize..40,
-            fault in any::<bool>(),
+            fault in prop::sample::select(vec![Fault::None, Fault::Crowd, Fault::Spread]),
             seed in any::<u64>(),
         ) {
             let cfg = VnmConfig::new(v, n, m);
             let (dense, mask) = near_vnm(rows, cols, cfg, fault, seed);
-            match VnmMatrix::try_compress(&dense, &mask, cfg) {
+            let (mut emitted, mut rows_emitted) = (Vec::new(), Vec::new());
+            let got = VnmMatrix::try_compress_with(&dense, &mask, cfg, |r, values, columns| {
+                rows_emitted.push(r);
+                for (h, &c) in values.iter().zip(columns) {
+                    emitted.push((r, h.to_f32().to_bits(), c));
+                }
+            });
+            prop_assert_eq!(got.is_ok(), mask.complies_vnm(cfg), "{} {:?}", cfg, fault);
+            match got {
                 Ok(a) => {
-                    prop_assert!(mask.complies_vnm(cfg), "{}", cfg);
                     let want = compress_ref(&dense, &mask, cfg);
                     let bits = |a: &VnmMatrix| a.values().iter().map(|h| h.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(bits(&a), bits(&want), "{}", cfg);
                     prop_assert_eq!(a.m_indices(), want.m_indices(), "{}", cfg);
                     prop_assert_eq!(a.column_loc(), want.column_loc(), "{}", cfg);
                     prop_assert_eq!((a.k_groups(), a.row_blocks()), (want.k_groups(), want.row_blocks()));
+                    let mut visited = Vec::new();
+                    crate::SparseKernel::for_each_operand(&a, &mut |r, x, c| {
+                        visited.push((r, x.to_bits(), c));
+                    });
+                    prop_assert_eq!(emitted, visited, "{}", cfg);
+                    prop_assert_eq!(rows_emitted, (0..rows).collect::<Vec<_>>());
                 }
-                Err(e) => {
-                    prop_assert!(!mask.complies_vnm(cfg), "{}", cfg);
-                    prop_assert_eq!(e, CompressError::PatternViolation(cfg));
-                }
+                Err(e) => prop_assert_eq!(e, CompressError::PatternViolation(cfg)),
             }
         }
     }
@@ -764,6 +856,12 @@ mod tests {
             }
         );
         assert!(err.to_string().starts_with("shape mismatch"));
+        // Shape first, then group width, then the pattern.
+        let wide = VnmConfig::new(4, 2, u16::MAX as usize + 1);
+        let err = VnmMatrix::try_compress(&dense, &SparsityMask::dense(8, 8), wide).unwrap_err();
+        assert!(matches!(err, CompressError::ShapeMismatch { .. }));
+        let err = VnmMatrix::try_compress(&dense, &SparsityMask::dense(8, 16), wide).unwrap_err();
+        assert_eq!(err, CompressError::GroupTooWide(wide));
     }
 
     #[test]

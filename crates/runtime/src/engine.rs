@@ -4,7 +4,7 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::plan::Plan;
+use crate::plan::{Operands, Plan};
 use crate::pricing::{self, Baseline, Priced, VnmPrice};
 use crate::simd::avx2_dispatch;
 use std::cell::OnceCell;
@@ -170,10 +170,20 @@ impl Engine {
         desc: &MatmulDescriptor,
         weights: &Matrix<Half>,
     ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
+        Ok(Arc::new(self.format_plan(format, desc, weights)?))
+    }
+
+    /// [`Self::plan_with_format`], returning the plan itself.
+    pub(crate) fn format_plan(
+        &self,
+        format: MatmulFormat,
+        desc: &MatmulDescriptor,
+        weights: &Matrix<Half>,
+    ) -> Result<Plan, PlanError> {
         desc.assert_matches(weights);
         let w = Weight::new(weights);
         let quote = self.quote(format, desc, &w)?;
-        Ok(Arc::new(self.build(quote, *desc, &w)))
+        Ok(self.build(quote, *desc, &w))
     }
 
     /// Prices `format` for the weight without building its executor —
@@ -193,9 +203,9 @@ impl Engine {
         let (b_cols, dev) = (desc.b_cols, &self.dev);
         match format {
             MatmulFormat::Vnm => {
-                let a = self.compress_vnm_detected(w, None)?;
+                let (a, ops) = self.compress_vnm_detected(w, None)?;
                 let price = pricing::price_vnm(&a, b_cols, desc.dtype, &self.opts, dev)?;
-                let a = Rc::new(a);
+                let a = Rc::new((a, ops));
                 Ok(match desc.dtype {
                     DType::I8 => Quote::Quant(a, price),
                     DType::F16 => Quote::Spatha(a, price),
@@ -254,11 +264,17 @@ impl Engine {
     /// A candidate sharing its V:N:M compression with candidates that
     /// lost moves it into the plan; only a still-shared one is cloned.
     fn build(&self, quote: Quote, desc: MatmulDescriptor, w: &Weight<'_>) -> Plan {
-        let owned = |a: Rc<VnmMatrix>| Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
+        let owned = |a: Rc<Compressed>| Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
         match quote {
-            Quote::Spatha(a, price) => Plan::spatha(owned(a), desc, &self.opts, &self.dev, price),
-            Quote::Quant(a, price) => Plan::quant(&a, self.calibration, desc, price),
-            Quote::Band(a, priced) => Plan::band(owned(a), desc, priced),
+            Quote::Spatha(a, price) => {
+                let (a, ops) = owned(a);
+                Plan::spatha(a, ops, desc, &self.opts, &self.dev, price)
+            }
+            Quote::Quant(a, price) => Plan::quant(&a.0, self.calibration, desc, price),
+            Quote::Band(a, priced) => {
+                let (a, ops) = owned(a);
+                Plan::band(a, ops, desc, priced)
+            }
             Quote::Dense(priced) => Plan::build_dense(w.dense, desc, Some(priced)),
             Quote::Nm((timing, counts)) => {
                 let a = NmCompressed::compress(w.dense, w.mask(), NM_2_4);
@@ -287,16 +303,18 @@ impl Engine {
     /// Detects a complying V:2:M pattern and compresses, preferring a
     /// caller-supplied pattern over grid re-detection (a pruner that
     /// knows its pattern should not depend on the probed grid containing
-    /// it). Each tried pattern's compliance is checked once, by
-    /// [`VnmMatrix::try_compress`].
+    /// it). Each tried pattern is one pass over the weight
+    /// ([`Operands::compress`]), which checks compliance as it compresses
+    /// and stops at the first violation; the pattern that complies also
+    /// yields the operands its executor is built from.
     fn compress_vnm_detected(
         &self,
         w: &Weight<'_>,
         pattern: Option<VnmConfig>,
-    ) -> Result<VnmMatrix, PlanError> {
+    ) -> Result<Compressed, PlanError> {
         let mask = w.mask();
         pattern
-            .and_then(|cfg| VnmMatrix::try_compress(w.dense, mask, cfg).ok())
+            .and_then(|cfg| Operands::compress(w.dense, mask, cfg).ok())
             .or_else(|| detect_vnm(w.dense, mask))
             .ok_or_else(|| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
@@ -331,6 +349,16 @@ impl Engine {
         weights: &Matrix<Half>,
         pattern: Option<VnmConfig>,
     ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
+        Ok(Arc::new(self.band_plan(desc, weights, pattern)?))
+    }
+
+    /// [`Self::plan_band_hinted`], returning the plan itself.
+    pub(crate) fn band_plan(
+        &self,
+        desc: &MatmulDescriptor,
+        weights: &Matrix<Half>,
+        pattern: Option<VnmConfig>,
+    ) -> Result<Plan, PlanError> {
         desc.assert_matches(weights);
         if desc.dtype == DType::I8 {
             return Err(PlanError::Incompatible {
@@ -340,8 +368,9 @@ impl Engine {
                     .to_string(),
             });
         }
-        let a = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
-        Ok(Arc::new(Plan::build_band(a, *desc, &self.dev)?))
+        let (a, ops) = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
+        let priced = pricing::price_band(a.shape(), ops.len(), desc.b_cols, &self.dev)?;
+        Ok(Plan::band(a, ops, *desc, priced))
     }
 
     /// Plans `weights` in the cost-model-cheapest eligible format.
@@ -352,7 +381,9 @@ impl Engine {
     /// no more: the dense path (the cuBLAS model) and the hardware 2:4
     /// path (the cuSPARSELt model, after a compliance check on the
     /// weight's nonzero mask) price from the shape alone; V:N:M
-    /// compresses once and autotunes its template space; CSR, CVSE
+    /// compresses once, in one pass that also emits the operands its
+    /// executors are built from, autotunes its template space, and
+    /// prices its band replay from the count of those operands; CSR, CVSE
     /// (which also tunes its vector length) and Blocked-ELL price from
     /// row and band popcounts of the nonzero mask, without building
     /// their containers. Candidates compare in a fixed order under
@@ -403,6 +434,16 @@ impl Engine {
         weights: &Matrix<Half>,
         pattern: Option<VnmConfig>,
     ) -> Arc<dyn MatmulPlan> {
+        Arc::new(self.auto_plan(desc, weights, pattern))
+    }
+
+    /// [`Self::plan_auto_hinted`], returning the plan itself.
+    pub(crate) fn auto_plan(
+        &self,
+        desc: &MatmulDescriptor,
+        weights: &Matrix<Half>,
+        pattern: Option<VnmConfig>,
+    ) -> Plan {
         desc.assert_matches(weights);
         let f16_desc = desc.with_dtype(DType::F16);
         let (b_cols, dev) = (desc.b_cols, &self.dev);
@@ -413,14 +454,14 @@ impl Engine {
         // runs the same template).
         if let Ok(a) = self.compress_vnm_detected(&w, pattern) {
             let a = Rc::new(a);
-            let mma = pricing::price_vnm(&a, b_cols, DType::F16, &self.opts, dev);
+            let mma = pricing::price_vnm(&a.0, b_cols, DType::F16, &self.opts, dev);
             if desc.dtype == DType::I8 {
                 let tile = match &mma {
                     Ok(Some(price)) => Some(price.tile),
                     _ => self.opts.tile,
                 };
                 let opts = SpmmOptions { tile, ..self.opts };
-                if let Ok(price) = pricing::price_vnm(&a, b_cols, DType::I8, &opts, dev) {
+                if let Ok(price) = pricing::price_vnm(&a.0, b_cols, DType::I8, &opts, dev) {
                     quotes.push(Quote::Quant(Rc::clone(&a), price));
                 }
             }
@@ -431,7 +472,7 @@ impl Engine {
             // DRAM-byte pricing undercuts the mma stream left of the
             // ridge point, so routing flips there — no hard-coded
             // threshold.
-            if let Ok(priced) = pricing::price_band(&a, b_cols, dev) {
+            if let Ok(priced) = pricing::price_band(a.0.shape(), a.1.len(), b_cols, dev) {
                 quotes.push(Quote::Band(a, priced));
             }
         }
@@ -447,7 +488,7 @@ impl Engine {
             .into_iter()
             .min_by(|a, b| pricing::cost_cmp(a.cost_ms(), b.cost_ms()))
             .expect("the dense path is always eligible");
-        Arc::new(self.build(best, f16_desc, &w))
+        self.build(best, f16_desc, &w)
     }
 
     /// Plans the activation-side attention pipeline for one
@@ -476,7 +517,7 @@ impl Engine {
 /// grid its nonzero mask complies with: largest V, then sparsest M. A
 /// pattern with larger V also complies at every smaller probed V, so the
 /// first hit is the strongest structure the weight actually has.
-fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<VnmMatrix> {
+fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<Compressed> {
     let (r, k) = (mask.rows(), mask.cols());
     AUTO_V
         .iter()
@@ -487,8 +528,12 @@ fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<VnmMatrix> {
                 .filter(move |&&m| m <= k)
                 .map(move |&m| VnmConfig::new(v, 2, m))
         })
-        .find_map(|cfg| VnmMatrix::try_compress(dense, mask, cfg).ok())
+        .find_map(|cfg| Operands::compress(dense, mask, cfg).ok())
 }
+
+/// A compressed V:N:M weight and the operands its compression emitted,
+/// which the winning V:N:M executor is built from.
+type Compressed = (VnmMatrix, Operands);
 
 /// The weight being planned, with its nonzero mask — the structure
 /// eligibility is decided on and the CSR, CVSE and Blocked-ELL models
@@ -525,11 +570,11 @@ avx2_dispatch! {
 enum Quote {
     /// The f16 Spatha `mma.sp` stream over the compressed V:N:M weight
     /// (`None`: V below the kernel's fragment contract, unpriced).
-    Spatha(Rc<VnmMatrix>, Option<VnmPrice>),
+    Spatha(Rc<Compressed>, Option<VnmPrice>),
     /// The int8 stream over the quantized V:N:M weight.
-    Quant(Rc<VnmMatrix>, Option<VnmPrice>),
+    Quant(Rc<Compressed>, Option<VnmPrice>),
     /// The band replay of the compressed V:N:M weight.
-    Band(Rc<VnmMatrix>, Priced),
+    Band(Rc<Compressed>, Priced),
     /// The dense stream on the cuBLAS model.
     Dense(Priced),
     /// The hardware 2:4 stream, compressed when built.

@@ -35,6 +35,14 @@
 //! fused-linear dispatch through `StreamExec`; the int executor stages
 //! i16 codes and keeps its own bodies.
 //!
+//! A cold V:N:M plan, which the engine builds from a dense weight, takes
+//! its stream from the operands its one-pass compression emitted
+//! (`Operands`, see [`VnmMatrix::try_compress_with`]): the band stream
+//! keeps them as they are, and the f32 stream widens the values through
+//! the exact f16→f32 LUT. Only a plan over an already compressed weight
+//! ([`crate::Engine::plan_spmm`]) condenses the weight's slots
+//! (`condense_vnm`).
+//!
 //! The stream replay works one band of `BAND_ROWS` output rows at a
 //! time. It walks K in chunks of about `CHUNK_BYTES` of staged B (more
 //! where that holds less than one quad of operands per row), and in
@@ -64,7 +72,10 @@ use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix, SELECTED_COLUMNS};
+use venom_format::{
+    CompressError, MatmulFormat, QuantVnmMatrix, SparseKernel, SparsityMask, VnmConfig, VnmMatrix,
+    SELECTED_COLUMNS,
+};
 use venom_fp16::lut::LUT_ENTRIES;
 use venom_fp16::Half;
 use venom_quant::Calibration;
@@ -301,9 +312,28 @@ impl Stream {
         }
     }
 
-    /// Condenses a V:N:M weight in one pass over its slots (see
-    /// [`condense_vnm`]): the stream [`Self::from_kernel`] builds from
-    /// its `for_each_operand`, without the counting pass.
+    /// The stream of a V:N:M weight from its compression's emitted
+    /// operands: values widened through the exact f16→f32 LUT, sources
+    /// widened to u32 where they are 16-bit.
+    fn from_operands(ops: Operands) -> Self {
+        let lut = venom_fp16::f16_to_f32_table();
+        let vals = ops.bits.iter().map(|&h| lut[usize::from(h)]).collect();
+        let srcs = match ops.srcs {
+            Sources::Narrow(s) => s.iter().map(|&s| u32::from(s)).collect(),
+            Sources::Wide(s) => s,
+        };
+        Stream {
+            rows: ops.rows,
+            k: ops.k,
+            row_ptr: ops.row_ptr,
+            vals,
+            srcs,
+        }
+    }
+
+    /// Condenses an already compressed V:N:M weight in one pass over its
+    /// slots (see [`condense_vnm`]): the stream [`Self::from_kernel`]
+    /// builds from its `for_each_operand`, without the counting pass.
     fn from_vnm(a: &VnmMatrix) -> Self {
         let (rows, k) = a.shape();
         let (row_ptr, vals, srcs) = condense_vnm(a, Half::to_f32, |s| s as u32);
@@ -467,21 +497,21 @@ pub(crate) struct BandStream {
 }
 
 impl BandStream {
-    /// Condenses a V:N:M weight into the narrow stream, in one pass over
-    /// its slots (see [`condense_vnm`]).
+    /// The narrow stream of a V:N:M weight: its compression's emitted
+    /// operands, as they are.
     ///
     /// # Panics
-    /// Panics if `K` exceeds the 16-bit source-index range (pricing,
-    /// [`pricing::price_band`], rejects such weights first).
-    fn from_vnm(a: &VnmMatrix) -> Self {
-        let (rows, k) = a.shape();
-        assert!(k <= u16::MAX as usize + 1, "K = {k} exceeds 16-bit sources");
-        let (row_ptr, vals, srcs) = condense_vnm(a, Half::to_bits, |s| s as u16);
+    /// Panics if the sources are 32-bit, `K` exceeding the 16-bit range
+    /// (pricing, [`pricing::price_band`], rejects such weights first).
+    fn from_operands(ops: Operands) -> Self {
+        let Sources::Narrow(srcs) = ops.srcs else {
+            panic!("K = {} exceeds 16-bit sources", ops.k)
+        };
         BandStream {
-            rows,
-            k,
-            row_ptr,
-            vals,
+            rows: ops.rows,
+            k: ops.k,
+            row_ptr: ops.row_ptr,
+            vals: ops.bits,
             srcs,
         }
     }
@@ -639,12 +669,105 @@ avx2_dispatch! {
     ) = BandStream::replay_row;
 }
 
-/// A V:N:M weight's operands in `spmm_ref` accumulation order — row by
-/// row, ascending `(K group, slot)`, zero slots skipped — as row pointers,
-/// `val` of each value and `src` of its B row. One row-major walk over
-/// the values, m-indices and column-loc, pushing into vectors sized by
-/// [`VnmMatrix::nnz`]: the same operands, in the same order, as two
-/// passes of [`SparseKernel::for_each_operand`].
+/// A V:N:M weight's stored nonzeros as its one-pass compression
+/// ([`VnmMatrix::try_compress_with`]) emits them, in `spmm_ref`
+/// accumulation order: row pointers, f16 bits and source B rows. A cold
+/// V:N:M plan's executor is built from these: the band stream as they
+/// are, the f32 stream widened.
+#[derive(Clone, Debug)]
+pub(crate) struct Operands {
+    rows: usize,
+    k: usize,
+    row_ptr: Vec<u32>,
+    bits: Vec<u16>,
+    srcs: Sources,
+}
+
+/// The source B rows of [`Operands`].
+#[derive(Clone, Debug)]
+enum Sources {
+    /// `K <= 65536`: the band stream's 16-bit sources.
+    Narrow(Vec<u16>),
+    /// `K > 65536`, which only the f32 stream serves.
+    Wide(Vec<u32>),
+}
+
+impl Operands {
+    /// Compresses `dense` under `mask` in one pass, which checks the
+    /// pattern, and collects the operands it emits.
+    ///
+    /// # Errors
+    /// As [`VnmMatrix::try_compress_with`].
+    pub(crate) fn compress(
+        dense: &Matrix<Half>,
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+    ) -> Result<(VnmMatrix, Self), CompressError> {
+        if dense.cols() <= u16::MAX as usize + 1 {
+            Self::collect(dense, mask, cfg, |c| c as u16, Sources::Narrow)
+        } else {
+            Self::collect(dense, mask, cfg, |c| c as u32, Sources::Wide)
+        }
+    }
+
+    /// [`Self::compress`] with the sources stored as `src` of each column
+    /// and wrapped by `wrap`. The vectors are sized by the slot count,
+    /// the most the pass can emit, when the first row arrives, and
+    /// trimmed to what it emitted.
+    fn collect<S>(
+        dense: &Matrix<Half>,
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+        src: impl Fn(usize) -> S,
+        wrap: impl FnOnce(Vec<S>) -> Sources,
+    ) -> Result<(VnmMatrix, Self), CompressError> {
+        let (rows, k) = (dense.rows(), dense.cols());
+        let slots = rows * cfg.k_groups(k) * cfg.n;
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        let (mut bits, mut srcs) = (Vec::new(), Vec::new());
+        let a = VnmMatrix::try_compress_with(dense, mask, cfg, |r, values, columns| {
+            if r == 0 {
+                // Allocated after the pass's own buffers, which are freed
+                // first: the plan's buffers then pack together in the
+                // heap, and a churning server's peak RSS stays that of
+                // the two-pass build.
+                bits.reserve_exact(slots);
+                srcs.reserve_exact(slots);
+            }
+            bits.extend(values.iter().map(|h| h.to_bits()));
+            srcs.extend(columns.iter().map(|&c| src(c)));
+            row_ptr.push(bits.len() as u32);
+        })?;
+        bits.shrink_to_fit();
+        srcs.shrink_to_fit();
+        let srcs = wrap(srcs);
+        Ok((
+            a,
+            Operands {
+                rows,
+                k,
+                row_ptr,
+                bits,
+                srcs,
+            },
+        ))
+    }
+
+    /// Stored nonzeros.
+    pub(crate) fn len(&self) -> usize {
+        self.bits.len()
+    }
+}
+
+/// An already compressed V:N:M weight's operands in `spmm_ref`
+/// accumulation order — row by row, ascending `(K group, slot)`, zero
+/// slots skipped — as row pointers, `val` of each value and `src` of its
+/// B row. One row-major walk over the values, m-indices and column-loc,
+/// pushing into vectors sized by [`VnmMatrix::nnz`]: the same operands,
+/// in the same order, as two passes of
+/// [`SparseKernel::for_each_operand`]. Only [`Plan::build_vnm`] condenses
+/// this way; cold plans take [`Operands`] from their compression.
 fn condense_vnm<V, S>(
     a: &VnmMatrix,
     val: impl Fn(Half) -> V,
@@ -797,8 +920,9 @@ impl Plan {
         }
     }
 
-    /// The V:N:M stream plan on the Spatha path, priced and then built;
-    /// prefer [`crate::Engine::plan_spmm`].
+    /// The V:N:M stream plan on the Spatha path over an already
+    /// compressed weight, priced and then built; prefer
+    /// [`crate::Engine::plan_spmm`].
     ///
     /// # Panics
     /// Panics if an explicit `opts.tile` cannot launch for `a` on `dev`.
@@ -809,19 +933,34 @@ impl Plan {
         dev: &DeviceConfig,
     ) -> Self {
         let price = pricing::price_vnm(a, desc.b_cols, DType::F16, opts, dev);
-        Self::spatha(a.clone(), desc, opts, dev, launchable(price))
+        let exec = Exec::Stream(Stream::from_vnm(a));
+        Self::spatha_exec(a.clone(), exec, desc, opts, dev, launchable(price))
     }
 
-    /// Builds the V:N:M stream plan over an already priced launch
-    /// (`None`: V below the fragment contract, unpriced).
+    /// Builds the V:N:M stream plan from its compression's operands over
+    /// an already priced launch (`None`: V below the fragment contract,
+    /// unpriced).
     pub(crate) fn spatha(
         a: VnmMatrix,
+        ops: Operands,
         desc: MatmulDescriptor,
         opts: &SpmmOptions,
         dev: &DeviceConfig,
         price: Option<VnmPrice>,
     ) -> Self {
-        let exec = Exec::Stream(Stream::from_vnm(&a));
+        let exec = Exec::Stream(Stream::from_operands(ops));
+        Self::spatha_exec(a, exec, desc, opts, dev, price)
+    }
+
+    /// The V:N:M stream plan over its built executor.
+    fn spatha_exec(
+        a: VnmMatrix,
+        exec: Exec,
+        desc: MatmulDescriptor,
+        opts: &SpmmOptions,
+        dev: &DeviceConfig,
+        price: Option<VnmPrice>,
+    ) -> Self {
         let reference = Reference::Spatha {
             weight: a,
             opts: *opts,
@@ -841,24 +980,15 @@ impl Plan {
         Self::new(desc, exec, reference, tile, priced)
     }
 
-    /// The band plan of a V:N:M weight, priced on the CUDA-core DRAM
-    /// roofline ([`pricing::price_band`]) and then built.
-    ///
-    /// # Errors
-    /// [`PlanError::Incompatible`] when `K` does not fit the stream's
-    /// 16-bit source indices.
-    pub(crate) fn build_band(
+    /// Builds the band plan from its compression's operands over its
+    /// [`pricing::price_band`] pricing.
+    pub(crate) fn band(
         a: VnmMatrix,
+        ops: Operands,
         desc: MatmulDescriptor,
-        dev: &DeviceConfig,
-    ) -> Result<Self, PlanError> {
-        let priced = pricing::price_band(&a, desc.b_cols, dev)?;
-        Ok(Self::band(a, desc, priced))
-    }
-
-    /// Builds the band plan over its [`pricing::price_band`] pricing.
-    pub(crate) fn band(a: VnmMatrix, desc: MatmulDescriptor, priced: Priced) -> Self {
-        let exec = Exec::Band(BandStream::from_vnm(&a));
+        priced: Priced,
+    ) -> Self {
+        let exec = Exec::Band(BandStream::from_operands(ops));
         Self::new(desc, exec, Reference::Swapped(a), None, Some(priced))
     }
 
@@ -1303,13 +1433,24 @@ mod tests {
         b
     }
 
-    /// A magnitude-pruned V:N:M weight whose kept values include
-    /// [`SPECIALS`].
-    fn vnm_special(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
+    /// A magnitude-pruned V:N:M weight whose kept entries include
+    /// [`SPECIALS`], with its mask.
+    fn special_weight(
+        r: usize,
+        k: usize,
+        cfg: VnmConfig,
+        seed: u64,
+    ) -> (Matrix<Half>, SparsityMask) {
         let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
         let mask = magnitude::prune_vnm(&w, cfg);
         let mut dense = mask.apply_f32(&w).to_half();
         inject(&mut dense, seed as usize, |r, c| mask.get(r, c));
+        (dense, mask)
+    }
+
+    /// [`special_weight`], compressed.
+    fn vnm_special(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
+        let (dense, mask) = special_weight(r, k, cfg, seed);
         VnmMatrix::compress(&dense, &mask, cfg)
     }
 
@@ -1366,11 +1507,42 @@ mod tests {
         out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
     }
 
+    /// The value bits and sources of a plan's V:N:M stream (band values
+    /// widened through `to_f32`), with its row pointers.
+    fn stream_of(plan: &Plan) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        match &plan.exec {
+            Exec::Stream(s) => (
+                s.row_ptr.clone(),
+                s.vals.iter().map(|v| v.to_bits()).collect(),
+                s.srcs.clone(),
+            ),
+            Exec::Band(s) => (
+                s.row_ptr.clone(),
+                s.vals
+                    .iter()
+                    .map(|&h| Half::from_bits(h).to_f32().to_bits())
+                    .collect(),
+                s.srcs.iter().map(|&s| u32::from(s)).collect(),
+            ),
+            Exec::Int(_) => panic!("not an f16 V:N:M plan"),
+        }
+    }
+
+    /// [`condense_vnm`] of `a`, in the shape of [`stream_of`].
+    fn condensed(a: &VnmMatrix) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        condense_vnm(a, |h| h.to_f32().to_bits(), |s| s as u32)
+    }
+
     /// The one-pass condensation of a V:N:M weight equals the two-pass
     /// `for_each_operand` stream: row pointers, value bits and sources,
-    /// for the f32 stream and the narrow band stream alike. Cases cover
-    /// V = 1, N = 1 and 3, M > 64, partial tail groups and row blocks,
-    /// kept -0.0 (skipped) and kept NaN, ±Inf and subnormals.
+    /// for the f32 stream and the narrow band stream alike. And every
+    /// V:N:M plan the engine builds cold, whose stream comes from its
+    /// compression's emitted operands, equals the condensation of its
+    /// weight: band and Spatha plans from `plan_auto_hinted`,
+    /// `plan_band_hinted` and `plan_with_format(Vnm)`, hinted and
+    /// unhinted, and a Spatha plan whose K exceeds 16-bit sources. Cases
+    /// cover V = 1, N = 1 and 3, M > 64, partial tail groups and row
+    /// blocks, kept -0.0 (skipped) and kept NaN, ±Inf and subnormals.
     #[test]
     fn one_pass_vnm_condensation_equals_the_two_pass_stream() {
         let cases = [
@@ -1378,7 +1550,9 @@ mod tests {
             (33, 130, VnmConfig::new(1, 2, 8)),
             (37, 230, VnmConfig::new(4, 3, 100)),
             (64, 77, VnmConfig::new(64, 1, 10)),
+            (150, 230, VnmConfig::new(128, 2, 20)),
         ];
+        let mut paths = Vec::new();
         for (i, (r, k, cfg)) in cases.into_iter().enumerate() {
             let a = vnm_special(r, k, cfg, 40 + i as u64);
             let want = Stream::from_kernel(&a);
@@ -1389,17 +1563,50 @@ mod tests {
             let got_bits: Vec<u32> = got.vals.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got_bits, want_bits, "{cfg}");
             assert_eq!(got.srcs, want.srcs, "{cfg}");
-            let band = BandStream::from_vnm(&a);
-            assert_eq!(band.row_ptr, want.row_ptr, "{cfg}");
-            let band_bits: Vec<u32> = band
-                .vals
-                .iter()
-                .map(|&h| Half::from_bits(h).to_f32().to_bits())
-                .collect();
-            assert_eq!(band_bits, want_bits, "{cfg}");
-            let band_srcs: Vec<u32> = band.srcs.iter().map(|&s| u32::from(s)).collect();
-            assert_eq!(band_srcs, want.srcs, "{cfg}");
+            assert_eq!(condensed(&a), (want.row_ptr, want_bits, want.srcs), "{cfg}");
+
+            let (w, _) = special_weight(r, k, cfg, 40 + i as u64);
+            let desc = MatmulDescriptor::new(r, k);
+            for hint in [Some(cfg), None] {
+                let mut plans = Vec::new();
+                for width in [8, 4096] {
+                    let engine = crate::Engine::new(dev()).with_b_cols_hint(width);
+                    plans.push(engine.auto_plan(&desc.with_b_cols(width), &w, hint));
+                }
+                let engine = crate::Engine::new(dev());
+                plans.extend(engine.band_plan(&desc, &w, hint).ok());
+                if hint.is_none() {
+                    plans.extend(engine.format_plan(MatmulFormat::Vnm, &desc, &w).ok());
+                }
+                for plan in plans {
+                    let Some(a) = plan.vnm() else { continue };
+                    let at = format!("{cfg} hint {hint:?}: {} plan", plan.path());
+                    assert_eq!(stream_of(&plan), condensed(a), "{at}");
+                    paths.push((plan.path(), hint.is_some()));
+                }
+            }
         }
+        for want in [
+            ("band", true),
+            ("band", false),
+            ("vnm", true),
+            ("vnm", false),
+        ] {
+            assert!(paths.contains(&want), "no {want:?} plan among {paths:?}");
+        }
+
+        // K past the band stream's 16-bit sources: the Spatha plan keeps
+        // 32-bit sources, some of them past 65535.
+        let k = (u16::MAX as usize + 1) + 8;
+        let w = Matrix::from_fn(16, k, |_, c| if c % 8 < 2 { Half::ONE } else { Half::ZERO });
+        let engine = crate::Engine::new(dev()).with_b_cols_hint(8);
+        let plan = engine
+            .format_plan(MatmulFormat::Vnm, &engine.descriptor(16, k), &w)
+            .expect("16:2:8 complies");
+        assert!(matches!(plan.exec, Exec::Stream(_)));
+        let stream = stream_of(&plan);
+        assert_eq!(stream, condensed(plan.vnm().expect("a V:N:M plan")));
+        assert!(stream.2.iter().any(|&s| s > u32::from(u16::MAX)));
     }
 
     #[test]
@@ -1543,9 +1750,21 @@ mod tests {
         assert_eq!(bits(&got), bits(&want));
     }
 
+    /// The band plan of `a` over operands condensed from its slots.
     fn band_build(a: &VnmMatrix, b_cols: usize) -> Plan {
-        let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        Plan::build_band(a.clone(), desc, &dev()).expect("K fits 16-bit indices")
+        let (rows, k) = a.shape();
+        let desc = MatmulDescriptor::new(rows, k).with_b_cols(b_cols);
+        let (row_ptr, bits, srcs) = condense_vnm(a, Half::to_bits, |s| s as u16);
+        let srcs = Sources::Narrow(srcs);
+        let ops = Operands {
+            rows,
+            k,
+            row_ptr,
+            bits,
+            srcs,
+        };
+        let priced = pricing::price_band(a.shape(), ops.len(), b_cols, &dev());
+        Plan::band(a.clone(), ops, desc, priced.expect("K fits 16-bit indices"))
     }
 
     /// Output widths of the band oracle: every accumulator width of
@@ -1680,11 +1899,10 @@ mod tests {
         // K beyond u16 range cannot be streamed with narrow indices.
         let cfg = VnmConfig::new(16, 2, 8);
         let k = (u16::MAX as usize + 1) + 8;
-        let w = Matrix::<Half>::zeros(16, k);
-        let mask = venom_format::SparsityMask::from_fn(16, k, |_, c| c % 8 < 2);
-        let a = VnmMatrix::compress(&w, &mask, cfg);
-        let desc = MatmulDescriptor::new(16, k).with_b_cols(8);
-        let err = Plan::build_band(a, desc, &dev()).unwrap_err();
+        let w = Matrix::from_fn(16, k, |_, c| if c % 8 < 2 { Half::ONE } else { Half::ZERO });
+        let engine = crate::Engine::new(dev()).with_b_cols_hint(8);
+        let desc = engine.descriptor(16, k);
+        let err = engine.plan_band_hinted(&desc, &w, Some(cfg)).unwrap_err();
         assert!(
             err.to_string().contains("16-bit source indices"),
             "got: {err}"

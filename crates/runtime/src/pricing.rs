@@ -10,9 +10,9 @@
 //! cost).
 //!
 //! No function here builds an executor or a container: each reads what
-//! its model reads — a shape, a V:N:M weight's stored nonzeros, or, for
-//! the CSR, CVSE and Blocked-ELL models, a few popcounts of the weight's
-//! packed nonzero mask ([`SparsityMask::row_nnz`],
+//! its model reads — a shape, a V:N:M weight's pattern or its count of
+//! stored nonzeros, or, for the CSR, CVSE and Blocked-ELL models, a few
+//! popcounts of the weight's packed nonzero mask ([`SparsityMask::row_nnz`],
 //! [`SparsityMask::union_nnz`], [`SparsityMask::union_blocks`]) — so
 //! `plan_auto` prices every candidate and builds only the winner. The
 //! container-taking `*_counts` / `price_*` functions read the same
@@ -191,27 +191,26 @@ pub fn price_vnm(
     }))
 }
 
-/// Prices the band replay of a V:N:M weight on the CUDA-core DRAM
-/// roofline ([`venom_core::build_counts_band`]) from its shape and its
-/// stored nonzeros ([`VnmMatrix::nnz`], the operands the band stream
-/// keeps).
+/// Prices the band replay of an `r x k` V:N:M weight with `nnz` stored
+/// nonzeros (the operands the band stream keeps) on the CUDA-core DRAM
+/// roofline ([`venom_core::build_counts_band`]).
 ///
 /// # Errors
 /// [`PlanError::Incompatible`] when `K` does not fit the band stream's
 /// 16-bit source indices.
 pub(crate) fn price_band(
-    a: &VnmMatrix,
+    (r, k): (usize, usize),
+    nnz: usize,
     b_cols: usize,
     dev: &DeviceConfig,
 ) -> Result<Priced, PlanError> {
-    let (r, k) = a.shape();
     if k > u16::MAX as usize + 1 {
         return Err(PlanError::Incompatible {
             format: MatmulFormat::Vnm,
             reason: format!("the band stream stores 16-bit source indices; K = {k} does not fit"),
         });
     }
-    let counts = venom_core::build_counts_band(r, k, b_cols, a.nnz());
+    let counts = venom_core::build_counts_band(r, k, b_cols, nnz);
     let timing =
         simulate(dev, &counts).expect("the band kernel uses no shared memory and always launches");
     Ok((timing, counts))
