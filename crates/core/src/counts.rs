@@ -129,7 +129,7 @@ pub const BAND_EFFICIENCY: f64 = 0.85;
 
 /// Builds the [`KernelCounts`] for the bandwidth-optimized band/swapped
 /// SpMM (the non-mma path of [`crate::spmm_swapped`] and the runtime's
-/// `BandStream`).
+/// band replay).
 ///
 /// The structure it prices is deliberately lean — that *is* the path's
 /// value proposition left of the ridge point:

@@ -17,9 +17,11 @@
 //!   order-independent), and
 //! * the **dequantized f32** view through [`SparseKernel`] — each stored
 //!   value contributes `q as f32 * row_scale` (one rounding per operand),
-//!   which is what lets `Stream::from_kernel` condensation, format
-//!   conformance harnesses and re-planning work on the quantized container
-//!   unchanged.
+//!   which is what lets format conformance harnesses and re-planning work
+//!   on the quantized container unchanged. These values are not f16
+//!   values, so no f16 operand stream is built from them: the runtime's
+//!   int8 plans condense the i8 codes themselves
+//!   ([`QuantVnmMatrix::for_each_operand_i8`]).
 
 use crate::sparse_kernel::parallel_from_operands;
 use crate::{MatmulFormat, SparseKernel, SparsityMask, VnmConfig, VnmMatrix, SELECTED_COLUMNS};

@@ -4,7 +4,7 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::plan::{Operands, Plan};
+use crate::plan::{Plan, Stream};
 use crate::pricing::{self, Baseline, Priced, VnmPrice};
 use crate::simd::avx2_dispatch;
 use std::cell::OnceCell;
@@ -203,9 +203,9 @@ impl Engine {
         let (b_cols, dev) = (desc.b_cols, &self.dev);
         match format {
             MatmulFormat::Vnm => {
-                let (a, ops) = self.compress_vnm_detected(w, None)?;
+                let (a, stream) = self.compress_vnm_detected(w, None)?;
                 let price = pricing::price_vnm(&a, b_cols, desc.dtype, &self.opts, dev)?;
-                let a = Rc::new((a, ops));
+                let a = Rc::new((a, stream));
                 Ok(match desc.dtype {
                     DType::I8 => Quote::Quant(a, price),
                     DType::F16 => Quote::Spatha(a, price),
@@ -267,13 +267,13 @@ impl Engine {
         let owned = |a: Rc<Compressed>| Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
         match quote {
             Quote::Spatha(a, price) => {
-                let (a, ops) = owned(a);
-                Plan::spatha(a, ops, desc, &self.opts, &self.dev, price)
+                let (a, stream) = owned(a);
+                Plan::spatha(a, stream, desc, &self.opts, &self.dev, price)
             }
             Quote::Quant(a, price) => Plan::quant(&a.0, self.calibration, desc, price),
             Quote::Band(a, priced) => {
-                let (a, ops) = owned(a);
-                Plan::band(a, ops, desc, priced)
+                let (a, stream) = owned(a);
+                Plan::band(a, stream, desc, priced)
             }
             Quote::Dense(priced) => Plan::build_dense(w.dense, desc, Some(priced)),
             Quote::Nm((timing, counts)) => {
@@ -304,9 +304,9 @@ impl Engine {
     /// caller-supplied pattern over grid re-detection (a pruner that
     /// knows its pattern should not depend on the probed grid containing
     /// it). Each tried pattern is one pass over the weight
-    /// ([`Operands::compress`]), which checks compliance as it compresses
+    /// ([`Stream::compress`]), which checks compliance as it compresses
     /// and stops at the first violation; the pattern that complies also
-    /// yields the operands its executor is built from.
+    /// yields the stream its executor replays.
     fn compress_vnm_detected(
         &self,
         w: &Weight<'_>,
@@ -314,7 +314,7 @@ impl Engine {
     ) -> Result<Compressed, PlanError> {
         let mask = w.mask();
         pattern
-            .and_then(|cfg| Operands::compress(w.dense, mask, cfg).ok())
+            .and_then(|cfg| Stream::compress(w.dense, mask, cfg).ok())
             .or_else(|| detect_vnm(w.dense, mask))
             .ok_or_else(|| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
@@ -368,9 +368,9 @@ impl Engine {
                     .to_string(),
             });
         }
-        let (a, ops) = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
-        let priced = pricing::price_band(a.shape(), ops.len(), desc.b_cols, &self.dev)?;
-        Ok(Plan::band(a, ops, *desc, priced))
+        let (a, stream) = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
+        let priced = pricing::price_band(a.shape(), stream.nnz(), desc.b_cols, &self.dev)?;
+        Ok(Plan::band(a, stream, *desc, priced))
     }
 
     /// Plans `weights` in the cost-model-cheapest eligible format.
@@ -472,7 +472,7 @@ impl Engine {
             // DRAM-byte pricing undercuts the mma stream left of the
             // ridge point, so routing flips there — no hard-coded
             // threshold.
-            if let Ok(priced) = pricing::price_band(a.0.shape(), a.1.len(), b_cols, dev) {
+            if let Ok(priced) = pricing::price_band(a.0.shape(), a.1.nnz(), b_cols, dev) {
                 quotes.push(Quote::Band(a, priced));
             }
         }
@@ -528,12 +528,12 @@ fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<Compressed> {
                 .filter(move |&&m| m <= k)
                 .map(move |&m| VnmConfig::new(v, 2, m))
         })
-        .find_map(|cfg| Operands::compress(dense, mask, cfg).ok())
+        .find_map(|cfg| Stream::compress(dense, mask, cfg).ok())
 }
 
-/// A compressed V:N:M weight and the operands its compression emitted,
-/// which the winning V:N:M executor is built from.
-type Compressed = (VnmMatrix, Operands);
+/// A compressed V:N:M weight and the operand stream its compression
+/// emitted, which the winning f16 V:N:M plan replays.
+type Compressed = (VnmMatrix, Stream);
 
 /// The weight being planned, with its nonzero mask — the structure
 /// eligibility is decided on and the CSR, CVSE and Blocked-ELL models

@@ -5,9 +5,10 @@
 //! descriptor/plan split: built once by the [`crate::Engine`] for one
 //! [`MatmulDescriptor`], replayed on every request. One type implements
 //! it for every format, dtype and executor: [`crate::Plan`], whose
-//! executor is the f32 stream (V:N:M on the Spatha path, dense, N:M,
-//! CSR, CVSE, Blocked-ELL), the band replay (V:N:M, memory-bound
-//! shapes) or the int8 stream (quantized V:N:M). Layers, models and the
+//! executor is the f16 stream — replayed by the `mma.sp` sweep (V:N:M on
+//! the Spatha path, dense, N:M, CSR, CVSE, Blocked-ELL) or by the band
+//! replay (V:N:M, memory-bound shapes) — or the int8 stream (quantized
+//! V:N:M). Layers, models and the
 //! CLI hold `Arc<dyn MatmulPlan>` and mix formats per weight; the
 //! serving stack's fault-injecting wrapper is the trait's other
 //! implementation.
@@ -117,10 +118,11 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     fn stored_values(&self) -> usize;
 
     /// Approximate resident bytes of the plan: a fixed 64-byte
-    /// structural overhead plus the executor's values, source indices
-    /// and row pointers — the bytes a dispatch reads as compulsory
-    /// operand traffic. The currency of the serving plan cache's byte
-    /// budget ([`crate::serve::PlanCache`]).
+    /// structural overhead, the executor's values, source indices and
+    /// row pointers (the bytes a dispatch reads as compulsory operand
+    /// traffic), and the compressed weight the per-call path runs
+    /// (values and metadata). The currency of the serving plan cache's
+    /// byte budget ([`crate::serve::PlanCache`]).
     fn approx_bytes(&self) -> usize;
 
     /// Reconstructs the dense weight (pruned entries are zero) — used to

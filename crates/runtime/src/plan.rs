@@ -1,4 +1,4 @@
-//! Execution plans: one [`Plan`] type over three condensed executors.
+//! Execution plans: one [`Plan`] type over two condensed executors.
 //!
 //! A plan's executor stores, for every output row, the row's nonzero
 //! operands as `(value, source B row)` pairs in the exact order the
@@ -11,55 +11,57 @@
 //! while touching each operand once, at full output width, instead of
 //! through per-call staging rebuilt on every dispatch.
 //!
-//! Formats differ in data, not in type. A [`Plan`] pairs one of three
+//! Formats differ in data, not in type. A [`Plan`] pairs one of two
 //! executors with the weight in its compressed format, which the
 //! per-call reference path ([`MatmulPlan::run_oneshot`]) runs:
 //!
-//! * **stream** — f32 values and u32 sources, replayed by a K-chunked
-//!   band sweep standing in for the `mma.sp` pipeline. It serves V:N:M
-//!   (autotuned and priced on the Spatha model; per-call reference
-//!   `venom_core::spmm`, or `spmm_ref` below V = 16), dense (cuBLAS
-//!   model; `gemm_parallel`) and N:M, CSR, CVSE and Blocked-ELL (their
-//!   baselines' models; the format's own `spmm_parallel`).
-//! * **band** — f16 bits and u16 sources over the same V:N:M weight,
-//!   replayed with the FlashSparse-style register-panel accumulator and
-//!   priced on the CUDA-core DRAM roofline; the per-call reference is
-//!   `venom_core::spmm_swapped`. It is a second executor, not a second
-//!   kind of plan: [`crate::Engine::plan_auto`] prices it next to the
-//!   stream and routes memory-bound shapes to it.
+//! * **stream** — one narrow container (`Stream`): f16 bit patterns,
+//!   decoded through the exact f16→f32 LUT as they replay, and u16
+//!   source rows (u32 where K > 65536), 4 B per operand (6 B past
+//!   16-bit K). Every value is an f16 weight element, so the narrow
+//!   store moves no bit. One of two loops replays it:
+//!   - the K-chunked band **sweep** (phase `"mma"`), standing in for the
+//!     `mma.sp` pipeline. It serves V:N:M (autotuned and priced on the
+//!     Spatha model; per-call reference `venom_core::spmm`, or
+//!     `spmm_ref` below V = 16), dense (cuBLAS model; `gemm_parallel`)
+//!     and N:M, CSR, CVSE and Blocked-ELL (their baselines' models; the
+//!     format's own `spmm_parallel`);
+//!   - the FlashSparse-style register **panels** (phase `"band"`), over
+//!     a V:N:M weight, priced on the CUDA-core DRAM roofline; the
+//!     per-call reference is `venom_core::spmm_swapped`. It is a second
+//!     replay, not a second kind of plan: [`crate::Engine::plan_auto`]
+//!     prices it next to the sweep and routes memory-bound shapes to it.
 //! * **int** — i16-staged int8 codes with i32 accumulation (see the
 //!   `qplan` module), quantizing activations at the boundary; the
 //!   per-call reference is `spmm_parallel_i8` plus dequantization.
 //!
-//! The stream and band executors share their staging, batching and
-//! fused-linear dispatch through `StreamExec`; the int executor stages
-//! i16 codes and keeps its own bodies.
+//! Where a stream comes from:
+//! * a cold V:N:M plan, which the engine builds from a dense weight,
+//!   keeps the operands its one-pass compression emitted
+//!   ([`VnmMatrix::try_compress_with`]), for either replay;
+//! * a plan over an already compressed V:N:M weight
+//!   ([`crate::Engine::plan_spmm`]) condenses the weight's slots
+//!   (`condense_vnm`);
+//! * dense, N:M, CSR, CVSE and Blocked-ELL plans condense the format's
+//!   `for_each_operand`, narrowing each emitted f32 back to the f16 it
+//!   was decoded from (`Stream::from_kernel`).
 //!
-//! A cold V:N:M plan, which the engine builds from a dense weight, takes
-//! its stream from the operands its one-pass compression emitted
-//! (`Operands`, see [`VnmMatrix::try_compress_with`]): the band stream
-//! keeps them as they are, and the f32 stream widens the values through
-//! the exact f16→f32 LUT. Only a plan over an already compressed weight
-//! ([`crate::Engine::plan_spmm`]) condenses the weight's slots
-//! (`condense_vnm`).
-//!
-//! The stream replay works one band of `BAND_ROWS` output rows at a
-//! time. It walks K in chunks of about `CHUNK_BYTES` of staged B (more
-//! where that holds less than one quad of operands per row), and in
-//! each chunk replays every row's operands whose sources lie below the
-//! chunk's end, so the V rows of a V:N:M block fetch their shared
-//! selected B rows once per band (Spatha's B-tile reuse) instead of once
-//! per operand. The band replay keeps each output row's columns in
-//! fixed-width register panels (64 columns, then one panel as wide as
-//! the remaining 8-column groups, then a narrower tail) while the row's
-//! whole stream replays over them. The stream, band and int hot loops
-//! are compiled twice, for the baseline target and for AVX2, and the
-//! AVX2 instance runs where the host has it (see the `simd` module).
-//! None of this can move a bit: each row still consumes its stream
-//! strictly in order, wider lanes and panels run the same per-element
-//! chain, and `fma` is never enabled. (As in any compiled f32 code,
-//! which NaN payload survives where two NaNs meet is left to the
-//! compiler; a NaN result stays NaN.)
+//! The sweep works one band of `BAND_ROWS` output rows at a time. It
+//! walks K in chunks of about `CHUNK_BYTES` of staged B (more where that
+//! holds less than one quad of operands per row), and in each chunk
+//! replays every row's operands whose sources lie below the chunk's end,
+//! so the V rows of a V:N:M block fetch their shared selected B rows
+//! once per band (Spatha's B-tile reuse) instead of once per operand.
+//! The panels keep each output row's columns in fixed-width register
+//! panels (64 columns, then one panel as wide as the remaining 8-column
+//! groups, then a narrower tail) while the row's whole stream replays
+//! over them. The stream and int hot loops are compiled twice, for the
+//! baseline target and for AVX2, and the AVX2 instance runs where the
+//! host has it (see the `simd` module). None of this can move a bit:
+//! each row still consumes its stream strictly in order, wider lanes and
+//! panels run the same per-element chain, and `fma` is never enabled.
+//! (As in any compiled f32 code, which NaN payload survives where two
+//! NaNs meet is left to the compiler; a NaN result stays NaN.)
 
 use crate::arena;
 use crate::descriptor::{DType, MatmulDescriptor};
@@ -94,76 +96,430 @@ use venom_tensor::Matrix;
 /// patterns (V = 8, say) replay exactly, with less reuse.
 pub(crate) const BAND_ROWS: usize = 16;
 
-/// Bytes of staged B that one K-chunk of [`Stream`]'s band sweep spans:
-/// the chunk's B rows stay cache-resident while every row of the band
+/// Bytes of staged B that one K-chunk of [`Stream`]'s sweep spans: the
+/// chunk's B rows stay cache-resident while every row of the band
 /// replays against them.
 const CHUNK_BYTES: usize = 64 << 10;
 
 /// Operands per row that one K-chunk holds at least, on average: one
-/// quad of [`Stream`]'s unrolled replay. A quad split across two chunks
+/// quad of [`Stream`]'s unrolled sweep. A quad split across two chunks
 /// reads and writes its output row once more, so where the byte budget
 /// spans fewer operands (a wide `b_cols` over a sparse stream) the chunk
 /// widens past it.
 const CHUNK_MIN_OPS: usize = 4;
 
-/// The shared execution surface over a condensed operand stream.
-///
-/// Any backing store that can replay `C = A * B` into a zero-initialised
-/// f32 buffer ([`Self::run_into`]) inherits the staged, batched and
-/// fused-linear dispatch paths — [`Stream`] (the f32 K-chunked band
-/// sweep) and `BandStream` (the narrow bandwidth-optimized replay)
-/// both execute through these defaults, so the two executors differ only
-/// in their inner loop and pricing, never in staging behaviour.
-pub(crate) trait StreamExec {
-    /// Output rows.
-    fn rows(&self) -> usize;
+/// Which loop replays a [`Stream`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Replay {
+    /// The K-chunked band sweep standing in for the `mma.sp` pipeline.
+    Sweep,
+    /// The register panels of the bandwidth-optimized band replay.
+    Panels,
+}
 
-    /// Reduction depth K.
-    fn k(&self) -> usize;
+impl Replay {
+    /// The kernel label and compute phase that phase profiling records
+    /// a run under (see [`venom_obs::profile`]).
+    fn profile(self) -> (&'static str, &'static str) {
+        match self {
+            Replay::Sweep => ("spmm[mma]", "mma"),
+            Replay::Panels => ("spmm[band]", "band"),
+        }
+    }
+}
 
-    /// Kernel label phase profiling records this stream under (see
-    /// [`venom_obs::profile`]).
-    fn profile_kernel(&self) -> &'static str;
+/// The source B rows of a [`Stream`], read through `Into<u64>` by the
+/// replays' generic bodies.
+#[derive(Clone, Debug, PartialEq)]
+enum Sources {
+    /// `K <= 65536`.
+    Narrow(Vec<u16>),
+    /// `K > 65536`.
+    Wide(Vec<u32>),
+}
 
-    /// Phase name of the inner compute loop — `"mma"` for the f32 band
-    /// sweep standing in for the `mma.sp` pipeline, `"band"` for the
-    /// narrow bandwidth-optimized replay.
-    fn profile_phase(&self) -> &'static str;
+impl Sources {
+    /// Room for `n` sources of a `k`-deep stream, at the narrowest width
+    /// that holds every B row.
+    fn with_capacity(k: usize, n: usize) -> Self {
+        if k <= u16::MAX as usize + 1 {
+            Sources::Narrow(Vec::with_capacity(n))
+        } else {
+            Sources::Wide(Vec::with_capacity(n))
+        }
+    }
 
-    /// Resident bytes of the condensed stream — compulsory operand
-    /// traffic the compute phase reads exactly once per dispatch.
-    fn stream_bytes(&self) -> u64;
+    /// Appends the sources `b_rows`.
+    fn extend(&mut self, b_rows: impl IntoIterator<Item = usize>) {
+        match self {
+            Sources::Narrow(s) => s.extend(b_rows.into_iter().map(|r| r as u16)),
+            Sources::Wide(s) => s.extend(b_rows.into_iter().map(|r| r as u32)),
+        }
+    }
+
+    /// Trims the capacity to the sources held.
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Sources::Narrow(s) => s.shrink_to_fit(),
+            Sources::Wide(s) => s.shrink_to_fit(),
+        }
+    }
+}
+
+/// The condensed operand stream: CSR-like over f16 bit patterns, with
+/// `srcs[i]` naming the RHS row value `i` multiplies, and the loop that
+/// replays it.
+#[derive(Clone, Debug)]
+pub(crate) struct Stream {
+    rows: usize,
+    k: usize,
+    row_ptr: Vec<u32>,
+    /// f16 bit patterns in accumulation order.
+    bits: Vec<u16>,
+    srcs: Sources,
+    replay: Replay,
+}
+
+impl Stream {
+    /// A stream the sweep replays.
+    fn new(rows: usize, k: usize, row_ptr: Vec<u32>, bits: Vec<u16>, srcs: Sources) -> Self {
+        Stream {
+            rows,
+            k,
+            row_ptr,
+            bits,
+            srcs,
+            replay: Replay::Sweep,
+        }
+    }
+
+    /// Compresses `dense` under `mask` in one pass, which checks the
+    /// pattern, and keeps the operands it emits as the weight's stream.
+    /// The vectors are sized by the slot count, the most the pass can
+    /// emit, when the first row arrives, and trimmed to what it emitted.
+    ///
+    /// # Errors
+    /// As [`VnmMatrix::try_compress_with`].
+    pub(crate) fn compress(
+        dense: &Matrix<Half>,
+        mask: &SparsityMask,
+        cfg: VnmConfig,
+    ) -> Result<(VnmMatrix, Self), CompressError> {
+        let (rows, k) = (dense.rows(), dense.cols());
+        let slots = rows * cfg.k_groups(k) * cfg.n;
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        let (mut bits, mut srcs) = (Vec::new(), Sources::with_capacity(k, 0));
+        let a = VnmMatrix::try_compress_with(dense, mask, cfg, |r, values, columns| {
+            if r == 0 {
+                // Allocated after the pass's own buffers, which are freed
+                // first: the plan's buffers then pack together in the
+                // heap, and a churning server's peak RSS stays that of
+                // the two-pass build.
+                bits.reserve_exact(slots);
+                srcs = Sources::with_capacity(k, slots);
+            }
+            bits.extend(values.iter().map(|h| h.to_bits()));
+            srcs.extend(columns.iter().copied());
+            row_ptr.push(bits.len() as u32);
+        })?;
+        bits.shrink_to_fit();
+        srcs.shrink_to_fit();
+        Ok((a, Self::new(rows, k, row_ptr, bits, srcs)))
+    }
+
+    /// Condenses any [`SparseKernel`] into its accumulation-order stream.
+    ///
+    /// The kernel may emit rows interleaved (band-major formats); two
+    /// visitor passes bucket the operands per row while preserving each
+    /// row's emission order — which the trait contract pins to the
+    /// format's `spmm_ref` accumulation order.
+    ///
+    /// # Panics
+    /// Panics if the kernel emits a value that is not an f16 decoded to
+    /// f32, which no f16 format does (an int8 container's dequantized
+    /// view would; int8 plans build an `IntStream` instead).
+    fn from_kernel(kernel: &dyn SparseKernel) -> Self {
+        let (rows, k) = kernel.shape();
+        let mut row_ptr = vec![0u32; rows + 1];
+        kernel.for_each_operand(&mut |r, _, _| row_ptr[r + 1] += 1);
+        for i in 0..rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let nnz = row_ptr[rows] as usize;
+        let mut bits = vec![0u16; nnz];
+        let mut cols = vec![0u32; nnz];
+        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
+        kernel.for_each_operand(&mut |r, v, s| {
+            // f16 -> f32 -> f16 is the identity, NaN payloads included,
+            // so narrowing a decoded f16 is exact.
+            let h = Half::from_f32(v);
+            assert_eq!(
+                h.to_f32_lut().to_bits(),
+                v.to_bits(),
+                "{} emitted {v}, which is not an f16 value",
+                kernel.format()
+            );
+            let i = cursor[r] as usize;
+            bits[i] = h.to_bits();
+            cols[i] = s as u32;
+            cursor[r] += 1;
+        });
+        let mut srcs = Sources::with_capacity(k, nnz);
+        srcs.extend(cols.into_iter().map(|c| c as usize));
+        Self::new(rows, k, row_ptr, bits, srcs)
+    }
+
+    /// Stored operand count.
+    pub(crate) fn nnz(&self) -> usize {
+        self.bits.len()
+    }
+
+    /// Resident bytes: f16 bits and a source per operand, plus the row
+    /// pointers — the compulsory operand traffic a dispatch reads once.
+    fn stream_bytes(&self) -> u64 {
+        let srcs = match &self.srcs {
+            Sources::Narrow(s) => s.len() * 2,
+            Sources::Wide(s) => s.len() * 4,
+        };
+        (self.bits.len() * 2 + srcs + self.row_ptr.len() * 4) as u64
+    }
+
+    /// The panels' hot body of [`Self::run_into`]: the band of output
+    /// rows starting at `row0` into `out` (its `rows x b_cols` slice, at
+    /// most [`BAND_ROWS`] rows), one [`Self::replay_row`] per row.
+    #[inline(always)]
+    fn panels_band<S: Copy + Into<u64>>(
+        &self,
+        srcs: &[S],
+        lut: &[f32; LUT_ENTRIES],
+        row0: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        out: &mut [f32],
+    ) {
+        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+            self.replay_row(srcs, lut, row0 + i, b_f32, b_cols, orow);
+        }
+    }
+
+    /// The sweep's hot body of [`Self::run_into`], over the same band:
+    /// K is walked in chunks of `CHUNK_BYTES / (4 * b_cols)` B rows, or
+    /// more where that would hold fewer than `CHUNK_MIN_OPS` operands per
+    /// row on average (see [`Self::chunk_rows`]). For each chunk, every
+    /// row of the band replays the next run of its stream whose sources
+    /// lie below the chunk's end, and a per-row cursor remembers where
+    /// the run stopped; the last chunk takes the rest of each row without
+    /// scanning. Where the band's rows share their selected columns (a
+    /// V:N:M band inside one V-block, see [`BAND_ROWS`]), each selected
+    /// B row is fetched from memory once per band, then hit in cache by
+    /// the other rows.
+    ///
+    /// Why the bits cannot move: each row still consumes its stream
+    /// strictly in order — a run ends at the first operand at or past the
+    /// chunk's end, even when a later one lies below it — so every output
+    /// element accumulates the same chain as a one-pass replay. Formats
+    /// whose stored sources are not ascending only reuse less.
+    #[inline(always)]
+    fn sweep_band<S: Copy + Into<u64>>(
+        &self,
+        srcs: &[S],
+        lut: &[f32; LUT_ENTRIES],
+        row0: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        out: &mut [f32],
+    ) {
+        let chunk = self.chunk_rows(b_cols);
+        let mut cursor = [0usize; BAND_ROWS];
+        for (i, c) in cursor.iter_mut().take(out.len() / b_cols).enumerate() {
+            *c = self.row_ptr[row0 + i] as usize;
+        }
+        let mut k_end = chunk;
+        while k_end < self.k {
+            for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+                let (lo, hi) = (cursor[i], self.row_ptr[row0 + i + 1] as usize);
+                let end = srcs[lo..hi]
+                    .iter()
+                    .position(|&s| s.into() as usize >= k_end)
+                    .map_or(hi, |p| lo + p);
+                self.sweep_run(srcs, lut, lo..end, b_f32, b_cols, orow);
+                cursor[i] = end;
+            }
+            k_end += chunk;
+        }
+        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+            let hi = self.row_ptr[row0 + i + 1] as usize;
+            self.sweep_run(srcs, lut, cursor[i]..hi, b_f32, b_cols, orow);
+        }
+    }
+
+    /// B rows per K-chunk of [`Self::sweep_band`] at output width
+    /// `b_cols`: the `CHUNK_BYTES` budget, widened to hold
+    /// `CHUNK_MIN_OPS` operands per row on average.
+    fn chunk_rows(&self, b_cols: usize) -> usize {
+        let budget = CHUNK_BYTES / (4 * b_cols);
+        let min_ops = CHUNK_MIN_OPS * self.k * self.rows / self.nnz().max(1);
+        budget.max(min_ops).max(1)
+    }
+
+    /// Replays the stream entries `ops` into one output row, four at a
+    /// time, reading and writing the row once per quad. The per-element
+    /// sum is evaluated left to right (`((o + v0*b0) + v1*b1) + ...`),
+    /// which is exactly the accumulation chain of one-entry-at-a-time
+    /// iteration — the unroll changes traffic, not bits.
+    #[inline(always)]
+    fn sweep_run<S: Copy + Into<u64>>(
+        &self,
+        srcs: &[S],
+        lut: &[f32; LUT_ENTRIES],
+        ops: Range<usize>,
+        b_f32: &[f32],
+        b_cols: usize,
+        orow: &mut [f32],
+    ) {
+        let (bits, srcs) = (&self.bits[ops.clone()], &srcs[ops]);
+        let val = |h: u16| lut[usize::from(h)];
+        let brow = |s: S| &b_f32[s.into() as usize * b_cols..][..b_cols];
+        let quads = bits.len() / 4 * 4;
+        for (v, s) in bits[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
+            let (v0, v1, v2, v3) = (val(v[0]), val(v[1]), val(v[2]), val(v[3]));
+            let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
+            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                *o = *o + v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
+            }
+        }
+        for (&h, &s) in bits[quads..].iter().zip(&srcs[quads..]) {
+            let v = val(h);
+            for (o, &x) in orow.iter_mut().zip(brow(s)) {
+                *o += v * x;
+            }
+        }
+    }
+
+    /// The panels over output row `r` (`orow`, `b_cols` wide), the
+    /// FlashSparse swap in register form. While at least
+    /// `8 * SWAP_PANEL` columns remain, a 64-wide accumulator replays the
+    /// whole row's stream over its B segments. The remaining whole
+    /// 8-column panels then share one accumulator of their joint width,
+    /// so any width up to 64 reads the row's stream once (plus once more
+    /// for a narrower tail). Each stored nonzero costs one LUT load and
+    /// one contiguous B segment read per panel, and each output element
+    /// is written once.
+    ///
+    /// One stream pass per 64 columns keeps a batch's cost growing with
+    /// its width, so served throughput does not hang on how many
+    /// requests happen to coalesce into a batch.
+    ///
+    /// Why the bits cannot move: per `(row, column)` the sum is the same
+    /// left-to-right chain from `0.0` as `spmm_ref`'s. A wide panel only
+    /// evaluates more independent column chains per operand, and a fixed
+    /// width lets the compiler keep them in vector registers.
+    #[inline(always)]
+    fn replay_row<S: Copy + Into<u64>>(
+        &self,
+        srcs: &[S],
+        lut: &[f32; LUT_ENTRIES],
+        r: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        orow: &mut [f32],
+    ) {
+        const PANEL: usize = venom_core::SWAP_PANEL;
+        const WIDE: usize = 8 * PANEL;
+        let ops = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+        let (bits, srcs) = (&self.bits[ops.clone()], &srcs[ops]);
+        let mut j0 = 0usize;
+        while b_cols - j0 >= WIDE {
+            replay_panel::<WIDE, S>(bits, srcs, lut, b_f32, b_cols, j0, &mut orow[j0..j0 + WIDE]);
+            j0 += WIDE;
+        }
+        let panels = (b_cols - j0) / PANEL;
+        let out = &mut orow[j0..j0 + panels * PANEL];
+        macro_rules! pass {
+            ($w:expr) => {
+                replay_panel::<{ $w }, S>(bits, srcs, lut, b_f32, b_cols, j0, out)
+            };
+        }
+        match panels {
+            0 => {}
+            1 => pass!(PANEL),
+            2 => pass!(2 * PANEL),
+            3 => pass!(3 * PANEL),
+            4 => pass!(4 * PANEL),
+            5 => pass!(5 * PANEL),
+            6 => pass!(6 * PANEL),
+            7 => pass!(7 * PANEL),
+            _ => unreachable!("fewer than {WIDE} columns remain"),
+        }
+        j0 += panels * PANEL;
+        let w = b_cols - j0;
+        if w > 0 {
+            let mut acc = [0.0f32; PANEL];
+            for (&h, &src) in bits.iter().zip(srcs) {
+                let vf = lut[usize::from(h)];
+                let bseg = &b_f32[src.into() as usize * b_cols + j0..][..w];
+                for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
+                    *a += vf * bv;
+                }
+            }
+            orow[j0..].copy_from_slice(&acc[..w]);
+        }
+    }
 
     /// `C = A * B` over a staged RHS (`k x b_cols`, row-major f32) into
-    /// `out` (`rows x b_cols`, zero-initialised). Output rows are
-    /// disjoint across parallel bands and each element accumulates
-    /// sequentially in stream order, so the result is bit-identical
-    /// regardless of the worker count, of how an executor tiles K or
-    /// columns, and of the vector width its loop is compiled for.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]);
+    /// `out` (`rows x b_cols`, zero-initialised): one parallel task per
+    /// band of [`BAND_ROWS`] output rows, run through the AVX2 dispatch
+    /// of the stream's replay and source width (see the `simd` module).
+    /// Each replay keeps entries of its own: one body running both made
+    /// the panels about 13% slower at width 8. Output rows are disjoint
+    /// across bands and each element accumulates sequentially in stream
+    /// order, so the result is bit-identical regardless of the worker
+    /// count, of how the replay tiles K or columns, and of the vector
+    /// width its loop is compiled for.
+    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
+        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
+        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
+        let lut = venom_fp16::f16_to_f32_table();
+        out.par_chunks_mut(BAND_ROWS * b_cols)
+            .enumerate()
+            .for_each(|(band, chunk)| {
+                let row0 = band * BAND_ROWS;
+                let (b, c) = (b_f32, b_cols);
+                match (&self.srcs, self.replay) {
+                    (Sources::Narrow(s), Replay::Sweep) => {
+                        sweep_u16(self, s, lut, row0, b, c, chunk)
+                    }
+                    (Sources::Wide(s), Replay::Sweep) => sweep_u32(self, s, lut, row0, b, c, chunk),
+                    (Sources::Narrow(s), Replay::Panels) => {
+                        panels_u16(self, s, lut, row0, b, c, chunk)
+                    }
+                    (Sources::Wide(s), Replay::Panels) => {
+                        panels_u32(self, s, lut, row0, b, c, chunk)
+                    }
+                }
+            });
+    }
 
     /// [`Self::run_into`] with an owned result matrix.
     fn run(&self, b_f32: &[f32], b_cols: usize) -> Matrix<f32> {
-        let mut out = vec![0.0f32; self.rows() * b_cols];
+        let mut out = vec![0.0f32; self.rows * b_cols];
+        let (kernel, phase) = self.replay.profile();
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, b_cols, &mut out);
-        timer.stop(
-            self.profile_kernel(),
-            self.profile_phase(),
-            self.stream_bytes() + (out.len() * 4) as u64,
-        );
-        Matrix::from_vec(self.rows(), b_cols, out)
+        timer.stop(kernel, phase, self.stream_bytes() + (out.len() * 4) as u64);
+        Matrix::from_vec(self.rows, b_cols, out)
     }
 
     /// `C = A * B` over a half RHS, staged through the arena on a cache
     /// line boundary (see [`arena::lease_aligned`]).
     fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(b.rows(), self.k(), "B must have K = {} rows", self.k());
+        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
         let (mut buf, off) = arena::lease_aligned(b.len());
         let staged = &mut buf[off..off + b.len()];
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::decode_rhs_into(b, staged);
-        timer.stop(self.profile_kernel(), "stage", (b.len() * 2) as u64);
+        timer.stop(self.replay.profile().0, "stage", (b.len() * 2) as u64);
         let c = self.run(staged, b.cols());
         arena::release(buf);
         c
@@ -178,7 +534,7 @@ pub(crate) trait StreamExec {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.k();
+        let k = self.k;
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         let (mut buf, off) = arena::lease_aligned(k * total);
         let staged = &mut buf[off..off + k * total];
@@ -195,12 +551,12 @@ pub(crate) trait StreamExec {
             }
             col0 += cols;
         }
-        timer.stop(self.profile_kernel(), "stage", (k * total * 2) as u64);
+        timer.stop(self.replay.profile().0, "stage", (k * total * 2) as u64);
         let c = self.run(staged, total);
         arena::release(buf);
 
         let mut out = Vec::with_capacity(bs.len());
-        let rows = self.rows();
+        let rows = self.rows;
         let mut col0 = 0usize;
         for b in bs {
             let cols = b.cols();
@@ -221,11 +577,11 @@ pub(crate) trait StreamExec {
     /// chain `transpose(A * x.to_half().transpose()) + bias` of the
     /// per-call layer forward, in two fused passes.
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.k(), "input features mismatch");
+        assert_eq!(x.cols(), self.k, "input features mismatch");
         let mut staged = arena::lease(x.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::stage_activations_t_into(x, &mut staged);
-        timer.stop(self.profile_kernel(), "stage", (x.len() * 4) as u64);
+        timer.stop(self.replay.profile().0, "stage", (x.len() * 4) as u64);
         let y = self.run_linear_staged(&staged, x.rows(), bias);
         arena::release(staged);
         y
@@ -234,14 +590,15 @@ pub(crate) trait StreamExec {
     /// [`Self::run_linear`] over an already-staged RHS (shared by sibling
     /// plans of one layer, e.g. Q/K/V over the same activations).
     fn run_linear_staged(&self, b_f32: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        let rows = self.rows();
+        let rows = self.rows;
         assert_eq!(bias.len(), rows, "bias must match out_features");
+        let (kernel, phase) = self.replay.profile();
         let mut c = arena::lease(rows * tokens);
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, tokens, &mut c);
         timer.stop(
-            self.profile_kernel(),
-            self.profile_phase(),
+            kernel,
+            phase,
             self.stream_bytes() + (rows * tokens * 4) as u64,
         );
         // Tiled transpose+bias epilogue: 32x32 blocks keep both the
@@ -262,343 +619,76 @@ pub(crate) trait StreamExec {
                 }
             }
         }
-        timer.stop(self.profile_kernel(), "epilogue", (y.len() * 4) as u64);
+        timer.stop(kernel, "epilogue", (y.len() * 4) as u64);
         arena::release(c);
         Matrix::from_vec(tokens, rows, y)
     }
 }
 
-/// The shared condensed stream: CSR-like over *staged* f32 values, with
-/// `srcs[i]` naming the RHS row each value multiplies.
-#[derive(Clone, Debug)]
-pub(crate) struct Stream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    vals: Vec<f32>,
-    srcs: Vec<u32>,
-}
-
-impl Stream {
-    /// Condenses any [`SparseKernel`] into its accumulation-order stream.
-    ///
-    /// The kernel may emit rows interleaved (band-major formats); two
-    /// visitor passes bucket the operands per row while preserving each
-    /// row's emission order — which the trait contract pins to the
-    /// format's `spmm_ref` accumulation order.
-    fn from_kernel(kernel: &dyn SparseKernel) -> Self {
-        let (rows, k) = kernel.shape();
-        let mut row_ptr = vec![0u32; rows + 1];
-        kernel.for_each_operand(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0.0f32; nnz];
-        let mut srcs = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        kernel.for_each_operand(&mut |r, v, s| {
-            let i = cursor[r] as usize;
-            vals[i] = v;
-            srcs[i] = s as u32;
-            cursor[r] += 1;
-        });
-        Stream {
-            rows,
-            k,
-            row_ptr,
-            vals,
-            srcs,
-        }
-    }
-
-    /// The stream of a V:N:M weight from its compression's emitted
-    /// operands: values widened through the exact f16→f32 LUT, sources
-    /// widened to u32 where they are 16-bit.
-    fn from_operands(ops: Operands) -> Self {
-        let lut = venom_fp16::f16_to_f32_table();
-        let vals = ops.bits.iter().map(|&h| lut[usize::from(h)]).collect();
-        let srcs = match ops.srcs {
-            Sources::Narrow(s) => s.iter().map(|&s| u32::from(s)).collect(),
-            Sources::Wide(s) => s,
-        };
-        Stream {
-            rows: ops.rows,
-            k: ops.k,
-            row_ptr: ops.row_ptr,
-            vals,
-            srcs,
-        }
-    }
-
-    /// Condenses an already compressed V:N:M weight in one pass over its
-    /// slots (see [`condense_vnm`]): the stream [`Self::from_kernel`]
-    /// builds from its `for_each_operand`, without the counting pass.
-    fn from_vnm(a: &VnmMatrix) -> Self {
-        let (rows, k) = a.shape();
-        let (row_ptr, vals, srcs) = condense_vnm(a, Half::to_f32, |s| s as u32);
-        Stream {
-            rows,
-            k,
-            row_ptr,
-            vals,
-            srcs,
-        }
-    }
-
-    /// Stored operand count.
-    fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// The hot body of [`StreamExec::run_into`]: accumulates the band of
-    /// output rows starting at `row0` into `out` (its `rows x b_cols`
-    /// slice, at most [`BAND_ROWS`] rows) — a K-chunked sweep.
-    ///
-    /// K is walked in chunks of `CHUNK_BYTES / (4 * b_cols)` B rows, or
-    /// more where that would hold fewer than `CHUNK_MIN_OPS` operands
-    /// per row on average (see [`Self::chunk_rows`]). For each chunk,
-    /// every row of the band replays the next run of its stream whose
-    /// sources lie below the chunk's end, and a per-row cursor remembers
-    /// where the run stopped; the last chunk takes the rest of each row
-    /// without scanning. Where the band's rows share
-    /// their selected columns (a V:N:M band inside one V-block, see
-    /// [`BAND_ROWS`]), each selected B row is fetched from memory once per
-    /// band, then hit in cache by the other rows.
-    ///
-    /// Why the bits cannot move: each row still consumes its stream
-    /// strictly in order — a run ends at the first operand at or past the
-    /// chunk's end, even when a later one lies below it — so every output
-    /// element accumulates the same chain as a one-pass replay. Formats
-    /// whose stored sources are not ascending only reuse less.
-    #[inline(always)]
-    fn sweep_band(&self, row0: usize, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        let chunk = self.chunk_rows(b_cols);
-        let mut cursor = [0usize; BAND_ROWS];
-        for (i, c) in cursor.iter_mut().take(out.len() / b_cols).enumerate() {
-            *c = self.row_ptr[row0 + i] as usize;
-        }
-        let mut k_end = chunk;
-        while k_end < self.k {
-            for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-                let (lo, hi) = (cursor[i], self.row_ptr[row0 + i + 1] as usize);
-                let end = self.srcs[lo..hi]
-                    .iter()
-                    .position(|&s| s as usize >= k_end)
-                    .map_or(hi, |p| lo + p);
-                self.replay(lo..end, b_f32, b_cols, orow);
-                cursor[i] = end;
-            }
-            k_end += chunk;
-        }
-        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-            let hi = self.row_ptr[row0 + i + 1] as usize;
-            self.replay(cursor[i]..hi, b_f32, b_cols, orow);
-        }
-    }
-
-    /// B rows per K-chunk of [`Self::sweep_band`] at output width
-    /// `b_cols`: the `CHUNK_BYTES` budget, widened to hold
-    /// `CHUNK_MIN_OPS` operands per row on average.
-    fn chunk_rows(&self, b_cols: usize) -> usize {
-        let budget = CHUNK_BYTES / (4 * b_cols);
-        let min_ops = CHUNK_MIN_OPS * self.k * self.rows / self.nnz().max(1);
-        budget.max(min_ops).max(1)
-    }
-
-    /// Replays the stream entries `ops` into one output row, four at a
-    /// time, reading and writing the row once per quad. The per-element
-    /// sum is evaluated left to right (`((o + v0*b0) + v1*b1) + ...`),
-    /// which is exactly the accumulation chain of one-entry-at-a-time
-    /// iteration — the unroll changes traffic, not bits.
-    #[inline(always)]
-    fn replay(&self, ops: Range<usize>, b_f32: &[f32], b_cols: usize, orow: &mut [f32]) {
-        let (vals, srcs) = (&self.vals[ops.clone()], &self.srcs[ops]);
-        let brow = |s: u32| &b_f32[s as usize * b_cols..][..b_cols];
-        let quads = vals.len() / 4 * 4;
-        for (v, s) in vals[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
-            let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
-            let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
-            for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                *o = *o + v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
-            }
-        }
-        for (&v, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
-            for (o, &x) in orow.iter_mut().zip(brow(s)) {
-                *o += v * x;
-            }
-        }
-    }
-}
-
 avx2_dispatch! {
-    /// [`Stream::sweep_band`], compiled for AVX2 where the host has it.
-    fn dispatch_sweep_band(
+    /// [`Stream::sweep_band`] over 16-bit sources, compiled for AVX2
+    /// where the host has it.
+    fn sweep_u16(
         s: &Stream,
+        srcs: &[u16],
+        lut: &[f32; LUT_ENTRIES],
         row0: usize,
         b_f32: &[f32],
         b_cols: usize,
         out: &mut [f32],
-    ) = Stream::sweep_band;
+    ) = Stream::sweep_band::<u16>;
 }
 
-impl StreamExec for Stream {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn profile_kernel(&self) -> &'static str {
-        "spmm[mma]"
-    }
-
-    fn profile_phase(&self) -> &'static str {
-        "mma"
-    }
-
-    fn stream_bytes(&self) -> u64 {
-        // f32 value + u32 source per operand, plus the row pointers.
-        (self.vals.len() * 4 + self.srcs.len() * 4 + self.row_ptr.len() * 4) as u64
-    }
-
-    /// One parallel task per band of [`BAND_ROWS`] output rows, each a
-    /// K-chunked sweep ([`Stream::sweep_band`]) run through the AVX2
-    /// dispatch (see the `simd` module); neither changes a bit.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
-        out.par_chunks_mut(BAND_ROWS * b_cols)
-            .enumerate()
-            .for_each(|(band, chunk)| {
-                dispatch_sweep_band(self, band * BAND_ROWS, b_f32, b_cols, chunk)
-            });
-    }
-}
-
-/// The bandwidth-optimized condensed stream: f16 *bit patterns* and
-/// narrow `u16` source indices — 4 bytes per stored nonzero against the
-/// f32 stream's 8 — replayed with a register-panel accumulator instead
-/// of the read-modify-write quad loop. On shapes left of the ridge point
-/// every byte is wall time, so the narrow stream and single-touch output
-/// writes are the speedup; values decode through the exact f16→f32 LUT,
-/// keeping every accumulation chain bit-identical to `spmm_ref`.
-#[derive(Clone, Debug)]
-pub(crate) struct BandStream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    /// f16 bit patterns in `spmm_ref` accumulation order.
-    vals: Vec<u16>,
-    /// Source B row per value; `K` must fit in 16 bits.
-    srcs: Vec<u16>,
-}
-
-impl BandStream {
-    /// The narrow stream of a V:N:M weight: its compression's emitted
-    /// operands, as they are.
-    ///
-    /// # Panics
-    /// Panics if the sources are 32-bit, `K` exceeding the 16-bit range
-    /// (pricing, [`pricing::price_band`], rejects such weights first).
-    fn from_operands(ops: Operands) -> Self {
-        let Sources::Narrow(srcs) = ops.srcs else {
-            panic!("K = {} exceeds 16-bit sources", ops.k)
-        };
-        BandStream {
-            rows: ops.rows,
-            k: ops.k,
-            row_ptr: ops.row_ptr,
-            vals: ops.bits,
-            srcs,
-        }
-    }
-
-    /// Stored operand count.
-    fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// The hot body of [`StreamExec::run_into`]: output row `r` (`orow`,
-    /// `b_cols` wide) as fixed-width register panels, the FlashSparse
-    /// swap in register form. While at least `8 * SWAP_PANEL` columns
-    /// remain, a 64-wide accumulator replays the whole row's stream over
-    /// its B segments. The remaining whole 8-column panels then share
-    /// one accumulator of their joint width, so any width up to 64 reads
-    /// the row's stream once (plus once more for a narrower tail). Each
-    /// stored nonzero costs one LUT load and one contiguous B segment
-    /// read per panel, and each output element is written once.
-    ///
-    /// One stream pass per 64 columns keeps a batch's cost growing with
-    /// its width, so served throughput does not hang on how many
-    /// requests happen to coalesce into a batch.
-    ///
-    /// Why the bits cannot move: per `(row, column)` the sum is the same
-    /// left-to-right chain from `0.0` as `spmm_ref`'s. A wide panel only
-    /// evaluates more independent column chains per operand, and a fixed
-    /// width lets the compiler keep them in vector registers.
-    #[inline(always)]
-    fn replay_row(
-        &self,
-        r: usize,
+avx2_dispatch! {
+    /// [`Stream::sweep_band`] over 32-bit sources, compiled for AVX2
+    /// where the host has it.
+    fn sweep_u32(
+        s: &Stream,
+        srcs: &[u32],
         lut: &[f32; LUT_ENTRIES],
+        row0: usize,
         b_f32: &[f32],
         b_cols: usize,
-        orow: &mut [f32],
-    ) {
-        const PANEL: usize = venom_core::SWAP_PANEL;
-        const WIDE: usize = 8 * PANEL;
-        let ops = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
-        let (vals, srcs) = (&self.vals[ops.clone()], &self.srcs[ops]);
-        let mut j0 = 0usize;
-        while b_cols - j0 >= WIDE {
-            replay_panel::<WIDE>(vals, srcs, lut, b_f32, b_cols, j0, &mut orow[j0..j0 + WIDE]);
-            j0 += WIDE;
-        }
-        let panels = (b_cols - j0) / PANEL;
-        let out = &mut orow[j0..j0 + panels * PANEL];
-        macro_rules! pass {
-            ($w:expr) => {
-                replay_panel::<{ $w }>(vals, srcs, lut, b_f32, b_cols, j0, out)
-            };
-        }
-        match panels {
-            0 => {}
-            1 => pass!(PANEL),
-            2 => pass!(2 * PANEL),
-            3 => pass!(3 * PANEL),
-            4 => pass!(4 * PANEL),
-            5 => pass!(5 * PANEL),
-            6 => pass!(6 * PANEL),
-            7 => pass!(7 * PANEL),
-            _ => unreachable!("fewer than {WIDE} columns remain"),
-        }
-        j0 += panels * PANEL;
-        let w = b_cols - j0;
-        if w > 0 {
-            let mut acc = [0.0f32; PANEL];
-            for (&bits, &src) in vals.iter().zip(srcs) {
-                let vf = lut[usize::from(bits)];
-                let bseg = &b_f32[usize::from(src) * b_cols + j0..][..w];
-                for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
-                    *a += vf * bv;
-                }
-            }
-            orow[j0..].copy_from_slice(&acc[..w]);
-        }
-    }
+        out: &mut [f32],
+    ) = Stream::sweep_band::<u32>;
 }
 
-/// One `W`-column panel of [`BandStream::replay_row`]: the row's stream
-/// (`vals` as f16 bits, `srcs` as B rows) replayed over columns
+avx2_dispatch! {
+    /// [`Stream::panels_band`] over 16-bit sources, compiled for AVX2
+    /// where the host has it.
+    fn panels_u16(
+        s: &Stream,
+        srcs: &[u16],
+        lut: &[f32; LUT_ENTRIES],
+        row0: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        out: &mut [f32],
+    ) = Stream::panels_band::<u16>;
+}
+
+avx2_dispatch! {
+    /// [`Stream::panels_band`] over 32-bit sources, compiled for AVX2
+    /// where the host has it.
+    fn panels_u32(
+        s: &Stream,
+        srcs: &[u32],
+        lut: &[f32; LUT_ENTRIES],
+        row0: usize,
+        b_f32: &[f32],
+        b_cols: usize,
+        out: &mut [f32],
+    ) = Stream::panels_band::<u32>;
+}
+
+/// One `W`-column panel of [`Stream::replay_row`]: the row's stream
+/// (`bits` as f16 bits, `srcs` as B rows) replayed over columns
 /// `j0..j0 + W` of the staged RHS into a register accumulator, then
 /// written to `out` (`W` wide).
 #[inline(always)]
-fn replay_panel<const W: usize>(
-    vals: &[u16],
-    srcs: &[u16],
+fn replay_panel<const W: usize, S: Copy + Into<u64>>(
+    bits: &[u16],
+    srcs: &[S],
     lut: &[f32; LUT_ENTRIES],
     b_f32: &[f32],
     b_cols: usize,
@@ -606,9 +696,9 @@ fn replay_panel<const W: usize>(
     out: &mut [f32],
 ) {
     let mut acc = [0.0f32; W];
-    for (&bits, &src) in vals.iter().zip(srcs) {
-        let vf = lut[usize::from(bits)];
-        let bseg: &[f32; W] = b_f32[usize::from(src) * b_cols + j0..][..W]
+    for (&h, &src) in bits.iter().zip(srcs) {
+        let vf = lut[usize::from(h)];
+        let bseg: &[f32; W] = b_f32[src.into() as usize * b_cols + j0..][..W]
             .try_into()
             .expect("a W-wide slice");
         for (a, &bv) in acc.iter_mut().zip(bseg) {
@@ -618,167 +708,21 @@ fn replay_panel<const W: usize>(
     out.copy_from_slice(&acc);
 }
 
-impl StreamExec for BandStream {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn profile_kernel(&self) -> &'static str {
-        "spmm[band]"
-    }
-
-    fn profile_phase(&self) -> &'static str {
-        "band"
-    }
-
-    fn stream_bytes(&self) -> u64 {
-        // f16 bits + u16 source per operand, plus the row pointers.
-        (self.vals.len() * 2 + self.srcs.len() * 2 + self.row_ptr.len() * 4) as u64
-    }
-
-    /// One parallel task per band of [`BAND_ROWS`] output rows, each row
-    /// replayed by [`BandStream::replay_row`] through the AVX2 dispatch
-    /// (see the `simd` module); neither changes a bit.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
-        let lut = venom_fp16::f16_to_f32_table();
-        out.par_chunks_mut(BAND_ROWS * b_cols)
-            .enumerate()
-            .for_each(|(band, chunk)| {
-                for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    dispatch_replay_row(self, band * BAND_ROWS + i, lut, b_f32, b_cols, orow);
-                }
-            });
-    }
-}
-
-avx2_dispatch! {
-    /// [`BandStream::replay_row`], compiled for AVX2 where the host has it.
-    fn dispatch_replay_row(
-        s: &BandStream,
-        r: usize,
-        lut: &[f32; LUT_ENTRIES],
-        b_f32: &[f32],
-        b_cols: usize,
-        orow: &mut [f32],
-    ) = BandStream::replay_row;
-}
-
-/// A V:N:M weight's stored nonzeros as its one-pass compression
-/// ([`VnmMatrix::try_compress_with`]) emits them, in `spmm_ref`
-/// accumulation order: row pointers, f16 bits and source B rows. A cold
-/// V:N:M plan's executor is built from these: the band stream as they
-/// are, the f32 stream widened.
-#[derive(Clone, Debug)]
-pub(crate) struct Operands {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    bits: Vec<u16>,
-    srcs: Sources,
-}
-
-/// The source B rows of [`Operands`].
-#[derive(Clone, Debug)]
-enum Sources {
-    /// `K <= 65536`: the band stream's 16-bit sources.
-    Narrow(Vec<u16>),
-    /// `K > 65536`, which only the f32 stream serves.
-    Wide(Vec<u32>),
-}
-
-impl Operands {
-    /// Compresses `dense` under `mask` in one pass, which checks the
-    /// pattern, and collects the operands it emits.
-    ///
-    /// # Errors
-    /// As [`VnmMatrix::try_compress_with`].
-    pub(crate) fn compress(
-        dense: &Matrix<Half>,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-    ) -> Result<(VnmMatrix, Self), CompressError> {
-        if dense.cols() <= u16::MAX as usize + 1 {
-            Self::collect(dense, mask, cfg, |c| c as u16, Sources::Narrow)
-        } else {
-            Self::collect(dense, mask, cfg, |c| c as u32, Sources::Wide)
-        }
-    }
-
-    /// [`Self::compress`] with the sources stored as `src` of each column
-    /// and wrapped by `wrap`. The vectors are sized by the slot count,
-    /// the most the pass can emit, when the first row arrives, and
-    /// trimmed to what it emitted.
-    fn collect<S>(
-        dense: &Matrix<Half>,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-        src: impl Fn(usize) -> S,
-        wrap: impl FnOnce(Vec<S>) -> Sources,
-    ) -> Result<(VnmMatrix, Self), CompressError> {
-        let (rows, k) = (dense.rows(), dense.cols());
-        let slots = rows * cfg.k_groups(k) * cfg.n;
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
-        let (mut bits, mut srcs) = (Vec::new(), Vec::new());
-        let a = VnmMatrix::try_compress_with(dense, mask, cfg, |r, values, columns| {
-            if r == 0 {
-                // Allocated after the pass's own buffers, which are freed
-                // first: the plan's buffers then pack together in the
-                // heap, and a churning server's peak RSS stays that of
-                // the two-pass build.
-                bits.reserve_exact(slots);
-                srcs.reserve_exact(slots);
-            }
-            bits.extend(values.iter().map(|h| h.to_bits()));
-            srcs.extend(columns.iter().map(|&c| src(c)));
-            row_ptr.push(bits.len() as u32);
-        })?;
-        bits.shrink_to_fit();
-        srcs.shrink_to_fit();
-        let srcs = wrap(srcs);
-        Ok((
-            a,
-            Operands {
-                rows,
-                k,
-                row_ptr,
-                bits,
-                srcs,
-            },
-        ))
-    }
-
-    /// Stored nonzeros.
-    pub(crate) fn len(&self) -> usize {
-        self.bits.len()
-    }
-}
-
-/// An already compressed V:N:M weight's operands in `spmm_ref`
+/// An already compressed V:N:M weight's stream in `spmm_ref`
 /// accumulation order — row by row, ascending `(K group, slot)`, zero
-/// slots skipped — as row pointers, `val` of each value and `src` of its
-/// B row. One row-major walk over the values, m-indices and column-loc,
-/// pushing into vectors sized by [`VnmMatrix::nnz`]: the same operands,
-/// in the same order, as two passes of
+/// slots skipped. One row-major walk over the values, m-indices and
+/// column-loc, pushing into vectors sized by [`VnmMatrix::nnz`]: the
+/// same operands, in the same order, as two passes of
 /// [`SparseKernel::for_each_operand`]. Only [`Plan::build_vnm`] condenses
-/// this way; cold plans take [`Operands`] from their compression.
-fn condense_vnm<V, S>(
-    a: &VnmMatrix,
-    val: impl Fn(Half) -> V,
-    src: impl Fn(usize) -> S,
-) -> (Vec<u32>, Vec<V>, Vec<S>) {
+/// this way; cold plans keep the stream their compression emitted.
+fn condense_vnm(a: &VnmMatrix) -> Stream {
     let cfg = a.config();
     let slots_per_row = a.slots_per_row();
     let loc_per_block = a.k_groups() * SELECTED_COLUMNS;
     let nnz = a.nnz();
     let mut row_ptr = Vec::with_capacity(a.rows() + 1);
-    let (mut vals, mut srcs) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    let mut bits = Vec::with_capacity(nnz);
+    let mut srcs = Sources::with_capacity(a.cols(), nnz);
     row_ptr.push(0);
     let rows = a
         .values()
@@ -793,23 +737,21 @@ fn condense_vnm<V, S>(
         for (g, ((group_vals, group_idx), sel)) in groups.enumerate() {
             for (&v, &j) in group_vals.iter().zip(group_idx) {
                 if !v.is_zero() {
-                    vals.push(val(v));
-                    srcs.push(src(g * cfg.m + usize::from(sel[usize::from(j)])));
+                    bits.push(v.to_bits());
+                    srcs.extend([g * cfg.m + usize::from(sel[usize::from(j)])]);
                 }
             }
         }
-        row_ptr.push(vals.len() as u32);
+        row_ptr.push(bits.len() as u32);
     }
-    (row_ptr, vals, srcs)
+    Stream::new(a.rows(), a.cols(), row_ptr, bits, srcs)
 }
 
 /// The condensed executor a [`Plan`] replays.
 #[derive(Clone, Debug)]
 enum Exec {
-    /// The f32 stream, replayed by the K-chunked band sweep.
+    /// The f16 stream, replayed by the sweep or the panels.
     Stream(Stream),
-    /// The narrow band replay of a V:N:M weight.
-    Band(BandStream),
     /// The i16-staged int8 stream.
     Int(IntStream),
 }
@@ -817,16 +759,14 @@ enum Exec {
 impl Exec {
     fn rows(&self) -> usize {
         match self {
-            Exec::Stream(s) => s.rows(),
-            Exec::Band(s) => s.rows(),
+            Exec::Stream(s) => s.rows,
             Exec::Int(s) => s.rows(),
         }
     }
 
     fn k(&self) -> usize {
         match self {
-            Exec::Stream(s) => s.k(),
-            Exec::Band(s) => s.k(),
+            Exec::Stream(s) => s.k,
             Exec::Int(s) => s.k(),
         }
     }
@@ -834,7 +774,6 @@ impl Exec {
     fn nnz(&self) -> usize {
         match self {
             Exec::Stream(s) => s.nnz(),
-            Exec::Band(s) => s.nnz(),
             Exec::Int(s) => s.nnz(),
         }
     }
@@ -843,7 +782,6 @@ impl Exec {
     fn stream_bytes(&self) -> u64 {
         match self {
             Exec::Stream(s) => s.stream_bytes(),
-            Exec::Band(s) => s.stream_bytes(),
             Exec::Int(s) => s.stream_bytes(),
         }
     }
@@ -870,6 +808,18 @@ enum Reference {
         weight: QuantVnmMatrix,
         act_calib: Calibration,
     },
+}
+
+impl Reference {
+    /// Resident bytes of the compressed weight: values and metadata.
+    fn bytes(&self) -> usize {
+        match self {
+            Reference::Spatha { weight, .. } | Reference::Swapped(weight) => weight.total_bytes(),
+            Reference::Dense(w) => w.len() * 2,
+            Reference::Kernel(k) => k.compressed_bytes(),
+            Reference::Quant { weight, .. } => weight.total_bytes(),
+        }
+    }
 }
 
 /// A built execution plan for one weight matmul — built once by the
@@ -933,29 +883,21 @@ impl Plan {
         dev: &DeviceConfig,
     ) -> Self {
         let price = pricing::price_vnm(a, desc.b_cols, DType::F16, opts, dev);
-        let exec = Exec::Stream(Stream::from_vnm(a));
-        Self::spatha_exec(a.clone(), exec, desc, opts, dev, launchable(price))
+        Self::spatha(
+            a.clone(),
+            condense_vnm(a),
+            desc,
+            opts,
+            dev,
+            launchable(price),
+        )
     }
 
-    /// Builds the V:N:M stream plan from its compression's operands over
-    /// an already priced launch (`None`: V below the fragment contract,
-    /// unpriced).
+    /// Builds the V:N:M plan the sweep replays over an already priced
+    /// launch (`None`: V below the fragment contract, unpriced).
     pub(crate) fn spatha(
         a: VnmMatrix,
-        ops: Operands,
-        desc: MatmulDescriptor,
-        opts: &SpmmOptions,
-        dev: &DeviceConfig,
-        price: Option<VnmPrice>,
-    ) -> Self {
-        let exec = Exec::Stream(Stream::from_operands(ops));
-        Self::spatha_exec(a, exec, desc, opts, dev, price)
-    }
-
-    /// The V:N:M stream plan over its built executor.
-    fn spatha_exec(
-        a: VnmMatrix,
-        exec: Exec,
+        stream: Stream,
         desc: MatmulDescriptor,
         opts: &SpmmOptions,
         dev: &DeviceConfig,
@@ -966,7 +908,7 @@ impl Plan {
             opts: *opts,
             dev: dev.clone(),
         };
-        Self::priced_vnm(desc, exec, reference, price)
+        Self::priced_vnm(desc, Exec::Stream(stream), reference, price)
     }
 
     /// A V:N:M plan carrying its Spatha pricing.
@@ -980,15 +922,18 @@ impl Plan {
         Self::new(desc, exec, reference, tile, priced)
     }
 
-    /// Builds the band plan from its compression's operands over its
+    /// Builds the V:N:M plan the panels replay over its
     /// [`pricing::price_band`] pricing.
     pub(crate) fn band(
         a: VnmMatrix,
-        ops: Operands,
+        stream: Stream,
         desc: MatmulDescriptor,
         priced: Priced,
     ) -> Self {
-        let exec = Exec::Band(BandStream::from_operands(ops));
+        let exec = Exec::Stream(Stream {
+            replay: Replay::Panels,
+            ..stream
+        });
         Self::new(desc, exec, Reference::Swapped(a), None, Some(priced))
     }
 
@@ -1111,8 +1056,8 @@ impl MatmulPlan for Plan {
     }
 
     fn path(&self) -> &'static str {
-        match self.exec {
-            Exec::Band(_) => "band",
+        match &self.exec {
+            Exec::Stream(s) if s.replay == Replay::Panels => "band",
             _ => self.format().name(),
         }
     }
@@ -1134,7 +1079,7 @@ impl MatmulPlan for Plan {
     }
 
     fn approx_bytes(&self) -> usize {
-        64 + self.exec.stream_bytes() as usize
+        64 + self.exec.stream_bytes() as usize + self.reference.bytes()
     }
 
     fn weight_dense(&self) -> Matrix<Half> {
@@ -1149,7 +1094,6 @@ impl MatmulPlan for Plan {
     fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
         match &self.exec {
             Exec::Stream(s) => s.run_half(b),
-            Exec::Band(s) => s.run_half(b),
             Exec::Int(s) => s.run_half(b),
         }
     }
@@ -1157,7 +1101,6 @@ impl MatmulPlan for Plan {
     fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
         match &self.exec {
             Exec::Stream(s) => s.run_batch(bs),
-            Exec::Band(s) => s.run_batch(bs),
             Exec::Int(s) => s.run_batch(bs),
         }
     }
@@ -1165,7 +1108,6 @@ impl MatmulPlan for Plan {
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
         match &self.exec {
             Exec::Stream(s) => s.run_linear(x, bias),
-            Exec::Band(s) => s.run_linear(x, bias),
             Exec::Int(s) => s.run_linear(x, bias),
         }
     }
@@ -1178,7 +1120,6 @@ impl MatmulPlan for Plan {
         );
         match &self.exec {
             Exec::Stream(s) => s.run_linear_staged(staged, tokens, bias),
-            Exec::Band(s) => s.run_linear_staged(staged, tokens, bias),
             Exec::Int(s) => s.run_linear_staged(staged, tokens, bias),
         }
     }
@@ -1474,22 +1415,32 @@ mod tests {
         shapes
     }
 
-    /// Runs `plan` on a seeded operand of `width` columns: the dispatched
-    /// replay ([`MatmulPlan::run`]) must equal the baseline-compiled band
-    /// sweep and the per-call reference ([`MatmulPlan::run_oneshot`]).
-    /// Returns whether the output mixes NaN and finite values, so that
-    /// callers can check the special values reached it.
-    fn check_stream_plan(label: &str, plan: &Plan, width: usize, seed: u64) -> bool {
-        let Exec::Stream(stream) = &plan.exec else {
-            panic!("{label}: not a stream plan")
-        };
+    /// Runs `plan` on a seeded operand of `width` columns: it must be
+    /// replayed by `replay`, and the dispatched replay
+    /// ([`MatmulPlan::run`]) must equal the baseline-compiled band body
+    /// and the per-call reference ([`MatmulPlan::run_oneshot`]). Returns
+    /// whether the output mixes NaN and finite values, so that callers
+    /// can check the special values reached it.
+    fn check_plan(label: &str, plan: &Plan, replay: Replay, width: usize, seed: u64) -> bool {
+        let stream = stream_of(plan);
+        assert_eq!(stream.replay, replay, "{label}");
         let (rows, k) = (stream.rows, stream.k);
         let b = operand(k, width, seed);
         let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
         let got = plan.run(&b);
+        let lut = venom_fp16::f16_to_f32_table();
         let mut base = vec![0.0f32; rows * width];
         for (band, chunk) in base.chunks_mut(BAND_ROWS * width).enumerate() {
-            stream.sweep_band(band * BAND_ROWS, &staged, width, chunk);
+            let row0 = band * BAND_ROWS;
+            let (b, w) = (&staged, width);
+            match (&stream.srcs, replay) {
+                (Sources::Narrow(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
+                (Sources::Wide(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
+                (Sources::Narrow(s), Replay::Panels) => {
+                    stream.panels_band(s, lut, row0, b, w, chunk)
+                }
+                (Sources::Wide(s), Replay::Panels) => stream.panels_band(s, lut, row0, b, w, chunk),
+            }
         }
         let at = format!("{label} {rows}x{k} width {width}");
         assert_eq!(
@@ -1507,42 +1458,30 @@ mod tests {
         out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
     }
 
-    /// The value bits and sources of a plan's V:N:M stream (band values
-    /// widened through `to_f32`), with its row pointers.
-    fn stream_of(plan: &Plan) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    /// The stream of an f16 plan.
+    fn stream_of(plan: &Plan) -> &Stream {
         match &plan.exec {
-            Exec::Stream(s) => (
-                s.row_ptr.clone(),
-                s.vals.iter().map(|v| v.to_bits()).collect(),
-                s.srcs.clone(),
-            ),
-            Exec::Band(s) => (
-                s.row_ptr.clone(),
-                s.vals
-                    .iter()
-                    .map(|&h| Half::from_bits(h).to_f32().to_bits())
-                    .collect(),
-                s.srcs.iter().map(|&s| u32::from(s)).collect(),
-            ),
-            Exec::Int(_) => panic!("not an f16 V:N:M plan"),
+            Exec::Stream(s) => s,
+            Exec::Int(_) => panic!("not an f16 plan"),
         }
     }
 
-    /// [`condense_vnm`] of `a`, in the shape of [`stream_of`].
-    fn condensed(a: &VnmMatrix) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        condense_vnm(a, |h| h.to_f32().to_bits(), |s| s as u32)
+    /// A stream's row pointers, f16 value bits and sources.
+    fn operands(s: &Stream) -> (&[u32], &[u16], &Sources) {
+        (&s.row_ptr, &s.bits, &s.srcs)
     }
 
     /// The one-pass condensation of a V:N:M weight equals the two-pass
-    /// `for_each_operand` stream: row pointers, value bits and sources,
-    /// for the f32 stream and the narrow band stream alike. And every
-    /// V:N:M plan the engine builds cold, whose stream comes from its
-    /// compression's emitted operands, equals the condensation of its
-    /// weight: band and Spatha plans from `plan_auto_hinted`,
+    /// `for_each_operand` stream: row pointers, value bits and sources.
+    /// And every V:N:M plan the engine builds cold, whose stream comes
+    /// from its compression's emitted operands, equals the condensation
+    /// of its weight: band and Spatha plans from `plan_auto_hinted`,
     /// `plan_band_hinted` and `plan_with_format(Vnm)`, hinted and
-    /// unhinted, and a Spatha plan whose K exceeds 16-bit sources. Cases
-    /// cover V = 1, N = 1 and 3, M > 64, partial tail groups and row
-    /// blocks, kept -0.0 (skipped) and kept NaN, ±Inf and subnormals.
+    /// unhinted, and a Spatha plan whose K exceeds 16-bit sources, which
+    /// must also replay like its baseline-compiled sweep and its per-call
+    /// reference. Cases cover V = 1, N = 1 and 3, M > 64, partial tail
+    /// groups and row blocks, kept -0.0 (skipped) and kept NaN, ±Inf and
+    /// subnormals.
     #[test]
     fn one_pass_vnm_condensation_equals_the_two_pass_stream() {
         let cases = [
@@ -1556,14 +1495,9 @@ mod tests {
         for (i, (r, k, cfg)) in cases.into_iter().enumerate() {
             let a = vnm_special(r, k, cfg, 40 + i as u64);
             let want = Stream::from_kernel(&a);
-            let want_bits: Vec<u32> = want.vals.iter().map(|v| v.to_bits()).collect();
-            assert!(want.vals.iter().any(|v| v.is_nan()), "{cfg}: specials kept");
-            let got = Stream::from_vnm(&a);
-            assert_eq!(got.row_ptr, want.row_ptr, "{cfg}");
-            let got_bits: Vec<u32> = got.vals.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got_bits, want_bits, "{cfg}");
-            assert_eq!(got.srcs, want.srcs, "{cfg}");
-            assert_eq!(condensed(&a), (want.row_ptr, want_bits, want.srcs), "{cfg}");
+            let nan = |&h: &u16| Half::from_bits(h).is_nan();
+            assert!(want.bits.iter().any(nan), "{cfg}: specials kept");
+            assert_eq!(operands(&condense_vnm(&a)), operands(&want), "{cfg}");
 
             let (w, _) = special_weight(r, k, cfg, 40 + i as u64);
             let desc = MatmulDescriptor::new(r, k);
@@ -1581,7 +1515,8 @@ mod tests {
                 for plan in plans {
                     let Some(a) = plan.vnm() else { continue };
                     let at = format!("{cfg} hint {hint:?}: {} plan", plan.path());
-                    assert_eq!(stream_of(&plan), condensed(a), "{at}");
+                    let want = condense_vnm(a);
+                    assert_eq!(operands(stream_of(&plan)), operands(&want), "{at}");
                     paths.push((plan.path(), hint.is_some()));
                 }
             }
@@ -1595,18 +1530,24 @@ mod tests {
             assert!(paths.contains(&want), "no {want:?} plan among {paths:?}");
         }
 
-        // K past the band stream's 16-bit sources: the Spatha plan keeps
-        // 32-bit sources, some of them past 65535.
+        // K past 16-bit sources: the Spatha plan keeps 32-bit sources,
+        // some of them past 65535.
         let k = (u16::MAX as usize + 1) + 8;
         let w = Matrix::from_fn(16, k, |_, c| if c % 8 < 2 { Half::ONE } else { Half::ZERO });
         let engine = crate::Engine::new(dev()).with_b_cols_hint(8);
         let plan = engine
             .format_plan(MatmulFormat::Vnm, &engine.descriptor(16, k), &w)
             .expect("16:2:8 complies");
-        assert!(matches!(plan.exec, Exec::Stream(_)));
         let stream = stream_of(&plan);
-        assert_eq!(stream, condensed(plan.vnm().expect("a V:N:M plan")));
-        assert!(stream.2.iter().any(|&s| s > u32::from(u16::MAX)));
+        let want = condense_vnm(plan.vnm().expect("a V:N:M plan"));
+        assert_eq!(operands(stream), operands(&want));
+        let Sources::Wide(srcs) = &stream.srcs else {
+            panic!("K = {k} needs 32-bit sources")
+        };
+        assert!(srcs.iter().any(|&s| s > u32::from(u16::MAX)));
+        for width in [8, 256] {
+            check_plan("16:2:8 wide K", &plan, Replay::Sweep, width, width as u64);
+        }
     }
 
     #[test]
@@ -1622,8 +1563,8 @@ mod tests {
             for width in WIDTHS {
                 for (rows, k) in stream_shapes(width) {
                     let a = vnm_special(rows, k, cfg, (rows + k) as u64);
-                    mixed |=
-                        check_stream_plan(&cfg.to_string(), &build(&a, width), width, k as u64);
+                    let plan = build(&a, width);
+                    mixed |= check_plan(&cfg.to_string(), &plan, Replay::Sweep, width, k as u64);
                 }
             }
             assert!(mixed, "{cfg}: the special values must reach the output");
@@ -1645,7 +1586,7 @@ mod tests {
             chunk > CHUNK_BYTES / (4 * width) && chunk < k,
             "chunk {chunk}"
         );
-        check_stream_plan("128:2:20", &plan, width, 6);
+        check_plan("128:2:20", &plan, Replay::Sweep, width, 6);
     }
 
     #[test]
@@ -1654,7 +1595,13 @@ mod tests {
         for width in WIDTHS {
             for (rows, k) in stream_shapes(width) {
                 let w = sparse_special(rows, k, (rows * k) as u64);
-                mixed |= check_stream_plan("dense", &Plan::from_dense(&w), width, k as u64);
+                mixed |= check_plan(
+                    "dense",
+                    &Plan::from_dense(&w),
+                    Replay::Sweep,
+                    width,
+                    k as u64,
+                );
             }
         }
         assert!(mixed, "the special values must reach the output");
@@ -1676,14 +1623,14 @@ mod tests {
                     pricing::csr_counts(&csr, width),
                 );
                 let plan = Plan::build_kernel(Arc::new(csr), desc, t, c);
-                mixed[0] |= check_stream_plan("csr", &plan, width, k as u64);
+                mixed[0] |= check_plan("csr", &plan, Replay::Sweep, width, k as u64);
                 let cvse = CvseMatrix::from_dense(&w, 4);
                 let (t, c) = (
                     pricing::price_cvse(&cvse, width, &dev()),
                     pricing::cvse_counts(&cvse, width),
                 );
                 let plan = Plan::build_kernel(Arc::new(cvse), desc, t, c);
-                mixed[1] |= check_stream_plan("cvse", &plan, width, k as u64);
+                mixed[1] |= check_plan("cvse", &plan, Replay::Sweep, width, k as u64);
                 // The block edge must divide both dimensions.
                 let bs = [5, 3, 1]
                     .into_iter()
@@ -1694,7 +1641,7 @@ mod tests {
                     pricing::blocked_ell_counts(&ell, width),
                 );
                 let plan = Plan::build_kernel(Arc::new(ell), desc, t, c);
-                mixed[2] |= check_stream_plan("blocked-ell", &plan, width, k as u64);
+                mixed[2] |= check_plan("blocked-ell", &plan, Replay::Sweep, width, k as u64);
             }
         }
         assert_eq!(
@@ -1706,7 +1653,7 @@ mod tests {
     #[test]
     fn stream_sweep_keeps_unordered_sources_in_stream_order() {
         // Two bands (one partial) of rows whose sources jump back and
-        // forth across four chunks, with values spanning 37 binades, so
+        // forth across four chunks, with values spanning 25 binades, so
         // that any reordering changes a rounding. A row's run in a chunk
         // must stop at its first source past the chunk, and the nearer
         // ones after it must wait: only an order-preserving cursor
@@ -1720,95 +1667,55 @@ mod tests {
                 .wrapping_add(1);
             (state >> 33) as u32
         };
-        let srcs: Vec<u32> = (0..rows * per_row).map(|_| next() % k as u32).collect();
-        let vals: Vec<f32> = (0..rows * per_row)
+        let srcs: Vec<u16> = (0..rows * per_row)
+            .map(|_| (next() % k as u32) as u16)
+            .collect();
+        let vals: Vec<Half> = (0..rows * per_row)
             .map(|_| {
                 let v = (next() % 2001) as f32 / 1000.0 - 1.0;
-                v * 2f32.powi((next() % 37) as i32 - 10)
+                Half::from_f32(v * 2f32.powi((next() % 25) as i32 - 14))
             })
             .collect();
         let b: Vec<f32> = (0..k * width)
             .map(|_| (next() % 2001) as f32 / 1000.0 - 1.0)
             .collect();
-        let stream = Stream {
-            rows,
-            k,
-            row_ptr: (0..=rows).map(|r| (r * per_row) as u32).collect(),
-            vals: vals.clone(),
-            srcs: srcs.clone(),
-        };
+        let row_ptr = (0..=rows).map(|r| (r * per_row) as u32).collect();
+        let stored = vals.iter().map(|h| h.to_bits()).collect();
+        let stream = Stream::new(rows, k, row_ptr, stored, Sources::Narrow(srcs.clone()));
         assert_eq!(stream.chunk_rows(width), CHUNK_BYTES / (4 * width));
         let mut got = vec![0.0f32; rows * width];
         stream.run_into(&b, width, &mut got);
         let mut want = vec![0.0f32; rows * width];
         for (i, (&v, &s)) in vals.iter().zip(&srcs).enumerate() {
             let orow = &mut want[i / per_row * width..][..width];
-            for (o, &x) in orow.iter_mut().zip(&b[s as usize * width..][..width]) {
-                *o += v * x;
+            for (o, &x) in orow.iter_mut().zip(&b[usize::from(s) * width..][..width]) {
+                *o += v.to_f32() * x;
             }
         }
         assert_eq!(bits(&got), bits(&want));
     }
 
-    /// The band plan of `a` over operands condensed from its slots.
+    /// The band plan of `a` over the stream condensed from its slots.
     fn band_build(a: &VnmMatrix, b_cols: usize) -> Plan {
         let (rows, k) = a.shape();
         let desc = MatmulDescriptor::new(rows, k).with_b_cols(b_cols);
-        let (row_ptr, bits, srcs) = condense_vnm(a, Half::to_bits, |s| s as u16);
-        let srcs = Sources::Narrow(srcs);
-        let ops = Operands {
-            rows,
-            k,
-            row_ptr,
-            bits,
-            srcs,
-        };
-        let priced = pricing::price_band(a.shape(), ops.len(), b_cols, &dev());
-        Plan::band(a.clone(), ops, desc, priced.expect("K fits 16-bit indices"))
+        let stream = condense_vnm(a);
+        let priced = pricing::price_band(a.shape(), stream.nnz(), b_cols, &dev());
+        Plan::band(
+            a.clone(),
+            stream,
+            desc,
+            priced.expect("K fits 16-bit indices"),
+        )
     }
 
     /// Output widths of the band oracle: every accumulator width of
-    /// [`BandStream::replay_row`]'s one-pass remainder (8 to 56 columns),
+    /// [`Stream::replay_row`]'s one-pass remainder (8 to 56 columns),
     /// with and without a narrow tail, both sides of its 64-column panel,
     /// and both sides of the 256-column encoder width.
     const BAND_WIDTHS: [usize; 18] = [
         1, 7, 8, 9, 16, 23, 31, 32, 33, 40, 48, 56, 63, 64, 65, 255, 256, 300,
     ];
-
-    /// Runs the band `plan` on a seeded operand of `width` columns: the
-    /// dispatched replay ([`MatmulPlan::run`]) must equal the
-    /// baseline-compiled row body and the per-call reference
-    /// ([`MatmulPlan::run_oneshot`]). Returns whether the output mixes NaN
-    /// and finite values, so that callers can check the special values
-    /// reached it.
-    fn check_band_plan(label: &str, plan: &Plan, width: usize, seed: u64) -> bool {
-        let Exec::Band(band) = &plan.exec else {
-            panic!("{label}: not a band plan")
-        };
-        let (rows, k) = (band.rows, band.k);
-        let b = operand(k, width, seed);
-        let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
-        let got = plan.run(&b);
-        let lut = venom_fp16::f16_to_f32_table();
-        let mut base = vec![0.0f32; rows * width];
-        for (r, orow) in base.chunks_mut(width).enumerate() {
-            band.replay_row(r, lut, &staged, width, orow);
-        }
-        let at = format!("{label} {rows}x{k} width {width}");
-        assert_eq!(
-            bits(got.as_slice()),
-            bits(&base),
-            "{at}: dispatched != baseline"
-        );
-        let oneshot = plan.run_oneshot(&b);
-        assert_eq!(
-            bits(got.as_slice()),
-            bits(oneshot.as_slice()),
-            "{at}: planned != oneshot"
-        );
-        let out = got.as_slice();
-        out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
-    }
 
     #[test]
     fn band_replay_matches_baseline_and_oneshot() {
@@ -1824,7 +1731,7 @@ mod tests {
                 for (rows, k) in [(37, 1), (150, 230)] {
                     let a = vnm_special(rows, k, cfg, (rows + k) as u64);
                     let plan = band_build(&a, width);
-                    mixed |= check_band_plan(&cfg.to_string(), &plan, width, k as u64);
+                    mixed |= check_plan(&cfg.to_string(), &plan, Replay::Panels, width, k as u64);
                 }
             }
             assert!(mixed, "{cfg}: the special values must reach the output");

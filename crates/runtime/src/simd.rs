@@ -1,9 +1,9 @@
 //! Run-time instruction-set dispatch for the runtime's f32 and i32 hot
 //! loops.
 //!
-//! The dispatched loops are the f32 stream's band sweep
-//! (`Stream::sweep_band`), the narrow band replay
-//! (`BandStream::replay_row`), the int8 row accumulation
+//! The dispatched loops are the f16 stream's two replays, the K-chunked
+//! sweep and the register panels (`Stream::replay_band`, one entry per
+//! source width), the int8 row accumulation
 //! (`IntStream::accumulate_row`) and, at plan-build time, the packing of
 //! a weight's nonzero mask (`SparsityMask::from_nonzero_halves`, exact
 //! bit tests).

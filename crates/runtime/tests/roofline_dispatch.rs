@@ -20,7 +20,8 @@
 //!    the N:M, CSR, CVSE, Blocked-ELL and dense streams — replays
 //!    bit-identically to its per-call reference on every dispatch path,
 //!    carries the counts it was priced on, and charges the plan cache
-//!    for exactly the bytes its executor keeps resident.
+//!    for exactly the bytes it keeps resident: its executor's stream and
+//!    its compressed weight.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -149,37 +150,73 @@ fn band_paths_are_bit_identical_across_the_config_grid() {
     }
 }
 
-/// Resident bytes per stored operand of each executor: f32 value + u32
-/// source (stream), f16 bits + u16 source (band), i16 code + u32 source
-/// (int8). Row pointers are a u32 per row plus one.
-fn expected_bytes(plan: &dyn MatmulPlan, per_operand: usize) -> usize {
+/// Resident bytes of a plan: 64 structural bytes, `per_operand` bytes
+/// per stored operand — f16 bits + u16 source (the f16 stream, whichever
+/// loop replays it), i16 code + u32 source (int8) — a u32 row pointer per
+/// row plus one, and the `reference` bytes of the compressed weight the
+/// per-call path runs.
+fn expected_bytes(plan: &dyn MatmulPlan, per_operand: usize, reference: usize) -> usize {
     let rows = plan.descriptor().out_features;
-    64 + plan.stored_values() * per_operand + (rows + 1) * 4
+    64 + plan.stored_values() * per_operand + (rows + 1) * 4 + reference
 }
 
 #[test]
 fn every_route_replays_bitwise_and_reports_its_pricing() {
     // A 2:4-pruned weight complies with every format's structure, so
     // one weight reaches every route; 64 x 96 lets Blocked-ELL tile it.
+    use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, NmCompressed, NmConfig};
+    use venom_runtime::SparseKernel;
     let (r, k) = (64usize, 96usize);
-    let w = vnm_dense(r, k, VnmConfig::new(64, 2, 4), 31);
+    let cfg = VnmConfig::new(64, 2, 4);
+    let w = vnm_dense(r, k, cfg, 31);
     let engine = Engine::new(dev()).with_b_cols_hint(16);
     let f16 = engine.descriptor(r, k);
     let i8 = f16.with_dtype(DType::I8);
     let format = |f: MatmulFormat| engine.plan_with_format(f, &f16, &w).unwrap();
-    let routes: Vec<(&str, Arc<dyn MatmulPlan>, usize)> = vec![
-        ("vnm", format(MatmulFormat::Vnm), 8),
-        ("band", engine.plan_band_hinted(&f16, &w, None).unwrap(), 4),
+    // The compressed weights the plans keep: 64:2:4 is the strongest
+    // probed pattern the weight complies with, Blocked-ELL takes the
+    // first probed block edge dividing both dimensions, and CVSE the
+    // cheapest vector length.
+    let mask = venom_format::SparsityMask::from_fn(r, k, |_, c| c % cfg.m < cfg.n);
+    let vnm = venom_runtime::VnmMatrix::compress(&w, &mask, cfg);
+    let quant = venom_runtime::QuantVnmMatrix::quantize(&vnm, venom_runtime::Calibration::AbsMax);
+    let nm = NmCompressed::compress(&w, &mask, NmConfig { n: 2, m: 4 });
+    let cvse = format(MatmulFormat::Cvse);
+    let cvse_bytes = [16, 8, 4]
+        .map(|l| CvseMatrix::from_dense(&w, l))
+        .into_iter()
+        .find(|a| Some(venom_runtime::pricing::price_cvse(a, 16, &dev()).time_ms) == cvse.cost_ms())
+        .expect("the plan is priced at one probed vector length")
+        .total_bytes();
+    let routes: Vec<(&str, Arc<dyn MatmulPlan>, usize, usize)> = vec![
+        ("vnm", format(MatmulFormat::Vnm), 4, vnm.total_bytes()),
+        (
+            "band",
+            engine.plan_band_hinted(&f16, &w, None).unwrap(),
+            4,
+            vnm.total_bytes(),
+        ),
         (
             "vnm-i8",
             engine.plan_with_format(MatmulFormat::Vnm, &i8, &w).unwrap(),
             6,
+            quant.total_bytes(),
         ),
-        ("nm", format(MatmulFormat::Nm), 8),
-        ("csr", format(MatmulFormat::Csr), 8),
-        ("cvse", format(MatmulFormat::Cvse), 8),
-        ("blocked-ell", format(MatmulFormat::BlockedEll), 8),
-        ("dense", format(MatmulFormat::Dense), 8),
+        ("nm", format(MatmulFormat::Nm), 4, nm.compressed_bytes()),
+        (
+            "csr",
+            format(MatmulFormat::Csr),
+            4,
+            CsrMatrix::from_dense(&w).total_bytes(),
+        ),
+        ("cvse", cvse, 4, cvse_bytes),
+        (
+            "blocked-ell",
+            format(MatmulFormat::BlockedEll),
+            4,
+            BlockedEllMatrix::from_dense(&w, 32).total_bytes(),
+        ),
+        ("dense", format(MatmulFormat::Dense), 4, r * k * 2),
     ];
     let b = random::normal_matrix(k, 13, 0.0, 1.0, 32).to_half();
     let batch: Vec<Matrix<venom_fp16::Half>> = [5usize, 11, 1]
@@ -189,7 +226,7 @@ fn every_route_replays_bitwise_and_reports_its_pricing() {
         .collect();
     let x = random::activation_matrix(9, k, 36);
     let bias: Vec<f32> = (0..r).map(|i| i as f32 * 0.125 - 2.0).collect();
-    for (route, plan, per_operand) in &routes {
+    for (route, plan, per_operand, reference) in &routes {
         let label = match plan.descriptor().dtype {
             DType::I8 => format!("{}-i8", plan.path()),
             DType::F16 => plan.path().to_string(),
@@ -219,8 +256,8 @@ fn every_route_replays_bitwise_and_reports_its_pricing() {
         assert!(plan.regime(&dev()).is_some(), "{route}: roofline regime");
         assert_eq!(
             plan.approx_bytes(),
-            expected_bytes(plan.as_ref(), *per_operand),
-            "{route}: cache bytes are the executor's resident bytes"
+            expected_bytes(plan.as_ref(), *per_operand, *reference),
+            "{route}: cache bytes are the plan's resident bytes"
         );
     }
 }
