@@ -5,8 +5,9 @@ Two jobs:
 
 1. **Schema/content validation** — the series list is a stable contract
    (consumers key on labels); every expected label must be present with a
-   positive median, and the planned serving paths must actually beat
-   their per-call references (`speedup_vs_ref > 1`).
+   positive median, and each fast path with a floor must beat its
+   retained reference (`speedup_vs_ref` above the floor). The series are
+   kernel-level; end-to-end runs are measured by `benchmark/`.
 
 2. **Regression gate** — first fails if any series of the committed
    baseline is missing from the fresh run (a dropped series cannot
@@ -49,8 +50,6 @@ EXPECTED_LABELS = [
     # Plan-once/run-many serving series (ISSUE 3).
     "fig09_k768_80pct_planned",
     "fig09_k768_batch4x128",
-    "bert_base_seq128",
-    "bert_base_2layer_seq128",
     # Unified matmul surface series (ISSUE 4): plan_auto's winner plus one
     # planned dispatch per non-V:N:M storage format.
     "fig09_k768_auto",
@@ -63,15 +62,6 @@ EXPECTED_LABELS = [
     # path.
     "fig09_k768_i8",
     "fig09_k768_i8_plan",
-    # Serving under load (ISSUE 6): the concurrent server (bounded queue,
-    # coalescer, shared plan cache) vs sequential per-request dispatch,
-    # plus the p50/p99 latency tail of the same scenario.
-    "serve_throughput_c4",
-    "serve_p50_c4",
-    "serve_p99_c4",
-    # Fault-tolerant serving (ISSUE 7): the same stream with the planned
-    # path disabled, riding the per-call degraded fallback.
-    "serve_degraded_c4",
     # Roofline dispatch (ISSUE 8): bandwidth-bound shapes routed by
     # plan_auto to the non-mma band path (vs the forced mma stream), and
     # the swapped-operand kernel vs the reference SpMM.
@@ -93,8 +83,6 @@ SPEEDUP_FLOORS = {
     "fig09_k768_80pct": 1.0,
     "fig09_k768_80pct_planned": 1.0,
     "fig09_k768_batch4x128": 1.0,
-    "bert_base_seq128": 1.0,
-    "bert_base_2layer_seq128": 1.0,
     # The auto-selected plan replays a condensed stream; its per-call
     # reference redoes tile selection and staging every dispatch.
     "fig09_k768_auto": 1.0,
@@ -103,20 +91,6 @@ SPEEDUP_FLOORS = {
     # per-call re-quantization.
     "fig09_k768_i8": 1.0,
     "fig09_k768_i8_plan": 1.0,
-    # The serving acceptance bar: dynamic batching plus the shared plan
-    # cache must at least double sequential per-request throughput. The
-    # floor sits below the 2x target by the same margin the other floors
-    # allow, so scheduler noise on a loaded CI runner cannot flake the
-    # gate while a real loss of batching still fails it.
-    "serve_throughput_c4": 1.5,
-    # Degraded mode cannot beat its own reference (the per-call kernels
-    # already saturate the cores, so worker parallelism adds ~nothing;
-    # measured ~1.0x). The floor instead bounds the *overhead* of
-    # degradation: with the disarmed fault apparatus skipped entirely
-    # (ISSUE 8), supervision plus per-batch failed builds and fallback
-    # resolution measure ~0.96x; allow scheduler noise but fail if the
-    # wrapper overhead creeps back in.
-    "serve_degraded_c4": 0.75,
     # The roofline-dispatch acceptance bar (ISSUE 8): on the memory-bound
     # (1024, 768, c=8) shape the band path must beat the mma-stream plan
     # by >= 1.3x; the tall-skinny route and the swapped-operand kernel
@@ -241,9 +215,9 @@ def main():
         print(f"FAIL: {len(failures)} series regressed more than "
               f"{(args.tolerance - 1) * 100:.0f}% vs the committed baseline: {failures}")
         return 1
-    enc = new["bert_base_seq128"]
-    print(f"ok: {len(new)} series; encoder_layer planned speedup "
-          f"{enc['speedup_vs_ref']}x vs {enc['ref']}")
+    planned = new["fig09_k768_80pct_planned"]
+    print(f"ok: {len(new)} series; planned SpMM speedup "
+          f"{planned['speedup_vs_ref']}x vs {planned['ref']}")
     return 0
 
 
