@@ -134,8 +134,10 @@ pub const BAND_EFFICIENCY: f64 = 0.85;
 /// The structure it prices is deliberately lean — that *is* the path's
 /// value proposition left of the ridge point:
 ///
-/// * the operand stream carries an f16 value plus a narrow 16-bit source
-///   index per nonzero (4 B, versus the mma path's staged tile traffic),
+/// * the operand stream carries an f16 value plus a source index per
+///   nonzero at the width the runtime's container stores
+///   ([`venom_format::Sources::width`]): 4 B where K fits 16-bit sources,
+///   6 B past that, versus the mma path's staged tile traffic,
 /// * `B` is streamed row-major exactly once across the whole grid (no
 ///   per-block re-gather, no shared-memory staging), and
 /// * the work is scalar FMAs on the CUDA cores — so the compute roof is
@@ -143,23 +145,15 @@ pub const BAND_EFFICIENCY: f64 = 0.85;
 ///   the sparse-tensor roof. Right of *that* ridge the band kernel loses
 ///   honestly, which is what lets the planner's cost comparison flip at
 ///   the crossover instead of at a hard-coded threshold.
-///
-/// # Panics
-/// Panics if `k` exceeds the narrow index range (the 16-bit source index
-/// is part of the bandwidth story, FlashSparse-style).
 pub fn build_counts_band(r: usize, k: usize, b_cols: usize, nnz: usize) -> KernelCounts {
-    assert!(
-        k <= u16::MAX as usize + 1,
-        "band kernel stores 16-bit source indices; K = {k} does not fit"
-    );
     let c = b_cols;
     let bands = r.div_ceil(BAND_TILE_ROWS) as u64;
     let nnz_block = (nnz as u64).div_ceil(bands);
-    // Operand stream: f16 value + u16 source row, streamed once (no L2
+    // Operand stream: f16 value + source row, streamed once (no L2
     // reuse). B: one row-major f16 pass shared across the grid, charged
     // pro rata per block; reuse across bands is folded into charging the
     // pass once instead of per block.
-    let stream_bytes = nnz_block * 4;
+    let stream_bytes = nnz_block * (2 + venom_format::Sources::width(k) as u64);
     let b_bytes = ((k * c * 2) as u64).div_ceil(bands);
     // Output: one f32 row band per block.
     let gmem_store = (BAND_TILE_ROWS * c * 4) as u64;
@@ -464,9 +458,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "16-bit source indices")]
-    fn band_counts_reject_wide_k() {
-        let _ = build_counts_band(64, 70_000, 8, 1000);
+    fn band_counts_price_wide_sources_at_four_bytes() {
+        // Past K = 65536 the stream stores u32 sources: 6 B per operand.
+        let b_bytes = |k: u64| (k * 8 * 2).div_ceil(4);
+        let narrow = build_counts_band(64, 65_536, 8, 1000);
+        let wide = build_counts_band(64, 70_000, 8, 1000);
+        assert_eq!(narrow.gmem_load_bytes_per_block, 250 * 4 + b_bytes(65_536));
+        assert_eq!(wide.gmem_load_bytes_per_block, 250 * 6 + b_bytes(70_000));
     }
 
     #[test]

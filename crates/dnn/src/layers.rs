@@ -160,12 +160,13 @@ impl Linear {
     ///
     /// # Errors
     /// Returns [`PlanError`] when a forced format cannot serve the
-    /// pruned weight's structure.
+    /// pruned weight's structure, and [`PlanError::Incompatible`] when
+    /// the mask violates `cfg` under [`PlanStrategy::Vnm`] or
+    /// [`PlanStrategy::Quantized`], which both compress through
+    /// [`VnmMatrix::try_compress`].
     ///
     /// # Panics
-    /// Panics if the mask shape mismatches, or (for
-    /// [`PlanStrategy::Vnm`] and [`PlanStrategy::Quantized`], which both
-    /// compress through [`VnmMatrix::compress`]) violates `cfg`.
+    /// Panics if the mask shape mismatches.
     pub fn to_sparse_with(
         &self,
         engine: &Engine,
@@ -177,10 +178,14 @@ impl Linear {
         let desc = engine
             .descriptor(pruned.rows(), pruned.cols())
             .with_epilogue(Epilogue::Bias);
+        let compress = || {
+            VnmMatrix::try_compress(&pruned, mask, cfg).map_err(|e| PlanError::Incompatible {
+                format: MatmulFormat::Vnm,
+                reason: e.to_string(),
+            })
+        };
         let plan: Arc<dyn MatmulPlan> = match strategy {
-            PlanStrategy::Vnm => {
-                Arc::new(engine.plan_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
-            }
+            PlanStrategy::Vnm => Arc::new(engine.plan_spmm(&compress()?)),
             // The prune pattern is known here — seed the V:N:M candidate
             // with it so patterns outside the engine's re-detection grid
             // still compete.
@@ -189,7 +194,7 @@ impl Linear {
             PlanStrategy::Format(f) => engine.plan_with_format(f, &desc, &pruned)?,
             PlanStrategy::Quantized(calib) => {
                 let e = engine.clone().with_calibration(calib);
-                Arc::new(e.plan_quant_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
+                Arc::new(e.plan_quant_spmm(&compress()?))
             }
             PlanStrategy::AutoQuantized(calib) => engine
                 .clone()
@@ -393,6 +398,26 @@ mod tests {
         let y = lin.forward(&x);
         // y0 = 2 - 4 + 1 = -1 ; y1 = 1 + 6 - 1 = 6.
         assert_eq!(y.as_slice(), &[-1.0, 6.0]);
+    }
+
+    #[test]
+    fn non_compliant_mask_is_an_error_not_a_panic() {
+        // Every column kept: each row's 8-wide group holds 8 > 2 values.
+        let cfg = VnmConfig::new(16, 2, 8);
+        let lin = Linear::glorot(32, 64, 3);
+        let mask = SparsityMask::from_fn(32, 64, |_, _| true);
+        for strategy in [
+            PlanStrategy::Vnm,
+            PlanStrategy::Quantized(Calibration::AbsMax),
+        ] {
+            let err = lin
+                .to_sparse_with(&engine(), &mask, cfg, strategy)
+                .expect_err("the mask violates 16:2:8");
+            assert!(
+                err.to_string().contains("mask violates the 16:2:8 pattern"),
+                "{strategy:?}: {err}"
+            );
+        }
     }
 
     #[test]

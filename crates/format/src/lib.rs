@@ -10,6 +10,8 @@
 //!   (which 4 of each block's M columns survived vector-wise pruning).
 //! * [`QuantVnmMatrix`] — the int8-quantized V:N:M container: the same
 //!   metadata with a 1-byte value plane and per-row symmetric scales.
+//! * [`Operands`] — the row-ordered operand stream every format condenses
+//!   to (row pointers, an f16-bits or i8 value plane, u16/u32 sources).
 //! * [`storage`] — the interleaved kernel storage order of Fig. 7 (128-bit
 //!   per-thread chunks, coalesced, no `ldmatrix` required).
 //! * [`CsrMatrix`] — compressed sparse rows, the Sputnik baseline format.
@@ -26,6 +28,7 @@ pub mod csr;
 pub mod cvse;
 pub mod mask;
 pub mod nm;
+pub mod operands;
 pub mod qvnm;
 pub mod sparse_kernel;
 pub mod storage;
@@ -36,6 +39,7 @@ pub use csr::CsrMatrix;
 pub use cvse::CvseMatrix;
 pub use mask::SparsityMask;
 pub use nm::NmCompressed;
+pub use operands::{Extent, OperandBuilder, Operands, Sources};
 pub use qvnm::QuantVnmMatrix;
 pub use sparse_kernel::{MatmulFormat, SparseKernel};
 pub use storage::StorageOrder;

@@ -8,23 +8,20 @@
 //! scale per logical row — per-output-channel quantization, so dequantizing
 //! a row is a single multiply that folds into any epilogue.
 //!
-//! Two execution semantics live on the container:
-//!
-//! * the **integer** path ([`QuantVnmMatrix::spmm_ref_i8`] /
-//!   [`QuantVnmMatrix::spmm_parallel_i8`]) — exact `i32` accumulation over
-//!   i8 operands, bit-identical to [`venom_quant::gemm_ref_i8`] over the
-//!   decompressed plane (integer sums never round, so the equality is
-//!   order-independent), and
-//! * the **dequantized f32** view through [`SparseKernel`] — each stored
-//!   value contributes `q as f32 * row_scale` (one rounding per operand),
-//!   which is what lets format conformance harnesses and re-planning work
-//!   on the quantized container unchanged. These values are not f16
-//!   values, so no f16 operand stream is built from them: the runtime's
-//!   int8 plans condense the i8 codes themselves
-//!   ([`QuantVnmMatrix::for_each_operand_i8`]).
+//! The container is integer-only: it does not implement
+//! [`crate::SparseKernel`], whose operands are f16 values. Its execution
+//! is the **integer** path ([`QuantVnmMatrix::spmm_ref_i8`] /
+//! [`QuantVnmMatrix::spmm_parallel_i8`]) — exact `i32` accumulation over
+//! i8 operands, bit-identical to [`venom_quant::gemm_ref_i8`] over the
+//! decompressed plane (integer sums never round, so the equality is
+//! order-independent). Its i8 codes condense into the same [`Operands`]
+//! container the f16 formats fill ([`QuantVnmMatrix::operands`]), which
+//! the runtime's int8 plans replay. [`QuantVnmMatrix::to_dense`] and
+//! [`QuantVnmMatrix::dequantize_dense`] give the dequantized weight
+//! (`q as f32 * row_scale`) for reporting and accuracy checks.
 
-use crate::sparse_kernel::parallel_from_operands;
-use crate::{MatmulFormat, SparseKernel, SparsityMask, VnmConfig, VnmMatrix, SELECTED_COLUMNS};
+use crate::vnm::for_each_slot;
+use crate::{OperandBuilder, Operands, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration, QuantParams};
 use venom_tensor::Matrix;
@@ -169,14 +166,6 @@ impl QuantVnmMatrix {
         self.values_bytes() + self.m_indices_bytes() + self.column_loc_bytes() + self.scales_bytes()
     }
 
-    /// The dequantized f32 value of slot-quantity `q` on row `r` — the one
-    /// canonical expression every f32 view of this container uses, so all
-    /// paths round identically.
-    #[inline]
-    pub fn dequant(&self, r: usize, q: i8) -> f32 {
-        q as f32 * self.scales[r]
-    }
-
     /// Reconstructs the dense i8 plane (pruned entries and padding become
     /// zero) — the operand [`venom_quant::gemm_ref_i8`] consumes.
     pub fn dense_i8(&self) -> Matrix<i8> {
@@ -185,10 +174,16 @@ impl QuantVnmMatrix {
         out
     }
 
+    /// The dequantized weight rounded to half — a reporting view, not
+    /// an exact path (the half rounding is a second one).
+    pub fn to_dense(&self) -> Matrix<Half> {
+        self.dequantize_dense().to_half()
+    }
+
     /// Reconstructs the dequantized dense f32 matrix.
     pub fn dequantize_dense(&self) -> Matrix<f32> {
         let mut out = Matrix::<f32>::zeros(self.rows, self.cols);
-        self.for_each_operand_i8(&mut |r, q, c| out.set(r, c, self.dequant(r, q)));
+        self.for_each_operand_i8(&mut |r, q, c| out.set(r, c, q as f32 * self.scales[r]));
         out
     }
 
@@ -198,22 +193,18 @@ impl QuantVnmMatrix {
     /// that quantized to 0 — are skipped; in exact integer arithmetic
     /// they contribute nothing).
     pub fn for_each_operand_i8(&self, visit: &mut dyn FnMut(usize, i8, usize)) {
-        let n = self.cfg.n;
-        for r in 0..self.rows {
-            let b = r / self.cfg.v;
-            for g in 0..self.k_groups {
-                for s in 0..n {
-                    let slot = (r * self.k_groups + g) * n + s;
-                    let q = self.values[slot];
-                    if q == 0 {
-                        continue;
-                    }
-                    let j = self.m_indices[slot] as usize;
-                    let rel = self.column_loc[(b * self.k_groups + g) * SELECTED_COLUMNS + j];
-                    visit(r, q, g * self.cfg.m + rel as usize);
+        for_each_slot(
+            self.cfg,
+            self.k_groups,
+            &self.m_indices,
+            &self.column_loc,
+            |r, slot, c| {
+                let q = self.values[slot];
+                if q != 0 {
+                    visit(r, q, c);
                 }
-            }
-        }
+            },
+        );
     }
 
     /// Reference int8 SpMM `C = self * B` with exact `i32` accumulation,
@@ -236,40 +227,29 @@ impl QuantVnmMatrix {
         out
     }
 
-    /// Parallel int8 SpMM, bit-identical to [`Self::spmm_ref_i8`]
-    /// (integer accumulation is exact, so row-parallel replay cannot
-    /// diverge).
+    /// The i8 codes condensed in [`Self::for_each_operand_i8`] order.
+    pub fn operands(&self) -> Operands<i8> {
+        let mut ops = OperandBuilder::new(self.rows, self.cols, self.values.len());
+        self.for_each_operand_i8(&mut |r, q, c| ops.push(r, q, c));
+        ops.finish()
+    }
+
+    /// Parallel int8 SpMM over [`Self::operands`], bit-identical to
+    /// [`Self::spmm_ref_i8`] (integer accumulation is exact, so
+    /// row-parallel replay cannot diverge).
     ///
     /// # Panics
     /// Panics if `B` does not have K rows.
     pub fn spmm_parallel_i8(&self, b: &Matrix<i8>) -> Matrix<i32> {
         assert_eq!(b.rows(), self.cols, "B must have K rows");
         let bcols = b.cols();
-        // Bucket the operand stream per row once, then replay rows in
-        // parallel (the same two-pass condensation the runtime stream
-        // uses).
-        let mut row_ptr = vec![0u32; self.rows + 1];
-        self.for_each_operand_i8(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..self.rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[self.rows] as usize;
-        let mut vals = vec![0i8; nnz];
-        let mut srcs = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..self.rows].to_vec();
-        self.for_each_operand_i8(&mut |r, q, s| {
-            let i = cursor[r] as usize;
-            vals[i] = q;
-            srcs[i] = s as u32;
-            cursor[r] += 1;
-        });
+        let ops = self.operands();
         let mut out = vec![0i32; self.rows * bcols];
         use rayon::prelude::*;
         out.par_chunks_mut(bcols).enumerate().for_each(|(r, orow)| {
-            for i in row_ptr[r] as usize..row_ptr[r + 1] as usize {
-                let qi = vals[i] as i32;
-                let brow = b.row(srcs[i] as usize);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
+            for i in ops.row(r) {
+                let qi = ops.values()[i] as i32;
+                for (o, &bv) in orow.iter_mut().zip(b.row(ops.sources().get(i))) {
                     *o += qi * bv as i32;
                 }
             }
@@ -280,51 +260,6 @@ impl QuantVnmMatrix {
     /// Number of stored nonzero (non-padding, non-underflowed) values.
     pub fn nnz(&self) -> usize {
         self.values.iter().filter(|&&q| q != 0).count()
-    }
-}
-
-impl SparseKernel for QuantVnmMatrix {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
-    }
-
-    fn shape(&self) -> (usize, usize) {
-        QuantVnmMatrix::shape(self)
-    }
-
-    fn stored_values(&self) -> usize {
-        self.values.len()
-    }
-
-    fn compressed_bytes(&self) -> usize {
-        self.total_bytes()
-    }
-
-    fn to_dense(&self) -> Matrix<Half> {
-        // Half rounds the dequantized values once more; this view exists
-        // for re-planning and reporting, not for the exact paths.
-        self.dequantize_dense().to_half()
-    }
-
-    fn spmm_ref(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(b.rows(), self.cols, "B must have K rows");
-        let mut out = Matrix::<f32>::zeros(self.rows, b.cols());
-        self.for_each_operand_i8(&mut |r, q, k| {
-            let vf = self.dequant(r, q);
-            let orow = out.row_mut(r);
-            for (o, &bv) in orow.iter_mut().zip(b.row(k)) {
-                *o += vf * bv.to_f32();
-            }
-        });
-        out
-    }
-
-    fn spmm_parallel(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        parallel_from_operands(self, b)
-    }
-
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
-        self.for_each_operand_i8(&mut |r, q, c| visit(r, self.dequant(r, q), c));
     }
 }
 
@@ -366,23 +301,27 @@ mod tests {
     }
 
     #[test]
-    fn sparse_kernel_view_is_self_consistent() {
+    fn operands_replay_spmm_ref_i8() {
         let cfg = VnmConfig::new(4, 2, 8);
         let a = fixture(16, 32, cfg, 3);
         let q = QuantVnmMatrix::quantize(&a, Calibration::Percentile(99.0));
-        let b = random::normal_matrix(32, 7, 0.0, 1.0, 4).to_half();
-        let want = SparseKernel::spmm_ref(&q, &b);
-        assert_eq!(q.spmm_parallel(&b), want);
-        // Sequential stream replay equals the reference bit-for-bit (the
-        // SparseKernel contract the runtime stream relies on).
-        let b_f32 = venom_fp16::slice::decode_f32_vec(b.as_slice());
-        let mut replay = Matrix::<f32>::zeros(16, 7);
-        q.for_each_operand(&mut |r, v, k| {
-            let orow = replay.row_mut(r);
-            for (o, &bv) in orow.iter_mut().zip(&b_f32[k * 7..(k + 1) * 7]) {
-                *o += v * bv;
+        let b = Matrix::from_fn(32, 7, |r, c| ((r * 13 + c * 29) % 255) as i32 as u8 as i8);
+        let want = q.spmm_ref_i8(&b);
+        assert_eq!(q.spmm_parallel_i8(&b), want);
+        // A sequential replay of the condensed codes equals the
+        // reference, and holds exactly the nonzero codes.
+        let ops = q.operands();
+        assert_eq!(ops.nnz(), q.nnz());
+        let mut replay = Matrix::<i32>::zeros(16, 7);
+        for r in 0..16 {
+            for i in ops.row(r) {
+                let qi = ops.values()[i] as i32;
+                let orow = replay.row_mut(r);
+                for (o, &bv) in orow.iter_mut().zip(b.row(ops.sources().get(i))) {
+                    *o += qi * bv as i32;
+                }
             }
-        });
+        }
         assert_eq!(replay, want);
     }
 

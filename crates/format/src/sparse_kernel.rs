@@ -10,15 +10,16 @@
 //! * its storage cost (stored value slots, compressed bytes),
 //! * functional execution (`spmm_ref` / `spmm_parallel`), and
 //! * [`SparseKernel::for_each_operand`] — the exact per-row accumulation
-//!   stream of its `spmm_ref`, which lets the runtime condense *any*
-//!   format into a plan whose replay is bit-identical to the format's
-//!   own reference kernel.
+//!   stream of its `spmm_ref`, rows ascending, which lets
+//!   [`crate::Operands::condense`] turn *any* format into the one operand
+//!   container whose replay is bit-identical to the format's own
+//!   reference kernel.
 //!
 //! The cost models that price each format live with the execution
 //! engines (`venom-baselines`, `venom-runtime`); this trait is purely
 //! the storage/execution seam.
 
-use crate::{BlockedEllMatrix, CsrMatrix, CvseMatrix, NmCompressed, VnmMatrix};
+use crate::{BlockedEllMatrix, CsrMatrix, CvseMatrix, NmCompressed, Operands, VnmMatrix};
 use venom_fp16::Half;
 use venom_tensor::Matrix;
 
@@ -104,7 +105,7 @@ impl core::str::FromStr for MatmulFormat {
 ///
 /// The trait's contract is *bitwise*: `spmm_parallel` must equal
 /// `spmm_ref` exactly, and `for_each_operand` must emit, for every
-/// output row, the same `(f32 value, B row)` products `spmm_ref`
+/// output row, the same `(f16 value, B row)` products `spmm_ref`
 /// accumulates, in the same order, with the same zero skips — so a plan
 /// that replays the emitted stream reproduces every f32 accumulation
 /// chain of the reference kernel bit-for-bit.
@@ -131,11 +132,10 @@ pub trait SparseKernel: Send + Sync + std::fmt::Debug {
     /// Parallel f32-staged SpMM, bit-identical to [`Self::spmm_ref`].
     fn spmm_parallel(&self, b: &Matrix<Half>) -> Matrix<f32>;
 
-    /// Calls `visit(output_row, f32_value, b_row)` for every product
-    /// [`Self::spmm_ref`] accumulates, in its exact order. Rows may be
-    /// interleaved (e.g. band-major formats), but the subsequence of any
-    /// single output row is that row's accumulation chain.
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize));
+    /// Calls `visit(output_row, value, b_row)` for every product
+    /// [`Self::spmm_ref`] accumulates, with the stored f16 `value`: rows
+    /// ascending, and within a row in the row's exact accumulation order.
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize));
 }
 
 impl SparseKernel for VnmMatrix {
@@ -170,43 +170,28 @@ impl SparseKernel for VnmMatrix {
         parallel_from_operands(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
         // `for_each_nonzero` visits `(row, group, slot)` ascending with
         // zero slots skipped — exactly `spmm_ref`'s accumulation order.
-        self.for_each_nonzero(|r, c, v| visit(r, v.to_f32(), c));
+        self.for_each_nonzero(|r, c, v| visit(r, v, c));
     }
 }
 
-/// Shared parallel SpMM over a kernel's operand stream: buckets the
-/// emitted operands per row (preserving each row's accumulation order)
-/// and replays rows in parallel — bit-identical to the kernel's
-/// `spmm_ref` by the `for_each_operand` contract.
-pub(crate) fn parallel_from_operands(kernel: &dyn SparseKernel, b: &Matrix<Half>) -> Matrix<f32> {
+/// Shared parallel SpMM over a kernel's condensed operands
+/// ([`Operands::condense`]), rows replayed in parallel — bit-identical to
+/// the kernel's `spmm_ref` by the `for_each_operand` contract.
+fn parallel_from_operands(kernel: &dyn SparseKernel, b: &Matrix<Half>) -> Matrix<f32> {
     let (rows, k) = kernel.shape();
     assert_eq!(b.rows(), k, "B must have {k} rows");
     let bcols = b.cols();
     let b_f32 = venom_fp16::slice::decode_f32_vec(b.as_slice());
-    let mut row_ptr = vec![0u32; rows + 1];
-    kernel.for_each_operand(&mut |r, _, _| row_ptr[r + 1] += 1);
-    for i in 0..rows {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    let nnz = row_ptr[rows] as usize;
-    let mut vals = vec![0.0f32; nnz];
-    let mut srcs = vec![0u32; nnz];
-    let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-    kernel.for_each_operand(&mut |r, v, s| {
-        let i = cursor[r] as usize;
-        vals[i] = v;
-        srcs[i] = s as u32;
-        cursor[r] += 1;
-    });
+    let ops = Operands::condense(kernel);
     let mut out = vec![0.0f32; rows * bcols];
     use rayon::prelude::*;
     out.par_chunks_mut(bcols).enumerate().for_each(|(r, orow)| {
-        for i in row_ptr[r] as usize..row_ptr[r + 1] as usize {
-            let brow = &b_f32[srcs[i] as usize * bcols..][..bcols];
-            let vf = vals[i];
+        for i in ops.row(r) {
+            let brow = &b_f32[ops.sources().get(i) * bcols..][..bcols];
+            let vf = Half::from_bits(ops.values()[i]).to_f32();
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += vf * bv;
             }
@@ -244,7 +229,7 @@ impl SparseKernel for NmCompressed {
         NmCompressed::spmm_parallel(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
         let cfg = self.config();
         let (rows, cols) = NmCompressed::shape(self);
         let groups = cols.div_ceil(cfg.m);
@@ -258,7 +243,7 @@ impl SparseKernel for NmCompressed {
                     if v.is_zero() {
                         continue;
                     }
-                    visit(r, v.to_f32(), g * cfg.m + indices[slot] as usize);
+                    visit(r, v, g * cfg.m + indices[slot] as usize);
                 }
             }
         }
@@ -294,13 +279,13 @@ impl SparseKernel for CsrMatrix {
         CsrMatrix::spmm_parallel(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
         // CSR's reference accumulates every stored entry (construction
         // already dropped zeros), so no zero skip here.
         let (rows, _) = CsrMatrix::shape(self);
         for r in 0..rows {
             for (c, v) in self.row(r) {
-                visit(r, v.to_f32(), c as usize);
+                visit(r, v, c as usize);
             }
         }
     }
@@ -335,21 +320,19 @@ impl SparseKernel for CvseMatrix {
         CvseMatrix::spmm_parallel(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
-        // Band-major emission: rows of one band interleave, but each
-        // output row sees its vectors in stored (ascending-column) order
-        // — exactly `spmm_ref`'s traversal.
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
+        // Band, then row within the band, then the band's stored
+        // vectors: each row sees its vectors in stored (ascending-column)
+        // order, exactly `spmm_ref`'s traversal.
         let (rows, _) = CvseMatrix::shape(self);
         let l = self.vector_len();
         for band in 0..self.bands() {
-            let r0 = band * l;
-            for (c, vals) in self.band(band) {
-                for (i, &v) in vals.iter().enumerate() {
-                    let r = r0 + i;
-                    if r >= rows || v.is_zero() {
-                        continue;
+            for r in band * l..((band + 1) * l).min(rows) {
+                for (c, vals) in self.band(band) {
+                    let v = vals[r - band * l];
+                    if !v.is_zero() {
+                        visit(r, v, c as usize);
                     }
-                    visit(r, v.to_f32(), c as usize);
                 }
             }
         }
@@ -386,10 +369,10 @@ impl SparseKernel for BlockedEllMatrix {
         BlockedEllMatrix::spmm_parallel(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
         // `for_each_nonzero` visits each row's blocks in stored-slot then
         // in-block column order — `spmm_ref`'s per-row accumulation order.
-        self.for_each_nonzero(|r, c, v| visit(r, v.to_f32(), c));
+        self.for_each_nonzero(|r, c, v| visit(r, v, c));
     }
 }
 
@@ -422,12 +405,12 @@ impl SparseKernel for Matrix<Half> {
         venom_tensor::gemm::gemm_parallel(self, b)
     }
 
-    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, f32, usize)) {
+    fn for_each_operand(&self, visit: &mut dyn FnMut(usize, Half, usize)) {
         // `gemm_ref` walks K ascending and skips explicit zeros.
         for r in 0..self.rows() {
             for (kk, &h) in self.row(r).iter().enumerate() {
                 if !h.is_zero() {
-                    visit(r, h.to_f32(), kk);
+                    visit(r, h, kk);
                 }
             }
         }
@@ -464,7 +447,7 @@ mod tests {
         kernel.for_each_operand(&mut |r, v, k| {
             let orow = out.row_mut(r);
             for (o, &bv) in orow.iter_mut().zip(&b_f32[k * bcols..(k + 1) * bcols]) {
-                *o += v * bv;
+                *o += v.to_f32() * bv;
             }
         });
         out

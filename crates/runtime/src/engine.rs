@@ -203,9 +203,9 @@ impl Engine {
         let (b_cols, dev) = (desc.b_cols, &self.dev);
         match format {
             MatmulFormat::Vnm => {
-                let (a, stream) = self.compress_vnm_detected(w, None)?;
-                let price = pricing::price_vnm(&a, b_cols, desc.dtype, &self.opts, dev)?;
-                let a = Rc::new((a, stream));
+                let a = self.compress_vnm_detected(desc, w, None)?;
+                let price = pricing::price_vnm(&a.0, b_cols, desc.dtype, &self.opts, dev)?;
+                let a = Rc::new(a);
                 Ok(match desc.dtype {
                     DType::I8 => Quote::Quant(a, price),
                     DType::F16 => Quote::Spatha(a, price),
@@ -262,9 +262,15 @@ impl Engine {
 
     /// Builds the executor and per-call reference of a priced candidate.
     /// A candidate sharing its V:N:M compression with candidates that
-    /// lost moves it into the plan; only a still-shared one is cloned.
+    /// lost moves it into the plan; only a still-shared one is cloned. An
+    /// f16 V:N:M winner of an `i8` descriptor's compression, which kept
+    /// no stream, condenses its weight.
     fn build(&self, quote: Quote, desc: MatmulDescriptor, w: &Weight<'_>) -> Plan {
-        let owned = |a: Rc<Compressed>| Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
+        let owned = |a: Rc<Compressed>| {
+            let (a, stream) = Rc::try_unwrap(a).unwrap_or_else(|a| (*a).clone());
+            let stream = stream.unwrap_or_else(|| Stream::sweep(a.operands()));
+            (a, stream)
+        };
         match quote {
             Quote::Spatha(a, price) => {
                 let (a, stream) = owned(a);
@@ -303,19 +309,21 @@ impl Engine {
     /// Detects a complying V:2:M pattern and compresses, preferring a
     /// caller-supplied pattern over grid re-detection (a pruner that
     /// knows its pattern should not depend on the probed grid containing
-    /// it). Each tried pattern is one pass over the weight
-    /// ([`Stream::compress`]), which checks compliance as it compresses
-    /// and stops at the first violation; the pattern that complies also
-    /// yields the stream its executor replays.
+    /// it). Each tried pattern is one pass over the weight, which checks
+    /// compliance as it compresses and stops at the first violation
+    /// ([`Stream::compress`]). For an f16 descriptor the pattern that
+    /// complies also yields the stream its executor replays; an `i8`
+    /// descriptor's plan replays the quantized codes, so it keeps none.
     fn compress_vnm_detected(
         &self,
+        desc: &MatmulDescriptor,
         w: &Weight<'_>,
         pattern: Option<VnmConfig>,
     ) -> Result<Compressed, PlanError> {
-        let mask = w.mask();
+        let (mask, dtype) = (w.mask(), desc.dtype);
         pattern
-            .and_then(|cfg| Stream::compress(w.dense, mask, cfg).ok())
-            .or_else(|| detect_vnm(w.dense, mask))
+            .and_then(|cfg| Stream::compress(w.dense, mask, cfg, dtype).ok())
+            .or_else(|| detect_vnm(w.dense, mask, dtype))
             .ok_or_else(|| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
                 reason: format!(
@@ -337,8 +345,7 @@ impl Engine {
     ///
     /// # Errors
     /// [`PlanError::Incompatible`] when the nonzero structure complies
-    /// with no V:2:M pattern, when `K` exceeds the band stream's 16-bit
-    /// source-index range, or on an `i8` descriptor (the band replay
+    /// with no V:2:M pattern, or on an `i8` descriptor (the band replay
     /// streams f16 values).
     ///
     /// # Panics
@@ -368,8 +375,9 @@ impl Engine {
                     .to_string(),
             });
         }
-        let (a, stream) = self.compress_vnm_detected(&Weight::new(weights), pattern)?;
-        let priced = pricing::price_band(a.shape(), stream.nnz(), desc.b_cols, &self.dev)?;
+        let (a, stream) = self.compress_vnm_detected(desc, &Weight::new(weights), pattern)?;
+        let stream = stream.expect("an f16 compression keeps its stream");
+        let priced = pricing::price_band(a.shape(), stream.ops.nnz(), desc.b_cols, &self.dev);
         Ok(Plan::band(a, stream, *desc, priced))
     }
 
@@ -452,7 +460,7 @@ impl Engine {
         // The V:N:M candidates share one compression, and the i8 stream
         // is priced on the f16 stream's autotuned tile (the int8 plan
         // runs the same template).
-        if let Ok(a) = self.compress_vnm_detected(&w, pattern) {
+        if let Ok(a) = self.compress_vnm_detected(desc, &w, pattern) {
             let a = Rc::new(a);
             let mma = pricing::price_vnm(&a.0, b_cols, DType::F16, &self.opts, dev);
             if desc.dtype == DType::I8 {
@@ -472,9 +480,9 @@ impl Engine {
             // DRAM-byte pricing undercuts the mma stream left of the
             // ridge point, so routing flips there — no hard-coded
             // threshold.
-            if let Ok(priced) = pricing::price_band(a.0.shape(), a.1.nnz(), b_cols, dev) {
-                quotes.push(Quote::Band(a, priced));
-            }
+            let nnz = a.1.as_ref().map_or_else(|| a.0.nnz(), |s| s.ops.nnz());
+            let priced = pricing::price_band(a.0.shape(), nnz, b_cols, dev);
+            quotes.push(Quote::Band(a, priced));
         }
         for &f in MatmulFormat::ALL
             .iter()
@@ -517,7 +525,7 @@ impl Engine {
 /// grid its nonzero mask complies with: largest V, then sparsest M. A
 /// pattern with larger V also complies at every smaller probed V, so the
 /// first hit is the strongest structure the weight actually has.
-fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<Compressed> {
+fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask, dtype: DType) -> Option<Compressed> {
     let (r, k) = (mask.rows(), mask.cols());
     AUTO_V
         .iter()
@@ -528,12 +536,13 @@ fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask) -> Option<Compressed> {
                 .filter(move |&&m| m <= k)
                 .map(move |&m| VnmConfig::new(v, 2, m))
         })
-        .find_map(|cfg| Stream::compress(dense, mask, cfg).ok())
+        .find_map(|cfg| Stream::compress(dense, mask, cfg, dtype).ok())
 }
 
-/// A compressed V:N:M weight and the operand stream its compression
-/// emitted, which the winning f16 V:N:M plan replays.
-type Compressed = (VnmMatrix, Stream);
+/// A compressed V:N:M weight and, for an f16 descriptor, the operand
+/// stream its compression emitted, which the winning f16 V:N:M plan
+/// replays.
+type Compressed = (VnmMatrix, Option<Stream>);
 
 /// The weight being planned, with its nonzero mask — the structure
 /// eligibility is decided on and the CSR, CVSE and Blocked-ELL models

@@ -15,11 +15,12 @@
 //! executors with the weight in its compressed format, which the
 //! per-call reference path ([`MatmulPlan::run_oneshot`]) runs:
 //!
-//! * **stream** — one narrow container (`Stream`): f16 bit patterns,
-//!   decoded through the exact f16→f32 LUT as they replay, and u16
-//!   source rows (u32 where K > 65536), 4 B per operand (6 B past
-//!   16-bit K). Every value is an f16 weight element, so the narrow
-//!   store moves no bit. One of two loops replays it:
+//! * **stream** — the format crate's operand container
+//!   ([`venom_format::Operands`]) over f16 bit patterns, decoded through
+//!   the exact f16→f32 LUT as they replay, and u16 source rows (u32
+//!   where K > 65536), 4 B per operand (6 B past 16-bit K). Every value
+//!   is an f16 weight element, so the narrow store moves no bit. One of
+//!   two loops replays it (`Stream`):
 //!   - the K-chunked band **sweep** (phase `"mma"`), standing in for the
 //!     `mma.sp` pipeline. It serves V:N:M (autotuned and priced on the
 //!     Spatha model; per-call reference `venom_core::spmm`, or
@@ -31,20 +32,24 @@
 //!     per-call reference is `venom_core::spmm_swapped`. It is a second
 //!     replay, not a second kind of plan: [`crate::Engine::plan_auto`]
 //!     prices it next to the sweep and routes memory-bound shapes to it.
-//! * **int** — i16-staged int8 codes with i32 accumulation (see the
-//!   `qplan` module), quantizing activations at the boundary; the
-//!   per-call reference is `spmm_parallel_i8` plus dequantization.
+//! * **int** — the same container over i8 codes, widened to i16 as they
+//!   load, with i32 accumulation (see the `qplan` module), quantizing
+//!   activations at the boundary; the per-call reference is
+//!   `spmm_parallel_i8` plus dequantization.
 //!
-//! Where a stream comes from:
-//! * a cold V:N:M plan, which the engine builds from a dense weight,
+//! Where a stream comes from — every one is filled by
+//! [`venom_format::OperandBuilder`], one push per operand, rows
+//! ascending:
+//! * a cold f16 V:N:M plan, which the engine builds from a dense weight,
 //!   keeps the operands its one-pass compression emitted
-//!   ([`VnmMatrix::try_compress_with`]), for either replay;
-//! * a plan over an already compressed V:N:M weight
-//!   ([`crate::Engine::plan_spmm`]) condenses the weight's slots
-//!   (`condense_vnm`);
-//! * dense, N:M, CSR, CVSE and Blocked-ELL plans condense the format's
-//!   `for_each_operand`, narrowing each emitted f32 back to the f16 it
-//!   was decoded from (`Stream::from_kernel`).
+//!   ([`VnmMatrix::try_compress_with`]), for either replay; an `i8`
+//!   descriptor compresses without keeping them;
+//! * every other f16 plan — over an already compressed V:N:M weight
+//!   ([`crate::Engine::plan_spmm`]), dense, N:M, CSR, CVSE and
+//!   Blocked-ELL — condenses the format's `for_each_operand`
+//!   ([`venom_format::Operands::condense`]);
+//! * an int8 plan condenses its quantized container's codes
+//!   ([`QuantVnmMatrix::operands`]).
 //!
 //! The sweep works one band of `BAND_ROWS` output rows at a time. It
 //! walks K in chunks of about `CHUNK_BYTES` of staged B (more where that
@@ -75,8 +80,8 @@ use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
 use venom_format::{
-    CompressError, MatmulFormat, QuantVnmMatrix, SparseKernel, SparsityMask, VnmConfig, VnmMatrix,
-    SELECTED_COLUMNS,
+    CompressError, Extent, MatmulFormat, OperandBuilder, Operands, QuantVnmMatrix, Sources,
+    SparseKernel, SparsityMask, VnmConfig, VnmMatrix,
 };
 use venom_fp16::lut::LUT_ENTRIES;
 use venom_fp16::Half;
@@ -128,75 +133,27 @@ impl Replay {
     }
 }
 
-/// The source B rows of a [`Stream`], read through `Into<u64>` by the
-/// replays' generic bodies.
-#[derive(Clone, Debug, PartialEq)]
-enum Sources {
-    /// `K <= 65536`.
-    Narrow(Vec<u16>),
-    /// `K > 65536`.
-    Wide(Vec<u32>),
-}
-
-impl Sources {
-    /// Room for `n` sources of a `k`-deep stream, at the narrowest width
-    /// that holds every B row.
-    fn with_capacity(k: usize, n: usize) -> Self {
-        if k <= u16::MAX as usize + 1 {
-            Sources::Narrow(Vec::with_capacity(n))
-        } else {
-            Sources::Wide(Vec::with_capacity(n))
-        }
-    }
-
-    /// Appends the sources `b_rows`.
-    fn extend(&mut self, b_rows: impl IntoIterator<Item = usize>) {
-        match self {
-            Sources::Narrow(s) => s.extend(b_rows.into_iter().map(|r| r as u16)),
-            Sources::Wide(s) => s.extend(b_rows.into_iter().map(|r| r as u32)),
-        }
-    }
-
-    /// Trims the capacity to the sources held.
-    fn shrink_to_fit(&mut self) {
-        match self {
-            Sources::Narrow(s) => s.shrink_to_fit(),
-            Sources::Wide(s) => s.shrink_to_fit(),
-        }
-    }
-}
-
-/// The condensed operand stream: CSR-like over f16 bit patterns, with
-/// `srcs[i]` naming the RHS row value `i` multiplies, and the loop that
-/// replays it.
+/// The f16 operand container and the loop that replays it.
 #[derive(Clone, Debug)]
 pub(crate) struct Stream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    /// f16 bit patterns in accumulation order.
-    bits: Vec<u16>,
-    srcs: Sources,
+    pub(crate) ops: Operands<u16>,
     replay: Replay,
 }
 
 impl Stream {
     /// A stream the sweep replays.
-    fn new(rows: usize, k: usize, row_ptr: Vec<u32>, bits: Vec<u16>, srcs: Sources) -> Self {
+    pub(crate) fn sweep(ops: Operands<u16>) -> Self {
         Stream {
-            rows,
-            k,
-            row_ptr,
-            bits,
-            srcs,
+            ops,
             replay: Replay::Sweep,
         }
     }
 
     /// Compresses `dense` under `mask` in one pass, which checks the
-    /// pattern, and keeps the operands it emits as the weight's stream.
-    /// The vectors are sized by the slot count, the most the pass can
-    /// emit, when the first row arrives, and trimmed to what it emitted.
+    /// pattern. For an f16 `dtype` the pass keeps the operands it emits as
+    /// the weight's stream, with room for the slot count, the most it can
+    /// emit; an int8 plan replays the quantized codes, so for `i8` it
+    /// keeps none.
     ///
     /// # Errors
     /// As [`VnmMatrix::try_compress_with`].
@@ -204,85 +161,20 @@ impl Stream {
         dense: &Matrix<Half>,
         mask: &SparsityMask,
         cfg: VnmConfig,
-    ) -> Result<(VnmMatrix, Self), CompressError> {
-        let (rows, k) = (dense.rows(), dense.cols());
-        let slots = rows * cfg.k_groups(k) * cfg.n;
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
-        let (mut bits, mut srcs) = (Vec::new(), Sources::with_capacity(k, 0));
-        let a = VnmMatrix::try_compress_with(dense, mask, cfg, |r, values, columns| {
-            if r == 0 {
-                // Allocated after the pass's own buffers, which are freed
-                // first: the plan's buffers then pack together in the
-                // heap, and a churning server's peak RSS stays that of
-                // the two-pass build.
-                bits.reserve_exact(slots);
-                srcs = Sources::with_capacity(k, slots);
-            }
-            bits.extend(values.iter().map(|h| h.to_bits()));
-            srcs.extend(columns.iter().copied());
-            row_ptr.push(bits.len() as u32);
-        })?;
-        bits.shrink_to_fit();
-        srcs.shrink_to_fit();
-        Ok((a, Self::new(rows, k, row_ptr, bits, srcs)))
-    }
-
-    /// Condenses any [`SparseKernel`] into its accumulation-order stream.
-    ///
-    /// The kernel may emit rows interleaved (band-major formats); two
-    /// visitor passes bucket the operands per row while preserving each
-    /// row's emission order — which the trait contract pins to the
-    /// format's `spmm_ref` accumulation order.
-    ///
-    /// # Panics
-    /// Panics if the kernel emits a value that is not an f16 decoded to
-    /// f32, which no f16 format does (an int8 container's dequantized
-    /// view would; int8 plans build an `IntStream` instead).
-    fn from_kernel(kernel: &dyn SparseKernel) -> Self {
-        let (rows, k) = kernel.shape();
-        let mut row_ptr = vec![0u32; rows + 1];
-        kernel.for_each_operand(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
+        dtype: DType,
+    ) -> Result<(VnmMatrix, Option<Self>), CompressError> {
+        if dtype == DType::I8 {
+            return VnmMatrix::try_compress(dense, mask, cfg).map(|a| (a, None));
         }
-        let nnz = row_ptr[rows] as usize;
-        let mut bits = vec![0u16; nnz];
-        let mut cols = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        kernel.for_each_operand(&mut |r, v, s| {
-            // f16 -> f32 -> f16 is the identity, NaN payloads included,
-            // so narrowing a decoded f16 is exact.
-            let h = Half::from_f32(v);
-            assert_eq!(
-                h.to_f32_lut().to_bits(),
-                v.to_bits(),
-                "{} emitted {v}, which is not an f16 value",
-                kernel.format()
-            );
-            let i = cursor[r] as usize;
-            bits[i] = h.to_bits();
-            cols[i] = s as u32;
-            cursor[r] += 1;
-        });
-        let mut srcs = Sources::with_capacity(k, nnz);
-        srcs.extend(cols.into_iter().map(|c| c as usize));
-        Self::new(rows, k, row_ptr, bits, srcs)
-    }
-
-    /// Stored operand count.
-    pub(crate) fn nnz(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Resident bytes: f16 bits and a source per operand, plus the row
-    /// pointers — the compulsory operand traffic a dispatch reads once.
-    fn stream_bytes(&self) -> u64 {
-        let srcs = match &self.srcs {
-            Sources::Narrow(s) => s.len() * 2,
-            Sources::Wide(s) => s.len() * 4,
-        };
-        (self.bits.len() * 2 + srcs + self.row_ptr.len() * 4) as u64
+        let (rows, k) = (dense.rows(), dense.cols());
+        // The builder reserves its room at the first push, after the
+        // pass's own buffers, which are freed first: the plan's buffers
+        // then pack together in the heap, and a churning server's peak
+        // RSS stays that of the two-pass build.
+        let mut ops = OperandBuilder::new(rows, k, rows * cfg.k_groups(k) * cfg.n);
+        let a =
+            VnmMatrix::try_compress_with(dense, mask, cfg, |r, v, c| ops.push(r, v.to_bits(), c))?;
+        Ok((a, Some(Self::sweep(ops.finish()))))
     }
 
     /// The panels' hot body of [`Self::run_into`]: the band of output
@@ -330,15 +222,15 @@ impl Stream {
         b_cols: usize,
         out: &mut [f32],
     ) {
-        let chunk = self.chunk_rows(b_cols);
+        let (chunk, row_ptr) = (self.chunk_rows(b_cols), self.ops.row_ptr());
         let mut cursor = [0usize; BAND_ROWS];
         for (i, c) in cursor.iter_mut().take(out.len() / b_cols).enumerate() {
-            *c = self.row_ptr[row0 + i] as usize;
+            *c = row_ptr[row0 + i] as usize;
         }
         let mut k_end = chunk;
-        while k_end < self.k {
+        while k_end < self.ops.k() {
             for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-                let (lo, hi) = (cursor[i], self.row_ptr[row0 + i + 1] as usize);
+                let (lo, hi) = (cursor[i], row_ptr[row0 + i + 1] as usize);
                 let end = srcs[lo..hi]
                     .iter()
                     .position(|&s| s.into() as usize >= k_end)
@@ -349,7 +241,7 @@ impl Stream {
             k_end += chunk;
         }
         for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-            let hi = self.row_ptr[row0 + i + 1] as usize;
+            let hi = row_ptr[row0 + i + 1] as usize;
             self.sweep_run(srcs, lut, cursor[i]..hi, b_f32, b_cols, orow);
         }
     }
@@ -359,7 +251,7 @@ impl Stream {
     /// `CHUNK_MIN_OPS` operands per row on average.
     fn chunk_rows(&self, b_cols: usize) -> usize {
         let budget = CHUNK_BYTES / (4 * b_cols);
-        let min_ops = CHUNK_MIN_OPS * self.k * self.rows / self.nnz().max(1);
+        let min_ops = CHUNK_MIN_OPS * self.ops.k() * self.ops.rows() / self.ops.nnz().max(1);
         budget.max(min_ops).max(1)
     }
 
@@ -378,7 +270,7 @@ impl Stream {
         b_cols: usize,
         orow: &mut [f32],
     ) {
-        let (bits, srcs) = (&self.bits[ops.clone()], &srcs[ops]);
+        let (bits, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
         let val = |h: u16| lut[usize::from(h)];
         let brow = |s: S| &b_f32[s.into() as usize * b_cols..][..b_cols];
         let quads = bits.len() / 4 * 4;
@@ -427,8 +319,8 @@ impl Stream {
     ) {
         const PANEL: usize = venom_core::SWAP_PANEL;
         const WIDE: usize = 8 * PANEL;
-        let ops = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
-        let (bits, srcs) = (&self.bits[ops.clone()], &srcs[ops]);
+        let ops = self.ops.row(r);
+        let (bits, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
         let mut j0 = 0usize;
         while b_cols - j0 >= WIDE {
             replay_panel::<WIDE, S>(bits, srcs, lut, b_f32, b_cols, j0, &mut orow[j0..j0 + WIDE]);
@@ -478,15 +370,19 @@ impl Stream {
     /// count, of how the replay tiles K or columns, and of the vector
     /// width its loop is compiled for.
     fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
+        assert_eq!(
+            b_f32.len(),
+            self.ops.k() * b_cols,
+            "staged RHS size mismatch"
+        );
+        assert_eq!(out.len(), self.ops.rows() * b_cols, "output size mismatch");
         let lut = venom_fp16::f16_to_f32_table();
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
                 let row0 = band * BAND_ROWS;
                 let (b, c) = (b_f32, b_cols);
-                match (&self.srcs, self.replay) {
+                match (self.ops.sources(), self.replay) {
                     (Sources::Narrow(s), Replay::Sweep) => {
                         sweep_u16(self, s, lut, row0, b, c, chunk)
                     }
@@ -503,18 +399,23 @@ impl Stream {
 
     /// [`Self::run_into`] with an owned result matrix.
     fn run(&self, b_f32: &[f32], b_cols: usize) -> Matrix<f32> {
-        let mut out = vec![0.0f32; self.rows * b_cols];
+        let mut out = vec![0.0f32; self.ops.rows() * b_cols];
         let (kernel, phase) = self.replay.profile();
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, b_cols, &mut out);
-        timer.stop(kernel, phase, self.stream_bytes() + (out.len() * 4) as u64);
-        Matrix::from_vec(self.rows, b_cols, out)
+        timer.stop(
+            kernel,
+            phase,
+            self.ops.extent().bytes + (out.len() * 4) as u64,
+        );
+        Matrix::from_vec(self.ops.rows(), b_cols, out)
     }
 
     /// `C = A * B` over a half RHS, staged through the arena on a cache
     /// line boundary (see [`arena::lease_aligned`]).
     fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
+        let k = self.ops.k();
+        assert_eq!(b.rows(), k, "B must have K = {k} rows");
         let (mut buf, off) = arena::lease_aligned(b.len());
         let staged = &mut buf[off..off + b.len()];
         let timer = venom_obs::profile::PhaseTimer::start();
@@ -534,7 +435,7 @@ impl Stream {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.k;
+        let k = self.ops.k();
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         let (mut buf, off) = arena::lease_aligned(k * total);
         let staged = &mut buf[off..off + k * total];
@@ -556,7 +457,7 @@ impl Stream {
         arena::release(buf);
 
         let mut out = Vec::with_capacity(bs.len());
-        let rows = self.rows;
+        let rows = self.ops.rows();
         let mut col0 = 0usize;
         for b in bs {
             let cols = b.cols();
@@ -577,7 +478,7 @@ impl Stream {
     /// chain `transpose(A * x.to_half().transpose()) + bias` of the
     /// per-call layer forward, in two fused passes.
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.k, "input features mismatch");
+        assert_eq!(x.cols(), self.ops.k(), "input features mismatch");
         let mut staged = arena::lease(x.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::stage_activations_t_into(x, &mut staged);
@@ -590,7 +491,7 @@ impl Stream {
     /// [`Self::run_linear`] over an already-staged RHS (shared by sibling
     /// plans of one layer, e.g. Q/K/V over the same activations).
     fn run_linear_staged(&self, b_f32: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        let rows = self.rows;
+        let rows = self.ops.rows();
         assert_eq!(bias.len(), rows, "bias must match out_features");
         let (kernel, phase) = self.replay.profile();
         let mut c = arena::lease(rows * tokens);
@@ -599,7 +500,7 @@ impl Stream {
         timer.stop(
             kernel,
             phase,
-            self.stream_bytes() + (rows * tokens * 4) as u64,
+            self.ops.extent().bytes + (rows * tokens * 4) as u64,
         );
         // Tiled transpose+bias epilogue: 32x32 blocks keep both the
         // strided reads from `c` and the writes to `y` inside the cache
@@ -708,45 +609,6 @@ fn replay_panel<const W: usize, S: Copy + Into<u64>>(
     out.copy_from_slice(&acc);
 }
 
-/// An already compressed V:N:M weight's stream in `spmm_ref`
-/// accumulation order — row by row, ascending `(K group, slot)`, zero
-/// slots skipped. One row-major walk over the values, m-indices and
-/// column-loc, pushing into vectors sized by [`VnmMatrix::nnz`]: the
-/// same operands, in the same order, as two passes of
-/// [`SparseKernel::for_each_operand`]. Only [`Plan::build_vnm`] condenses
-/// this way; cold plans keep the stream their compression emitted.
-fn condense_vnm(a: &VnmMatrix) -> Stream {
-    let cfg = a.config();
-    let slots_per_row = a.slots_per_row();
-    let loc_per_block = a.k_groups() * SELECTED_COLUMNS;
-    let nnz = a.nnz();
-    let mut row_ptr = Vec::with_capacity(a.rows() + 1);
-    let mut bits = Vec::with_capacity(nnz);
-    let mut srcs = Sources::with_capacity(a.cols(), nnz);
-    row_ptr.push(0);
-    let rows = a
-        .values()
-        .chunks_exact(slots_per_row)
-        .zip(a.m_indices().chunks_exact(slots_per_row));
-    for (r, (row_vals, row_idx)) in rows.enumerate() {
-        let loc = &a.column_loc()[r / cfg.v * loc_per_block..][..loc_per_block];
-        let groups = row_vals
-            .chunks_exact(cfg.n)
-            .zip(row_idx.chunks_exact(cfg.n))
-            .zip(loc.chunks_exact(SELECTED_COLUMNS));
-        for (g, ((group_vals, group_idx), sel)) in groups.enumerate() {
-            for (&v, &j) in group_vals.iter().zip(group_idx) {
-                if !v.is_zero() {
-                    bits.push(v.to_bits());
-                    srcs.extend([g * cfg.m + usize::from(sel[usize::from(j)])]);
-                }
-            }
-        }
-        row_ptr.push(bits.len() as u32);
-    }
-    Stream::new(a.rows(), a.cols(), row_ptr, bits, srcs)
-}
-
 /// The condensed executor a [`Plan`] replays.
 #[derive(Clone, Debug)]
 enum Exec {
@@ -757,32 +619,11 @@ enum Exec {
 }
 
 impl Exec {
-    fn rows(&self) -> usize {
+    /// Shape, operand count and resident bytes of the condensed stream.
+    fn extent(&self) -> Extent {
         match self {
-            Exec::Stream(s) => s.rows,
-            Exec::Int(s) => s.rows(),
-        }
-    }
-
-    fn k(&self) -> usize {
-        match self {
-            Exec::Stream(s) => s.k,
-            Exec::Int(s) => s.k(),
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        match self {
-            Exec::Stream(s) => s.nnz(),
-            Exec::Int(s) => s.nnz(),
-        }
-    }
-
-    /// Resident bytes: values, sources and row pointers.
-    fn stream_bytes(&self) -> u64 {
-        match self {
-            Exec::Stream(s) => s.stream_bytes(),
-            Exec::Int(s) => s.stream_bytes(),
+            Exec::Stream(s) => s.ops.extent(),
+            Exec::Int(s) => s.ops.extent(),
         }
     }
 }
@@ -854,8 +695,9 @@ impl Plan {
         tile: Option<TileConfig>,
         priced: Option<Priced>,
     ) -> Self {
+        let extent = exec.extent();
         assert_eq!(
-            (exec.rows(), exec.k()),
+            (extent.rows, extent.k),
             (desc.out_features, desc.in_features),
             "weight shape does not match the descriptor"
         );
@@ -885,7 +727,7 @@ impl Plan {
         let price = pricing::price_vnm(a, desc.b_cols, DType::F16, opts, dev);
         Self::spatha(
             a.clone(),
-            condense_vnm(a),
+            Stream::sweep(a.operands()),
             desc,
             opts,
             dev,
@@ -977,7 +819,7 @@ impl Plan {
         desc: MatmulDescriptor,
         priced: Option<Priced>,
     ) -> Self {
-        let exec = Exec::Stream(Stream::from_kernel(w));
+        let exec = Exec::Stream(Stream::sweep(Operands::condense(w)));
         Self::new(desc, exec, Reference::Dense(w.clone()), None, priced)
     }
 
@@ -989,7 +831,7 @@ impl Plan {
         timing: KernelTiming,
         counts: KernelCounts,
     ) -> Self {
-        let exec = Exec::Stream(Stream::from_kernel(kernel.as_ref()));
+        let exec = Exec::Stream(Stream::sweep(Operands::condense(kernel.as_ref())));
         let priced = Some((timing, counts));
         Self::new(desc, exec, Reference::Kernel(kernel), None, priced)
     }
@@ -1075,11 +917,11 @@ impl MatmulPlan for Plan {
     }
 
     fn stored_values(&self) -> usize {
-        self.exec.nnz()
+        self.exec.extent().nnz
     }
 
     fn approx_bytes(&self) -> usize {
-        64 + self.exec.stream_bytes() as usize + self.reference.bytes()
+        64 + self.exec.extent().bytes as usize + self.reference.bytes()
     }
 
     fn weight_dense(&self) -> Matrix<Half> {
@@ -1424,7 +1266,7 @@ mod tests {
     fn check_plan(label: &str, plan: &Plan, replay: Replay, width: usize, seed: u64) -> bool {
         let stream = stream_of(plan);
         assert_eq!(stream.replay, replay, "{label}");
-        let (rows, k) = (stream.rows, stream.k);
+        let (rows, k) = (stream.ops.rows(), stream.ops.k());
         let b = operand(k, width, seed);
         let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
         let got = plan.run(&b);
@@ -1433,7 +1275,7 @@ mod tests {
         for (band, chunk) in base.chunks_mut(BAND_ROWS * width).enumerate() {
             let row0 = band * BAND_ROWS;
             let (b, w) = (&staged, width);
-            match (&stream.srcs, replay) {
+            match (stream.ops.sources(), replay) {
                 (Sources::Narrow(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
                 (Sources::Wide(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
                 (Sources::Narrow(s), Replay::Panels) => {
@@ -1466,22 +1308,22 @@ mod tests {
         }
     }
 
-    /// A stream's row pointers, f16 value bits and sources.
-    fn operands(s: &Stream) -> (&[u32], &[u16], &Sources) {
-        (&s.row_ptr, &s.bits, &s.srcs)
+    /// A stream's operands: row pointers, f16 value bits and sources.
+    fn operands(s: &Stream) -> &Operands<u16> {
+        &s.ops
     }
 
-    /// The one-pass condensation of a V:N:M weight equals the two-pass
-    /// `for_each_operand` stream: row pointers, value bits and sources.
-    /// And every V:N:M plan the engine builds cold, whose stream comes
-    /// from its compression's emitted operands, equals the condensation
-    /// of its weight: band and Spatha plans from `plan_auto_hinted`,
-    /// `plan_band_hinted` and `plan_with_format(Vnm)`, hinted and
-    /// unhinted, and a Spatha plan whose K exceeds 16-bit sources, which
-    /// must also replay like its baseline-compiled sweep and its per-call
-    /// reference. Cases cover V = 1, N = 1 and 3, M > 64, partial tail
-    /// groups and row blocks, kept -0.0 (skipped) and kept NaN, ±Inf and
-    /// subnormals.
+    /// The stream a V:N:M compression emits equals the condensation of
+    /// the compressed weight's `for_each_operand`: row pointers, value
+    /// bits and sources. And every V:N:M plan the engine builds cold
+    /// equals the condensation of its weight: band and Spatha plans from
+    /// `plan_auto_hinted` (f16, and i8 where an f16 plan wins, whose
+    /// compression kept no stream), `plan_band_hinted` and
+    /// `plan_with_format(Vnm)`, hinted and unhinted, and a Spatha plan
+    /// whose K exceeds 16-bit sources, which must also replay like its
+    /// baseline-compiled sweep and its per-call reference. Cases cover
+    /// V = 1, N = 1 and 3, M > 64, partial tail groups and row blocks,
+    /// kept -0.0 (skipped) and kept NaN, ±Inf and subnormals.
     #[test]
     fn one_pass_vnm_condensation_equals_the_two_pass_stream() {
         let cases = [
@@ -1493,39 +1335,54 @@ mod tests {
         ];
         let mut paths = Vec::new();
         for (i, (r, k, cfg)) in cases.into_iter().enumerate() {
-            let a = vnm_special(r, k, cfg, 40 + i as u64);
-            let want = Stream::from_kernel(&a);
+            let (w, mask) = special_weight(r, k, cfg, 40 + i as u64);
+            let (a, emitted) =
+                Stream::compress(&w, &mask, cfg, DType::F16).expect("the mask complies");
+            let emitted = emitted.expect("an f16 compression keeps its stream");
+            let want = Operands::condense(&a);
             let nan = |&h: &u16| Half::from_bits(h).is_nan();
-            assert!(want.bits.iter().any(nan), "{cfg}: specials kept");
-            assert_eq!(operands(&condense_vnm(&a)), operands(&want), "{cfg}");
+            assert!(want.values().iter().any(nan), "{cfg}: specials kept");
+            assert_eq!(operands(&emitted), &want, "{cfg}");
+            assert_eq!(a.operands(), want, "{cfg}: the inlined walk");
 
-            let (w, _) = special_weight(r, k, cfg, 40 + i as u64);
+            // Int8 plans calibrate on finite weights: the same mask with
+            // every non-finite value replaced by 1.
+            let finite = Matrix::from_fn(r, k, |i, j| {
+                Some(w.get(i, j))
+                    .filter(|h| h.is_finite())
+                    .unwrap_or(Half::ONE)
+            });
             let desc = MatmulDescriptor::new(r, k);
             for hint in [Some(cfg), None] {
                 let mut plans = Vec::new();
                 for width in [8, 4096] {
                     let engine = crate::Engine::new(dev()).with_b_cols_hint(width);
-                    plans.push(engine.auto_plan(&desc.with_b_cols(width), &w, hint));
+                    let desc = desc.with_b_cols(width);
+                    plans.push((engine.auto_plan(&desc, &w, hint), false));
+                    let i8_desc = desc.with_dtype(DType::I8);
+                    plans.push((engine.auto_plan(&i8_desc, &finite, hint), true));
                 }
                 let engine = crate::Engine::new(dev());
-                plans.extend(engine.band_plan(&desc, &w, hint).ok());
+                plans.extend(engine.band_plan(&desc, &w, hint).ok().zip(Some(false)));
                 if hint.is_none() {
-                    plans.extend(engine.format_plan(MatmulFormat::Vnm, &desc, &w).ok());
+                    let plan = engine.format_plan(MatmulFormat::Vnm, &desc, &w);
+                    plans.extend(plan.ok().zip(Some(false)));
                 }
-                for plan in plans {
+                for (plan, i8_desc) in plans {
                     let Some(a) = plan.vnm() else { continue };
-                    let at = format!("{cfg} hint {hint:?}: {} plan", plan.path());
-                    let want = condense_vnm(a);
-                    assert_eq!(operands(stream_of(&plan)), operands(&want), "{at}");
-                    paths.push((plan.path(), hint.is_some()));
+                    let at = format!("{cfg} hint {hint:?} i8 {i8_desc}: {} plan", plan.path());
+                    let want = Operands::condense(a);
+                    assert_eq!(operands(stream_of(&plan)), &want, "{at}");
+                    paths.push((plan.path(), hint.is_some(), i8_desc));
                 }
             }
         }
         for want in [
-            ("band", true),
-            ("band", false),
-            ("vnm", true),
-            ("vnm", false),
+            ("band", true, false),
+            ("band", false, false),
+            ("vnm", true, false),
+            ("vnm", false, false),
+            ("band", true, true),
         ] {
             assert!(paths.contains(&want), "no {want:?} plan among {paths:?}");
         }
@@ -1539,9 +1396,9 @@ mod tests {
             .format_plan(MatmulFormat::Vnm, &engine.descriptor(16, k), &w)
             .expect("16:2:8 complies");
         let stream = stream_of(&plan);
-        let want = condense_vnm(plan.vnm().expect("a V:N:M plan"));
-        assert_eq!(operands(stream), operands(&want));
-        let Sources::Wide(srcs) = &stream.srcs else {
+        let want = Operands::condense(plan.vnm().expect("a V:N:M plan"));
+        assert_eq!(operands(stream), &want);
+        let Sources::Wide(srcs) = stream.ops.sources() else {
             panic!("K = {k} needs 32-bit sources")
         };
         assert!(srcs.iter().any(|&s| s > u32::from(u16::MAX)));
@@ -1679,9 +1536,11 @@ mod tests {
         let b: Vec<f32> = (0..k * width)
             .map(|_| (next() % 2001) as f32 / 1000.0 - 1.0)
             .collect();
-        let row_ptr = (0..=rows).map(|r| (r * per_row) as u32).collect();
-        let stored = vals.iter().map(|h| h.to_bits()).collect();
-        let stream = Stream::new(rows, k, row_ptr, stored, Sources::Narrow(srcs.clone()));
+        let mut ops = OperandBuilder::new(rows, k, rows * per_row);
+        for (i, (v, &s)) in vals.iter().zip(&srcs).enumerate() {
+            ops.push(i / per_row, v.to_bits(), usize::from(s));
+        }
+        let stream = Stream::sweep(ops.finish());
         assert_eq!(stream.chunk_rows(width), CHUNK_BYTES / (4 * width));
         let mut got = vec![0.0f32; rows * width];
         stream.run_into(&b, width, &mut got);
@@ -1699,14 +1558,9 @@ mod tests {
     fn band_build(a: &VnmMatrix, b_cols: usize) -> Plan {
         let (rows, k) = a.shape();
         let desc = MatmulDescriptor::new(rows, k).with_b_cols(b_cols);
-        let stream = condense_vnm(a);
-        let priced = pricing::price_band(a.shape(), stream.nnz(), b_cols, &dev());
-        Plan::band(
-            a.clone(),
-            stream,
-            desc,
-            priced.expect("K fits 16-bit indices"),
-        )
+        let stream = Stream::sweep(a.operands());
+        let priced = pricing::price_band(a.shape(), stream.ops.nnz(), b_cols, &dev());
+        Plan::band(a.clone(), stream, desc, priced)
     }
 
     /// Output widths of the band oracle: every accumulator width of
@@ -1802,17 +1656,43 @@ mod tests {
     }
 
     #[test]
-    fn band_plan_rejects_wide_k() {
-        // K beyond u16 range cannot be streamed with narrow indices.
+    fn band_plan_over_wide_k_matches_spmm_swapped() {
+        // K past 16-bit sources: the band plan replays 32-bit sources,
+        // priced at 6 B per operand, bit for bit like its per-call
+        // swapped-operand reference.
         let cfg = VnmConfig::new(16, 2, 8);
-        let k = (u16::MAX as usize + 1) + 8;
-        let w = Matrix::from_fn(16, k, |_, c| if c % 8 < 2 { Half::ONE } else { Half::ZERO });
+        let k = 65_600;
+        let w = Matrix::from_fn(16, k, |_, c| {
+            let h = Half::from_f32((c % 7) as f32 - 3.0);
+            if c % 8 < 2 {
+                h
+            } else {
+                Half::ZERO
+            }
+        });
         let engine = crate::Engine::new(dev()).with_b_cols_hint(8);
-        let desc = engine.descriptor(16, k);
-        let err = engine.plan_band_hinted(&desc, &w, Some(cfg)).unwrap_err();
-        assert!(
-            err.to_string().contains("16-bit source indices"),
-            "got: {err}"
-        );
+        let plan = engine
+            .band_plan(&engine.descriptor(16, k), &w, Some(cfg))
+            .expect("K past 16 bits plans on the band path");
+        let Sources::Wide(_) = stream_of(&plan).ops.sources() else {
+            panic!("K = {k} needs 32-bit sources")
+        };
+        // One 16-row band: its load is the whole stream plus one pass
+        // over the 8-column f16 B.
+        let load = plan.counts().expect("priced").gmem_load_bytes_per_block;
+        assert_eq!(load, plan.stored_values() as u64 * 6 + k as u64 * 8 * 2);
+        for width in [8, 65] {
+            check_plan(
+                "16:2:8 wide K band",
+                &plan,
+                Replay::Panels,
+                width,
+                width as u64,
+            );
+            let b = operand(k, width, 3);
+            let a = plan.vnm().expect("a V:N:M plan");
+            let want = venom_core::spmm_swapped(a, &b);
+            assert_eq!(bits(plan.run(&b).as_slice()), bits(want.as_slice()));
+        }
     }
 }

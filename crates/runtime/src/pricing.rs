@@ -193,27 +193,18 @@ pub fn price_vnm(
 
 /// Prices the band replay of an `r x k` V:N:M weight with `nnz` stored
 /// nonzeros (the operands the band stream keeps) on the CUDA-core DRAM
-/// roofline ([`venom_core::build_counts_band`]).
-///
-/// # Errors
-/// [`PlanError::Incompatible`] when `K` does not fit the band stream's
-/// 16-bit source indices.
+/// roofline ([`venom_core::build_counts_band`]), its sources at the width
+/// the stream stores them.
 pub(crate) fn price_band(
     (r, k): (usize, usize),
     nnz: usize,
     b_cols: usize,
     dev: &DeviceConfig,
-) -> Result<Priced, PlanError> {
-    if k > u16::MAX as usize + 1 {
-        return Err(PlanError::Incompatible {
-            format: MatmulFormat::Vnm,
-            reason: format!("the band stream stores 16-bit source indices; K = {k} does not fit"),
-        });
-    }
+) -> Priced {
     let counts = venom_core::build_counts_band(r, k, b_cols, nnz);
     let timing =
         simulate(dev, &counts).expect("the band kernel uses no shared memory and always launches");
-    Ok((timing, counts))
+    (timing, counts)
 }
 
 /// Prices an N:M SpMM of GEMM `shape` via the cuSPARSELt model (the

@@ -2,11 +2,13 @@
 //! built for an `i8` descriptor replays.
 //!
 //! An int8 plan captures, at build time, the calibrated
-//! [`QuantVnmMatrix`] (per-output-channel symmetric scales), its operand
-//! stream condensed into a per-row `(i8 value, B row)` CSR — the
-//! `IntStream` below — and the int8-priced launch (Table 1's `Uint8`
-//! `mma.sp` row: half the operand bytes, double the k-depth per
-//! instruction).
+//! [`QuantVnmMatrix`] (per-output-channel symmetric scales), its i8
+//! codes condensed into the operand container every f16 plan also
+//! replays ([`QuantVnmMatrix::operands`]: row pointers, an i8 value
+//! plane and the shared u16/u32 sources, 3 B per operand below
+//! K = 65536) — the `IntStream` below — and the int8-priced launch
+//! (Table 1's `Uint8` `mma.sp` row: half the operand bytes, double the
+//! k-depth per instruction).
 //!
 //! Numerics contract, stated precisely because it differs from the f16
 //! plans:
@@ -29,26 +31,22 @@ use crate::plan::BAND_ROWS;
 use crate::simd::avx2_dispatch;
 use crate::stage;
 use rayon::prelude::*;
-use venom_format::QuantVnmMatrix;
+use venom_format::{Operands, QuantVnmMatrix, Sources};
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration};
 use venom_tensor::Matrix;
 
-/// The condensed int8 stream: CSR-like over quantized values, with
-/// `srcs[i]` naming the RHS row each value multiplies.
+/// The condensed int8 stream: the quantized container's i8 codes in the
+/// shared operand container, plus the scales that dequantize them.
 ///
-/// Codes are stored widened to `i16` — the integer analogue of the f16
-/// pipeline's f32 staging: an i8 x i8 product fits exactly in an i16
+/// Codes are widened to `i16` as they load — the integer analogue of the
+/// f16 pipeline's f32 staging: an i8 x i8 product fits exactly in an i16
 /// multiply, the operation SSE2-class vector units execute natively,
 /// where a 32-bit integer multiply would fall back to scalar code. The
 /// widening changes no value (`|code| <= 127`).
 #[derive(Clone, Debug)]
 pub(crate) struct IntStream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    vals: Vec<i16>,
-    srcs: Vec<u32>,
+    pub(crate) ops: Operands<i8>,
     /// Per-row weight scales of the quantized container.
     scales: Vec<f32>,
     /// Per-call calibrator of the activation operand.
@@ -56,55 +54,13 @@ pub(crate) struct IntStream {
 }
 
 impl IntStream {
-    /// Condenses the quantized container into its operand stream (two
-    /// visitor passes, like the f32 `Stream`).
+    /// The quantized container's condensed codes and scales.
     pub(crate) fn from_quant(a: &QuantVnmMatrix, act_calib: Calibration) -> Self {
-        let (rows, k) = a.shape();
-        let mut row_ptr = vec![0u32; rows + 1];
-        a.for_each_operand_i8(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0i16; nnz];
-        let mut srcs = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        a.for_each_operand_i8(&mut |r, q, s| {
-            let i = cursor[r] as usize;
-            vals[i] = q as i16;
-            srcs[i] = s as u32;
-            cursor[r] += 1;
-        });
         IntStream {
-            rows,
-            k,
-            row_ptr,
-            vals,
-            srcs,
+            ops: a.operands(),
             scales: a.scales().to_vec(),
             act_calib,
         }
-    }
-
-    /// Output rows.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Reduction depth K.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Stored operand count.
-    pub(crate) fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Resident bytes of the stream: i16 code + u32 source per operand,
-    /// plus the row pointers.
-    pub(crate) fn stream_bytes(&self) -> u64 {
-        (self.vals.len() * 2 + self.srcs.len() * 4 + self.row_ptr.len() * 4) as u64
     }
 
     /// Accumulates one output row's stream chain into `orow` — THE
@@ -117,19 +73,40 @@ impl IntStream {
     /// accumulation is exact, so lane width cannot change a bit either.
     #[inline(always)]
     fn accumulate_row(&self, r: usize, b_i16: &[i16], b_cols: usize, orow: &mut [i32]) {
-        let lo = self.row_ptr[r] as usize;
-        let hi = self.row_ptr[r + 1] as usize;
-        let (vals, srcs) = (&self.vals[lo..hi], &self.srcs[lo..hi]);
-        let brow = |s: u32| &b_i16[s as usize * b_cols..][..b_cols];
+        match self.ops.sources() {
+            Sources::Narrow(s) => self.accumulate_run(s, r, b_i16, b_cols, orow),
+            Sources::Wide(s) => self.accumulate_run(s, r, b_i16, b_cols, orow),
+        }
+    }
+
+    /// [`Self::accumulate_row`] over the stream's sources `srcs`.
+    #[inline(always)]
+    fn accumulate_run<S: Copy + Into<u64>>(
+        &self,
+        srcs: &[S],
+        r: usize,
+        b_i16: &[i16],
+        b_cols: usize,
+        orow: &mut [i32],
+    ) {
+        let ops = self.ops.row(r);
+        let (vals, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
+        let brow = |s: S| &b_i16[s.into() as usize * b_cols..][..b_cols];
         let quads = vals.len() / 4 * 4;
         for (v, s) in vals[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
-            let (v0, v1, v2, v3) = (v[0], v[1], v[2], v[3]);
+            let (v0, v1, v2, v3) = (
+                i16::from(v[0]),
+                i16::from(v[1]),
+                i16::from(v[2]),
+                i16::from(v[3]),
+            );
             let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
             for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
                 *o += (v0 * x0) as i32 + (v1 * x1) as i32 + (v2 * x2) as i32 + (v3 * x3) as i32;
             }
         }
-        for (&vi, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
+        for (&q, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
+            let vi = i16::from(q);
             for (o, &x) in orow.iter_mut().zip(brow(s)) {
                 *o += (vi * x) as i32;
             }
@@ -141,8 +118,12 @@ impl IntStream {
     /// is exact, so neither the banding parallelism nor the unroll can
     /// change a bit.
     fn run_into(&self, b_i16: &[i16], b_cols: usize, out: &mut [i32]) {
-        assert_eq!(b_i16.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
+        assert_eq!(
+            b_i16.len(),
+            self.ops.k() * b_cols,
+            "staged RHS size mismatch"
+        );
+        assert_eq!(out.len(), self.ops.rows() * b_cols, "output size mismatch");
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
@@ -154,9 +135,9 @@ impl IntStream {
     }
 
     fn run(&self, b_i16: &[i16], b_cols: usize) -> Matrix<i32> {
-        let mut out = vec![0i32; self.rows * b_cols];
+        let mut out = vec![0i32; self.ops.rows() * b_cols];
         self.run_into(b_i16, b_cols, &mut out);
-        Matrix::from_vec(self.rows, b_cols, out)
+        Matrix::from_vec(self.ops.rows(), b_cols, out)
     }
 
     /// [`Self::run`] with the dequantization fused into the band loop:
@@ -168,9 +149,13 @@ impl IntStream {
     /// result is bit-identical to `run` followed by elementwise
     /// dequantization.
     fn run_dequant(&self, b_i16: &[i16], b_cols: usize, scales: &[f32]) -> Matrix<f32> {
-        assert_eq!(b_i16.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(scales.len(), self.rows, "one dequant scale per row");
-        let mut out = vec![0.0f32; self.rows * b_cols];
+        assert_eq!(
+            b_i16.len(),
+            self.ops.k() * b_cols,
+            "staged RHS size mismatch"
+        );
+        assert_eq!(scales.len(), self.ops.rows(), "one dequant scale per row");
+        let mut out = vec![0.0f32; self.ops.rows() * b_cols];
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
@@ -191,7 +176,7 @@ impl IntStream {
                     }
                 }
             });
-        Matrix::from_vec(self.rows, b_cols, out)
+        Matrix::from_vec(self.ops.rows(), b_cols, out)
     }
 
     /// The exact integer entry point: `C = A_q * B_q` with i32
@@ -201,7 +186,12 @@ impl IntStream {
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
     pub(crate) fn run_i8(&self, b: &Matrix<i8>) -> Matrix<i32> {
-        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
+        assert_eq!(
+            b.rows(),
+            self.ops.k(),
+            "B must have K = {} rows",
+            self.ops.k()
+        );
         let staged: Vec<i16> = b.as_slice().iter().map(|&q| q as i16).collect();
         self.run(&staged, b.cols())
     }
@@ -224,9 +214,14 @@ impl IntStream {
     /// `C = A * B` over a half RHS: quantize, integer multiply, fused
     /// dequantization.
     pub(crate) fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
+        assert_eq!(
+            b.rows(),
+            self.ops.k(),
+            "B must have K = {} rows",
+            self.ops.k()
+        );
         let (b_q, act_scale) = self.quantize_operand_i16(b);
-        let scales: Vec<f32> = (0..self.rows)
+        let scales: Vec<f32> = (0..self.ops.rows())
             .map(|r| self.dequant_scale(r, act_scale))
             .collect();
         self.run_dequant(&b_q, b.cols(), &scales)
@@ -238,7 +233,7 @@ impl IntStream {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.k;
+        let k = self.ops.k();
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         // The concatenated integer dispatch is column-independent, so one
         // multiply and a per-block dequantization is bit-identical to
@@ -258,7 +253,7 @@ impl IntStream {
             col0 += cols;
         }
         let acc = self.run(&staged, total);
-        let rows = self.rows;
+        let rows = self.ops.rows();
         let mut out = Vec::with_capacity(bs.len());
         let mut col0 = 0usize;
         for (b, &act_scale) in bs.iter().zip(&scales) {
@@ -279,7 +274,7 @@ impl IntStream {
 
     /// The fused layer forward `y = x W^T + b`.
     pub(crate) fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.k, "input features mismatch");
+        assert_eq!(x.cols(), self.ops.k(), "input features mismatch");
         let staged = stage::stage_activations_t(x);
         self.run_linear_staged(&staged, x.rows(), bias)
     }
@@ -291,7 +286,7 @@ impl IntStream {
         tokens: usize,
         bias: &[f32],
     ) -> Matrix<f32> {
-        assert_eq!(bias.len(), self.rows, "bias must match out_features");
+        assert_eq!(bias.len(), self.ops.rows(), "bias must match out_features");
         // The staged buffer holds exact f16 decodes, so calibrating it
         // equals calibrating the half operand, and mapping each value's
         // f16 bits through the code table lands on the same codes the
@@ -302,13 +297,13 @@ impl IntStream {
             .iter()
             .map(|&v| table[venom_fp16::f32_to_f16_bits(v) as usize] as i16)
             .collect();
-        let mut acc = vec![0i32; self.rows * tokens];
+        let mut acc = vec![0i32; self.ops.rows() * tokens];
         self.run_into(&b_q, tokens, &mut acc);
         // Dequantization folded into the tiled transpose+bias epilogue:
         // y[t][r] = acc[r][t] * s_r + bias[r], the exact expression of
         // the per-call chain (`run_oneshot` dequant, transpose, bias).
         const TILE: usize = 32;
-        let rows = self.rows;
+        let rows = self.ops.rows();
         let mut y = vec![0.0f32; tokens * rows];
         for t0 in (0..tokens).step_by(TILE) {
             let t1 = (t0 + TILE).min(tokens);
@@ -472,6 +467,22 @@ mod tests {
         let rel = venom_tensor::norms::rel_frobenius_error(&got, &oracle);
         assert!(rel < 0.05, "relative error {rel} too large");
     }
+    #[test]
+    fn int_replay_reads_wide_sources() {
+        // K past 16-bit sources: the codes replay over 32-bit sources,
+        // some of them past 65535.
+        let k = (u16::MAX as usize + 1) + 64;
+        let a = vnm_fixture(16, k, VnmConfig::new(16, 2, 8), 13);
+        let weight = QuantVnmMatrix::quantize(&a, Calibration::AbsMax);
+        let stream = IntStream::from_quant(&weight, Calibration::AbsMax);
+        let Sources::Wide(srcs) = stream.ops.sources() else {
+            panic!("K = {k} needs 32-bit sources")
+        };
+        assert!(srcs.iter().any(|&s| s > u32::from(u16::MAX)));
+        let b = Matrix::from_fn(k, 9, |r, c| ((r * 19 + c * 7) % 255) as u8 as i8);
+        assert_eq!(stream.run_i8(&b), weight.spmm_ref_i8(&b));
+    }
+
     #[test]
     fn int_replay_matches_baseline_and_the_i8_oracle() {
         // Widths around one AVX2 lane block, row counts off the band

@@ -152,7 +152,7 @@ fn band_paths_are_bit_identical_across_the_config_grid() {
 
 /// Resident bytes of a plan: 64 structural bytes, `per_operand` bytes
 /// per stored operand — f16 bits + u16 source (the f16 stream, whichever
-/// loop replays it), i16 code + u32 source (int8) — a u32 row pointer per
+/// loop replays it), i8 code + u16 source (int8) — a u32 row pointer per
 /// row plus one, and the `reference` bytes of the compressed weight the
 /// per-call path runs.
 fn expected_bytes(plan: &dyn MatmulPlan, per_operand: usize, reference: usize) -> usize {
@@ -199,7 +199,7 @@ fn every_route_replays_bitwise_and_reports_its_pricing() {
         (
             "vnm-i8",
             engine.plan_with_format(MatmulFormat::Vnm, &i8, &w).unwrap(),
-            6,
+            3,
             quant.total_bytes(),
         ),
         ("nm", format(MatmulFormat::Nm), 4, nm.compressed_bytes()),

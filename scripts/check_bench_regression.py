@@ -7,7 +7,9 @@ Two jobs:
    (consumers key on labels); every expected label must be present with a
    positive median, and each fast path with a floor must beat its
    retained reference (`speedup_vs_ref` above the floor). The series are
-   kernel-level; end-to-end runs are measured by `benchmark/`.
+   kernel-level; end-to-end runs are measured by `benchmark/`. Every
+   validation failure is printed, and the regime and regression checks
+   below still run, before the gate exits non-zero.
 
 2. **Regression gate** — first fails if any series of the committed
    baseline is missing from the fresh run (a dropped series cannot
@@ -130,21 +132,28 @@ def load_series(path):
 
 
 def validate(series):
+    """Every schema/content failure of a fresh run, one message each: a
+    missing series, a non-positive median, a speedup at or below its
+    floor, a missing or malformed regime."""
+    failures = []
     missing = [label for label in EXPECTED_LABELS if label not in series]
-    assert not missing, f"missing series: {missing}"
+    if missing:
+        failures.append(f"missing series: {missing}")
     for s in series.values():
-        assert s["median_ms"] > 0, f"non-positive median: {s}"
+        if not s.get("median_ms", 0) > 0:
+            failures.append(f"non-positive median: {s}")
     for label, floor in SPEEDUP_FLOORS.items():
+        if label not in series:
+            continue
         speedup = series[label].get("speedup_vs_ref", 0.0)
-        assert speedup > floor, (
-            f"{label}: speedup_vs_ref {speedup} is not above {floor} "
-            f"(the fast path lost to its reference)"
-        )
+        if not speedup > floor:
+            failures.append(f"{label}: speedup_vs_ref {speedup} is not above {floor} "
+                            f"(the fast path lost to its reference)")
     for label in REGIME_PINNED:
-        assert series[label].get("regime") in ("memory", "compute"), (
-            f"{label}: missing or malformed roofline regime: "
-            f"{series[label].get('regime')!r}"
-        )
+        if label in series and series[label].get("regime") not in ("memory", "compute"):
+            failures.append(f"{label}: missing or malformed roofline regime: "
+                            f"{series[label].get('regime')!r}")
+    return failures
 
 
 def check_regimes(baseline, new):
@@ -152,8 +161,8 @@ def check_regimes(baseline, new):
     baseline's regime (the machine-independent half of the contract)."""
     failures = []
     for label in REGIME_PINNED:
-        if label not in baseline:
-            continue  # first run that introduces the series
+        if label not in baseline or label not in new:
+            continue  # introduced by this run, or reported missing by validate()
         old = baseline[label].get("regime")
         fresh = new[label].get("regime")
         if old is not None and fresh != old:
@@ -171,12 +180,14 @@ def check_regressions(baseline, new, tolerance):
     if dropped:
         print(f"FAIL: series present in the baseline but missing from the "
               f"fresh run: {dropped}")
-        return dropped
-    shared = sorted(set(baseline) & set(new))
-    assert shared, "no shared series labels between baseline and new run"
+    shared = sorted(label for label in set(baseline) & set(new)
+                    if new[label].get("median_ms", 0) > 0)
+    if not shared:
+        print("FAIL: no shared series with a positive median between baseline and new run")
+        return dropped + ["(no shared series)"]
     ratios = {label: new[label]["median_ms"] / baseline[label]["median_ms"] for label in shared}
     machine_factor = statistics.median(ratios.values())
-    failures = []
+    failures = list(dropped)
     for label, ratio in sorted(ratios.items()):
         rel = ratio / machine_factor
         regressed = ratio > tolerance and rel > tolerance
@@ -207,13 +218,17 @@ def main():
 
     baseline = load_series(args.baseline)
     new = load_series(args.new)
-    validate(new)
+    invalid = validate(new)
+    for message in invalid:
+        print(f"FAIL: {message}")
 
     failures = check_regimes(baseline, new)
     failures += check_regressions(baseline, new, args.tolerance)
     if failures:
         print(f"FAIL: {len(failures)} series regressed more than "
               f"{(args.tolerance - 1) * 100:.0f}% vs the committed baseline: {failures}")
+    if invalid or failures:
+        print(f"FAIL: {len(invalid)} validation and {len(failures)} baseline check failures")
         return 1
     planned = new["fig09_k768_80pct_planned"]
     print(f"ok: {len(new)} series; planned SpMM speedup "

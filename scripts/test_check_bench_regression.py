@@ -96,6 +96,19 @@ class GateTest(unittest.TestCase):
         self.assertNotEqual(code, 0, out)
         self.assertIn("spmm_small_c", out)
 
+    def test_every_failing_floor_is_reported_with_the_other_checks(self):
+        rows = passing_series()
+        for label in ("spmm_small_c", "attn_causal"):
+            rows[label]["speedup_vs_ref"] = gate.SPEEDUP_FLOORS[label] - 0.1
+        rows["spmm_swapped"]["regime"] = "compute"
+        code, out = self.run_gate(passing_series(), rows)
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("spmm_small_c: speedup_vs_ref", out)
+        self.assertIn("attn_causal: speedup_vs_ref", out)
+        # The regime and regression checks still ran.
+        self.assertIn("regime flipped", out)
+        self.assertIn("machine-speed factor", out)
+
     def test_one_slow_series_fails(self):
         baseline = passing_series()
         new = dict(baseline, bert_k3072=slowed(baseline, 2.0)["bert_k3072"])
