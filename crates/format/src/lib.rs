@@ -43,7 +43,7 @@ pub use operands::{Extent, OperandBuilder, Operands, Sources};
 pub use qvnm::QuantVnmMatrix;
 pub use sparse_kernel::{MatmulFormat, SparseKernel};
 pub use storage::StorageOrder;
-pub use vnm::{CompressError, VnmMatrix};
+pub use vnm::{CompressError, RowSink, VnmMatrix};
 
 /// Number of columns the vector-wise stage selects per `V x M` block — fixed
 /// at 4 because the selected columns must form the SPTC-native 2:4 pattern.

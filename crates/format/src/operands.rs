@@ -10,13 +10,13 @@
 //! (K <= 65536) and u32 past that; [`Sources::width`] is the one place
 //! that decides.
 //!
-//! [`OperandBuilder`] fills the container in one pass: operands are
-//! pushed in ascending row order, and each row's start is written when
-//! its first operand, or a later row's, arrives (the rest at
-//! [`OperandBuilder::finish`]), so no counting pass is needed. Every [`SparseKernel`] emits rows in that order
-//! ([`Operands::condense`]), and so do [`crate::VnmMatrix`]'s one-pass
-//! compressor and the slot walk both V:N:M containers share
-//! ([`crate::VnmMatrix::operands`], [`crate::QuantVnmMatrix::operands`]).
+//! [`OperandBuilder`] fills the container in one pass, with no counting
+//! pass: operands arrive in ascending row order, and a row's start is
+//! written when its first operand, or a later row's, arrives. Every
+//! [`SparseKernel`] emits rows in that order ([`Operands::condense`]), and
+//! so do [`crate::VnmMatrix`]'s one-pass compressor and the slot walks of
+//! both V:N:M containers ([`crate::VnmMatrix::operands`],
+//! [`crate::QuantVnmMatrix::operands`]).
 
 use crate::SparseKernel;
 use std::ops::Range;
@@ -51,20 +51,10 @@ impl Sources {
         }
     }
 
-    #[inline]
-    fn push(&mut self, b_row: usize) {
-        each_width!(self, s => s.push(b_row as _))
-    }
-
     /// The B row of operand `i`.
     #[inline]
     pub fn get(&self, i: usize) -> usize {
         each_width!(self, s => s[i] as usize)
-    }
-
-    /// Resident bytes.
-    pub fn bytes(&self) -> usize {
-        each_width!(self, s => std::mem::size_of_val(s.as_slice()))
     }
 }
 
@@ -94,26 +84,6 @@ pub struct Operands<T> {
 }
 
 impl<T> Operands<T> {
-    /// Output rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Reduction depth K.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Stored operand count.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The `rows + 1` row pointers.
-    pub fn row_ptr(&self) -> &[u32] {
-        &self.row_ptr
-    }
-
     /// The operand indices of row `r`.
     pub fn row(&self, r: usize) -> Range<usize> {
         self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize
@@ -130,13 +100,15 @@ impl<T> Operands<T> {
     }
 
     /// Shape, operand count and resident bytes.
+    #[inline]
     pub fn extent(&self) -> Extent {
-        let values = self.values.len() * std::mem::size_of::<T>();
+        let values = std::mem::size_of_val(self.values.as_slice());
+        let srcs = each_width!(&self.srcs, s => std::mem::size_of_val(s.as_slice()));
         Extent {
             rows: self.rows,
             k: self.k,
-            nnz: self.nnz(),
-            bytes: (values + self.srcs.bytes() + self.row_ptr.len() * 4) as u64,
+            nnz: self.values.len(),
+            bytes: (values + srcs + self.row_ptr.len() * 4) as u64,
         }
     }
 }
@@ -192,7 +164,22 @@ impl<T> OperandBuilder<T> {
             self.start_row(row);
         }
         self.ops.values.push(value);
-        self.ops.srcs.push(src);
+        each_width!(&mut self.ops.srcs, s => s.push(src as _));
+    }
+
+    /// Appends row `row`'s operands at once — `values`, multiplying the
+    /// B rows `srcs` — as one [`Self::push`] each would.
+    ///
+    /// # Panics
+    /// Panics unless `row` is above every row pushed so far and is a row
+    /// of the container.
+    pub fn extend_row(&mut self, row: usize, values: impl IntoIterator<Item = T>, srcs: &[usize]) {
+        self.start_row(row);
+        self.ops.values.extend(values);
+        match &mut self.ops.srcs {
+            Sources::Narrow(s) => s.extend(srcs.iter().map(|&c| c as u16)),
+            Sources::Wide(s) => s.extend(srcs.iter().map(|&c| c as u32)),
+        }
     }
 
     /// Starts row `row` (and any empty rows before it), reserving the
@@ -232,7 +219,8 @@ mod tests {
         b.push(1, -2, 69_999);
         b.push(3, 1, 0);
         let ops = b.finish();
-        assert_eq!(ops.row_ptr(), &[0, 0, 2, 2, 3, 3]);
+        let rows: Vec<_> = (0..5).map(|r| ops.row(r)).collect();
+        assert_eq!(rows, [0..0, 0..2, 2..2, 2..3, 3..3]);
         assert_eq!(ops.values(), &[7, -2, 1]);
         assert_eq!(ops.sources(), &Sources::Wide(vec![3, 69_999, 0]));
         assert_eq!(ops.row(1), 0..2);
@@ -246,7 +234,7 @@ mod tests {
         assert_eq!(Sources::width(65_537), 4);
         let ops = OperandBuilder::<u16>::new(2, 65_536, 0).finish();
         assert_eq!(ops.sources(), &Sources::Narrow(Vec::new()));
-        assert_eq!(ops.row_ptr(), &[0, 0, 0]);
+        assert_eq!((ops.row(0), ops.row(1)), (0..0, 0..0));
     }
 
     #[test]

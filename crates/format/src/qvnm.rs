@@ -20,8 +20,7 @@
 //! [`QuantVnmMatrix::dequantize_dense`] give the dequantized weight
 //! (`q as f32 * row_scale`) for reporting and accuracy checks.
 
-use crate::vnm::for_each_slot;
-use crate::{OperandBuilder, Operands, SparsityMask, VnmConfig, VnmMatrix};
+use crate::{OperandBuilder, Operands, SparsityMask, VnmConfig, VnmMatrix, SELECTED_COLUMNS};
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration, QuantParams};
 use venom_tensor::Matrix;
@@ -193,18 +192,22 @@ impl QuantVnmMatrix {
     /// that quantized to 0 — are skipped; in exact integer arithmetic
     /// they contribute nothing).
     pub fn for_each_operand_i8(&self, visit: &mut dyn FnMut(usize, i8, usize)) {
-        for_each_slot(
-            self.cfg,
-            self.k_groups,
-            &self.m_indices,
-            &self.column_loc,
-            |r, slot, c| {
-                let q = self.values[slot];
-                if q != 0 {
-                    visit(r, q, c);
+        let n = self.cfg.n;
+        for r in 0..self.rows {
+            let b = r / self.cfg.v;
+            for g in 0..self.k_groups {
+                for s in 0..n {
+                    let slot = (r * self.k_groups + g) * n + s;
+                    let q = self.values[slot];
+                    if q == 0 {
+                        continue;
+                    }
+                    let j = self.m_indices[slot] as usize;
+                    let rel = self.column_loc[(b * self.k_groups + g) * SELECTED_COLUMNS + j];
+                    visit(r, q, g * self.cfg.m + rel as usize);
                 }
-            },
-        );
+            }
+        }
     }
 
     /// Reference int8 SpMM `C = self * B` with exact `i32` accumulation,
@@ -311,7 +314,7 @@ mod tests {
         // A sequential replay of the condensed codes equals the
         // reference, and holds exactly the nonzero codes.
         let ops = q.operands();
-        assert_eq!(ops.nnz(), q.nnz());
+        assert_eq!(ops.extent().nnz, q.nnz());
         let mut replay = Matrix::<i32>::zeros(16, 7);
         for r in 0..16 {
             for i in ops.row(r) {

@@ -18,8 +18,8 @@
 //! [`VnmMatrix::try_compress_with`] builds the three structures in one
 //! pass over the mask words, checking the pattern as it goes, and hands
 //! every stored nonzero to a sink in `spmm_ref` order. A cold f16 plan in
-//! the runtime pushes the sink's operands into its [`crate::Operands`]
-//! stream, so building it reads the weight once.
+//! the runtime appends the sink's rows to its [`crate::Operands`] stream,
+//! so building it reads the weight once.
 
 use crate::mask::{group_bits, ones_at};
 use crate::{OperandBuilder, Operands, SparsityMask, VnmConfig, SELECTED_COLUMNS};
@@ -44,6 +44,10 @@ pub struct VnmMatrix {
     /// their last used column (their values are zero, so this is harmless).
     column_loc: Vec<u16>,
 }
+
+/// The sink of [`VnmMatrix::try_compress_with`]: `emit(row, values,
+/// columns)`, once per row.
+pub type RowSink<'a> = &'a mut dyn FnMut(usize, &[Half], &[usize]);
 
 /// Why a weight cannot be compressed under a [`VnmConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,7 +97,7 @@ impl VnmMatrix {
     }
 
     /// Compresses `dense` under `mask` if the mask complies with `cfg`:
-    /// [`Self::try_compress_with`] with no sink.
+    /// [`Self::try_compress_with`] with no sink, which stages nothing.
     ///
     /// # Errors
     /// As [`Self::try_compress_with`].
@@ -102,18 +106,19 @@ impl VnmMatrix {
         mask: &SparsityMask,
         cfg: VnmConfig,
     ) -> Result<Self, CompressError> {
-        Self::try_compress_with(dense, mask, cfg, |_, _, _| {})
+        Self::try_compress_with(dense, mask, cfg, None)
     }
 
     /// Compresses `dense` under `mask` if the mask complies with `cfg`,
-    /// in one pass over the mask words that also checks compliance, and
-    /// hands every stored nonzero to `emit(row, value, column)` in
-    /// `spmm_ref` order: rows ascending, each row's columns ascending,
-    /// kept zeros (which still fill their slots) skipped — the shape of
-    /// [`crate::OperandBuilder::push`]. These are the operands
+    /// in one pass over the mask words that also checks compliance. Given
+    /// a sink, it hands every stored nonzero to it in `spmm_ref` order:
+    /// once per row, rows ascending, as `emit(row, values, columns)` with
+    /// the row's values and their columns ascending, kept zeros (which
+    /// still fill their slots) skipped — the shape of
+    /// [`crate::OperandBuilder::extend_row`]. These are the operands
     /// [`crate::SparseKernel::for_each_operand`] visits on the returned
-    /// weight. On an error the operands before the violation may have
-    /// been emitted.
+    /// weight. Only a sink's row is staged. On an error the rows before
+    /// the violation may have been emitted.
     ///
     /// Each row block is one pass over its mask words. Column-loc lists
     /// the set bits of each group's range in the OR of the block's rows,
@@ -136,7 +141,7 @@ impl VnmMatrix {
         dense: &Matrix<Half>,
         mask: &SparsityMask,
         cfg: VnmConfig,
-        mut emit: impl FnMut(usize, Half, usize),
+        mut emit: Option<RowSink<'_>>,
     ) -> Result<Self, CompressError> {
         let (rows, cols) = (dense.rows(), dense.cols());
         if (rows, cols) != (mask.rows(), mask.cols()) {
@@ -156,9 +161,13 @@ impl VnmMatrix {
         let slots_per_row = k_groups * n;
         // The pass's own buffers come first, so that once freed they leave
         // no holes between the long-lived ones: the m-index of each column
-        // the current row block uses, and the OR of the block's mask
-        // words.
+        // the current row block uses, the current row's stored nonzeros
+        // and their columns (for a sink only), and the OR of the block's
+        // mask words.
         let mut rank = vec![0u8; cols];
+        let keep = emit.is_some();
+        let staged = if keep { slots_per_row } else { 0 };
+        let (mut row_ops, mut row_cols) = (vec![Half::ZERO; staged], vec![0; staged]);
         let mut union = Vec::with_capacity(cols.div_ceil(64));
         // Values and m-indices grow a row block at a time, so a pattern
         // that fails early (grid detection tries many) touches little.
@@ -204,6 +213,9 @@ impl VnmMatrix {
                 .zip(m_indices[slots].chunks_exact_mut(slots_per_row));
             for (r, (row_vals, row_idx)) in block.zip(rows_out) {
                 let (words, dense_row) = (mask.row_words(r), dense.row(r));
+                // For a sink, the row's nonzero slots are appended to
+                // `row_ops`.
+                let mut len = 0;
                 let groups_out = row_vals
                     .chunks_exact_mut(n)
                     .zip(row_idx.chunks_exact_mut(n))
@@ -216,7 +228,7 @@ impl VnmMatrix {
                         // a spent `bits` reads column 0, drops the value
                         // and keeps the last m-index. Bits left over are
                         // more than `n` kept entries. Only a nonzero value
-                        // is branched on, to emit it.
+                        // is branched on, to stage it for a sink.
                         let mut bits = group_bits(words, c0, c1);
                         let mut last = 0u8;
                         for (v, j) in vals.iter_mut().zip(idx.iter_mut()) {
@@ -225,8 +237,9 @@ impl VnmMatrix {
                             last = if live { rank[c] } else { last };
                             *v = if live { dense_row[c] } else { Half::ZERO };
                             *j = last;
-                            if !v.is_zero() {
-                                emit(r, *v, c);
+                            if keep && !v.is_zero() {
+                                (row_ops[len], row_cols[len]) = (*v, c);
+                                len += 1;
                             }
                             bits &= bits.wrapping_sub(1);
                         }
@@ -242,14 +255,18 @@ impl VnmMatrix {
                             let c = c0 + c;
                             vals[found] = dense_row[c];
                             idx[found] = rank[c];
-                            if !vals[found].is_zero() {
-                                emit(r, vals[found], c);
+                            if keep && !vals[found].is_zero() {
+                                (row_ops[len], row_cols[len]) = (vals[found], c);
+                                len += 1;
                             }
                             found += 1;
                         }
                         let last = if found > 0 { idx[found - 1] } else { 0 };
                         idx[found..].fill(last);
                     }
+                }
+                if let Some(emit) = emit.as_mut() {
+                    emit(r, &row_ops[..len], &row_cols[..len]);
                 }
             }
         }
@@ -419,21 +436,24 @@ impl VnmMatrix {
         out
     }
 
-    /// Calls `f(row, col, value)` for every stored nonzero, in
-    /// [`for_each_slot`] order.
+    /// Calls `f(row, col, value)` for every stored nonzero.
     pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, Half)) {
-        for_each_slot(
-            self.cfg,
-            self.k_groups,
-            &self.m_indices,
-            &self.column_loc,
-            |r, slot, c| {
-                let v = self.values[slot];
-                if !v.is_zero() {
-                    f(r, c, v);
+        let n = self.cfg.n;
+        for r in 0..self.rows {
+            let b = r / self.cfg.v;
+            for g in 0..self.k_groups {
+                for s in 0..n {
+                    let slot = (r * self.k_groups + g) * n + s;
+                    let v = self.values[slot];
+                    if v.is_zero() {
+                        continue;
+                    }
+                    let j = self.m_indices[slot] as usize;
+                    let rel = self.column_loc[(b * self.k_groups + g) * SELECTED_COLUMNS + j];
+                    f(r, g * self.cfg.m + rel as usize, v);
                 }
-            },
-        );
+            }
+        }
     }
 
     /// The stored nonzeros as an f16 operand stream, in
@@ -449,35 +469,6 @@ impl VnmMatrix {
     /// Number of stored nonzero (non-padding) values.
     pub fn nnz(&self) -> usize {
         self.values.iter().filter(|v| !v.is_zero()).count()
-    }
-}
-
-/// Calls `f(row, slot, column)` for every value slot of a V:N:M layout
-/// in `(row, group, slot)` order — `spmm_ref`'s accumulation order —
-/// with the column its m-index selects from the block's column-loc. The
-/// f16 and int8 containers share this walk over their shared metadata.
-pub(crate) fn for_each_slot(
-    cfg: VnmConfig,
-    k_groups: usize,
-    m_indices: &[u8],
-    column_loc: &[u16],
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    let n = cfg.n;
-    if k_groups == 0 {
-        return;
-    }
-    for (r, row_idx) in m_indices.chunks_exact(k_groups * n).enumerate() {
-        let loc = &column_loc[r / cfg.v * k_groups * SELECTED_COLUMNS..];
-        let groups = row_idx
-            .chunks_exact(n)
-            .zip(loc.chunks_exact(SELECTED_COLUMNS));
-        for (g, (group_idx, sel)) in groups.enumerate() {
-            for (s, &j) in group_idx.iter().enumerate() {
-                let c = g * cfg.m + usize::from(sel[usize::from(j)]);
-                f(r, (r * k_groups + g) * n + s, c);
-            }
-        }
     }
 }
 
@@ -658,10 +649,14 @@ mod tests {
         ) {
             let cfg = VnmConfig::new(v, n, m);
             let (dense, mask) = near_vnm(rows, cols, cfg, fault, seed);
-            let mut emitted = Vec::new();
-            let got = VnmMatrix::try_compress_with(&dense, &mask, cfg, |r, h, c| {
-                emitted.push((r, h.to_bits(), c));
-            });
+            let (mut emitted, mut rows_emitted) = (Vec::new(), Vec::new());
+            let mut sink = |r: usize, values: &[Half], columns: &[usize]| {
+                rows_emitted.push(r);
+                for (h, &c) in values.iter().zip(columns) {
+                    emitted.push((r, h.to_bits(), c));
+                }
+            };
+            let got = VnmMatrix::try_compress_with(&dense, &mask, cfg, Some(&mut sink));
             prop_assert_eq!(got.is_ok(), mask.complies_vnm(cfg), "{} {:?}", cfg, fault);
             match got {
                 Ok(a) => {
@@ -675,8 +670,8 @@ mod tests {
                     crate::SparseKernel::for_each_operand(&a, &mut |r, x, c| {
                         visited.push((r, x.to_bits(), c));
                     });
-                    prop_assert!(emitted.windows(2).all(|w| w[0].0 <= w[1].0), "rows ascending");
                     prop_assert_eq!(emitted, visited, "{}", cfg);
+                    prop_assert_eq!(rows_emitted, (0..rows).collect::<Vec<_>>());
                 }
                 Err(e) => prop_assert_eq!(e, CompressError::PatternViolation(cfg)),
             }

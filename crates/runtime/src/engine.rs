@@ -377,7 +377,8 @@ impl Engine {
         }
         let (a, stream) = self.compress_vnm_detected(desc, &Weight::new(weights), pattern)?;
         let stream = stream.expect("an f16 compression keeps its stream");
-        let priced = pricing::price_band(a.shape(), stream.ops.nnz(), desc.b_cols, &self.dev);
+        let priced =
+            pricing::price_band(a.shape(), stream.ops.extent().nnz, desc.b_cols, &self.dev);
         Ok(Plan::band(a, stream, *desc, priced))
     }
 
@@ -480,7 +481,9 @@ impl Engine {
             // DRAM-byte pricing undercuts the mma stream left of the
             // ridge point, so routing flips there — no hard-coded
             // threshold.
-            let nnz = a.1.as_ref().map_or_else(|| a.0.nnz(), |s| s.ops.nnz());
+            let nnz =
+                a.1.as_ref()
+                    .map_or_else(|| a.0.nnz(), |s| s.ops.extent().nnz);
             let priced = pricing::price_band(a.0.shape(), nnz, b_cols, dev);
             quotes.push(Quote::Band(a, priced));
         }

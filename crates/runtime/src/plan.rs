@@ -172,8 +172,10 @@ impl Stream {
         // then pack together in the heap, and a churning server's peak
         // RSS stays that of the two-pass build.
         let mut ops = OperandBuilder::new(rows, k, rows * cfg.k_groups(k) * cfg.n);
-        let a =
-            VnmMatrix::try_compress_with(dense, mask, cfg, |r, v, c| ops.push(r, v.to_bits(), c))?;
+        let mut sink = |r, values: &[Half], columns: &[usize]| {
+            ops.extend_row(r, values.iter().map(|h| h.to_bits()), columns)
+        };
+        let a = VnmMatrix::try_compress_with(dense, mask, cfg, Some(&mut sink))?;
         Ok((a, Some(Self::sweep(ops.finish()))))
     }
 
@@ -222,15 +224,15 @@ impl Stream {
         b_cols: usize,
         out: &mut [f32],
     ) {
-        let (chunk, row_ptr) = (self.chunk_rows(b_cols), self.ops.row_ptr());
+        let (chunk, k) = (self.chunk_rows(b_cols), self.ops.extent().k);
         let mut cursor = [0usize; BAND_ROWS];
         for (i, c) in cursor.iter_mut().take(out.len() / b_cols).enumerate() {
-            *c = row_ptr[row0 + i] as usize;
+            *c = self.ops.row(row0 + i).start;
         }
         let mut k_end = chunk;
-        while k_end < self.ops.k() {
+        while k_end < k {
             for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-                let (lo, hi) = (cursor[i], row_ptr[row0 + i + 1] as usize);
+                let (lo, hi) = (cursor[i], self.ops.row(row0 + i).end);
                 let end = srcs[lo..hi]
                     .iter()
                     .position(|&s| s.into() as usize >= k_end)
@@ -241,7 +243,7 @@ impl Stream {
             k_end += chunk;
         }
         for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-            let hi = row_ptr[row0 + i + 1] as usize;
+            let hi = self.ops.row(row0 + i).end;
             self.sweep_run(srcs, lut, cursor[i]..hi, b_f32, b_cols, orow);
         }
     }
@@ -251,7 +253,8 @@ impl Stream {
     /// `CHUNK_MIN_OPS` operands per row on average.
     fn chunk_rows(&self, b_cols: usize) -> usize {
         let budget = CHUNK_BYTES / (4 * b_cols);
-        let min_ops = CHUNK_MIN_OPS * self.ops.k() * self.ops.rows() / self.ops.nnz().max(1);
+        let Extent { rows, k, nnz, .. } = self.ops.extent();
+        let min_ops = CHUNK_MIN_OPS * k * rows / nnz.max(1);
         budget.max(min_ops).max(1)
     }
 
@@ -370,12 +373,9 @@ impl Stream {
     /// count, of how the replay tiles K or columns, and of the vector
     /// width its loop is compiled for.
     fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(
-            b_f32.len(),
-            self.ops.k() * b_cols,
-            "staged RHS size mismatch"
-        );
-        assert_eq!(out.len(), self.ops.rows() * b_cols, "output size mismatch");
+        let Extent { rows, k, .. } = self.ops.extent();
+        assert_eq!(b_f32.len(), k * b_cols, "staged RHS size mismatch");
+        assert_eq!(out.len(), rows * b_cols, "output size mismatch");
         let lut = venom_fp16::f16_to_f32_table();
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
@@ -399,22 +399,19 @@ impl Stream {
 
     /// [`Self::run_into`] with an owned result matrix.
     fn run(&self, b_f32: &[f32], b_cols: usize) -> Matrix<f32> {
-        let mut out = vec![0.0f32; self.ops.rows() * b_cols];
+        let Extent { rows, bytes, .. } = self.ops.extent();
+        let mut out = vec![0.0f32; rows * b_cols];
         let (kernel, phase) = self.replay.profile();
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, b_cols, &mut out);
-        timer.stop(
-            kernel,
-            phase,
-            self.ops.extent().bytes + (out.len() * 4) as u64,
-        );
-        Matrix::from_vec(self.ops.rows(), b_cols, out)
+        timer.stop(kernel, phase, bytes + (out.len() * 4) as u64);
+        Matrix::from_vec(rows, b_cols, out)
     }
 
     /// `C = A * B` over a half RHS, staged through the arena on a cache
     /// line boundary (see [`arena::lease_aligned`]).
     fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        let k = self.ops.k();
+        let k = self.ops.extent().k;
         assert_eq!(b.rows(), k, "B must have K = {k} rows");
         let (mut buf, off) = arena::lease_aligned(b.len());
         let staged = &mut buf[off..off + b.len()];
@@ -435,7 +432,7 @@ impl Stream {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.ops.k();
+        let k = self.ops.extent().k;
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         let (mut buf, off) = arena::lease_aligned(k * total);
         let staged = &mut buf[off..off + k * total];
@@ -457,7 +454,7 @@ impl Stream {
         arena::release(buf);
 
         let mut out = Vec::with_capacity(bs.len());
-        let rows = self.ops.rows();
+        let rows = self.ops.extent().rows;
         let mut col0 = 0usize;
         for b in bs {
             let cols = b.cols();
@@ -478,7 +475,7 @@ impl Stream {
     /// chain `transpose(A * x.to_half().transpose()) + bias` of the
     /// per-call layer forward, in two fused passes.
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.ops.k(), "input features mismatch");
+        assert_eq!(x.cols(), self.ops.extent().k, "input features mismatch");
         let mut staged = arena::lease(x.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::stage_activations_t_into(x, &mut staged);
@@ -491,17 +488,13 @@ impl Stream {
     /// [`Self::run_linear`] over an already-staged RHS (shared by sibling
     /// plans of one layer, e.g. Q/K/V over the same activations).
     fn run_linear_staged(&self, b_f32: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        let rows = self.ops.rows();
+        let Extent { rows, bytes, .. } = self.ops.extent();
         assert_eq!(bias.len(), rows, "bias must match out_features");
         let (kernel, phase) = self.replay.profile();
         let mut c = arena::lease(rows * tokens);
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, tokens, &mut c);
-        timer.stop(
-            kernel,
-            phase,
-            self.ops.extent().bytes + (rows * tokens * 4) as u64,
-        );
+        timer.stop(kernel, phase, bytes + (rows * tokens * 4) as u64);
         // Tiled transpose+bias epilogue: 32x32 blocks keep both the
         // strided reads from `c` and the writes to `y` inside the cache
         // (a row-by-row transpose touches a fresh cache line per element).
@@ -1266,7 +1259,7 @@ mod tests {
     fn check_plan(label: &str, plan: &Plan, replay: Replay, width: usize, seed: u64) -> bool {
         let stream = stream_of(plan);
         assert_eq!(stream.replay, replay, "{label}");
-        let (rows, k) = (stream.ops.rows(), stream.ops.k());
+        let Extent { rows, k, .. } = stream.ops.extent();
         let b = operand(k, width, seed);
         let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
         let got = plan.run(&b);
@@ -1559,7 +1552,7 @@ mod tests {
         let (rows, k) = a.shape();
         let desc = MatmulDescriptor::new(rows, k).with_b_cols(b_cols);
         let stream = Stream::sweep(a.operands());
-        let priced = pricing::price_band(a.shape(), stream.ops.nnz(), b_cols, &dev());
+        let priced = pricing::price_band(a.shape(), stream.ops.extent().nnz, b_cols, &dev());
         Plan::band(a.clone(), stream, desc, priced)
     }
 

@@ -31,7 +31,7 @@ use crate::plan::BAND_ROWS;
 use crate::simd::avx2_dispatch;
 use crate::stage;
 use rayon::prelude::*;
-use venom_format::{Operands, QuantVnmMatrix, Sources};
+use venom_format::{Extent, Operands, QuantVnmMatrix, Sources};
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration};
 use venom_tensor::Matrix;
@@ -118,12 +118,9 @@ impl IntStream {
     /// is exact, so neither the banding parallelism nor the unroll can
     /// change a bit.
     fn run_into(&self, b_i16: &[i16], b_cols: usize, out: &mut [i32]) {
-        assert_eq!(
-            b_i16.len(),
-            self.ops.k() * b_cols,
-            "staged RHS size mismatch"
-        );
-        assert_eq!(out.len(), self.ops.rows() * b_cols, "output size mismatch");
+        let Extent { rows, k, .. } = self.ops.extent();
+        assert_eq!(b_i16.len(), k * b_cols, "staged RHS size mismatch");
+        assert_eq!(out.len(), rows * b_cols, "output size mismatch");
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
@@ -135,9 +132,10 @@ impl IntStream {
     }
 
     fn run(&self, b_i16: &[i16], b_cols: usize) -> Matrix<i32> {
-        let mut out = vec![0i32; self.ops.rows() * b_cols];
+        let rows = self.ops.extent().rows;
+        let mut out = vec![0i32; rows * b_cols];
         self.run_into(b_i16, b_cols, &mut out);
-        Matrix::from_vec(self.ops.rows(), b_cols, out)
+        Matrix::from_vec(rows, b_cols, out)
     }
 
     /// [`Self::run`] with the dequantization fused into the band loop:
@@ -149,13 +147,10 @@ impl IntStream {
     /// result is bit-identical to `run` followed by elementwise
     /// dequantization.
     fn run_dequant(&self, b_i16: &[i16], b_cols: usize, scales: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            b_i16.len(),
-            self.ops.k() * b_cols,
-            "staged RHS size mismatch"
-        );
-        assert_eq!(scales.len(), self.ops.rows(), "one dequant scale per row");
-        let mut out = vec![0.0f32; self.ops.rows() * b_cols];
+        let Extent { rows, k, .. } = self.ops.extent();
+        assert_eq!(b_i16.len(), k * b_cols, "staged RHS size mismatch");
+        assert_eq!(scales.len(), rows, "one dequant scale per row");
+        let mut out = vec![0.0f32; rows * b_cols];
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
@@ -176,7 +171,7 @@ impl IntStream {
                     }
                 }
             });
-        Matrix::from_vec(self.ops.rows(), b_cols, out)
+        Matrix::from_vec(rows, b_cols, out)
     }
 
     /// The exact integer entry point: `C = A_q * B_q` with i32
@@ -186,12 +181,8 @@ impl IntStream {
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
     pub(crate) fn run_i8(&self, b: &Matrix<i8>) -> Matrix<i32> {
-        assert_eq!(
-            b.rows(),
-            self.ops.k(),
-            "B must have K = {} rows",
-            self.ops.k()
-        );
+        let k = self.ops.extent().k;
+        assert_eq!(b.rows(), k, "B must have K = {k} rows");
         let staged: Vec<i16> = b.as_slice().iter().map(|&q| q as i16).collect();
         self.run(&staged, b.cols())
     }
@@ -214,14 +205,10 @@ impl IntStream {
     /// `C = A * B` over a half RHS: quantize, integer multiply, fused
     /// dequantization.
     pub(crate) fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(
-            b.rows(),
-            self.ops.k(),
-            "B must have K = {} rows",
-            self.ops.k()
-        );
+        let Extent { rows, k, .. } = self.ops.extent();
+        assert_eq!(b.rows(), k, "B must have K = {k} rows");
         let (b_q, act_scale) = self.quantize_operand_i16(b);
-        let scales: Vec<f32> = (0..self.ops.rows())
+        let scales: Vec<f32> = (0..rows)
             .map(|r| self.dequant_scale(r, act_scale))
             .collect();
         self.run_dequant(&b_q, b.cols(), &scales)
@@ -233,7 +220,7 @@ impl IntStream {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.ops.k();
+        let Extent { rows, k, .. } = self.ops.extent();
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         // The concatenated integer dispatch is column-independent, so one
         // multiply and a per-block dequantization is bit-identical to
@@ -253,7 +240,6 @@ impl IntStream {
             col0 += cols;
         }
         let acc = self.run(&staged, total);
-        let rows = self.ops.rows();
         let mut out = Vec::with_capacity(bs.len());
         let mut col0 = 0usize;
         for (b, &act_scale) in bs.iter().zip(&scales) {
@@ -274,7 +260,7 @@ impl IntStream {
 
     /// The fused layer forward `y = x W^T + b`.
     pub(crate) fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.ops.k(), "input features mismatch");
+        assert_eq!(x.cols(), self.ops.extent().k, "input features mismatch");
         let staged = stage::stage_activations_t(x);
         self.run_linear_staged(&staged, x.rows(), bias)
     }
@@ -286,7 +272,8 @@ impl IntStream {
         tokens: usize,
         bias: &[f32],
     ) -> Matrix<f32> {
-        assert_eq!(bias.len(), self.ops.rows(), "bias must match out_features");
+        let rows = self.ops.extent().rows;
+        assert_eq!(bias.len(), rows, "bias must match out_features");
         // The staged buffer holds exact f16 decodes, so calibrating it
         // equals calibrating the half operand, and mapping each value's
         // f16 bits through the code table lands on the same codes the
@@ -297,13 +284,12 @@ impl IntStream {
             .iter()
             .map(|&v| table[venom_fp16::f32_to_f16_bits(v) as usize] as i16)
             .collect();
-        let mut acc = vec![0i32; self.ops.rows() * tokens];
+        let mut acc = vec![0i32; rows * tokens];
         self.run_into(&b_q, tokens, &mut acc);
         // Dequantization folded into the tiled transpose+bias epilogue:
         // y[t][r] = acc[r][t] * s_r + bias[r], the exact expression of
         // the per-call chain (`run_oneshot` dequant, transpose, bias).
         const TILE: usize = 32;
-        let rows = self.ops.rows();
         let mut y = vec![0.0f32; tokens * rows];
         for t0 in (0..tokens).step_by(TILE) {
             let t1 = (t0 + TILE).min(tokens);
