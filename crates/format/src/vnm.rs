@@ -436,21 +436,29 @@ impl VnmMatrix {
         out
     }
 
-    /// Calls `f(row, col, value)` for every stored nonzero.
+    /// Calls `f(row, col, value)` for every stored nonzero, in
+    /// `(row, group, slot)` order.
     pub fn for_each_nonzero(&self, mut f: impl FnMut(usize, usize, Half)) {
-        let n = self.cfg.n;
-        for r in 0..self.rows {
-            let b = r / self.cfg.v;
-            for g in 0..self.k_groups {
-                for s in 0..n {
-                    let slot = (r * self.k_groups + g) * n + s;
-                    let v = self.values[slot];
-                    if v.is_zero() {
-                        continue;
+        let (n, spr) = (self.cfg.n, self.slots_per_row());
+        let loc_per_block = self.k_groups * SELECTED_COLUMNS;
+        if spr == 0 {
+            return;
+        }
+        let rows = self
+            .values
+            .chunks_exact(spr)
+            .zip(self.m_indices.chunks_exact(spr));
+        for (r, (row_vals, row_idx)) in rows.enumerate() {
+            let loc = &self.column_loc[r / self.cfg.v * loc_per_block..][..loc_per_block];
+            let groups = row_vals
+                .chunks_exact(n)
+                .zip(row_idx.chunks_exact(n))
+                .zip(loc.chunks_exact(SELECTED_COLUMNS));
+            for (g, ((vals, idx), sel)) in groups.enumerate() {
+                for (&v, &j) in vals.iter().zip(idx) {
+                    if !v.is_zero() {
+                        f(r, g * self.cfg.m + usize::from(sel[usize::from(j)]), v);
                     }
-                    let j = self.m_indices[slot] as usize;
-                    let rel = self.column_loc[(b * self.k_groups + g) * SELECTED_COLUMNS + j];
-                    f(r, g * self.cfg.m + rel as usize, v);
                 }
             }
         }

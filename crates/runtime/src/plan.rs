@@ -38,8 +38,8 @@
 //!   `spmm_parallel_i8` plus dequantization.
 //!
 //! Where a stream comes from — every one is filled by
-//! [`venom_format::OperandBuilder`], one push per operand, rows
-//! ascending:
+//! [`venom_format::OperandBuilder`], rows ascending, with no counting
+//! pass:
 //! * a cold f16 V:N:M plan, which the engine builds from a dense weight,
 //!   keeps the operands its one-pass compression emitted
 //!   ([`VnmMatrix::try_compress_with`]), for either replay; an `i8`
