@@ -10,9 +10,10 @@
 //! (K <= 65536) and u32 past that; [`Sources::width`] is the one place
 //! that decides.
 //!
-//! [`OperandBuilder`] fills the container in one pass, with no counting
-//! pass: operands arrive in ascending row order, and a row's start is
-//! written when its first operand, or a later row's, arrives. Every
+//! [`OperandBuilder`] fills the container without a counting pass:
+//! operands arrive in ascending row order, one at a time or a row at a
+//! time, and a row's start is written when it, or a later row, arrives.
+//! Every
 //! [`SparseKernel`] emits rows in that order ([`Operands::condense`]), and
 //! so do [`crate::VnmMatrix`]'s one-pass compressor and the slot walks of
 //! both V:N:M containers ([`crate::VnmMatrix::operands`],
@@ -133,9 +134,9 @@ pub struct OperandBuilder<T> {
 
 impl<T> OperandBuilder<T> {
     /// An empty `rows x k` container that holds up to `capacity`
-    /// operands without growing. The room is reserved at the first push,
-    /// so a builder made before a pass allocates after the pass's own
-    /// buffers.
+    /// operands without growing. The room is reserved when the first row
+    /// arrives, so a builder made before a pass allocates after the
+    /// pass's own buffers.
     pub fn new(rows: usize, k: usize, capacity: usize) -> Self {
         OperandBuilder {
             ops: Operands {
