@@ -40,8 +40,8 @@ fn strategy_of(format: FormatChoice, dtype: DType) -> Result<PlanStrategy, Strin
         }
         (DType::I8, FormatChoice::Auto) => Ok(PlanStrategy::AutoQuantized(Calibration::AbsMax)),
         (DType::I8, FormatChoice::Band) => Err(
-            "--dtype i8 has no 'band' execution path: the non-mma band stream replays \
-             f16 operands (use --format vnm or --format auto)"
+            "--dtype i8 has no 'band' execution path: there is no int8 band price or \
+             candidate (use --format vnm or --format auto)"
                 .to_string(),
         ),
         (DType::I8, FormatChoice::Fixed(f)) => Err(format!(

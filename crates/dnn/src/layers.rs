@@ -163,7 +163,8 @@ impl Linear {
     /// pruned weight's structure, and [`PlanError::Incompatible`] when
     /// the mask violates `cfg` under [`PlanStrategy::Vnm`] or
     /// [`PlanStrategy::Quantized`], which both compress through
-    /// [`VnmMatrix::try_compress`].
+    /// [`VnmMatrix::try_compress`], or when the pruned weight holds NaN or
+    /// ±Inf under [`PlanStrategy::Quantized`], which calibration refuses.
     ///
     /// # Panics
     /// Panics if the mask shape mismatches.
@@ -194,7 +195,7 @@ impl Linear {
             PlanStrategy::Format(f) => engine.plan_with_format(f, &desc, &pruned)?,
             PlanStrategy::Quantized(calib) => {
                 let e = engine.clone().with_calibration(calib);
-                Arc::new(e.plan_quant_spmm(&compress()?))
+                Arc::new(e.try_plan_quant_spmm(&compress()?)?)
             }
             PlanStrategy::AutoQuantized(calib) => engine
                 .clone()
@@ -418,6 +419,35 @@ mod tests {
                 "{strategy:?}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn non_finite_weight_is_an_int8_error_not_a_panic() {
+        // A kept NaN: calibration refuses it, so the int8 strategy reports
+        // why, and the auto int8 strategy plans in f16.
+        let cfg = VnmConfig::new(16, 2, 8);
+        let mut w = random::normal_matrix(32, 64, 0.0, 1.0, 11);
+        let mask = magnitude::prune_vnm(&w, cfg);
+        let c = (0..64)
+            .find(|&c| mask.get(0, c))
+            .expect("row 0 keeps values");
+        w.set(0, c, f32::NAN);
+        let lin = Linear::new(&w, vec![0.0; 32]);
+        let err = lin
+            .to_sparse_with(
+                &engine(),
+                &mask,
+                cfg,
+                PlanStrategy::Quantized(Calibration::AbsMax),
+            )
+            .expect_err("a NaN weight cannot be calibrated");
+        assert!(
+            matches!(err, PlanError::Incompatible { .. }) && err.to_string().contains("NaN"),
+            "{err}"
+        );
+        let auto = PlanStrategy::AutoQuantized(Calibration::AbsMax);
+        let planned = lin.to_sparse_with(&engine(), &mask, cfg, auto).unwrap();
+        assert_eq!(planned.plan.descriptor().dtype, DType::F16);
     }
 
     #[test]

@@ -127,11 +127,26 @@ impl Engine {
     ///
     /// # Panics
     /// Panics under the same unlaunchable explicit tile as
-    /// [`Self::plan_spmm`].
+    /// [`Self::plan_spmm`], and if `a` holds NaN or ±Inf, which
+    /// calibration refuses ([`Self::try_plan_quant_spmm`] returns both
+    /// as errors).
     pub fn plan_quant_spmm(&self, a: &VnmMatrix) -> Plan {
+        self.try_plan_quant_spmm(a)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::plan_quant_spmm`], reporting a weight the int8 path cannot
+    /// serve.
+    ///
+    /// # Errors
+    /// [`PlanError::Incompatible`] when `a` holds NaN or ±Inf, or when
+    /// the engine's explicit [`SpmmOptions::tile`] cannot launch it.
+    pub fn try_plan_quant_spmm(&self, a: &VnmMatrix) -> Result<Plan, PlanError> {
+        quantizable(a)?;
         let (r, k) = a.shape();
         let desc = self.descriptor(r, k);
-        Plan::build_quant(a, self.calibration, desc, &self.opts, &self.dev)
+        let price = pricing::price_vnm(a, desc.b_cols, DType::I8, &self.opts, &self.dev)?;
+        Ok(Plan::quant(a, self.calibration, desc, price))
     }
 
     /// Plans a dense GEMM priced on the cuBLAS model for this engine's
@@ -159,8 +174,9 @@ impl Engine {
     /// # Errors
     /// Returns [`PlanError::Incompatible`] with the reason when the
     /// weights cannot be served in `format` (structure mismatch, an
-    /// `i8` descriptor on a format with no int8 path, or an explicit
-    /// [`SpmmOptions::tile`] that cannot launch the V:N:M weight).
+    /// `i8` descriptor on a format with no int8 path or on a weight
+    /// holding NaN or ±Inf, or an explicit [`SpmmOptions::tile`] that
+    /// cannot launch the V:N:M weight).
     ///
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
@@ -204,6 +220,9 @@ impl Engine {
         match format {
             MatmulFormat::Vnm => {
                 let a = self.compress_vnm_detected(desc, w, None)?;
+                if desc.dtype == DType::I8 {
+                    quantizable(&a.0)?;
+                }
                 let price = pricing::price_vnm(&a.0, b_cols, desc.dtype, &self.opts, dev)?;
                 let a = Rc::new(a);
                 Ok(match desc.dtype {
@@ -346,7 +365,8 @@ impl Engine {
     /// # Errors
     /// [`PlanError::Incompatible`] when the nonzero structure complies
     /// with no V:2:M pattern, or on an `i8` descriptor (the band replay
-    /// streams f16 values).
+    /// has no int8 price, so `plan_auto` never fields an int8 band
+    /// candidate either).
     ///
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
@@ -370,8 +390,8 @@ impl Engine {
         if desc.dtype == DType::I8 {
             return Err(PlanError::Incompatible {
                 format: MatmulFormat::Vnm,
-                reason: "dtype i8 is ineligible for the band path: the band stream \
-                         replays f16 values — request dtype 'f16' or format 'vnm'"
+                reason: "dtype i8 is ineligible for the band path: there is no int8 \
+                         band price or candidate — request dtype 'f16' or format 'vnm'"
                     .to_string(),
             });
         }
@@ -413,8 +433,9 @@ impl Engine {
     /// The descriptor's dtype widens the candidate set: an `i8`
     /// descriptor *allows* the quantized int8 V:N:M plan, which is then
     /// priced against every f16 format on the same currency — so auto
-    /// mode compares f16 vs i8 and a weight with no complying V:N:M
-    /// structure still plans in the cheapest f16 format instead of
+    /// mode compares f16 vs i8, and a weight with no complying V:N:M
+    /// structure, or one holding NaN or ±Inf (which calibration
+    /// refuses), still plans in the cheapest f16 format instead of
     /// failing.
     ///
     /// # Panics
@@ -464,7 +485,7 @@ impl Engine {
         if let Ok(a) = self.compress_vnm_detected(desc, &w, pattern) {
             let a = Rc::new(a);
             let mma = pricing::price_vnm(&a.0, b_cols, DType::F16, &self.opts, dev);
-            if desc.dtype == DType::I8 {
+            if desc.dtype == DType::I8 && quantizable(&a.0).is_ok() {
                 let tile = match &mma {
                     Ok(Some(price)) => Some(price.tile),
                     _ => self.opts.tile,
@@ -542,10 +563,24 @@ fn detect_vnm(dense: &Matrix<Half>, mask: &SparsityMask, dtype: DType) -> Option
         .find_map(|cfg| Stream::compress(dense, mask, cfg, dtype).ok())
 }
 
+/// Whether the int8 path can quantize `a`: calibration needs finite
+/// values.
+fn quantizable(a: &VnmMatrix) -> Result<(), PlanError> {
+    if a.values().iter().all(|h| h.is_finite()) {
+        return Ok(());
+    }
+    Err(PlanError::Incompatible {
+        format: MatmulFormat::Vnm,
+        reason: "dtype i8 cannot quantize a weight holding NaN or ±Inf: calibration needs \
+                 finite values — request dtype 'f16'"
+            .to_string(),
+    })
+}
+
 /// A compressed V:N:M weight and, for an f16 descriptor, the operand
 /// stream its compression emitted, which the winning f16 V:N:M plan
 /// replays.
-type Compressed = (VnmMatrix, Option<Stream>);
+type Compressed = (VnmMatrix, Option<Stream<u16>>);
 
 /// The weight being planned, with its nonzero mask — the structure
 /// eligibility is decided on and the CSR, CVSE and Blocked-ELL models
@@ -977,6 +1012,55 @@ mod tests {
             i8_plan.cost_ms(),
             f16_plan.cost_ms()
         );
+    }
+
+    /// The Fig. 9 weight of the test above, where the i8 candidate wins,
+    /// with a kept NaN and a kept -Inf.
+    fn non_finite_fig09_weight() -> Matrix<Half> {
+        let mut w = vnm_weight(1024, 768, VnmConfig::new(128, 2, 10), 16);
+        for (r, h) in [(0, Half::NAN), (5, Half::NEG_INFINITY)] {
+            let c = (0..768)
+                .find(|&c| !w.get(r, c).is_zero())
+                .expect("a kept value");
+            w.set(r, c, h);
+        }
+        w
+    }
+
+    #[test]
+    fn i8_auto_prices_only_f16_plans_for_a_non_finite_weight() {
+        // Calibration refuses NaN and ±Inf, so the i8 candidate is
+        // ineligible and auto builds the f16 winner.
+        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(4096);
+        let w = non_finite_fig09_weight();
+        let desc = engine.descriptor(1024, 768);
+        let plan = engine.plan_auto(&desc.with_dtype(DType::I8), &w);
+        let f16 = engine.plan_auto(&desc, &w);
+        assert_eq!(plan.descriptor().dtype, DType::F16);
+        assert_eq!((plan.path(), plan.cost_ms()), (f16.path(), f16.cost_ms()));
+    }
+
+    #[test]
+    fn i8_vnm_format_reports_a_non_finite_weight() {
+        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(4096);
+        let w = non_finite_fig09_weight();
+        let desc = engine.descriptor(1024, 768);
+        let err = engine
+            .plan_with_format(MatmulFormat::Vnm, &desc.with_dtype(DType::I8), &w)
+            .expect_err("calibration refuses NaN and -Inf");
+        assert!(
+            matches!(
+                err,
+                PlanError::Incompatible {
+                    format: MatmulFormat::Vnm,
+                    ..
+                }
+            ) && err.to_string().contains("NaN or ±Inf"),
+            "{err}"
+        );
+        assert!(engine
+            .plan_with_format(MatmulFormat::Vnm, &desc, &w)
+            .is_ok());
     }
 
     #[test]

@@ -23,18 +23,18 @@
 //!   [`Engine::plan_band_hinted`] build one known kind of plan.
 //! * Every one of them returns the same type, [`Plan`]: the descriptor,
 //!   the priced launch and its resource counts, the compressed weight
-//!   the per-call reference runs, and one of three executors. The f32
-//!   **stream** holds the weight's f32-staged operands condensed into a
-//!   per-row `(value, B-row)` list in the kernel's exact accumulation
-//!   order; it serves V:N:M (with the autotuned [`TileConfig`] for the
-//!   `(weight, b_cols)` shape) and every other format. The **band**
-//!   executor is the bandwidth-optimized non-mma replay of the same
-//!   V:N:M weight (FlashSparse-style, priced on DRAM bytes) that
-//!   [`Engine::plan_auto`] routes memory-bound shapes to. The **int**
-//!   executor serves descriptors with [`descriptor::DType::I8`]: the
-//!   calibrated quantized V:N:M container with exact i32 accumulation,
-//!   priced on the `Uint8` `mma.sp` profile (half the operand bytes,
-//!   half the instruction count).
+//!   the per-call reference runs, and one operand **stream**: the
+//!   weight's nonzeros condensed into a per-row `(value, B-row)` list in
+//!   the kernel's exact accumulation order. An f16 stream serves V:N:M
+//!   (with the autotuned [`TileConfig`] for the `(weight, b_cols)`
+//!   shape) and every other format through the K-chunked sweep, or the
+//!   same V:N:M weight through the bandwidth-optimized non-mma **band**
+//!   replay (FlashSparse-style, priced on DRAM bytes) that
+//!   [`Engine::plan_auto`] routes memory-bound shapes to. An int8 stream
+//!   serves descriptors with [`descriptor::DType::I8`]: the calibrated
+//!   quantized V:N:M container's codes through the same sweep, with
+//!   exact i32 accumulation, priced on the `Uint8` `mma.sp` profile
+//!   (half the operand bytes, half the instruction count).
 //! * [`Engine::plan_attention`] plans the activation side: the masked
 //!   attention pipeline for one `(seq, hidden, heads, mask)` shape,
 //!   shared by every layer of that shape through its `Arc`.

@@ -1,6 +1,6 @@
-//! Execution plans: one [`Plan`] type over two condensed executors.
+//! Execution plans: one [`Plan`] type over one condensed operand stream.
 //!
-//! A plan's executor stores, for every output row, the row's nonzero
+//! A plan's stream stores, for every output row, the row's nonzero
 //! operands as `(value, source B row)` pairs in the exact order the
 //! format's one-shot path accumulates them — ascending `(K group, slot)`
 //! for the V:N:M kernel, ascending `k` for the dense GEMM, stored order
@@ -11,16 +11,17 @@
 //! while touching each operand once, at full output width, instead of
 //! through per-call staging rebuilt on every dispatch.
 //!
-//! Formats differ in data, not in type. A [`Plan`] pairs one of two
-//! executors with the weight in its compressed format, which the
-//! per-call reference path ([`MatmulPlan::run_oneshot`]) runs:
+//! Formats differ in data, not in type. A [`Plan`] pairs a `Stream`
+//! with the weight in its compressed format, which the per-call
+//! reference path ([`MatmulPlan::run_oneshot`]) runs. The stream is the
+//! format crate's operand container ([`venom_format::Operands`]) with u16
+//! source rows (u32 where K > 65536) over one of two value planes, each
+//! a `Lane`:
 //!
-//! * **stream** — the format crate's operand container
-//!   ([`venom_format::Operands`]) over f16 bit patterns, decoded through
-//!   the exact f16→f32 LUT as they replay, and u16 source rows (u32
-//!   where K > 65536), 4 B per operand (6 B past 16-bit K). Every value
-//!   is an f16 weight element, so the narrow store moves no bit. One of
-//!   two loops replays it (`Stream`):
+//! * **f16** — f16 bit patterns, decoded through the exact f16→f32 LUT
+//!   as they replay, 4 B per operand (6 B past 16-bit K). Every value is
+//!   an f16 weight element, so the narrow store moves no bit. One of two
+//!   loops replays it:
 //!   - the K-chunked band **sweep** (phase `"mma"`), standing in for the
 //!     `mma.sp` pipeline. It serves V:N:M (autotuned and priced on the
 //!     Spatha model; per-call reference `venom_core::spmm`, or
@@ -32,10 +33,12 @@
 //!     per-call reference is `venom_core::spmm_swapped`. It is a second
 //!     replay, not a second kind of plan: [`crate::Engine::plan_auto`]
 //!     prices it next to the sweep and routes memory-bound shapes to it.
-//! * **int** — the same container over i8 codes, widened to i16 as they
-//!   load, with i32 accumulation (see the `qplan` module), quantizing
-//!   activations at the boundary; the per-call reference is
-//!   `spmm_parallel_i8` plus dequantization.
+//! * **i8** — the quantized V:N:M container's codes, 3 B per operand,
+//!   widened to i16 as they load and accumulated in i32, replayed by the
+//!   same sweep. Activations are quantized at the boundary and the
+//!   epilogue dequantizes (see the `qplan` module for the numerics
+//!   contract); the per-call reference is `spmm_parallel_i8` plus
+//!   dequantization.
 //!
 //! Where a stream comes from — every one is filled by
 //! [`venom_format::OperandBuilder`], rows ascending, with no counting
@@ -60,22 +63,24 @@
 //! The panels keep each output row's columns in fixed-width register
 //! panels (64 columns, then one panel as wide as the remaining 8-column
 //! groups, then a narrower tail) while the row's whole stream replays
-//! over them. The stream and int hot loops are compiled twice, for the
-//! baseline target and for AVX2, and the AVX2 instance runs where the
-//! host has it (see the `simd` module). None of this can move a bit:
-//! each row still consumes its stream strictly in order, wider lanes and
-//! panels run the same per-element chain, and `fma` is never enabled.
-//! (As in any compiled f32 code, which NaN payload survives where two
-//! NaNs meet is left to the compiler; a NaN result stays NaN.)
+//! over them. Both loops are written once over the lane and compiled
+//! twice, for the baseline target and for AVX2, and the AVX2 instance
+//! runs where the host has it (see the `simd` module). None of this can
+//! move a bit: each row still consumes its stream strictly in order,
+//! wider lanes and panels run the same per-element chain, `fma` is never
+//! enabled, and integer sums are exact in any order. (As in any compiled
+//! f32 code, which NaN payload survives where two NaNs meet is left to
+//! the compiler; a NaN result stays NaN.)
 
 use crate::arena;
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::pricing::{self, Priced, VnmPrice};
-use crate::qplan::{self, IntStream};
+use crate::qplan;
 use crate::simd::avx2_dispatch;
 use crate::stage;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
@@ -113,6 +118,135 @@ const CHUNK_BYTES: usize = 64 << 10;
 /// widens past it.
 const CHUNK_MIN_OPS: usize = 4;
 
+/// The value plane of a [`Stream`], and everything that differs with it
+/// between f16 and int8 plans: how a stored value loads, the staged B
+/// element and the accumulator, how an operand is staged, and the
+/// epilogue to f32. Implemented for `u16` (f16 bit patterns) here and
+/// for `i8` (quantized codes) in the `qplan` module; the replays and the
+/// run surface are written once over it.
+pub(crate) trait Lane: Copy + Send + Sync + 'static {
+    /// A staged B element: the exact f32 decode of an f16 value, or an
+    /// int8 code widened to i16.
+    type Staged: Copy + Default + Send + Sync;
+    /// An output accumulator: f32, or i32.
+    type Acc: Copy + Default + Send + Sync;
+    /// The table a stored value loads through: the f16→f32 LUT, or none.
+    type Decode: ?Sized + Sync + 'static;
+    /// What a run reads beyond its stream: nothing for f16; for int8 the
+    /// plan's quantized weight, the one owner of its row scales and of
+    /// the activation calibrator.
+    type Boundary: ?Sized + Sync;
+
+    /// The decode table.
+    fn decode() -> &'static Self::Decode;
+
+    /// A stored value, loaded for the multiply.
+    fn load(table: &Self::Decode, v: Self) -> Self::Staged;
+
+    /// `acc + v * x`: one step of every accumulation chain.
+    fn mac(acc: Self::Acc, v: Self::Staged, x: Self::Staged) -> Self::Acc;
+
+    /// Stages the half operand `b` into `dst`, whose rows are `stride`
+    /// wide, at column `col0`, and returns its activation scale (1 for
+    /// f16, which decodes exactly).
+    fn stage_half(
+        bd: &Self::Boundary,
+        b: &Matrix<Half>,
+        dst: &mut [Self::Staged],
+        stride: usize,
+        col0: usize,
+    ) -> f32;
+
+    /// Stages an f32 operand that holds exact f16 decodes (see
+    /// [`stage::stage_activations_t_into`]), with its activation scale.
+    fn stage_f32<'a>(bd: &Self::Boundary, staged: &'a [f32]) -> (Cow<'a, [Self::Staged]>, f32);
+
+    /// Runs `replay` over the accumulators of the band of output rows
+    /// starting at `row0` and leaves the band's f32 result in `out`
+    /// (`b_cols` wide). `acts` lists each request's column count and
+    /// activation scale, left to right.
+    fn finish(
+        bd: &Self::Boundary,
+        acts: &[(usize, f32)],
+        row0: usize,
+        b_cols: usize,
+        out: &mut [f32],
+        replay: impl FnOnce(&mut [Self::Acc]),
+    );
+
+    /// A zero-filled staging buffer holding a `len`-element window, and
+    /// the window's offset.
+    fn lease(len: usize) -> (Vec<Self::Staged>, usize);
+
+    /// Hands a [`Self::lease`]d buffer back.
+    fn release(buf: Vec<Self::Staged>);
+}
+
+impl Lane for u16 {
+    type Staged = f32;
+    type Acc = f32;
+    type Decode = [f32; LUT_ENTRIES];
+    type Boundary = ();
+
+    #[inline]
+    fn decode() -> &'static [f32; LUT_ENTRIES] {
+        venom_fp16::f16_to_f32_table()
+    }
+
+    #[inline(always)]
+    fn load(lut: &[f32; LUT_ENTRIES], h: u16) -> f32 {
+        lut[usize::from(h)]
+    }
+
+    #[inline(always)]
+    fn mac(acc: f32, v: f32, x: f32) -> f32 {
+        acc + v * x
+    }
+
+    fn stage_half(_: &(), b: &Matrix<Half>, dst: &mut [f32], stride: usize, col0: usize) -> f32 {
+        let cols = b.cols();
+        if cols == stride {
+            stage::decode_rhs_into(b, dst);
+        } else {
+            for r in 0..b.rows() {
+                venom_fp16::slice::decode_f32_into(b.row(r), &mut dst[r * stride + col0..][..cols]);
+            }
+        }
+        1.0
+    }
+
+    fn stage_f32<'a>(_: &(), staged: &'a [f32]) -> (Cow<'a, [f32]>, f32) {
+        (Cow::Borrowed(staged), 1.0)
+    }
+
+    #[inline(always)]
+    fn finish(
+        _: &(),
+        _: &[(usize, f32)],
+        _: usize,
+        _: usize,
+        out: &mut [f32],
+        replay: impl FnOnce(&mut [f32]),
+    ) {
+        replay(out)
+    }
+
+    fn lease(len: usize) -> (Vec<f32>, usize) {
+        arena::lease_aligned(len)
+    }
+
+    fn release(buf: Vec<f32>) {
+        arena::release(buf)
+    }
+}
+
+/// A stream's source-row index: u16, or u32 where K > 65536.
+trait Source: Copy + Into<u64> {}
+
+impl Source for u16 {}
+
+impl Source for u32 {}
+
 /// Which loop replays a [`Stream`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Replay {
@@ -133,22 +267,15 @@ impl Replay {
     }
 }
 
-/// The f16 operand container and the loop that replays it.
+/// The operand container over one value plane and the loop that replays
+/// it.
 #[derive(Clone, Debug)]
-pub(crate) struct Stream {
-    pub(crate) ops: Operands<u16>,
+pub(crate) struct Stream<L> {
+    pub(crate) ops: Operands<L>,
     replay: Replay,
 }
 
-impl Stream {
-    /// A stream the sweep replays.
-    pub(crate) fn sweep(ops: Operands<u16>) -> Self {
-        Stream {
-            ops,
-            replay: Replay::Sweep,
-        }
-    }
-
+impl Stream<u16> {
     /// Compresses `dense` under `mask` in one pass, which checks the
     /// pattern. For an f16 `dtype` the pass keeps the operands it emits as
     /// the weight's stream, with room for the slot count, the most it can
@@ -178,32 +305,42 @@ impl Stream {
         let a = VnmMatrix::try_compress_with(dense, mask, cfg, Some(&mut sink))?;
         Ok((a, Some(Self::sweep(ops.finish()))))
     }
+}
 
-    /// The panels' hot body of [`Self::run_into`]: the band of output
-    /// rows starting at `row0` into `out` (its `rows x b_cols` slice, at
-    /// most [`BAND_ROWS`] rows), one [`Self::replay_row`] per row.
-    #[inline(always)]
-    fn panels_band<S: Copy + Into<u64>>(
-        &self,
-        srcs: &[S],
-        lut: &[f32; LUT_ENTRIES],
-        row0: usize,
-        b_f32: &[f32],
-        b_cols: usize,
-        out: &mut [f32],
-    ) {
-        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
-            self.replay_row(srcs, lut, row0 + i, b_f32, b_cols, orow);
+impl<L: Lane> Stream<L> {
+    /// A stream the sweep replays.
+    pub(crate) fn sweep(ops: Operands<L>) -> Self {
+        Stream {
+            ops,
+            replay: Replay::Sweep,
         }
     }
 
-    /// The sweep's hot body of [`Self::run_into`], over the same band:
-    /// K is walked in chunks of `CHUNK_BYTES / (4 * b_cols)` B rows, or
-    /// more where that would hold fewer than `CHUNK_MIN_OPS` operands per
-    /// row on average (see [`Self::chunk_rows`]). For each chunk, every
-    /// row of the band replays the next run of its stream whose sources
-    /// lie below the chunk's end, and a per-row cursor remembers where
-    /// the run stopped; the last chunk takes the rest of each row without
+    /// The panels' hot body of [`Self::run_acc`]: the band of output
+    /// rows starting at `row0` into `out` (its `rows x b_cols` slice, at
+    /// most [`BAND_ROWS`] rows), one [`Self::replay_row`] per row.
+    #[inline(always)]
+    fn panels_band<S: Source>(
+        &self,
+        srcs: &[S],
+        dec: &L::Decode,
+        row0: usize,
+        b: &[L::Staged],
+        b_cols: usize,
+        out: &mut [L::Acc],
+    ) {
+        for (i, orow) in out.chunks_mut(b_cols).enumerate() {
+            self.replay_row(srcs, dec, row0 + i, b, b_cols, orow);
+        }
+    }
+
+    /// The sweep's hot body of [`Self::run_acc`], over the same band: K
+    /// is walked in chunks of `CHUNK_BYTES` of staged B rows, or more
+    /// where that would hold fewer than `CHUNK_MIN_OPS` operands per row
+    /// on average (see [`Self::chunk_rows`]). For each chunk, every row
+    /// of the band replays the next run of its stream whose sources lie
+    /// below the chunk's end, and a per-row cursor remembers where the
+    /// run stopped; the last chunk takes the rest of each row without
     /// scanning. Where the band's rows share their selected columns (a
     /// V:N:M band inside one V-block, see [`BAND_ROWS`]), each selected
     /// B row is fetched from memory once per band, then hit in cache by
@@ -215,14 +352,14 @@ impl Stream {
     /// element accumulates the same chain as a one-pass replay. Formats
     /// whose stored sources are not ascending only reuse less.
     #[inline(always)]
-    fn sweep_band<S: Copy + Into<u64>>(
+    fn sweep_band<S: Source>(
         &self,
         srcs: &[S],
-        lut: &[f32; LUT_ENTRIES],
+        dec: &L::Decode,
         row0: usize,
-        b_f32: &[f32],
+        b: &[L::Staged],
         b_cols: usize,
-        out: &mut [f32],
+        out: &mut [L::Acc],
     ) {
         let (chunk, k) = (self.chunk_rows(b_cols), self.ops.extent().k);
         let mut cursor = [0usize; BAND_ROWS];
@@ -237,22 +374,22 @@ impl Stream {
                     .iter()
                     .position(|&s| s.into() as usize >= k_end)
                     .map_or(hi, |p| lo + p);
-                self.sweep_run(srcs, lut, lo..end, b_f32, b_cols, orow);
+                self.sweep_run(srcs, dec, lo..end, b, b_cols, orow);
                 cursor[i] = end;
             }
             k_end += chunk;
         }
         for (i, orow) in out.chunks_mut(b_cols).enumerate() {
             let hi = self.ops.row(row0 + i).end;
-            self.sweep_run(srcs, lut, cursor[i]..hi, b_f32, b_cols, orow);
+            self.sweep_run(srcs, dec, cursor[i]..hi, b, b_cols, orow);
         }
     }
 
     /// B rows per K-chunk of [`Self::sweep_band`] at output width
-    /// `b_cols`: the `CHUNK_BYTES` budget, widened to hold
-    /// `CHUNK_MIN_OPS` operands per row on average.
+    /// `b_cols`: the `CHUNK_BYTES` budget of staged elements, widened to
+    /// hold `CHUNK_MIN_OPS` operands per row on average.
     fn chunk_rows(&self, b_cols: usize) -> usize {
-        let budget = CHUNK_BYTES / (4 * b_cols);
+        let budget = CHUNK_BYTES / (std::mem::size_of::<L::Staged>() * b_cols);
         let Extent { rows, k, nnz, .. } = self.ops.extent();
         let min_ops = CHUNK_MIN_OPS * k * rows / nnz.max(1);
         budget.max(min_ops).max(1)
@@ -264,30 +401,30 @@ impl Stream {
     /// which is exactly the accumulation chain of one-entry-at-a-time
     /// iteration — the unroll changes traffic, not bits.
     #[inline(always)]
-    fn sweep_run<S: Copy + Into<u64>>(
+    fn sweep_run<S: Source>(
         &self,
         srcs: &[S],
-        lut: &[f32; LUT_ENTRIES],
+        dec: &L::Decode,
         ops: Range<usize>,
-        b_f32: &[f32],
+        b: &[L::Staged],
         b_cols: usize,
-        orow: &mut [f32],
+        orow: &mut [L::Acc],
     ) {
-        let (bits, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
-        let val = |h: u16| lut[usize::from(h)];
-        let brow = |s: S| &b_f32[s.into() as usize * b_cols..][..b_cols];
-        let quads = bits.len() / 4 * 4;
-        for (v, s) in bits[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
+        let (vals, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
+        let val = |v: L| L::load(dec, v);
+        let brow = |s: S| &b[s.into() as usize * b_cols..][..b_cols];
+        let quads = vals.len() / 4 * 4;
+        for (v, s) in vals[..quads].chunks_exact(4).zip(srcs.chunks_exact(4)) {
             let (v0, v1, v2, v3) = (val(v[0]), val(v[1]), val(v[2]), val(v[3]));
             let (b0, b1, b2, b3) = (brow(s[0]), brow(s[1]), brow(s[2]), brow(s[3]));
             for ((((o, &x0), &x1), &x2), &x3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                *o = *o + v0 * x0 + v1 * x1 + v2 * x2 + v3 * x3;
+                *o = L::mac(L::mac(L::mac(L::mac(*o, v0, x0), v1, x1), v2, x2), v3, x3);
             }
         }
-        for (&h, &s) in bits[quads..].iter().zip(&srcs[quads..]) {
-            let v = val(h);
+        for (&q, &s) in vals[quads..].iter().zip(&srcs[quads..]) {
+            let v = val(q);
             for (o, &x) in orow.iter_mut().zip(brow(s)) {
-                *o += v * x;
+                *o = L::mac(*o, v, x);
             }
         }
     }
@@ -298,42 +435,42 @@ impl Stream {
     /// whole row's stream over its B segments. The remaining whole
     /// 8-column panels then share one accumulator of their joint width,
     /// so any width up to 64 reads the row's stream once (plus once more
-    /// for a narrower tail). Each stored nonzero costs one LUT load and
-    /// one contiguous B segment read per panel, and each output element
-    /// is written once.
+    /// for a narrower tail). Each stored nonzero costs one load and one
+    /// contiguous B segment read per panel, and each output element is
+    /// written once.
     ///
     /// One stream pass per 64 columns keeps a batch's cost growing with
     /// its width, so served throughput does not hang on how many
     /// requests happen to coalesce into a batch.
     ///
     /// Why the bits cannot move: per `(row, column)` the sum is the same
-    /// left-to-right chain from `0.0` as `spmm_ref`'s. A wide panel only
+    /// left-to-right chain from zero as `spmm_ref`'s. A wide panel only
     /// evaluates more independent column chains per operand, and a fixed
     /// width lets the compiler keep them in vector registers.
     #[inline(always)]
-    fn replay_row<S: Copy + Into<u64>>(
+    fn replay_row<S: Source>(
         &self,
         srcs: &[S],
-        lut: &[f32; LUT_ENTRIES],
+        dec: &L::Decode,
         r: usize,
-        b_f32: &[f32],
+        b: &[L::Staged],
         b_cols: usize,
-        orow: &mut [f32],
+        orow: &mut [L::Acc],
     ) {
         const PANEL: usize = venom_core::SWAP_PANEL;
         const WIDE: usize = 8 * PANEL;
         let ops = self.ops.row(r);
-        let (bits, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
+        let (vals, srcs) = (&self.ops.values()[ops.clone()], &srcs[ops]);
         let mut j0 = 0usize;
         while b_cols - j0 >= WIDE {
-            replay_panel::<WIDE, S>(bits, srcs, lut, b_f32, b_cols, j0, &mut orow[j0..j0 + WIDE]);
+            replay_panel::<WIDE, L, S>(vals, srcs, dec, b, b_cols, j0, &mut orow[j0..j0 + WIDE]);
             j0 += WIDE;
         }
         let panels = (b_cols - j0) / PANEL;
         let out = &mut orow[j0..j0 + panels * PANEL];
         macro_rules! pass {
             ($w:expr) => {
-                replay_panel::<{ $w }, S>(bits, srcs, lut, b_f32, b_cols, j0, out)
+                replay_panel::<{ $w }, L, S>(vals, srcs, dec, b, b_cols, j0, out)
             };
         }
         match panels {
@@ -350,108 +487,143 @@ impl Stream {
         j0 += panels * PANEL;
         let w = b_cols - j0;
         if w > 0 {
-            let mut acc = [0.0f32; PANEL];
-            for (&h, &src) in bits.iter().zip(srcs) {
-                let vf = lut[usize::from(h)];
-                let bseg = &b_f32[src.into() as usize * b_cols + j0..][..w];
+            let mut acc = [L::Acc::default(); PANEL];
+            for (&v, &src) in vals.iter().zip(srcs) {
+                let vf = L::load(dec, v);
+                let bseg = &b[src.into() as usize * b_cols + j0..][..w];
                 for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
-                    *a += vf * bv;
+                    *a = L::mac(*a, vf, bv);
                 }
             }
             orow[j0..].copy_from_slice(&acc[..w]);
         }
     }
 
-    /// `C = A * B` over a staged RHS (`k x b_cols`, row-major f32) into
-    /// `out` (`rows x b_cols`, zero-initialised): one parallel task per
-    /// band of [`BAND_ROWS`] output rows, run through the AVX2 dispatch
-    /// of the stream's replay and source width (see the `simd` module).
-    /// Each replay keeps entries of its own: one body running both made
-    /// the panels about 13% slower at width 8. Output rows are disjoint
-    /// across bands and each element accumulates sequentially in stream
-    /// order, so the result is bit-identical regardless of the worker
-    /// count, of how the replay tiles K or columns, and of the vector
-    /// width its loop is compiled for.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
+    /// The band of output rows starting at `row0` into `out`, through the
+    /// AVX2 dispatch of the stream's replay (see the `simd` module). Each
+    /// replay keeps an entry of its own: one body running both made the
+    /// panels about 13% slower at width 8.
+    #[inline(always)]
+    fn replay_band(
+        &self,
+        dec: &L::Decode,
+        row0: usize,
+        b: &[L::Staged],
+        b_cols: usize,
+        out: &mut [L::Acc],
+    ) {
+        match (self.ops.sources(), self.replay) {
+            (Sources::Narrow(s), Replay::Sweep) => sweep(self, s, dec, row0, b, b_cols, out),
+            (Sources::Wide(s), Replay::Sweep) => sweep(self, s, dec, row0, b, b_cols, out),
+            (Sources::Narrow(s), Replay::Panels) => panels(self, s, dec, row0, b, b_cols, out),
+            (Sources::Wide(s), Replay::Panels) => panels(self, s, dec, row0, b, b_cols, out),
+        }
+    }
+
+    /// Checks a staged RHS (`k x b_cols`) and an output of `len` elements
+    /// against the stream's shape.
+    fn check(&self, b: &[L::Staged], b_cols: usize, len: usize) {
         let Extent { rows, k, .. } = self.ops.extent();
-        assert_eq!(b_f32.len(), k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), rows * b_cols, "output size mismatch");
-        let lut = venom_fp16::f16_to_f32_table();
+        assert_eq!(b.len(), k * b_cols, "staged RHS size mismatch");
+        assert_eq!(len, rows * b_cols, "output size mismatch");
+    }
+
+    /// `C = A * B` over a staged RHS (`k x b_cols`, row-major) into the
+    /// accumulators `out` (`rows x b_cols`, zero-initialised), with no
+    /// epilogue: one parallel task per band of [`BAND_ROWS`] output rows.
+    /// Output rows are disjoint across bands and each element accumulates
+    /// sequentially in stream order, so the result is bit-identical
+    /// regardless of the worker count, of how the replay tiles K or
+    /// columns, and of the vector width its loop is compiled for.
+    fn run_acc(&self, b: &[L::Staged], b_cols: usize, out: &mut [L::Acc]) {
+        self.check(b, b_cols, out.len());
+        let dec = L::decode();
+        out.par_chunks_mut(BAND_ROWS * b_cols)
+            .enumerate()
+            .for_each(|(band, chunk)| self.replay_band(dec, band * BAND_ROWS, b, b_cols, chunk));
+    }
+
+    /// [`Self::run_acc`] through the lane's epilogue into the f32 `out`:
+    /// each band's accumulators are finished while they are still in
+    /// cache (see [`Lane::finish`]).
+    fn run_into(
+        &self,
+        bd: &L::Boundary,
+        acts: &[(usize, f32)],
+        b: &[L::Staged],
+        b_cols: usize,
+        out: &mut [f32],
+    ) {
+        self.check(b, b_cols, out.len());
+        let dec = L::decode();
         out.par_chunks_mut(BAND_ROWS * b_cols)
             .enumerate()
             .for_each(|(band, chunk)| {
                 let row0 = band * BAND_ROWS;
-                let (b, c) = (b_f32, b_cols);
-                match (self.ops.sources(), self.replay) {
-                    (Sources::Narrow(s), Replay::Sweep) => {
-                        sweep_u16(self, s, lut, row0, b, c, chunk)
-                    }
-                    (Sources::Wide(s), Replay::Sweep) => sweep_u32(self, s, lut, row0, b, c, chunk),
-                    (Sources::Narrow(s), Replay::Panels) => {
-                        panels_u16(self, s, lut, row0, b, c, chunk)
-                    }
-                    (Sources::Wide(s), Replay::Panels) => {
-                        panels_u32(self, s, lut, row0, b, c, chunk)
-                    }
-                }
+                L::finish(bd, acts, row0, b_cols, chunk, |acc| {
+                    self.replay_band(dec, row0, b, b_cols, acc)
+                });
             });
     }
 
     /// [`Self::run_into`] with an owned result matrix.
-    fn run(&self, b_f32: &[f32], b_cols: usize) -> Matrix<f32> {
+    fn run(
+        &self,
+        bd: &L::Boundary,
+        acts: &[(usize, f32)],
+        b: &[L::Staged],
+        b_cols: usize,
+    ) -> Matrix<f32> {
         let Extent { rows, bytes, .. } = self.ops.extent();
         let mut out = vec![0.0f32; rows * b_cols];
         let (kernel, phase) = self.replay.profile();
         let timer = venom_obs::profile::PhaseTimer::start();
-        self.run_into(b_f32, b_cols, &mut out);
+        self.run_into(bd, acts, b, b_cols, &mut out);
         timer.stop(kernel, phase, bytes + (out.len() * 4) as u64);
         Matrix::from_vec(rows, b_cols, out)
     }
 
-    /// `C = A * B` over a half RHS, staged through the arena on a cache
-    /// line boundary (see [`arena::lease_aligned`]).
-    fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
+    /// `C = A * B` over a half RHS, staged by the lane (through the
+    /// arena on a cache line boundary for f16, see
+    /// [`arena::lease_aligned`]).
+    fn run_half(&self, bd: &L::Boundary, b: &Matrix<Half>) -> Matrix<f32> {
         let k = self.ops.extent().k;
         assert_eq!(b.rows(), k, "B must have K = {k} rows");
-        let (mut buf, off) = arena::lease_aligned(b.len());
+        let (mut buf, off) = L::lease(b.len());
         let staged = &mut buf[off..off + b.len()];
         let timer = venom_obs::profile::PhaseTimer::start();
-        stage::decode_rhs_into(b, staged);
+        let act = L::stage_half(bd, b, staged, b.cols(), 0);
         timer.stop(self.replay.profile().0, "stage", (b.len() * 2) as u64);
-        let c = self.run(staged, b.cols());
-        arena::release(buf);
+        let c = self.run(bd, &[(b.cols(), act)], staged, b.cols());
+        L::release(buf);
         c
     }
 
     /// One dispatch over many requests: concatenates the operands along
     /// the output-column dimension, multiplies once, and splits the
     /// result. Bit-identical to running each operand separately (columns
-    /// are independent in every path). The concatenation is staged on a
-    /// cache line boundary, as in [`Self::run_half`].
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
+    /// are independent in every path, and each request keeps its own
+    /// activation scale). The concatenation is staged as in
+    /// [`Self::run_half`].
+    fn run_batch(&self, bd: &L::Boundary, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
         if bs.is_empty() {
             return Vec::new();
         }
         let k = self.ops.extent().k;
         let total: usize = bs.iter().map(|b| b.cols()).sum();
-        let (mut buf, off) = arena::lease_aligned(k * total);
+        let (mut buf, off) = L::lease(k * total);
         let staged = &mut buf[off..off + k * total];
         let timer = venom_obs::profile::PhaseTimer::start();
+        let mut acts = Vec::with_capacity(bs.len());
         let mut col0 = 0usize;
         for b in bs {
             assert_eq!(b.rows(), k, "B must have K = {k} rows");
-            let cols = b.cols();
-            for r in 0..k {
-                venom_fp16::slice::decode_f32_into(
-                    b.row(r),
-                    &mut staged[r * total + col0..r * total + col0 + cols],
-                );
-            }
-            col0 += cols;
+            acts.push((b.cols(), L::stage_half(bd, b, staged, total, col0)));
+            col0 += b.cols();
         }
         timer.stop(self.replay.profile().0, "stage", (k * total * 2) as u64);
-        let c = self.run(staged, total);
-        arena::release(buf);
+        let c = self.run(bd, &acts, staged, total);
+        L::release(buf);
 
         let mut out = Vec::with_capacity(bs.len());
         let rows = self.ops.extent().rows;
@@ -474,26 +646,33 @@ impl Stream {
     /// `(A * x^T)^T + bias` (`tokens x rows`) — element-for-element the
     /// chain `transpose(A * x.to_half().transpose()) + bias` of the
     /// per-call layer forward, in two fused passes.
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
+    fn run_linear(&self, bd: &L::Boundary, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
         assert_eq!(x.cols(), self.ops.extent().k, "input features mismatch");
         let mut staged = arena::lease(x.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::stage_activations_t_into(x, &mut staged);
         timer.stop(self.replay.profile().0, "stage", (x.len() * 4) as u64);
-        let y = self.run_linear_staged(&staged, x.rows(), bias);
+        let y = self.run_linear_staged(bd, &staged, x.rows(), bias);
         arena::release(staged);
         y
     }
 
     /// [`Self::run_linear`] over an already-staged RHS (shared by sibling
     /// plans of one layer, e.g. Q/K/V over the same activations).
-    fn run_linear_staged(&self, b_f32: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
+    fn run_linear_staged(
+        &self,
+        bd: &L::Boundary,
+        staged: &[f32],
+        tokens: usize,
+        bias: &[f32],
+    ) -> Matrix<f32> {
         let Extent { rows, bytes, .. } = self.ops.extent();
         assert_eq!(bias.len(), rows, "bias must match out_features");
         let (kernel, phase) = self.replay.profile();
+        let (b, act) = L::stage_f32(bd, staged);
         let mut c = arena::lease(rows * tokens);
         let timer = venom_obs::profile::PhaseTimer::start();
-        self.run_into(b_f32, tokens, &mut c);
+        self.run_into(bd, &[(tokens, act)], &b, tokens, &mut c);
         timer.stop(kernel, phase, bytes + (rows * tokens * 4) as u64);
         // Tiled transpose+bias epilogue: 32x32 blocks keep both the
         // strided reads from `c` and the writes to `y` inside the cache
@@ -520,103 +699,73 @@ impl Stream {
 }
 
 avx2_dispatch! {
-    /// [`Stream::sweep_band`] over 16-bit sources, compiled for AVX2
-    /// where the host has it.
-    fn sweep_u16(
-        s: &Stream,
-        srcs: &[u16],
-        lut: &[f32; LUT_ENTRIES],
+    /// [`Stream::sweep_band`], compiled for AVX2 where the host has it.
+    fn sweep<L: Lane, S: Source>(
+        s: &Stream<L>,
+        srcs: &[S],
+        dec: &L::Decode,
         row0: usize,
-        b_f32: &[f32],
+        b: &[L::Staged],
         b_cols: usize,
-        out: &mut [f32],
-    ) = Stream::sweep_band::<u16>;
+        out: &mut [L::Acc],
+    ) = Stream::<L>::sweep_band::<S>;
 }
 
 avx2_dispatch! {
-    /// [`Stream::sweep_band`] over 32-bit sources, compiled for AVX2
-    /// where the host has it.
-    fn sweep_u32(
-        s: &Stream,
-        srcs: &[u32],
-        lut: &[f32; LUT_ENTRIES],
+    /// [`Stream::panels_band`], compiled for AVX2 where the host has it.
+    fn panels<L: Lane, S: Source>(
+        s: &Stream<L>,
+        srcs: &[S],
+        dec: &L::Decode,
         row0: usize,
-        b_f32: &[f32],
+        b: &[L::Staged],
         b_cols: usize,
-        out: &mut [f32],
-    ) = Stream::sweep_band::<u32>;
-}
-
-avx2_dispatch! {
-    /// [`Stream::panels_band`] over 16-bit sources, compiled for AVX2
-    /// where the host has it.
-    fn panels_u16(
-        s: &Stream,
-        srcs: &[u16],
-        lut: &[f32; LUT_ENTRIES],
-        row0: usize,
-        b_f32: &[f32],
-        b_cols: usize,
-        out: &mut [f32],
-    ) = Stream::panels_band::<u16>;
-}
-
-avx2_dispatch! {
-    /// [`Stream::panels_band`] over 32-bit sources, compiled for AVX2
-    /// where the host has it.
-    fn panels_u32(
-        s: &Stream,
-        srcs: &[u32],
-        lut: &[f32; LUT_ENTRIES],
-        row0: usize,
-        b_f32: &[f32],
-        b_cols: usize,
-        out: &mut [f32],
-    ) = Stream::panels_band::<u32>;
+        out: &mut [L::Acc],
+    ) = Stream::<L>::panels_band::<S>;
 }
 
 /// One `W`-column panel of [`Stream::replay_row`]: the row's stream
-/// (`bits` as f16 bits, `srcs` as B rows) replayed over columns
-/// `j0..j0 + W` of the staged RHS into a register accumulator, then
-/// written to `out` (`W` wide).
+/// (`vals`, `srcs` as B rows) replayed over columns `j0..j0 + W` of the
+/// staged RHS into a register accumulator, then written to `out` (`W`
+/// wide).
 #[inline(always)]
-fn replay_panel<const W: usize, S: Copy + Into<u64>>(
-    bits: &[u16],
+fn replay_panel<const W: usize, L: Lane, S: Source>(
+    vals: &[L],
     srcs: &[S],
-    lut: &[f32; LUT_ENTRIES],
-    b_f32: &[f32],
+    dec: &L::Decode,
+    b: &[L::Staged],
     b_cols: usize,
     j0: usize,
-    out: &mut [f32],
+    out: &mut [L::Acc],
 ) {
-    let mut acc = [0.0f32; W];
-    for (&h, &src) in bits.iter().zip(srcs) {
-        let vf = lut[usize::from(h)];
-        let bseg: &[f32; W] = b_f32[src.into() as usize * b_cols + j0..][..W]
+    let mut acc = [L::Acc::default(); W];
+    for (&v, &src) in vals.iter().zip(srcs) {
+        let vf = L::load(dec, v);
+        let bseg: &[L::Staged; W] = b[src.into() as usize * b_cols + j0..][..W]
             .try_into()
             .expect("a W-wide slice");
         for (a, &bv) in acc.iter_mut().zip(bseg) {
-            *a += vf * bv;
+            *a = L::mac(*a, vf, bv);
         }
     }
     out.copy_from_slice(&acc);
 }
 
-/// The condensed executor a [`Plan`] replays.
+/// The condensed stream a [`Plan`] replays, over its value plane.
 #[derive(Clone, Debug)]
 enum Exec {
-    /// The f16 stream, replayed by the sweep or the panels.
-    Stream(Stream),
-    /// The i16-staged int8 stream.
-    Int(IntStream),
+    /// f16 bit patterns, replayed by the sweep or the panels.
+    F16(Stream<u16>),
+    /// Int8 codes, replayed by the sweep.
+    I8(Stream<i8>),
 }
 
 impl Exec {
     /// Shape, operand count and resident bytes of the condensed stream.
     fn extent(&self) -> Extent {
         match self {
-            Exec::Stream(s) => s.ops.extent(),
-            Exec::Int(s) => s.ops.extent(),
+            Exec::F16(s) => s.ops.extent(),
+            Exec::I8(s) => s.ops.extent(),
         }
     }
 }
@@ -637,11 +786,9 @@ enum Reference {
     Dense(Matrix<Half>),
     /// N:M, CSR, CVSE or Blocked-ELL through the format's `spmm_parallel`.
     Kernel(Arc<dyn SparseKernel>),
-    /// Int8 V:N:M through `spmm_parallel_i8` and dequantization.
-    Quant {
-        weight: QuantVnmMatrix,
-        act_calib: Calibration,
-    },
+    /// Int8 V:N:M through `spmm_parallel_i8` and dequantization; the
+    /// container's calibrator also calibrates the activations.
+    Quant(QuantVnmMatrix),
 }
 
 impl Reference {
@@ -651,7 +798,7 @@ impl Reference {
             Reference::Spatha { weight, .. } | Reference::Swapped(weight) => weight.total_bytes(),
             Reference::Dense(w) => w.len() * 2,
             Reference::Kernel(k) => k.compressed_bytes(),
-            Reference::Quant { weight, .. } => weight.total_bytes(),
+            Reference::Quant(weight) => weight.total_bytes(),
         }
     }
 }
@@ -659,9 +806,9 @@ impl Reference {
 /// A built execution plan for one weight matmul — built once by the
 /// [`crate::Engine`], replayed bit-exactly on every request.
 ///
-/// Every format, dtype and executor is this one type; see the module
-/// docs for what each executor serves. State only some plans have is
-/// behind `Option`-returning accessors ([`Self::tile`], [`Self::vnm`],
+/// Every format, dtype and replay is this one type; see the module docs
+/// for what each serves. State only some plans have is behind
+/// `Option`-returning accessors ([`Self::tile`], [`Self::vnm`],
 /// [`Self::quantized`], [`Self::dense`], [`Self::run_i8`]).
 #[derive(Clone, Debug)]
 pub struct Plan {
@@ -732,7 +879,7 @@ impl Plan {
     /// launch (`None`: V below the fragment contract, unpriced).
     pub(crate) fn spatha(
         a: VnmMatrix,
-        stream: Stream,
+        stream: Stream<u16>,
         desc: MatmulDescriptor,
         opts: &SpmmOptions,
         dev: &DeviceConfig,
@@ -743,7 +890,7 @@ impl Plan {
             opts: *opts,
             dev: dev.clone(),
         };
-        Self::priced_vnm(desc, Exec::Stream(stream), reference, price)
+        Self::priced_vnm(desc, Exec::F16(stream), reference, price)
     }
 
     /// A V:N:M plan carrying its Spatha pricing.
@@ -761,11 +908,11 @@ impl Plan {
     /// [`pricing::price_band`] pricing.
     pub(crate) fn band(
         a: VnmMatrix,
-        stream: Stream,
+        stream: Stream<u16>,
         desc: MatmulDescriptor,
         priced: Priced,
     ) -> Self {
-        let exec = Exec::Stream(Stream {
+        let exec = Exec::F16(Stream {
             replay: Replay::Panels,
             ..stream
         });
@@ -773,23 +920,12 @@ impl Plan {
     }
 
     /// Quantizes a V:N:M weight under `calib` (which also calibrates the
-    /// activations per call) and plans its int8 dispatch, priced on the
-    /// `Uint8` `mma.sp` profile; prefer [`crate::Engine::plan_quant_spmm`].
+    /// activations per call) and builds its int8 plan over an already
+    /// priced launch on the `Uint8` `mma.sp` profile; prefer
+    /// [`crate::Engine::plan_quant_spmm`].
     ///
     /// # Panics
-    /// Panics if an explicit `opts.tile` cannot launch for `a` on `dev`.
-    pub(crate) fn build_quant(
-        a: &VnmMatrix,
-        calib: Calibration,
-        desc: MatmulDescriptor,
-        opts: &SpmmOptions,
-        dev: &DeviceConfig,
-    ) -> Self {
-        let price = pricing::price_vnm(a, desc.b_cols, DType::I8, opts, dev);
-        Self::quant(a, calib, desc, launchable(price))
-    }
-
-    /// Quantizes and builds the int8 plan over an already priced launch.
+    /// Panics if `a` holds NaN or ±Inf, which calibration refuses.
     pub(crate) fn quant(
         a: &VnmMatrix,
         calib: Calibration,
@@ -798,12 +934,8 @@ impl Plan {
     ) -> Self {
         let desc = desc.with_dtype(DType::I8);
         let weight = QuantVnmMatrix::quantize(a, calib);
-        let exec = Exec::Int(IntStream::from_quant(&weight, calib));
-        let reference = Reference::Quant {
-            weight,
-            act_calib: calib,
-        };
-        Self::priced_vnm(desc, exec, reference, price)
+        let exec = Exec::I8(Stream::sweep(weight.operands()));
+        Self::priced_vnm(desc, exec, Reference::Quant(weight), price)
     }
 
     /// A dense plan, carrying its cuBLAS-model pricing when it has one.
@@ -812,7 +944,7 @@ impl Plan {
         desc: MatmulDescriptor,
         priced: Option<Priced>,
     ) -> Self {
-        let exec = Exec::Stream(Stream::sweep(Operands::condense(w)));
+        let exec = Exec::F16(Stream::sweep(Operands::condense(w)));
         Self::new(desc, exec, Reference::Dense(w.clone()), None, priced)
     }
 
@@ -824,7 +956,7 @@ impl Plan {
         timing: KernelTiming,
         counts: KernelCounts,
     ) -> Self {
-        let exec = Exec::Stream(Stream::sweep(Operands::condense(kernel.as_ref())));
+        let exec = Exec::F16(Stream::sweep(Operands::condense(kernel.as_ref())));
         let priced = Some((timing, counts));
         Self::new(desc, exec, Reference::Kernel(kernel), None, priced)
     }
@@ -854,9 +986,15 @@ impl Plan {
     /// The calibrated int8 container of an int8 plan.
     pub fn quantized(&self) -> Option<&QuantVnmMatrix> {
         match &self.reference {
-            Reference::Quant { weight, .. } => Some(weight),
+            Reference::Quant(weight) => Some(weight),
             _ => None,
         }
+    }
+
+    /// The int8 boundary of an int8 plan: its quantized weight.
+    fn int8(&self) -> &QuantVnmMatrix {
+        self.quantized()
+            .expect("an int8 plan keeps its quantized weight")
     }
 
     /// The half weight of a dense plan.
@@ -868,16 +1006,22 @@ impl Plan {
     }
 
     /// The exact integer entry point of an int8 plan: `C = A_q * B_q`
-    /// with i32 accumulation, bit-identical to
+    /// with i32 accumulation over the codes widened to i16, which changes
+    /// no value, and no epilogue: bit-identical to
     /// [`QuantVnmMatrix::spmm_ref_i8`] on the planned weight.
     ///
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
     pub fn run_i8(&self, b: &Matrix<i8>) -> Option<Matrix<i32>> {
-        match &self.exec {
-            Exec::Int(s) => Some(s.run_i8(b)),
-            _ => None,
-        }
+        let Exec::I8(s) = &self.exec else {
+            return None;
+        };
+        let Extent { rows, k, .. } = s.ops.extent();
+        assert_eq!(b.rows(), k, "B must have K = {k} rows");
+        let staged: Vec<i16> = b.as_slice().iter().map(|&q| i16::from(q)).collect();
+        let mut out = vec![0i32; rows * b.cols()];
+        s.run_acc(&staged, b.cols(), &mut out);
+        Some(Matrix::from_vec(rows, b.cols(), out))
     }
 }
 
@@ -892,7 +1036,7 @@ impl MatmulPlan for Plan {
 
     fn path(&self) -> &'static str {
         match &self.exec {
-            Exec::Stream(s) if s.replay == Replay::Panels => "band",
+            Exec::F16(s) if s.replay == Replay::Panels => "band",
             _ => self.format().name(),
         }
     }
@@ -922,28 +1066,28 @@ impl MatmulPlan for Plan {
             Reference::Spatha { weight, .. } | Reference::Swapped(weight) => weight.decompress(),
             Reference::Dense(w) => w.clone(),
             Reference::Kernel(k) => k.to_dense(),
-            Reference::Quant { weight, .. } => weight.to_dense(),
+            Reference::Quant(weight) => weight.to_dense(),
         }
     }
 
     fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
         match &self.exec {
-            Exec::Stream(s) => s.run_half(b),
-            Exec::Int(s) => s.run_half(b),
+            Exec::F16(s) => s.run_half(&(), b),
+            Exec::I8(s) => s.run_half(self.int8(), b),
         }
     }
 
     fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
         match &self.exec {
-            Exec::Stream(s) => s.run_batch(bs),
-            Exec::Int(s) => s.run_batch(bs),
+            Exec::F16(s) => s.run_batch(&(), bs),
+            Exec::I8(s) => s.run_batch(self.int8(), bs),
         }
     }
 
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
         match &self.exec {
-            Exec::Stream(s) => s.run_linear(x, bias),
-            Exec::Int(s) => s.run_linear(x, bias),
+            Exec::F16(s) => s.run_linear(&(), x, bias),
+            Exec::I8(s) => s.run_linear(self.int8(), x, bias),
         }
     }
 
@@ -954,8 +1098,8 @@ impl MatmulPlan for Plan {
             "staged operand size mismatch"
         );
         match &self.exec {
-            Exec::Stream(s) => s.run_linear_staged(staged, tokens, bias),
-            Exec::Int(s) => s.run_linear_staged(staged, tokens, bias),
+            Exec::F16(s) => s.run_linear_staged(&(), staged, tokens, bias),
+            Exec::I8(s) => s.run_linear_staged(self.int8(), staged, tokens, bias),
         }
     }
 
@@ -977,8 +1121,8 @@ impl MatmulPlan for Plan {
             Reference::Kernel(k) => k.spmm_parallel(b),
             // Re-quantize the operand, run the container's own parallel
             // integer kernel, dequantize through the shared expression.
-            Reference::Quant { weight, act_calib } => {
-                let (b_q, act_scale) = qplan::quantize_operand(b, *act_calib);
+            Reference::Quant(weight) => {
+                let (b_q, act_scale) = qplan::quantize_operand(b, weight.calibration());
                 qplan::dequantize(weight.spmm_parallel_i8(&b_q), weight.scales(), act_scale)
             }
         }
@@ -1241,41 +1385,71 @@ mod tests {
 
     /// The shapes of the stream oracle: K = 1, a row count and a K that
     /// are multiples of neither 16 nor any chunk, and (at widths 8 and 9)
-    /// a K three chunks deep.
-    fn stream_shapes(width: usize) -> Vec<(usize, usize)> {
+    /// a K three chunks of the lane's staged B deep.
+    fn stream_shapes<L: Lane>(width: usize) -> Vec<(usize, usize)> {
         let mut shapes = vec![(37, 1), (150, 230)];
         if width == 8 || width == 9 {
-            shapes.push((21, 2 * (CHUNK_BYTES / (4 * width)) + 5));
+            let chunk = CHUNK_BYTES / (std::mem::size_of::<L::Staged>() * width);
+            shapes.push((21, 2 * chunk + 5));
         }
         shapes
     }
 
     /// Runs `plan` on a seeded operand of `width` columns: it must be
     /// replayed by `replay`, and the dispatched replay
-    /// ([`MatmulPlan::run`]) must equal the baseline-compiled band body
-    /// and the per-call reference ([`MatmulPlan::run_oneshot`]). Returns
-    /// whether the output mixes NaN and finite values, so that callers
-    /// can check the special values reached it.
+    /// ([`MatmulPlan::run`]) must equal the baseline-compiled band body,
+    /// staged and finished by the same lane, and the per-call reference
+    /// ([`MatmulPlan::run_oneshot`]). An f16 plan's operand carries
+    /// [`SPECIALS`]; an int8 plan's is finite, since calibration refuses
+    /// NaN and ±Inf. Returns whether the output mixes NaN and finite
+    /// values, so that callers can check the special values reached it.
     fn check_plan(label: &str, plan: &Plan, replay: Replay, width: usize, seed: u64) -> bool {
-        let stream = stream_of(plan);
+        let k = plan.desc.in_features;
+        let out = match &plan.exec {
+            Exec::F16(s) => check_stream(label, plan, s, &(), replay, &operand(k, width, seed)),
+            Exec::I8(s) => {
+                let b = random::normal_matrix(k, width, 0.0, 1.0, seed).to_half();
+                check_stream(label, plan, s, plan.int8(), replay, &b)
+            }
+        };
+        out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
+    }
+
+    /// [`check_plan`] over the plan's stream and boundary, on `b`;
+    /// returns the planned output.
+    fn check_stream<L: Lane>(
+        label: &str,
+        plan: &Plan,
+        stream: &Stream<L>,
+        bd: &L::Boundary,
+        replay: Replay,
+        b: &Matrix<Half>,
+    ) -> Vec<f32> {
         assert_eq!(stream.replay, replay, "{label}");
         let Extent { rows, k, .. } = stream.ops.extent();
-        let b = operand(k, width, seed);
-        let staged = venom_fp16::slice::decode_f32_vec(b.as_slice());
-        let got = plan.run(&b);
-        let lut = venom_fp16::f16_to_f32_table();
+        let width = b.cols();
+        let got = plan.run(b);
+        let mut staged = vec![L::Staged::default(); b.len()];
+        let acts = [(width, L::stage_half(bd, b, &mut staged, width, 0))];
+        let dec = L::decode();
         let mut base = vec![0.0f32; rows * width];
         for (band, chunk) in base.chunks_mut(BAND_ROWS * width).enumerate() {
             let row0 = band * BAND_ROWS;
             let (b, w) = (&staged, width);
-            match (stream.ops.sources(), replay) {
-                (Sources::Narrow(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
-                (Sources::Wide(s), Replay::Sweep) => stream.sweep_band(s, lut, row0, b, w, chunk),
-                (Sources::Narrow(s), Replay::Panels) => {
-                    stream.panels_band(s, lut, row0, b, w, chunk)
+            L::finish(bd, &acts, row0, w, chunk, |acc| {
+                match (stream.ops.sources(), replay) {
+                    (Sources::Narrow(s), Replay::Sweep) => {
+                        stream.sweep_band(s, dec, row0, b, w, acc)
+                    }
+                    (Sources::Wide(s), Replay::Sweep) => stream.sweep_band(s, dec, row0, b, w, acc),
+                    (Sources::Narrow(s), Replay::Panels) => {
+                        stream.panels_band(s, dec, row0, b, w, acc)
+                    }
+                    (Sources::Wide(s), Replay::Panels) => {
+                        stream.panels_band(s, dec, row0, b, w, acc)
+                    }
                 }
-                (Sources::Wide(s), Replay::Panels) => stream.panels_band(s, lut, row0, b, w, chunk),
-            }
+            });
         }
         let at = format!("{label} {rows}x{k} width {width}");
         assert_eq!(
@@ -1283,26 +1457,25 @@ mod tests {
             bits(&base),
             "{at}: dispatched != baseline"
         );
-        let oneshot = plan.run_oneshot(&b);
+        let oneshot = plan.run_oneshot(b);
         assert_eq!(
             bits(got.as_slice()),
             bits(oneshot.as_slice()),
             "{at}: planned != oneshot"
         );
-        let out = got.as_slice();
-        out.iter().any(|x| x.is_nan()) && out.iter().any(|x| x.is_finite())
+        got.as_slice().to_vec()
     }
 
     /// The stream of an f16 plan.
-    fn stream_of(plan: &Plan) -> &Stream {
+    fn stream_of(plan: &Plan) -> &Stream<u16> {
         match &plan.exec {
-            Exec::Stream(s) => s,
-            Exec::Int(_) => panic!("not an f16 plan"),
+            Exec::F16(s) => s,
+            Exec::I8(_) => panic!("not an f16 plan"),
         }
     }
 
     /// A stream's operands: row pointers, f16 value bits and sources.
-    fn operands(s: &Stream) -> &Operands<u16> {
+    fn operands(s: &Stream<u16>) -> &Operands<u16> {
         &s.ops
     }
 
@@ -1411,7 +1584,7 @@ mod tests {
         ] {
             let mut mixed = false;
             for width in WIDTHS {
-                for (rows, k) in stream_shapes(width) {
+                for (rows, k) in stream_shapes::<u16>(width) {
                     let a = vnm_special(rows, k, cfg, (rows + k) as u64);
                     let plan = build(&a, width);
                     mixed |= check_plan(&cfg.to_string(), &plan, Replay::Sweep, width, k as u64);
@@ -1428,7 +1601,7 @@ mod tests {
         let (rows, k, width) = (37, 230, 1024);
         let a = vnm_special(rows, k, VnmConfig::new(128, 2, 20), 5);
         let plan = build(&a, width);
-        let Exec::Stream(stream) = &plan.exec else {
+        let Exec::F16(stream) = &plan.exec else {
             panic!("not a stream plan")
         };
         let chunk = stream.chunk_rows(width);
@@ -1443,7 +1616,7 @@ mod tests {
     fn dense_stream_replay_matches_baseline_and_oneshot() {
         let mut mixed = false;
         for width in WIDTHS {
-            for (rows, k) in stream_shapes(width) {
+            for (rows, k) in stream_shapes::<u16>(width) {
                 let w = sparse_special(rows, k, (rows * k) as u64);
                 mixed |= check_plan(
                     "dense",
@@ -1464,7 +1637,7 @@ mod tests {
         // so their sources are not ascending.
         let mut mixed = [false; 3];
         for width in WIDTHS {
-            for (rows, k) in stream_shapes(width) {
+            for (rows, k) in stream_shapes::<u16>(width) {
                 let w = sparse_special(rows, k, (rows + 3 * k) as u64);
                 let desc = MatmulDescriptor::new(rows, k).with_b_cols(width);
                 let csr = CsrMatrix::from_dense(&w);
@@ -1536,7 +1709,7 @@ mod tests {
         let stream = Stream::sweep(ops.finish());
         assert_eq!(stream.chunk_rows(width), CHUNK_BYTES / (4 * width));
         let mut got = vec![0.0f32; rows * width];
-        stream.run_into(&b, width, &mut got);
+        stream.run_acc(&b, width, &mut got);
         let mut want = vec![0.0f32; rows * width];
         for (i, (&v, &s)) in vals.iter().zip(&srcs).enumerate() {
             let orow = &mut want[i / per_row * width..][..width];
@@ -1686,6 +1859,70 @@ mod tests {
             let a = plan.vnm().expect("a V:N:M plan");
             let want = venom_core::spmm_swapped(a, &b);
             assert_eq!(bits(plan.run(&b).as_slice()), bits(want.as_slice()));
+        }
+    }
+
+    /// The int8 plan of `a` at column hint `b_cols`.
+    fn quant_build(a: &VnmMatrix, b_cols: usize) -> Plan {
+        let engine = crate::Engine::new(dev()).with_b_cols_hint(b_cols);
+        engine.plan_quant_spmm(a)
+    }
+
+    /// [`check_plan`] over an int8 plan, which the sweep replays, and
+    /// its integer core ([`Plan::run_i8`]) against `spmm_ref_i8` over
+    /// codes that reach -128, -127 and 127.
+    fn check_int8_plan(label: &str, plan: &Plan, width: usize, seed: u64) {
+        check_plan(label, plan, Replay::Sweep, width, seed);
+        let k = plan.desc.in_features;
+        let b = Matrix::from_fn(k, width, |r, c| match (r * 7 + c * 13) % 11 {
+            0 => i8::MIN,
+            1 => i8::MAX,
+            2 => -127,
+            _ => ((r * 19 + c * 7) % 255) as u8 as i8,
+        });
+        let want = plan.quantized().expect("an int8 plan").spmm_ref_i8(&b);
+        let at = format!("{label} k {k} width {width}");
+        assert_eq!(plan.run_i8(&b), Some(want), "{at}: run_i8 != spmm_ref_i8");
+    }
+
+    #[test]
+    fn int_replay_matches_baseline_and_the_i8_oracle() {
+        // Widths around one AVX2 lane block, row counts off the band
+        // height, K = 1, and (at widths 8 and 9) a K whose i16-staged B
+        // spans three chunks of the sweep.
+        for cfg in [VnmConfig::new(64, 2, 10), VnmConfig::new(8, 2, 4)] {
+            for width in WIDTHS {
+                for (rows, k) in stream_shapes::<i8>(width) {
+                    let a = vnm_fixture(rows, k, cfg, (rows + k) as u64);
+                    let plan = quant_build(&a, width);
+                    if k > 230 {
+                        let Exec::I8(stream) = &plan.exec else {
+                            panic!("not an int8 plan")
+                        };
+                        assert!(2 * stream.chunk_rows(width) < k, "{cfg}: one chunk");
+                    }
+                    check_int8_plan(&cfg.to_string(), &plan, width, k as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn int_replay_reads_wide_sources() {
+        // K past 16-bit sources: the codes replay over 32-bit sources,
+        // some of them past 65535.
+        let k = (u16::MAX as usize + 1) + 64;
+        let a = vnm_fixture(16, k, VnmConfig::new(16, 2, 8), 13);
+        let plan = quant_build(&a, 8);
+        let Exec::I8(stream) = &plan.exec else {
+            panic!("not an int8 plan")
+        };
+        let Sources::Wide(srcs) = stream.ops.sources() else {
+            panic!("K = {k} needs 32-bit sources")
+        };
+        assert!(srcs.iter().any(|&s| s > u32::from(u16::MAX)));
+        for width in [8, 256] {
+            check_int8_plan("16:2:8 wide K", &plan, width, width as u64);
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Run-time instruction-set dispatch for the runtime's f32 and i32 hot
 //! loops.
 //!
-//! The dispatched loops are the f16 stream's two replays, the K-chunked
-//! sweep and the register panels (`Stream::replay_band`, one entry per
-//! source width), the int8 row accumulation
-//! (`IntStream::accumulate_row`) and, at plan-build time, the packing of
-//! a weight's nonzero mask (`SparsityMask::from_nonzero_halves`, exact
-//! bit tests).
+//! The dispatched loops are the operand stream's two replays, the
+//! K-chunked sweep and the register panels (`Stream::sweep_band` and
+//! `Stream::panels_band`, one entry each, generic over the value plane
+//! and the source width: f16 and int8 plans run the same entry), and, at
+//! plan-build time, the packing of a weight's nonzero mask
+//! (`SparsityMask::from_nonzero_halves`, exact bit tests).
 //!
 //! The workspace builds for the baseline target (SSE2 on x86-64): no
 //! `target-cpu`, no `.cargo/config`. A hot loop is written once, as an
@@ -36,19 +36,22 @@
 /// Defines `$name`, a safe entry point with `$body`'s signature that runs
 /// `$body` compiled for AVX2 when the host supports it and compiled for
 /// the baseline target otherwise. `$body` must be `#[inline(always)]`, so
-/// that it is inlined, and vectorized, inside each instance.
+/// that it is inlined, and vectorized, inside each instance. A generic
+/// entry (`fn name<T: Bound, ..>`, one trait per parameter) gets both
+/// instances per set of type arguments it is called with.
 macro_rules! avx2_dispatch {
     (
         $(#[$meta:meta])*
-        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;
+        $vis:vis fn $name:ident $(<$($g:ident: $bound:path),+>)?
+            ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;
     ) => {
         $(#[$meta])*
         #[inline]
-        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name $(<$($g: $bound),+>)? ($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2")]
-                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                fn avx2 $(<$($g: $bound),+>)? ($($arg: $ty),*) $(-> $ret)? {
                     $body($($arg),*)
                 }
                 if std::arch::is_x86_feature_detected!("avx2") {
