@@ -555,8 +555,8 @@ fn spmm_i8_plan_series(
     )
 }
 
-/// The planned attention pipeline (ISSUE 9): SDDMM over the mask's
-/// condensed gather order, masked softmax over the compressed scores,
+/// The planned attention pipeline: SDDMM over each row's run of the
+/// mask, masked softmax over the compressed scores,
 /// planned P·V — versus the unplanned per-call attention path (per-call
 /// projections plus the dense masked core, re-staged every invocation).
 /// The two paths are asserted bit-identical before timing.

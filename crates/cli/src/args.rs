@@ -56,8 +56,8 @@ impl core::fmt::Display for FormatChoice {
 }
 
 /// A validated `--attention` value: the dense bidirectional core, or the
-/// planned masked pipeline (causal mask, SDDMM over the condensed gather
-/// order, softmax over compressed scores, planned `P·V`).
+/// planned masked pipeline (causal mask, SDDMM over each row's sampled
+/// run, softmax over compressed scores, planned `P·V`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttentionChoice {
     /// Dense bidirectional attention (full `seq x seq` scores).
@@ -239,7 +239,7 @@ USAGE:
   --dtype D chooses the operand precision: f16 (exact mixed precision)
   or i8 (calibrated int8, i32 accumulation; vnm/auto formats only).
   --attention planned adopts the planned causal attention pipeline in
-  every layer (SDDMM over the mask's condensed gather order, masked
+  every layer (SDDMM over each row's run of the mask, masked
   softmax over compressed scores, planned P·V) and reports the mask
   census; dense keeps the bidirectional dense core (default dense).
   --inject SPEC enables deterministic fault injection while serving:

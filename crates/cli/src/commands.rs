@@ -326,7 +326,7 @@ fn infer(
         };
     if attention == AttentionChoice::Planned {
         // Adopt the planned causal pipeline in every block: SDDMM over
-        // the mask's condensed gather order, masked softmax over the
+        // each row's run of the mask, masked softmax over the
         // compressed scores, planned P·V — one plan shared stack-wide.
         if let Err(e) = sparse.adopt_planned_attention(&engine, seq, &AttentionMask::Causal) {
             return format!("{e}");

@@ -222,9 +222,9 @@ impl MultiHeadAttention {
 /// Planned masked attention: a [`MultiHeadAttention`]'s projections
 /// paired with an [`AttentionPlan`] for one `(seq, mask)` shape. The
 /// forward runs the projections exactly as the dense layer does, then
-/// executes the planned pipeline (SDDMM over the mask's condensed gather
-/// order → masked softmax over the compressed scores → `P·V`) instead of
-/// the dense score matrix — bit-identical to
+/// executes the planned pipeline (SDDMM over each row's sampled run,
+/// read from the mask → masked softmax over the compressed scores →
+/// `P·V`) instead of the dense score matrix — bit-identical to
 /// [`MultiHeadAttention::forward_masked`] under the plan's mask, never
 /// materializing the `seq x seq` scores.
 #[derive(Clone, Debug)]

@@ -524,8 +524,8 @@ impl Engine {
     }
 
     /// Plans the activation-side attention pipeline for one
-    /// `(seq, hidden, heads, mask)` shape: SDDMM over the mask's
-    /// condensed gather order, masked softmax over the compressed
+    /// `(seq, hidden, heads, mask)` shape: SDDMM over each row's sampled
+    /// run (read from the mask), masked softmax over the compressed
     /// scores, and the `P·V` contraction — priced on
     /// `sddmm_counts`-derived counts with the mma-vs-swapped schedule
     /// flip decided by simulated cost (see [`crate::AttentionPlan`]).

@@ -64,7 +64,7 @@ pub mod serve;
 mod simd;
 pub mod stage;
 
-pub use attn::{AttentionMask, AttentionPlan, SddmmPath, SddmmPlan};
+pub use attn::{AttentionMask, AttentionPlan, SddmmPath};
 pub use descriptor::{DType, Epilogue, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};

@@ -1,11 +1,11 @@
-//! The process-wide plan cache: descriptor-keyed, build-once, LRU under
+//! The serving plan cache: descriptor-keyed, build-once, LRU under
 //! a byte budget, with bounded-wait builds so one stuck builder cannot
 //! wedge a key.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::sync::{lock_recover, wait_recover, wait_timeout_recover};
@@ -180,8 +180,9 @@ struct Inner {
 /// A thread-safe, build-once plan cache with LRU eviction under a byte
 /// budget.
 ///
-/// See the module docs for the role it plays in serving; see
-/// [`PlanCache::global`] for the process-wide instance.
+/// See the module docs for the role it plays in serving. A server takes
+/// its cache as an `Arc`, so servers handed the same cache share its hot
+/// plans.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -205,7 +206,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Default byte budget of [`PlanCache::new`] and the global cache:
+    /// Default byte budget of [`PlanCache::new`]:
     /// roomy enough for every layer plan of a BERT-large-scale stack.
     pub const DEFAULT_BYTE_BUDGET: usize = 512 << 20;
 
@@ -230,13 +231,6 @@ impl PlanCache {
             failed_builds: AtomicU64::new(0),
             build_timeouts: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide cache every serving entry point shares by
-    /// default — hot models stay planned across servers and threads.
-    pub fn global() -> &'static Arc<PlanCache> {
-        static GLOBAL: OnceLock<Arc<PlanCache>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(PlanCache::new()))
     }
 
     /// The configured byte budget.

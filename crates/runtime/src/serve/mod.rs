@@ -7,17 +7,18 @@
 //! dispatched together instead of one at a time. This module is that
 //! layer, in three pieces:
 //!
-//! * [`PlanCache`] — a process-wide, thread-safe plan cache keyed by
-//!   [`crate::MatmulDescriptor`] (plus a weight fingerprint, so two
-//!   same-shape models never alias). Plans build exactly once per key
-//!   no matter how many threads race the first request; eviction is LRU
-//!   under a configurable byte budget and never drops a plan a caller
-//!   still holds; hit/miss/eviction/build counters are exposed for the
-//!   steady-state hit-ratio contract. [`PlanCache::warm`] builds a cold
-//!   descriptor on a background thread before the first request lands,
-//!   and [`PlanCache::get_or_plan_deadline`] bounds how long a request
-//!   waits on a cold build — a stuck builder keeps running in the
-//!   background instead of wedging its key.
+//! * [`PlanCache`] — a thread-safe plan cache, shared by every server
+//!   handed the same `Arc`, keyed by [`crate::MatmulDescriptor`] (plus a
+//!   weight fingerprint, so two same-shape models never alias). Plans
+//!   build exactly once per key no matter how many threads race the
+//!   first request; eviction is LRU under a configurable byte budget
+//!   and never drops a plan a caller still holds; hit/miss/eviction/build
+//!   counters are exposed for the steady-state hit-ratio contract.
+//!   [`PlanCache::warm`] builds a cold descriptor on a background thread
+//!   before the first request lands, and
+//!   [`PlanCache::get_or_plan_deadline`] bounds how long a request waits
+//!   on a cold build — a stuck builder keeps running in the background
+//!   instead of wedging its key.
 //! * [`RequestQueue`] — a bounded MPMC queue with two admission modes:
 //!   [`Server::try_submit`] rejects when full (admission control), and
 //!   [`Server::submit`] blocks until a slot frees (backpressure); an

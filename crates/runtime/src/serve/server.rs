@@ -307,11 +307,6 @@ impl Server {
         Server { shared }
     }
 
-    /// Starts a server with its own default-budget cache.
-    pub fn with_default_cache(config: ServeConfig) -> Self {
-        Self::start(config, Arc::new(PlanCache::new()))
-    }
-
     /// The shared plan cache (for stats or warm-up).
     pub fn cache(&self) -> &Arc<PlanCache> {
         &self.shared.cache
@@ -416,28 +411,9 @@ impl Server {
             .map_err(|(e, _)| e)
     }
 
-    /// [`Self::try_submit`] with a deadline: past `deadline` the request
-    /// is answered with [`ServeError::DeadlineExceeded`] instead of
+    /// [`Self::submit`] with a deadline: past `deadline` the request is
+    /// answered with [`ServeError::DeadlineExceeded`] instead of
     /// dispatched.
-    ///
-    /// # Errors
-    /// As [`Self::try_submit`].
-    pub fn try_submit_with_deadline(
-        &self,
-        key: PlanKey,
-        operand: Matrix<Half>,
-        deadline: std::time::Instant,
-    ) -> Result<ResponseHandle, ServeError> {
-        let (req, handle) = ServeRequest::new(key, operand);
-        let _span = venom_obs::span!("admission", req.id);
-        self.shared
-            .queue
-            .try_submit(req.with_deadline_at(deadline))
-            .map(|()| handle)
-            .map_err(|(e, _)| e)
-    }
-
-    /// [`Self::submit`] with a deadline.
     ///
     /// # Errors
     /// As [`Self::submit`].

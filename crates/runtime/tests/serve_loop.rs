@@ -209,7 +209,10 @@ fn steady_state_serving_keeps_the_cache_hit_ratio_above_90_percent() {
 fn unknown_keys_and_misshapen_operands_are_answered_with_errors() {
     let engine = engine(8);
     let (key, plan) = planned_weight(64, 64, 7, &engine);
-    let server = Server::with_default_cache(ServeConfig::default().with_concurrency(1));
+    let server = Server::start(
+        ServeConfig::default().with_concurrency(1),
+        Arc::new(PlanCache::new()),
+    );
 
     // No registered builder: the request is answered, not dropped.
     let err = server
