@@ -11,12 +11,9 @@
 //! * per-vector B gather with little inter-block reuse;
 //! * no sparse tensor cores (dense `mma` only).
 
-use crate::{BaselineResult, Mode};
 use venom_format::CvseMatrix;
-use venom_fp16::Half;
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig};
-use venom_tensor::Matrix;
 
 /// Steady-state issue efficiency of the gather-based tensor-core loop.
 pub const CLASP_EFFICIENCY: f64 = 0.55;
@@ -86,26 +83,13 @@ impl ClaspSpmm {
     pub fn time(a: &CvseMatrix, b_cols: usize, dev: &DeviceConfig) -> venom_sim::KernelTiming {
         simulate(dev, &Self::counts(a, b_cols)).expect("small fixed blocks always fit")
     }
-
-    /// Runs `C = A * B`.
-    ///
-    /// # Panics
-    /// Panics if `B` has the wrong number of rows.
-    pub fn run(a: &CvseMatrix, b: &Matrix<Half>, dev: &DeviceConfig, mode: Mode) -> BaselineResult {
-        let counts = Self::counts(a, b.cols());
-        let timing = simulate(dev, &counts).expect("small fixed blocks always fit");
-        let c = match mode {
-            Mode::Functional => a.spmm_parallel(b),
-            Mode::ModelOnly => Matrix::<f32>::zeros(a.shape().0, b.cols()),
-        };
-        BaselineResult { c, timing, counts }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_tensor::random;
+    use venom_fp16::Half;
+    use venom_tensor::{random, Matrix};
 
     fn dev() -> DeviceConfig {
         DeviceConfig::rtx3090()
@@ -132,14 +116,6 @@ mod tests {
             }
         }
         CvseMatrix::from_dense(&pruned, l)
-    }
-
-    #[test]
-    fn functional_matches_reference() {
-        let a = vw_matrix(16, 64, 4, 0.25, 1);
-        let b = random::normal_matrix(64, 24, 0.0, 1.0, 2).to_half();
-        let res = ClaspSpmm::run(&a, &b, &dev(), Mode::Functional);
-        assert_eq!(res.c, a.spmm_ref(&b));
     }
 
     #[test]

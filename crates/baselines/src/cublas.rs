@@ -1,15 +1,13 @@
 //! Dense half-precision GEMM with cuBLAS-like behaviour.
 //!
-//! Functional execution is the parallel blocked GEMM of `venom-tensor`;
-//! timing comes from the pipeline model with a tile configuration chosen —
+//! Timing comes from the pipeline model with a tile configuration chosen —
 //! like the real library — by an internal heuristic that evaluates a small
-//! candidate set and keeps the fastest.
+//! candidate set and keeps the fastest. The dense product itself is
+//! `venom_tensor::gemm`.
 
-use crate::{BaselineResult, Mode};
-use venom_fp16::Half;
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig};
-use venom_tensor::{gemm, GemmShape, Matrix};
+use venom_tensor::GemmShape;
 
 /// Steady-state issue efficiency of the vendor dense kernels (cuBLAS runs
 /// within a few percent of the instruction-issue peak at large K).
@@ -105,43 +103,14 @@ impl DenseGemm {
             .min_by(|a, b| a.time_ms.partial_cmp(&b.time_ms).unwrap())
             .expect("some dense tile always fits")
     }
-
-    /// Runs `C = A * B`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn run(
-        a: &Matrix<Half>,
-        b: &Matrix<Half>,
-        dev: &DeviceConfig,
-        mode: Mode,
-    ) -> BaselineResult {
-        let shape = gemm::shape_of(a, b);
-        let counts = Self::select(shape, dev);
-        let timing = simulate(dev, &counts).expect("selected configuration fits");
-        let c = match mode {
-            Mode::Functional => gemm::gemm_parallel(a, b),
-            Mode::ModelOnly => Matrix::<f32>::zeros(shape.r, shape.c),
-        };
-        BaselineResult { c, timing, counts }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_tensor::random;
 
     fn dev() -> DeviceConfig {
         DeviceConfig::rtx3090()
-    }
-
-    #[test]
-    fn functional_result_matches_reference() {
-        let a = random::normal_matrix(64, 96, 0.0, 1.0, 1).to_half();
-        let b = random::normal_matrix(96, 32, 0.0, 1.0, 2).to_half();
-        let res = DenseGemm::run(&a, &b, &dev(), Mode::Functional);
-        assert_eq!(res.c, gemm::gemm_ref(&a, &b));
     }
 
     #[test]
@@ -170,14 +139,5 @@ mod tests {
         // even fill one wave).
         assert!(small.grid_blocks >= 8, "grid={}", small.grid_blocks);
         assert!(big.name != small.name || big.grid_blocks != small.grid_blocks);
-    }
-
-    #[test]
-    fn model_only_returns_zeros() {
-        let a = random::normal_matrix(32, 32, 0.0, 1.0, 3).to_half();
-        let b = random::normal_matrix(32, 32, 0.0, 1.0, 4).to_half();
-        let res = DenseGemm::run(&a, &b, &dev(), Mode::ModelOnly);
-        assert!(res.c.as_slice().iter().all(|&x| x == 0.0));
-        assert!(res.timing.time_ms > 0.0);
     }
 }

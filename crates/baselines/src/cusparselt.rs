@@ -15,12 +15,9 @@
 //!   `0.93`) — why the curves converge at large K;
 //! * higher launch overhead (cuSparseLt plans/selects kernels at runtime).
 
-use crate::{BaselineResult, Mode};
-use venom_format::{NmCompressed, NmConfig};
-use venom_fp16::Half;
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig};
-use venom_tensor::{GemmShape, Matrix};
+use venom_tensor::GemmShape;
 
 /// Steady-state issue efficiency of the vendor sparse kernels.
 pub const SPARSELT_EFFICIENCY: f64 = 0.97;
@@ -74,59 +71,14 @@ impl SparseLtSpmm {
         d.kernel_launch_us = SPARSELT_LAUNCH_US;
         simulate(&d, &Self::counts(shape)).expect("fixed tile fits the shipped presets")
     }
-
-    /// Runs `C = A * B` where `a` is 2:4 compressed.
-    ///
-    /// # Panics
-    /// Panics if `a` is not 2:4 or shapes mismatch.
-    pub fn run(
-        a: &NmCompressed,
-        b: &Matrix<Half>,
-        dev: &DeviceConfig,
-        mode: Mode,
-    ) -> BaselineResult {
-        assert_eq!(
-            a.config(),
-            NmConfig::new(2, 4),
-            "cuSparseLt accepts only the 2:4 format"
-        );
-        let (r, k) = a.shape();
-        assert_eq!(b.rows(), k, "B must have K rows");
-        let shape = GemmShape::new(r, k, b.cols());
-        let counts = Self::counts(shape);
-        let mut d = dev.clone();
-        d.kernel_launch_us = SPARSELT_LAUNCH_US;
-        let timing = simulate(&d, &counts).expect("fixed tile fits");
-        let c = match mode {
-            // The staged parallel path over the compressed layout — the
-            // same implementation class as the CSR/CVSE baselines, and
-            // bit-identical to the dense GEMM over the decompressed
-            // matrix (both accumulate each element in ascending-k order
-            // with exact fp16 products).
-            Mode::Functional => a.spmm_parallel(b),
-            Mode::ModelOnly => Matrix::<f32>::zeros(r, b.cols()),
-        };
-        BaselineResult { c, timing, counts }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_tensor::{gemm, random};
 
     fn dev() -> DeviceConfig {
         DeviceConfig::rtx3090()
-    }
-
-    #[test]
-    fn functional_matches_masked_dense() {
-        let dense = random::normal_matrix(32, 64, 0.0, 1.0, 1).to_half();
-        let a = NmCompressed::compress_magnitude(&dense, NmConfig::new(2, 4));
-        let b = random::normal_matrix(64, 16, 0.0, 1.0, 2).to_half();
-        let res = SparseLtSpmm::run(&a, &b, &dev(), Mode::Functional);
-        let want = gemm::gemm_ref(&a.decompress(), &b);
-        assert_eq!(res.c, want);
     }
 
     #[test]
@@ -152,14 +104,5 @@ mod tests {
             small.tflops,
             large.tflops
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "only the 2:4")]
-    fn rejects_other_patterns() {
-        let dense = random::normal_matrix(16, 32, 0.0, 1.0, 3).to_half();
-        let a = NmCompressed::compress_magnitude(&dense, NmConfig::new(2, 8));
-        let b = Matrix::<Half>::zeros(32, 8);
-        let _ = SparseLtSpmm::run(&a, &b, &dev(), Mode::ModelOnly);
     }
 }

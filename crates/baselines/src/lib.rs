@@ -1,10 +1,10 @@
 //! Comparator libraries for the evaluation section.
 //!
 //! The paper benchmarks Spatha against four systems. None of them can run
-//! here (closed-source CUDA or GPU-only), so each is rebuilt as the closest
-//! synthetic equivalent — a functional Rust kernel over the same storage
-//! format plus a cost model on the simulated device that encodes the
-//! library's published performance character (see DESIGN.md §1):
+//! here (closed-source CUDA or GPU-only), so each is rebuilt as a cost
+//! model on the simulated device that encodes the library's published
+//! performance character (EXPERIMENTS.md's Fig. 12 and Fig. 13 sections
+//! set its predictions next to the paper's numbers):
 //!
 //! * [`cublas`] — dense half-precision GEMM. Tile configurations chosen by
 //!   an internal heuristic over a candidate set, near-peak steady state.
@@ -16,6 +16,13 @@
 //! * [`clasp`] — column-vector sparse encoding on dense tensor cores;
 //!   fragment utilisation degrades with shorter vectors (`l < 16` wastes
 //!   `16 - l` rows of every `mma` fragment).
+//!
+//! Each model prices from what it reads of a weight — [`DenseGemm::select`]
+//! and [`SparseLtSpmm::counts`] a GEMM shape, [`SputnikSpmm::counts_from`]
+//! and [`ClaspSpmm::counts_from`] a few structure counts — and its `time`
+//! simulates those counts. The products themselves are computed by the
+//! formats' own kernels (`venom_format::SparseKernel`) and the runtime's
+//! plans.
 
 pub mod clasp;
 pub mod cublas;
@@ -26,28 +33,3 @@ pub use clasp::ClaspSpmm;
 pub use cublas::DenseGemm;
 pub use cusparselt::SparseLtSpmm;
 pub use sputnik::SputnikSpmm;
-
-use venom_sim::{KernelCounts, KernelTiming};
-use venom_tensor::Matrix;
-
-/// Result of a baseline execution: functional output + simulated timing.
-#[derive(Clone, Debug)]
-pub struct BaselineResult {
-    /// The product in f32 (all zeros in model-only mode).
-    pub c: Matrix<f32>,
-    /// Simulated timing.
-    pub timing: KernelTiming,
-    /// Priced resource counts.
-    pub counts: KernelCounts,
-}
-
-/// Execution mode shared by all baselines (mirrors
-/// [`venom_core::ExecMode`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Compute the result and the timing.
-    #[default]
-    Functional,
-    /// Timing only; the result matrix is zeros.
-    ModelOnly,
-}

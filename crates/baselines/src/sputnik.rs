@@ -11,12 +11,9 @@
 //!   (charged here from the *measured* imbalance of the actual matrix),
 //! * wins over dense GEMM only above ~90 % sparsity.
 
-use crate::{BaselineResult, Mode};
 use venom_format::CsrMatrix;
-use venom_fp16::Half;
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig};
-use venom_tensor::Matrix;
 
 /// Fraction of the CUDA-core FMA peak the gather-heavy inner loop sustains.
 /// Encodes Sputnik's published ~20-30 % of scalar peak on DL matrices.
@@ -90,20 +87,6 @@ impl SputnikSpmm {
     pub fn time(a: &CsrMatrix, b_cols: usize, dev: &DeviceConfig) -> venom_sim::KernelTiming {
         simulate(dev, &Self::counts(a, b_cols)).expect("small fixed blocks always fit")
     }
-
-    /// Runs `C = A * B`.
-    ///
-    /// # Panics
-    /// Panics if `B` has the wrong number of rows.
-    pub fn run(a: &CsrMatrix, b: &Matrix<Half>, dev: &DeviceConfig, mode: Mode) -> BaselineResult {
-        let counts = Self::counts(a, b.cols());
-        let timing = simulate(dev, &counts).expect("small fixed blocks always fit");
-        let c = match mode {
-            Mode::Functional => a.spmm_parallel(b),
-            Mode::ModelOnly => Matrix::<f32>::zeros(a.shape().0, b.cols()),
-        };
-        BaselineResult { c, timing, counts }
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +107,6 @@ mod tests {
             ((i * 131 + j * 37 + seed as usize) % 10_000) as f64 / 10_000.0 >= sparsity
         });
         CsrMatrix::from_masked(&dense.to_half(), &mask)
-    }
-
-    #[test]
-    fn functional_matches_reference() {
-        let a = unstructured(24, 48, 0.8, 1);
-        let b = random::normal_matrix(48, 16, 0.0, 1.0, 2).to_half();
-        let res = SputnikSpmm::run(&a, &b, &dev(), Mode::Functional);
-        assert_eq!(res.c, a.spmm_ref(&b));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! kernel).
 
 use venom_bench::{banner, csv_header, csv_row};
-use venom_core::{autotune_shape, build_counts_shape, SpmmOptions, TileConfig};
+use venom_core::{autotune, build_counts, SpmmOptions, TileConfig};
 use venom_format::VnmConfig;
 use venom_sim::pipeline::simulate;
 use venom_sim::DeviceConfig;
@@ -20,7 +20,7 @@ fn time_of(
     tile: &TileConfig,
     dev: &DeviceConfig,
 ) -> Option<f64> {
-    let counts = build_counts_shape(r, k, c, cfg, tile, &SpmmOptions::default());
+    let counts = build_counts(r, k, c, cfg, tile, &SpmmOptions::default());
     simulate(dev, &counts).ok().map(|t| t.time_ms)
 }
 
@@ -29,7 +29,7 @@ fn main() {
     let (r, k, c) = (1024usize, 4096usize, 4096usize);
     let cfg = VnmConfig::new(128, 2, 16);
     let opts = SpmmOptions::default();
-    let (best, best_ms) = autotune_shape(r, k, c, cfg, &opts, &dev);
+    let (best, best_ms) = autotune(r, k, c, cfg, &opts, &dev);
 
     banner(&format!(
         "Tile ablation on {r}x{k}x{c} at {cfg}; optimum {best} = {best_ms:.3} ms"

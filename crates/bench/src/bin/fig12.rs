@@ -12,7 +12,7 @@
 use venom_baselines::cublas::DenseGemm;
 use venom_baselines::cusparselt::SparseLtSpmm;
 use venom_bench::{banner, csv_header, csv_row};
-use venom_core::{autotune, build_counts_shape, SpmmOptions};
+use venom_core::{build_counts, SpmmOptions};
 use venom_format::VnmConfig;
 use venom_sim::pipeline::simulate;
 use venom_sim::DeviceConfig;
@@ -32,7 +32,7 @@ fn spatha_24_ms(r: usize, k: usize, c: usize, dev: &DeviceConfig) -> f64 {
                 }
                 for stages in [2u32, 3, 4] {
                     let tile = venom_core::TileConfig::new(128, bs_c, bs_k, 32, ws_c, stages);
-                    let counts = build_counts_shape(r, k, c, cfg, &tile, &opts);
+                    let counts = build_counts(r, k, c, cfg, &tile, &opts);
                     if let Ok(t) = simulate(dev, &counts) {
                         best = best.min(t.time_ms);
                     }
@@ -40,7 +40,6 @@ fn spatha_24_ms(r: usize, k: usize, c: usize, dev: &DeviceConfig) -> f64 {
             }
         }
     }
-    let _ = autotune::default_config_shape(cfg, k, c, dev);
     best
 }
 

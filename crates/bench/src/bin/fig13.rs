@@ -10,6 +10,7 @@
 //! ~80-90% and top out around ~3x; Spatha starts at ~2x (50%) and reaches
 //! up to ~27x on BERT-large with batch 16.
 
+use std::collections::HashMap;
 use venom_baselines::cublas::DenseGemm;
 use venom_baselines::cusparselt::SparseLtSpmm;
 use venom_baselines::{ClaspSpmm, SputnikSpmm};
@@ -39,23 +40,51 @@ fn vw_cvse(rows: usize, cols: usize, l: usize, sparsity: f64, seed: u64) -> Cvse
     CvseMatrix::from_dense(&mask.apply_f32(&w).to_half(), l)
 }
 
-/// Flop-weighted average speedup over the layer's weight shapes.
+/// Sputnik and CLASP milliseconds of every pruned weight of one hidden
+/// size, keyed by `(vw_l, sparsity label, r, k, c_cols)`, with `vw_l = 0`
+/// for Sputnik's CSR. The seeds depend on neither the batch nor Spatha's
+/// `V`, so each weight is pruned and built once per (sparsity, shape) —
+/// the CVSE once per `vw_l` too — and priced at every width in `widths`.
+fn baseline_times(
+    hidden: usize,
+    vw_ls: &[usize],
+    widths: &[usize],
+    dev: &DeviceConfig,
+) -> HashMap<(usize, &'static str, usize, usize, usize), f64> {
+    let mut times = HashMap::new();
+    for (n, m, label) in SPARSITY_LADDER {
+        let sparsity = 1.0 - n as f64 / m as f64;
+        for (r, k) in weight_shapes(hidden) {
+            let csr = unstructured_csr(r, k, sparsity, (r + k) as u64);
+            for &c in widths {
+                let ms = SputnikSpmm::time(&csr, c, dev).time_ms;
+                times.insert((0, label, r, k, c), ms);
+            }
+            for &l in vw_ls {
+                let cvse = vw_cvse(r, k, l, sparsity, (r * 2 + k) as u64);
+                for &c in widths {
+                    let ms = ClaspSpmm::time(&cvse, c, dev).time_ms;
+                    times.insert((l, label, r, k, c), ms);
+                }
+            }
+        }
+    }
+    times
+}
+
+/// Speedup over cuBLAS summed over the layer's weight shapes.
 fn layer_speedup(
     hidden: usize,
     c_cols: usize,
     dev: &DeviceConfig,
     mut time_of: impl FnMut(usize, usize) -> f64,
 ) -> f64 {
-    let mut flops_total = 0.0;
     let mut time_total = 0.0;
     let mut dense_total = 0.0;
     for (r, k) in weight_shapes(hidden) {
-        let shape = GemmShape::new(r, k, c_cols);
-        flops_total += shape.flops() as f64;
-        dense_total += DenseGemm::time(shape, dev).time_ms;
+        dense_total += DenseGemm::time(GemmShape::new(r, k, c_cols), dev).time_ms;
         time_total += time_of(r, k);
     }
-    let _ = flops_total;
     dense_total / time_total
 }
 
@@ -63,16 +92,23 @@ fn main() {
     let dev = DeviceConfig::rtx3090();
     let seq = 512usize;
 
+    let batches = [8usize, 16];
+    let spatha_clasp = [(64usize, 4usize), (128, 8)];
     for (hidden, model) in [(768usize, "BERT-base"), (1024, "BERT-large")] {
-        for batch in [8usize, 16] {
+        let baselines = baseline_times(
+            hidden,
+            &spatha_clasp.map(|(_, vw_l)| vw_l),
+            &batches.map(|batch| seq * batch),
+            &dev,
+        );
+        for batch in batches {
             let c_cols = seq * batch;
-            for (v, vw_l) in [(64usize, 4usize), (128, 8)] {
+            for (v, vw_l) in spatha_clasp {
                 banner(&format!(
                     "Figure 13: {model}, batch={batch}, Spatha {v}:N:M vs CLASP vw_{vw_l}"
                 ));
                 csv_header(&["sparsity", "spatha", "cusparselt", "sputnik", "clasp"]);
                 for (n, m, label) in SPARSITY_LADDER {
-                    let sparsity = 1.0 - n as f64 / m as f64;
                     let spatha = layer_speedup(hidden, c_cols, &dev, |r, k| {
                         spmm_time_tuned(
                             r,
@@ -92,12 +128,10 @@ fn main() {
                         f64::NAN // the vendor library only supports 2:4
                     };
                     let sputnik = layer_speedup(hidden, c_cols, &dev, |r, k| {
-                        let a = unstructured_csr(r, k, sparsity, (r + k) as u64);
-                        SputnikSpmm::time(&a, c_cols, &dev).time_ms
+                        baselines[&(0, label, r, k, c_cols)]
                     });
                     let clasp = layer_speedup(hidden, c_cols, &dev, |r, k| {
-                        let a = vw_cvse(r, k, vw_l, sparsity, (r * 2 + k) as u64);
-                        ClaspSpmm::time(&a, c_cols, &dev).time_ms
+                        baselines[&(vw_l, label, r, k, c_cols)]
                     });
                     csv_row(label, &[spatha, cusparselt, sputnik, clasp]);
                 }

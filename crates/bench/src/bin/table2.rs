@@ -3,9 +3,9 @@
 //! The paper prunes BERT-base's encoder weights with the V:N:M-aware
 //! second-order method plus the structure-decay schedule and reports
 //! SQuAD v1.1 F1. Neither BERT nor SQuAD is available offline, so this is
-//! the documented substitution (DESIGN.md §1): a trained two-layer MLP on
-//! synthetic Gaussian clusters, whose hidden weight matrix (256 x 64)
-//! stands in for the encoder weight. The reproducible quantity is the
+//! the documented substitution (EXPERIMENTS.md, "Table 2 (proxy)"): a
+//! trained two-layer MLP on synthetic Gaussian clusters, whose hidden
+//! weight matrix (256 x 64) stands in for the encoder weight. The reproducible quantity is the
 //! *shape* of the table: near-zero loss at 75% (2:8), small loss at 87.5%
 //! (2:16), and the ordering `1:N:M >= 64:N:M >= 128:N:M` with `vw_8` in
 //! between — all driven by format restrictiveness, not by the model.

@@ -187,10 +187,10 @@ fn bench(
         // shape-only cost model (no weight needs materialising).
         let opts = SpmmOptions::default();
         let sparse = spmm_time_tuned(r, k, c, cfg, &opts, dev);
-        let (tile, _) = venom_core::autotune_shape(r, k, c, cfg, &opts, dev);
+        let (tile, _) = venom_core::autotune(r, k, c, cfg, &opts, dev);
         let roof = venom_sim::roofline::analyze(
             dev,
-            &venom_core::build_counts_shape(r, k, c, cfg, &tile, &opts),
+            &venom_core::build_counts(r, k, c, cfg, &tile, &opts),
         );
         // The companion SDDMM at the same shape (scores sampled where the
         // pattern keeps them): its regime tells the attention planner

@@ -2,14 +2,11 @@
 //! autotuner over the instantiation space (the Rust analogue of picking a
 //! template specialisation in the CUDA library).
 
+use crate::counts::build_counts;
 use crate::kernel::SpmmOptions;
 use crate::tile::TileConfig;
-use venom_format::VnmMatrix;
 use venom_sim::pipeline::simulate;
 use venom_sim::DeviceConfig;
-
-#[cfg(test)]
-use crate::counts::build_counts;
 
 /// The candidate template space the autotuner enumerates. `bs_r` is fixed
 /// to `V` by the kernel contract, so the free parameters are the output
@@ -45,24 +42,16 @@ fn candidates(v: usize) -> Vec<TileConfig> {
     out
 }
 
-/// Rule-based default configuration (the library's built-in heuristic):
-/// small output matrices get small column tiles (less wave quantization),
-/// large ones get wide tiles (more reuse); deep pipelining only pays off
-/// with enough K iterations.
+/// Rule-based default configuration (the library's built-in heuristic)
+/// for a `K`-column weight in pattern `cfg` against `b_cols` output
+/// columns: small output matrices get small column tiles (less wave
+/// quantization), large ones get wide tiles (more reuse); deep
+/// pipelining only pays off with enough K iterations.
 ///
 /// # Panics
 /// Panics if `V` is not a multiple of 16 (the kernel cannot share a B
 /// fragment across rows with different column selections).
-pub fn default_config(a: &VnmMatrix, b_cols: usize, dev: &DeviceConfig) -> TileConfig {
-    default_config_shape(a.config(), a.cols(), b_cols, dev)
-}
-
-/// Shape-only variant of [`default_config`] for pricing hypothetical
-/// problems (see [`crate::counts::build_counts_shape`]).
-///
-/// # Panics
-/// Panics if `V` is not a multiple of 16.
-pub fn default_config_shape(
+pub fn default_config(
     cfg: venom_format::VnmConfig,
     k: usize,
     b_cols: usize,
@@ -95,30 +84,15 @@ pub fn default_config_shape(
     }
 }
 
-/// Exhaustive cost-model search over the candidate template space;
-/// returns the fastest
-/// launchable configuration and its predicted milliseconds.
+/// Exhaustive cost-model search over the candidate template space for a
+/// hypothetical `R x K` matrix in pattern `cfg` (the benchmark sweeps
+/// price thousands of problems without materialising them); returns the
+/// fastest launchable configuration and its predicted milliseconds.
 ///
 /// # Panics
-/// Panics if no candidate fits the device (cannot happen for the supported
-/// `V` values on the shipped presets).
+/// Panics if no candidate fits the device (cannot happen for the
+/// supported `V` values on the shipped presets).
 pub fn autotune(
-    a: &VnmMatrix,
-    b_cols: usize,
-    opts: &SpmmOptions,
-    dev: &DeviceConfig,
-) -> (TileConfig, f64) {
-    let (r, k) = a.shape();
-    autotune_shape(r, k, b_cols, a.config(), opts, dev)
-}
-
-/// Shape-only autotune: searches the template space for a hypothetical
-/// `R x K` matrix in pattern `cfg` (the benchmark sweeps price thousands
-/// of problems without materialising them).
-///
-/// # Panics
-/// Panics if no candidate fits the device.
-pub fn autotune_shape(
     r: usize,
     k: usize,
     b_cols: usize,
@@ -133,7 +107,7 @@ pub fn autotune_shape(
     );
     let mut best: Option<(TileConfig, f64)> = None;
     for t in candidates(v) {
-        let counts = crate::counts::build_counts_shape(r, k, b_cols, cfg, &t, opts);
+        let counts = build_counts(r, k, b_cols, cfg, &t, opts);
         let Ok(timing) = simulate(dev, &counts) else {
             continue;
         };
@@ -148,14 +122,7 @@ pub fn autotune_shape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
-    use venom_tensor::random;
-
-    fn fixture(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
-        let w = random::normal_matrix(r, k, 0.0, 1.0, seed);
-        let mask = SparsityMask::from_fn(r, k, |_, c| c % cfg.m < cfg.n);
-        VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg)
-    }
+    use venom_format::VnmConfig;
 
     fn dev() -> DeviceConfig {
         DeviceConfig::rtx3090()
@@ -164,8 +131,7 @@ mod tests {
     #[test]
     fn default_config_respects_v() {
         for v in [32usize, 64, 128] {
-            let a = fixture(256, 1024, VnmConfig::new(v, 2, 8), 1);
-            let t = default_config(&a, 4096, &dev());
+            let t = default_config(VnmConfig::new(v, 2, 8), 1024, 4096, &dev());
             assert_eq!(t.bs_r, v);
             assert!(t.fits(&dev()));
         }
@@ -173,20 +139,20 @@ mod tests {
 
     #[test]
     fn default_config_shrinks_tiles_for_small_outputs() {
-        let a = fixture(128, 1024, VnmConfig::new(64, 2, 8), 2);
-        let small = default_config(&a, 64, &dev());
-        let large = default_config(&a, 8192, &dev());
+        let cfg = VnmConfig::new(64, 2, 8);
+        let small = default_config(cfg, 1024, 64, &dev());
+        let large = default_config(cfg, 1024, 8192, &dev());
         assert!(small.bs_c < large.bs_c);
     }
 
     #[test]
     fn autotune_never_loses_to_default() {
-        let a = fixture(1024, 4096, VnmConfig::new(128, 2, 16), 3);
+        let cfg = VnmConfig::new(128, 2, 16);
         let opts = SpmmOptions::default();
         let d = dev();
-        let (tuned, tuned_ms) = autotune(&a, 4096, &opts, &d);
-        let def = default_config(&a, 4096, &d);
-        let def_ms = simulate(&d, &build_counts(&a, 4096, &def, &opts))
+        let (tuned, tuned_ms) = autotune(1024, 4096, 4096, cfg, &opts, &d);
+        let def = default_config(cfg, 4096, 4096, &d);
+        let def_ms = simulate(&d, &build_counts(1024, 4096, 4096, cfg, &def, &opts))
             .unwrap()
             .time_ms;
         assert!(
@@ -204,7 +170,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of 16")]
     fn v_must_be_multiple_of_16() {
-        let a = fixture(24, 64, VnmConfig::new(8, 2, 8), 4);
-        let _ = default_config(&a, 64, &dev());
+        let _ = default_config(VnmConfig::new(8, 2, 8), 64, 64, &dev());
     }
 }

@@ -1,14 +1,14 @@
 //! Derives the cost-model inputs ([`KernelCounts`]) for a Spatha launch.
 //!
-//! Every quantity is *counted* from the compressed matrix and the template
-//! parameters — bytes from the actual structure sizes (values, m-indices,
+//! Every quantity is *counted* from the matrix shape, its V:N:M pattern
+//! and the template parameters — bytes from the compressed structure sizes (values, m-indices,
 //! column-loc, gathered B rows), instructions from the tile decomposition,
 //! and shared-memory serialization from the bank analyzer run on the real
 //! epilogue address patterns.
 
 use crate::kernel::SpmmOptions;
 use crate::tile::TileConfig;
-use venom_format::{VnmMatrix, SELECTED_COLUMNS};
+use venom_format::SELECTED_COLUMNS;
 use venom_sim::banks;
 use venom_sim::pipeline::KernelCounts;
 
@@ -55,28 +55,15 @@ fn b_l2_hit(m: usize) -> f64 {
     0.25 + 0.45 * (SELECTED_COLUMNS as f64 / m as f64)
 }
 
-/// Builds the [`KernelCounts`] for one Spatha SpMM launch.
+/// Builds the [`KernelCounts`] for one Spatha SpMM launch of an `R x K`
+/// V:N:M matrix in pattern `cfg` against a `K x b_cols` operand. It reads
+/// only the shape, so it prices a hypothetical matrix without
+/// materialising it.
 ///
 /// # Panics
 /// Panics if `tile.bs_r` differs from the format's `V` (the paper fixes
 /// `BSr = V` so one block shares one column-loc row).
 pub fn build_counts(
-    a: &VnmMatrix,
-    b_cols: usize,
-    tile: &TileConfig,
-    opts: &SpmmOptions,
-) -> KernelCounts {
-    let (r, k) = a.shape();
-    build_counts_shape(r, k, b_cols, a.config(), tile, opts)
-}
-
-/// Shape-only variant of [`build_counts`]: prices a launch for a
-/// hypothetical `R x K` V:N:M matrix without materialising it (used by the
-/// end-to-end transformer profiler at GPT-3 scale).
-///
-/// # Panics
-/// Panics if `tile.bs_r != cfg.v`.
-pub fn build_counts_shape(
     r: usize,
     k: usize,
     b_cols: usize,
@@ -92,22 +79,8 @@ pub fn build_counts_shape(
 /// doubled k-depth per `mma.sp` issue.
 ///
 /// # Panics
-/// Panics if `tile.bs_r` differs from the format's `V`.
-pub fn build_counts_i8(
-    a: &venom_format::QuantVnmMatrix,
-    b_cols: usize,
-    tile: &TileConfig,
-    opts: &SpmmOptions,
-) -> KernelCounts {
-    let (r, k) = a.shape();
-    build_counts_shape_i8(r, k, b_cols, a.config(), tile, opts)
-}
-
-/// Shape-only variant of [`build_counts_i8`].
-///
-/// # Panics
 /// Panics if `tile.bs_r != cfg.v`.
-pub fn build_counts_shape_i8(
+pub fn build_counts_i8(
     r: usize,
     k: usize,
     b_cols: usize,
@@ -265,7 +238,7 @@ fn build_counts_dtyped(
     // conflict-free (verified in venom-format::storage tests); the B tile
     // is written/read in coalesced rows.
     let main_smem = ((a_values + a_meta + b_bytes) / 128) * 2;
-    // Epilogue: f32 accumulators staged through SMEM (store + read back),
+    // Stage-3 epilogue: f32 accumulators staged through SMEM (store + read back),
     // charged with the measured conflict factor of the selected layout.
     // These transactions are reported separately: the cost model charges
     // them additively (stage 3 runs behind a barrier, §4.1.3).
@@ -333,10 +306,8 @@ mod tests {
     fn instruction_count_reflects_op_reduction() {
         let tile = TileConfig::new(64, 64, 32, 32, 32, 2);
         let opts = SpmmOptions::default();
-        let a8 = vnm_fixture(128, 1024, VnmConfig::new(64, 2, 8), 1);
-        let a16 = vnm_fixture(128, 1024, VnmConfig::new(64, 2, 16), 2);
-        let c8 = build_counts(&a8, 256, &tile, &opts);
-        let c16 = build_counts(&a16, 256, &tile, &opts);
+        let c8 = build_counts(128, 1024, 256, VnmConfig::new(64, 2, 8), &tile, &opts);
+        let c16 = build_counts(128, 1024, 256, VnmConfig::new(64, 2, 16), &tile, &opts);
         // Doubling M halves the condensed K and thus the instructions.
         assert_eq!(c8.mma_sp_per_block, 2 * c16.mma_sp_per_block);
         // B traffic halves too (half the gathered rows).
@@ -346,11 +317,13 @@ mod tests {
     #[test]
     fn column_loc_toggle_changes_only_loads() {
         let tile = TileConfig::new(64, 64, 32, 32, 32, 2);
-        let a = vnm_fixture(128, 2048, VnmConfig::new(64, 2, 16), 3);
-        let with = build_counts(&a, 256, &tile, &SpmmOptions::default());
+        let cfg = VnmConfig::new(64, 2, 16);
+        let with = build_counts(128, 2048, 256, cfg, &tile, &SpmmOptions::default());
         let without = build_counts(
-            &a,
+            128,
+            2048,
             256,
+            cfg,
             &tile,
             &SpmmOptions {
                 use_column_loc: false,
@@ -368,11 +341,13 @@ mod tests {
     #[test]
     fn wide_store_reduces_epilogue_transactions() {
         let tile = TileConfig::new(64, 64, 32, 32, 32, 2);
-        let a = vnm_fixture(128, 1024, VnmConfig::new(64, 2, 8), 4);
-        let wide = build_counts(&a, 256, &tile, &SpmmOptions::default());
+        let cfg = VnmConfig::new(64, 2, 8);
+        let wide = build_counts(128, 1024, 256, cfg, &tile, &SpmmOptions::default());
         let narrow = build_counts(
-            &a,
+            128,
+            1024,
             256,
+            cfg,
             &tile,
             &SpmmOptions {
                 wide_smem_store: false,
@@ -396,8 +371,8 @@ mod tests {
         let tile = TileConfig::new(128, 64, 32, 32, 32, 3);
         let mut prev = f64::INFINITY;
         for m in [8usize, 16, 32] {
-            let a = vnm_fixture(1024, 4096, VnmConfig::new(128, 2, m), 5);
-            let counts = build_counts(&a, 4096, &tile, &SpmmOptions::default());
+            let cfg = VnmConfig::new(128, 2, m);
+            let counts = build_counts(1024, 4096, 4096, cfg, &tile, &SpmmOptions::default());
             let t = simulate(&dev, &counts).unwrap().time_ms;
             assert!(t < prev, "m={m}: {t} !< {prev}");
             prev = t;
@@ -406,13 +381,11 @@ mod tests {
 
     #[test]
     fn int8_counts_halve_bytes_and_instructions() {
-        use venom_format::QuantVnmMatrix;
         let tile = TileConfig::new(64, 64, 32, 32, 32, 2);
         let opts = SpmmOptions::default();
-        let a = vnm_fixture(128, 1024, VnmConfig::new(64, 2, 8), 7);
-        let q = QuantVnmMatrix::quantize(&a, venom_quant::Calibration::AbsMax);
-        let f16 = build_counts(&a, 256, &tile, &opts);
-        let i8c = build_counts_i8(&q, 256, &tile, &opts);
+        let cfg = VnmConfig::new(64, 2, 8);
+        let f16 = build_counts(128, 1024, 256, cfg, &tile, &opts);
+        let i8c = build_counts_i8(128, 1024, 256, cfg, &tile, &opts);
         // Double k per mma.sp halves the instruction count exactly.
         assert_eq!(i8c.mma_sp_per_block * 2, f16.mma_sp_per_block);
         // Value and B planes halve; metadata and the small scale vector
@@ -434,10 +407,11 @@ mod tests {
         // planner's routing is exactly this comparison.
         let dev = DeviceConfig::rtx3090();
         let tile = TileConfig::new(64, 64, 32, 32, 32, 2);
-        let a = vnm_fixture(1024, 768, VnmConfig::new(64, 2, 8), 9);
+        let cfg = VnmConfig::new(64, 2, 8);
+        let a = vnm_fixture(1024, 768, cfg, 9);
         let (r, k) = a.shape();
         for (c, band_wins) in [(8usize, true), (4096, false)] {
-            let spatha = build_counts(&a, c, &tile, &SpmmOptions::default());
+            let spatha = build_counts(r, k, c, cfg, &tile, &SpmmOptions::default());
             let band = build_counts_band(r, k, c, a.nnz());
             let ts = simulate(&dev, &spatha).unwrap().time_ms;
             let tb = simulate(&dev, &band).unwrap().time_ms;
@@ -471,7 +445,7 @@ mod tests {
     #[should_panic(expected = "BSr == V")]
     fn rejects_mismatched_block_rows() {
         let tile = TileConfig::new(32, 64, 32, 32, 32, 2);
-        let a = vnm_fixture(128, 512, VnmConfig::new(64, 2, 8), 6);
-        let _ = build_counts(&a, 128, &tile, &SpmmOptions::default());
+        let cfg = VnmConfig::new(64, 2, 8);
+        let _ = build_counts(128, 512, 128, cfg, &tile, &SpmmOptions::default());
     }
 }

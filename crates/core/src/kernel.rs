@@ -27,19 +27,6 @@ use venom_sim::tensorcore::mma_sp_f32_strided;
 use venom_sim::DeviceConfig;
 use venom_tensor::Matrix;
 
-/// How much work the simulator actually performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Execute the kernel functionally (produces the numeric result) and
-    /// price it with the cost model.
-    #[default]
-    Functional,
-    /// Only price the launch (benchmark sweeps at sizes where functional
-    /// execution on a CPU is beside the point). The returned matrix is
-    /// all zeros.
-    ModelOnly,
-}
-
 /// Options of one SpMM call.
 #[derive(Clone, Copy, Debug)]
 pub struct SpmmOptions {
@@ -52,8 +39,6 @@ pub struct SpmmOptions {
     /// Use the padded 128-bit epilogue of Fig. 8 (true) or the 32-bit
     /// variant of the Fig. 10 ablation (false).
     pub wide_smem_store: bool,
-    /// Functional or model-only execution.
-    pub mode: ExecMode,
 }
 
 impl Default for SpmmOptions {
@@ -62,7 +47,6 @@ impl Default for SpmmOptions {
             tile: None,
             use_column_loc: true,
             wide_smem_store: true,
-            mode: ExecMode::Functional,
         }
     }
 }
@@ -80,45 +64,28 @@ pub struct SpmmResult {
     pub tile: TileConfig,
 }
 
-/// Sparse matrix-matrix multiply `C = A * B` with library-selected
-/// template parameters.
+/// Sparse matrix-matrix multiply `C = A * B`, priced on `dev` with the
+/// template instantiation `opts.tile`, or [`default_config`]'s when that
+/// is `None`.
 ///
 /// # Panics
-/// Panics if `B` has a row count different from `A`'s K, or if the
-/// selected configuration cannot launch on `dev`.
+/// Panics if `B` has a row count different from `A`'s K, if
+/// `opts.tile` has `bs_r != A.config().v`, or if the configuration
+/// cannot launch on `dev`.
 pub fn spmm(a: &VnmMatrix, b: &Matrix<Half>, opts: &SpmmOptions, dev: &DeviceConfig) -> SpmmResult {
-    let tile = opts
-        .tile
-        .unwrap_or_else(|| default_config(a, b.cols(), dev));
-    spmm_with_config(a, b, tile, opts, dev)
-}
-
-/// SpMM with an explicit template instantiation.
-///
-/// # Panics
-/// See [`spmm`]; additionally panics if `tile.bs_r != A.config().v`.
-pub fn spmm_with_config(
-    a: &VnmMatrix,
-    b: &Matrix<Half>,
-    tile: TileConfig,
-    opts: &SpmmOptions,
-    dev: &DeviceConfig,
-) -> SpmmResult {
     let (r, k) = a.shape();
     assert_eq!(b.rows(), k, "B must have K = {k} rows");
     let c_cols = b.cols();
+    let tile = opts
+        .tile
+        .unwrap_or_else(|| default_config(a.config(), k, c_cols, dev));
 
-    let counts = build_counts(a, c_cols, &tile, opts);
+    let counts = build_counts(r, k, c_cols, a.config(), &tile, opts);
     let timing = simulate(dev, &counts)
         .unwrap_or_else(|e| panic!("configuration {tile} cannot launch on {}: {e:?}", dev.name));
 
-    let c = match opts.mode {
-        ExecMode::ModelOnly => Matrix::<f32>::zeros(r, c_cols),
-        ExecMode::Functional => execute_functional(a, b, &tile),
-    };
-
     SpmmResult {
-        c,
+        c: execute_functional(a, b, &tile),
         timing,
         counts,
         tile,
@@ -127,29 +94,9 @@ pub fn spmm_with_config(
 
 /// Prices a Spatha SpMM for a *hypothetical* `R x K` matrix in pattern
 /// `cfg` against a `K x b_cols` dense operand, without materialising
-/// anything (used by the end-to-end transformer profiler at GPT-3 scale).
-///
-/// # Panics
-/// Panics if the default configuration cannot launch on `dev`.
-pub fn spmm_time_shape(
-    r: usize,
-    k: usize,
-    b_cols: usize,
-    cfg: venom_format::VnmConfig,
-    opts: &SpmmOptions,
-    dev: &DeviceConfig,
-) -> KernelTiming {
-    let tile = opts
-        .tile
-        .unwrap_or_else(|| crate::autotune::default_config_shape(cfg, k, b_cols, dev));
-    let counts = crate::counts::build_counts_shape(r, k, b_cols, cfg, &tile, opts);
-    simulate(dev, &counts)
-        .unwrap_or_else(|e| panic!("configuration {tile} cannot launch on {}: {e:?}", dev.name))
-}
-
-/// Like [`spmm_time_shape`] but with the autotuner selecting the template
-/// instantiation — the configuration the shipped library would use, and
-/// the one the benchmark sweeps report.
+/// anything, with the autotuner selecting the template instantiation —
+/// the configuration the shipped library would use, and the one the
+/// benchmark sweeps report.
 ///
 /// # Panics
 /// Panics if no candidate configuration fits `dev`.
@@ -161,8 +108,8 @@ pub fn spmm_time_tuned(
     opts: &SpmmOptions,
     dev: &DeviceConfig,
 ) -> KernelTiming {
-    let (tile, _) = crate::autotune::autotune_shape(r, k, b_cols, cfg, opts, dev);
-    let counts = crate::counts::build_counts_shape(r, k, b_cols, cfg, &tile, opts);
+    let (tile, _) = crate::autotune::autotune(r, k, b_cols, cfg, opts, dev);
+    let counts = build_counts(r, k, b_cols, cfg, &tile, opts);
     simulate(dev, &counts).expect("autotuned configuration fits by construction")
 }
 
@@ -495,7 +442,11 @@ mod tests {
         let a = fixture(64, 128, cfg, 1);
         let b = random::normal_matrix(128, 48, 0.0, 1.0, 2).to_half();
         let tile = TileConfig::new(32, 32, 32, 32, 32, 2);
-        let got = spmm_with_config(&a, &b, tile, &SpmmOptions::default(), &dev());
+        let opts = SpmmOptions {
+            tile: Some(tile),
+            ..SpmmOptions::default()
+        };
+        let got = spmm(&a, &b, &opts, &dev());
         let want = a.spmm_ref(&b);
         let err = norms::max_abs_diff(&got.c, &want);
         assert!(err < 1e-2, "err={err}");
@@ -594,21 +545,28 @@ mod tests {
     }
 
     #[test]
-    fn model_only_skips_compute() {
+    fn spmm_reports_the_price_only_entry_price() {
+        // The compute entry prices exactly what the price-only entries
+        // (`build_counts` + `simulate`, `default_config`) price for the
+        // same shape, with an explicit tile and with the default one.
         let cfg = VnmConfig::new(64, 2, 8);
-        let a = fixture(128, 512, cfg, 11);
-        let b = random::normal_matrix(512, 128, 0.0, 1.0, 12).to_half();
-        let res = spmm(
-            &a,
-            &b,
-            &SpmmOptions {
-                mode: ExecMode::ModelOnly,
+        let (r, k, c) = (128, 512, 96);
+        let a = fixture(r, k, cfg, 11);
+        let b = random::normal_matrix(k, c, 0.0, 1.0, 12).to_half();
+        let explicit = TileConfig::new(64, 32, 32, 32, 32, 2);
+        for tile in [Some(explicit), None] {
+            let opts = SpmmOptions {
+                tile,
                 ..SpmmOptions::default()
-            },
-            &dev(),
-        );
-        assert!(res.c.as_slice().iter().all(|&x| x == 0.0));
-        assert!(res.timing.time_ms > 0.0);
+            };
+            let res = spmm(&a, &b, &opts, &dev());
+            let want_tile = tile.unwrap_or_else(|| default_config(cfg, k, c, &dev()));
+            assert_eq!(res.tile, want_tile);
+            let counts = build_counts(r, k, c, cfg, &want_tile, &opts);
+            assert_eq!(res.counts, counts, "{tile:?}");
+            assert_eq!(res.timing, simulate(&dev(), &counts).unwrap(), "{tile:?}");
+        }
+        assert_ne!(default_config(cfg, k, c, &dev()), explicit);
     }
 
     #[test]

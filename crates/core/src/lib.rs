@@ -17,24 +17,24 @@
 //! fixes the thread-block tile (`BSr x BSk x BSc`), the warp tile
 //! (`WSr x WSc`), the `mma` shape and the pipeline depth, and
 //! [`fn@autotune`] searches that space with the cost model.
+//!
+//! There is one way to compute and one way to price. [`spmm`] always
+//! executes the kernel and reports the price of the launch it ran. The
+//! price-only entries read a shape and a pattern, never a matrix:
+//! [`build_counts`] / [`build_counts_i8`] with [`default_config`] or
+//! [`fn@autotune`] picking the tile, and [`spmm_time_tuned`] for the
+//! autotuned launch's timing.
 
 pub mod autotune;
 pub mod counts;
-pub mod fused;
 pub mod kernel;
 pub mod sddmm;
 pub mod swapped;
 pub mod tile;
 
-pub use autotune::{autotune, autotune_shape, default_config, default_config_shape};
-pub use counts::{
-    build_counts, build_counts_band, build_counts_i8, build_counts_shape, build_counts_shape_i8,
-    BAND_TILE_ROWS,
-};
-pub use fused::{spmm_fused, Epilogue};
-pub use kernel::{
-    spmm, spmm_time_shape, spmm_time_tuned, spmm_with_config, ExecMode, SpmmOptions, SpmmResult,
-};
+pub use autotune::{autotune, default_config};
+pub use counts::{build_counts, build_counts_band, build_counts_i8, BAND_TILE_ROWS};
+pub use kernel::{spmm, spmm_time_tuned, SpmmOptions, SpmmResult};
 pub use sddmm::{sddmm, sddmm_counts, sddmm_counts_swapped, SddmmResult};
 pub use swapped::{spmm_swapped, SWAP_PANEL};
 pub use tile::TileConfig;

@@ -11,7 +11,6 @@
 //! columns (a `V x 4` slab per group): dense `mma` tiles over the gathered
 //! K columns, exactly mirroring stage 1's gather in reverse.
 
-use crate::kernel::ExecMode;
 use rayon::prelude::*;
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix, SELECTED_COLUMNS};
 use venom_fp16::Half;
@@ -113,7 +112,6 @@ pub fn sddmm(
     k: &Matrix<Half>,
     pattern: &SparsityMask,
     cfg: VnmConfig,
-    mode: ExecMode,
     dev: &DeviceConfig,
 ) -> SddmmResult {
     assert_eq!(q.cols(), k.rows(), "inner dimensions must agree");
@@ -123,11 +121,7 @@ pub fn sddmm(
     let counts = sddmm_counts(q.rows(), q.cols(), k.cols(), cfg);
     let timing = simulate(dev, &counts).expect("sddmm blocks fit the shipped presets");
 
-    let dense = match mode {
-        ExecMode::ModelOnly => Matrix::<Half>::zeros(q.rows(), k.cols()),
-        ExecMode::Functional => execute_functional(q, k, pattern),
-    };
-    let out = VnmMatrix::compress(&dense, pattern, cfg);
+    let out = VnmMatrix::compress(&execute_functional(q, k, pattern), pattern, cfg);
     SddmmResult {
         out,
         timing,
@@ -219,7 +213,7 @@ mod tests {
         let k = random::normal_matrix(d, c, 0.0, 1.0, 2).to_half();
         let mask = pattern(r, c, cfg, 3);
         assert!(mask.complies_vnm(cfg));
-        let res = sddmm(&q, &k, &mask, cfg, ExecMode::Functional, &dev());
+        let res = sddmm(&q, &k, &mask, cfg, &dev());
         // Reference: full product, masked, rounded to half.
         let full = gemm::gemm_ref(&q, &k);
         let got = res.out.decompress();
@@ -244,7 +238,7 @@ mod tests {
         let q = random::normal_matrix(s_len, d, 0.0, 1.0, 4).to_half();
         let kt = random::normal_matrix(d, s_len, 0.0, 1.0, 5).to_half();
         let mask = pattern(s_len, s_len, cfg, 6);
-        let scores = sddmm(&q, &kt, &mask, cfg, ExecMode::Functional, &dev());
+        let scores = sddmm(&q, &kt, &mask, cfg, &dev());
         let v = random::normal_matrix(s_len, d, 0.0, 1.0, 7).to_half();
         let out = crate::spmm(&scores.out, &v, &crate::SpmmOptions::default(), &dev());
         let want = scores.out.spmm_ref(&v);
@@ -299,13 +293,6 @@ mod tests {
         let q = Matrix::<Half>::zeros(8, 4);
         let k = Matrix::<Half>::zeros(8, 8);
         let mask = SparsityMask::empty(8, 8);
-        let _ = sddmm(
-            &q,
-            &k,
-            &mask,
-            VnmConfig::new(16, 2, 8),
-            ExecMode::ModelOnly,
-            &dev(),
-        );
+        let _ = sddmm(&q, &k, &mask, VnmConfig::new(16, 2, 8), &dev());
     }
 }

@@ -2,11 +2,19 @@
 //! produce bit-identical results — the template parameters are a
 //! performance knob, never a correctness knob.
 
-use venom_core::{spmm_with_config, SpmmOptions, TileConfig};
+use venom_core::{spmm, SpmmOptions, TileConfig};
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_sim::DeviceConfig;
 use venom_tensor::{norms, random, Matrix};
+
+/// Options pinning the template instantiation to `tile`.
+fn pinned(tile: TileConfig) -> SpmmOptions {
+    SpmmOptions {
+        tile: Some(tile),
+        ..SpmmOptions::default()
+    }
+}
 
 fn fixture(r: usize, k: usize, cfg: VnmConfig, seed: u64) -> VnmMatrix {
     let w = random::glorot_matrix(r, k, seed);
@@ -40,7 +48,7 @@ fn every_legal_tile_produces_the_same_result() {
                     }
                     for stages in [1u32, 2, 4] {
                         let tile = TileConfig::new(32, bs_c, bs_k, ws_r, ws_c, stages);
-                        let out = spmm_with_config(&a, &b, tile, &SpmmOptions::default(), &dev);
+                        let out = spmm(&a, &b, &pinned(tile), &dev);
                         assert!(
                             norms::allclose(&out.c, &reference, 1e-3, 1e-3),
                             "{tile}: max diff {}",
@@ -72,7 +80,7 @@ fn ablation_flags_never_change_results() {
                 wide_smem_store: wide,
                 ..SpmmOptions::default()
             };
-            let out = venom_core::spmm(&a, &b, &opts, &dev);
+            let out = spmm(&a, &b, &opts, &dev);
             assert!(
                 norms::allclose(&out.c, &reference, 1e-3, 1e-3),
                 "colloc={use_column_loc} wide={wide}"
@@ -94,7 +102,7 @@ fn timing_varies_across_tiles_but_work_is_constant() {
     let mut total_mma = Vec::new();
     for (bs_c, ws_c, stages) in [(32usize, 16usize, 2u32), (64, 32, 2), (128, 32, 4)] {
         let tile = TileConfig::new(64, bs_c, 32, 32, ws_c, stages);
-        let out = spmm_with_config(&a, &b, tile, &SpmmOptions::default(), &dev);
+        let out = spmm(&a, &b, &pinned(tile), &dev);
         times.push(out.timing.time_ms);
         total_mma.push(out.counts.mma_sp_per_block * out.counts.grid_blocks);
     }
@@ -112,10 +120,9 @@ fn timing_varies_across_tiles_but_work_is_constant() {
 fn deep_pipelines_help_long_k_loops() {
     let dev = DeviceConfig::rtx3090();
     let cfg = VnmConfig::new(64, 2, 4);
-    let a = fixture(128, 8192, cfg, 7);
     let mk = |stages: u32| {
         let tile = TileConfig::new(64, 64, 32, 32, 32, stages);
-        venom_core::build_counts(&a, 1024, &tile, &SpmmOptions::default())
+        venom_core::build_counts(128, 8192, 1024, cfg, &tile, &SpmmOptions::default())
     };
     let shallow = venom_sim::pipeline::simulate(&dev, &mk(1)).unwrap();
     let deep = venom_sim::pipeline::simulate(&dev, &mk(4)).unwrap();

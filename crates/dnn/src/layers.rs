@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use venom_format::{MatmulFormat, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
-use venom_runtime::{Calibration, DType, Engine, Epilogue, MatmulPlan, Plan, PlanError};
+use venom_runtime::{Calibration, DType, Engine, MatmulPlan, Plan, PlanError};
 use venom_tensor::Matrix;
 
 /// Which of a layer's two bit-identical execution paths to take.
@@ -176,9 +176,7 @@ impl Linear {
         strategy: PlanStrategy,
     ) -> Result<PlannedLinear, PlanError> {
         let pruned = mask.apply_half(self.weight());
-        let desc = engine
-            .descriptor(pruned.rows(), pruned.cols())
-            .with_epilogue(Epilogue::Bias);
+        let desc = engine.descriptor(pruned.rows(), pruned.cols());
         let compress = || {
             VnmMatrix::try_compress(&pruned, mask, cfg).map_err(|e| PlanError::Incompatible {
                 format: MatmulFormat::Vnm,

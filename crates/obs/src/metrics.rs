@@ -5,8 +5,8 @@
 //! once from the [`MetricsRegistry`]; every subsequent update is a
 //! handful of relaxed atomic operations, so instrumented hot paths pay
 //! no lock and no allocation. The registry itself is only locked on
-//! handle creation and on exposition ([`MetricsRegistry::prometheus_text`]
-//! / [`MetricsRegistry::json_snapshot`]).
+//! handle creation and on exposition
+//! ([`MetricsRegistry::prometheus_text`]).
 //!
 //! An owner that needs its own exact count (one plan cache's hits, one
 //! server's latencies) keeps it in an *instance* handle, its one store
@@ -348,7 +348,7 @@ type SeriesKey = (String, Vec<(String, String)>);
 /// The shared handle is then one part of the series: direct updates plus
 /// the counts of dropped instances, folded into it. The series' total,
 /// summed over all its handles, comes only from
-/// [`Self::prometheus_text`] / [`Self::json_snapshot`].
+/// [`Self::prometheus_text`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     series: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -403,8 +403,7 @@ impl MetricsRegistry {
     /// The shared counter handle for `(name, labels)`, creating the
     /// series on first use. Beside instance handles it is one part of
     /// the series (direct adds plus dropped instances' counts); the
-    /// series' total is exposed only by [`Self::prometheus_text`] /
-    /// [`Self::json_snapshot`].
+    /// series' total is exposed only by [`Self::prometheus_text`].
     ///
     /// # Panics
     /// Panics if the series is already registered as another kind.
@@ -552,40 +551,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// A JSON snapshot of every series: counters and gauges with their
-    /// values, histograms with count/sum/min/max and p50/p90/p99.
-    pub fn json_snapshot(&self) -> String {
-        let mut items = Vec::new();
-        for ((name, labels), metric) in self.snapshot() {
-            let labels_json: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
-                .collect();
-            let head = format!(
-                "{{\"name\":{},\"kind\":\"{}\",\"labels\":{{{}}}",
-                json_str(&name),
-                metric.kind(),
-                labels_json.join(",")
-            );
-            let body = match metric {
-                Metric::Counter(c) => format!(",\"value\":{}}}", c.get()),
-                Metric::Gauge(g) => format!(",\"value\":{}}}", json_f64(g.get())),
-                Metric::Histogram(h) => format!(
-                    ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                    h.count(),
-                    json_f64(h.sum()),
-                    json_f64(h.min()),
-                    json_f64(h.max()),
-                    json_f64(h.quantile(0.5)),
-                    json_f64(h.quantile(0.9)),
-                    json_f64(h.quantile(0.99)),
-                ),
-            };
-            items.push(format!("{head}{body}"));
-        }
-        format!("{{\"metrics\":[{}]}}", items.join(","))
-    }
 }
 
 /// Formats a label set as `{k="v",...}` (empty string when no labels),
@@ -609,33 +574,6 @@ fn prom_escape(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-fn json_str(v: &str) -> String {
-    let mut out = String::with_capacity(v.len() + 2);
-    out.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number formatting: finite f64s verbatim, everything else 0.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        fmt_f64(v)
-    } else {
-        "0".to_string()
-    }
 }
 
 /// Shortest-round-trip float formatting (Rust's `{}` for f64).
@@ -737,7 +675,6 @@ mod tests {
         let text = reg.prometheus_text();
         assert!(text.contains("lat_ms_count 3"), "{text}");
         assert!(text.contains("lat_ms_sum 6"), "{text}");
-        assert!(reg.json_snapshot().contains("\"max\":3"));
     }
 
     #[test]
@@ -781,21 +718,5 @@ mod tests {
             assert!(v >= last, "bucket counts must be cumulative: {text}");
             last = v;
         }
-    }
-
-    #[test]
-    fn json_snapshot_is_structurally_sound() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a_total", &[("k", "v\"q")]).inc();
-        reg.histogram("h_ms", &[]).record(3.5);
-        let json = reg.json_snapshot();
-        assert!(json.starts_with("{\"metrics\":["), "{json}");
-        assert!(json.ends_with("]}"), "{json}");
-        assert!(json.contains("\"k\":\"v\\\"q\""), "label escaping: {json}");
-        assert!(json.contains("\"p50\":"), "{json}");
-        // Balanced braces/brackets (cheap well-formedness check).
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
     }
 }

@@ -97,22 +97,6 @@ pub fn reset() {
     store().lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-/// Sums a snapshot's time and bytes per kernel:
-/// `(kernel, total_ns, total_bytes)`.
-pub fn kernel_totals(records: &[PhaseRecord]) -> Vec<(&'static str, u64, u64)> {
-    let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
-    for r in records {
-        match totals.iter_mut().find(|(k, _, _)| *k == r.kernel) {
-            Some((_, ns, bytes)) => {
-                *ns += r.stat.ns;
-                *bytes += r.stat.bytes;
-            }
-            None => totals.push((r.kernel, r.stat.ns, r.stat.bytes)),
-        }
-    }
-    totals
-}
-
 /// A phase scope: started before the work, stopped after with the
 /// phase's byte attribution. Inert while profiling is disabled.
 #[derive(Debug)]
@@ -188,8 +172,5 @@ mod tests {
         let stage = rows.iter().find(|r| r.phase == "stage").unwrap();
         assert_eq!(stage.stat.calls, 2);
         assert_eq!(stage.stat.bytes, 150);
-        let totals = kernel_totals(&rows);
-        assert_eq!(totals.len(), 1);
-        assert_eq!(totals[0].2, 150 + 999);
     }
 }

@@ -10,6 +10,7 @@ use crate::simd::avx2_dispatch;
 use std::cell::OnceCell;
 use std::rc::Rc;
 use std::sync::Arc;
+use venom_baselines::{DenseGemm, SparseLtSpmm};
 use venom_core::SpmmOptions;
 use venom_format::{
     BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, NmCompressed, NmConfig, SparseKernel,
@@ -155,7 +156,7 @@ impl Engine {
     /// are fair.
     pub fn plan_gemm(&self, w: &Matrix<Half>) -> Plan {
         let desc = MatmulDescriptor::for_weight(w).with_b_cols(self.b_cols_hint);
-        Plan::build_dense(w, desc, Some(self.price_dense(&desc)))
+        Plan::build_dense(w, desc, Some(self.priced_dense(&desc)))
     }
 
     /// Plans `weights` in an explicitly chosen storage format: prices
@@ -236,7 +237,7 @@ impl Engine {
                  implemented for the quantized V:N:M container — \
                  request format 'vnm' or dtype 'f16'"
             ))),
-            MatmulFormat::Dense => Ok(Quote::Dense(self.price_dense(desc))),
+            MatmulFormat::Dense => Ok(Quote::Dense(self.priced_dense(desc))),
             MatmulFormat::Nm => {
                 if !w.mask().complies_nm(NM_2_4) {
                     return Err(incompatible(
@@ -245,7 +246,7 @@ impl Engine {
                     ));
                 }
                 let shape = desc.gemm_shape();
-                let priced = (pricing::price_nm(shape, dev), pricing::nm_counts(shape));
+                let priced = (SparseLtSpmm::time(shape, dev), SparseLtSpmm::counts(shape));
                 Ok(Quote::Nm(priced))
             }
             MatmulFormat::Csr => Ok(Quote::Kernel(
@@ -317,11 +318,11 @@ impl Engine {
     }
 
     /// The cuBLAS-model pricing of a dense GEMM of the descriptor's shape.
-    fn price_dense(&self, desc: &MatmulDescriptor) -> Priced {
+    fn priced_dense(&self, desc: &MatmulDescriptor) -> Priced {
         let shape = desc.gemm_shape();
         (
-            pricing::price_dense(shape, &self.dev),
-            pricing::dense_counts(shape, &self.dev),
+            DenseGemm::time(shape, &self.dev),
+            DenseGemm::select(shape, &self.dev),
         )
     }
 
@@ -652,6 +653,7 @@ impl Quote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venom_baselines::{ClaspSpmm, SputnikSpmm};
     use venom_pruner::magnitude;
     use venom_tensor::random;
 
@@ -702,8 +704,8 @@ mod tests {
         for width in [8usize, 256, 4096] {
             let csr = CsrMatrix::from_dense(w);
             let want = (
-                pricing::price_csr(&csr, width, &dev),
-                pricing::csr_counts(&csr, width),
+                SputnikSpmm::time(&csr, width, &dev),
+                SputnikSpmm::counts(&csr, width),
             );
             same(
                 Baseline::Csr.price(&mask, width, &dev),
@@ -713,8 +715,8 @@ mod tests {
             for l in AUTO_CVSE_L {
                 let cvse = CvseMatrix::from_dense(w, l);
                 let want = (
-                    pricing::price_cvse(&cvse, width, &dev),
-                    pricing::cvse_counts(&cvse, width),
+                    ClaspSpmm::time(&cvse, width, &dev),
+                    ClaspSpmm::counts(&cvse, width),
                 );
                 let got = Baseline::Cvse(l).price(&mask, width, &dev);
                 same(got, want, format!("cvse l={l} c={width}"));
@@ -745,12 +747,12 @@ mod tests {
             .iter()
             .map(|&l| {
                 let a = CvseMatrix::from_dense(w, l);
-                let t = pricing::price_cvse(&a, desc.b_cols, engine.device());
+                let t = ClaspSpmm::time(&a, desc.b_cols, engine.device());
                 (a, t)
             })
             .min_by(|x, y| pricing::cost_cmp(x.1.time_ms, y.1.time_ms))
             .expect("the ladder is nonempty");
-        let counts = pricing::cvse_counts(&cvse, desc.b_cols);
+        let counts = ClaspSpmm::counts(&cvse, desc.b_cols);
         let want = Plan::build_kernel(Arc::new(cvse), desc, timing, counts);
         let got = engine
             .plan_with_format(MatmulFormat::Cvse, &desc, w)

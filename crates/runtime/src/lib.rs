@@ -9,8 +9,8 @@
 //! [`Engine`] builds *plans* instead, behind one format-erased surface:
 //!
 //! * A [`MatmulDescriptor`] describes the matmul — weight shape, dtype,
-//!   bias/activation epilogue, and the output-column bound the plan is
-//!   tuned and priced for.
+//!   and the output-column bound the plan is tuned and priced for. The
+//!   layer's bias is [`MatmulPlan::run_linear`]'s argument.
 //! * [`Engine::plan_auto`] prices every format the weights' nonzero
 //!   structure is eligible for (V:N:M, 2:4, CSR, CVSE, Blocked-ELL,
 //!   dense) with its cost model on the target device, then builds only
@@ -65,7 +65,7 @@ mod simd;
 pub mod stage;
 
 pub use attn::{AttentionMask, AttentionPlan, SddmmPath};
-pub use descriptor::{DType, Epilogue, MatmulDescriptor};
+pub use descriptor::{DType, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};
 pub use plan::Plan;

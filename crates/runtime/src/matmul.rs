@@ -133,6 +133,8 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
+    /// An int8 plan (dtype [`crate::DType::I8`]) also panics on an
+    /// activation holding NaN or ±Inf.
     fn run(&self, b: &Matrix<Half>) -> Matrix<f32>;
 
     /// One dispatch over many requests, concatenated along the
@@ -141,6 +143,8 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics if any operand has a row count different from the planned K.
+    /// An int8 plan (dtype [`crate::DType::I8`]) also panics on an
+    /// activation holding NaN or ±Inf.
     fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>>;
 
     /// The fused layer forward `y = x W^T + b`; bit-identical to the
@@ -148,6 +152,8 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics on feature or bias length mismatch.
+    /// An int8 plan (dtype [`crate::DType::I8`]) also panics on an
+    /// activation holding NaN or ±Inf.
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32>;
 
     /// [`Self::run_linear`] over a pre-staged operand (see
@@ -156,6 +162,8 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics on staging or bias length mismatch.
+    /// An int8 plan (dtype [`crate::DType::I8`]) also panics on an
+    /// activation holding NaN or ±Inf.
     fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32>;
 
     /// The retained per-call dispatch: redoes operand staging (and, for
@@ -168,6 +176,8 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     ///
     /// # Panics
     /// Panics if `B` has a row count different from the planned K.
+    /// An int8 plan (dtype [`crate::DType::I8`]) also panics on an
+    /// activation holding NaN or ±Inf.
     fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32>;
 
     /// The per-call layer forward: converts, transposes and dispatches

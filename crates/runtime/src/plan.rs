@@ -1132,6 +1132,7 @@ impl MatmulPlan for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venom_baselines::{ClaspSpmm, SputnikSpmm};
     use venom_core::spmm;
     use venom_format::VnmConfig;
     use venom_pruner::magnitude;
@@ -1256,8 +1257,8 @@ mod tests {
         let csr = CsrMatrix::from_dense(&dense);
         let desc = MatmulDescriptor::new(37, 53).with_b_cols(21);
         let (timing, counts) = (
-            pricing::price_csr(&csr, 21, &dev()),
-            pricing::csr_counts(&csr, 21),
+            SputnikSpmm::time(&csr, 21, &dev()),
+            SputnikSpmm::counts(&csr, 21),
         );
         let plan = Plan::build_kernel(Arc::new(csr.clone()), desc, timing, counts);
         let b = random::normal_matrix(53, 21, 0.0, 1.0, 16).to_half();
@@ -1642,15 +1643,15 @@ mod tests {
                 let desc = MatmulDescriptor::new(rows, k).with_b_cols(width);
                 let csr = CsrMatrix::from_dense(&w);
                 let (t, c) = (
-                    pricing::price_csr(&csr, width, &dev()),
-                    pricing::csr_counts(&csr, width),
+                    SputnikSpmm::time(&csr, width, &dev()),
+                    SputnikSpmm::counts(&csr, width),
                 );
                 let plan = Plan::build_kernel(Arc::new(csr), desc, t, c);
                 mixed[0] |= check_plan("csr", &plan, Replay::Sweep, width, k as u64);
                 let cvse = CvseMatrix::from_dense(&w, 4);
                 let (t, c) = (
-                    pricing::price_cvse(&cvse, width, &dev()),
-                    pricing::cvse_counts(&cvse, width),
+                    ClaspSpmm::time(&cvse, width, &dev()),
+                    ClaspSpmm::counts(&cvse, width),
                 );
                 let plan = Plan::build_kernel(Arc::new(cvse), desc, t, c);
                 mixed[1] |= check_plan("cvse", &plan, Replay::Sweep, width, k as u64);

@@ -2,32 +2,33 @@
 //!
 //! `plan_auto` compares formats by the same currency: simulated
 //! milliseconds of one dispatch at the descriptor's column bound on the
-//! engine's device. Four models come straight from the baseline crate
-//! (each encodes its library's published performance character); the
-//! V:N:M path autotunes the Spatha template space; Blocked-ELL gets the
-//! cuSPARSE-style block-kernel model defined here (dense tensor-core
-//! `mma` over every stored block, padding included — the format's honest
-//! cost).
+//! engine's device. The dense, 2:4, CSR and CVSE models are the baseline
+//! crate's ([`venom_baselines::DenseGemm`], [`venom_baselines::SparseLtSpmm`],
+//! [`venom_baselines::SputnikSpmm`], [`venom_baselines::ClaspSpmm`]; each
+//! encodes its library's published performance character), and the engine
+//! calls them directly. This module holds what the runtime adds on top:
+//! the V:N:M price over the autotuned Spatha template space, the band
+//! replay's price, the cuSPARSE-style Blocked-ELL block-kernel model
+//! (dense tensor-core `mma` over every stored block, padding included —
+//! the format's honest cost), the mask-priced CSR, CVSE and Blocked-ELL
+//! encodings and the NaN-safe [`cost_cmp`].
 //!
 //! No function here builds an executor or a container: each reads what
 //! its model reads — a shape, a V:N:M weight's pattern or its count of
 //! stored nonzeros, or, for the CSR, CVSE and Blocked-ELL models, a few
 //! popcounts of the weight's packed nonzero mask ([`SparsityMask::row_nnz`],
 //! [`SparsityMask::union_nnz`], [`SparsityMask::union_blocks`]) — so
-//! `plan_auto` prices every candidate and builds only the winner. The
-//! container-taking `*_counts` / `price_*` functions read the same
-//! numbers off a built container and call the same formulas.
+//! `plan_auto` prices every candidate and builds only the winner.
+//! [`blocked_ell_counts`] and [`price_blocked_ell`] read the same numbers
+//! off a built container and call the same formula.
 
 use crate::descriptor::DType;
 use crate::matmul::PlanError;
-use venom_baselines::{ClaspSpmm, DenseGemm, SparseLtSpmm, SputnikSpmm};
+use venom_baselines::{ClaspSpmm, SputnikSpmm};
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{
-    load_imbalance, BlockedEllMatrix, CsrMatrix, CvseMatrix, MatmulFormat, SparsityMask, VnmMatrix,
-};
+use venom_format::{load_imbalance, BlockedEllMatrix, MatmulFormat, SparsityMask, VnmMatrix};
 use venom_sim::pipeline::{simulate, KernelCounts};
 use venom_sim::{BlockResources, DeviceConfig, KernelTiming};
-use venom_tensor::GemmShape;
 
 /// A priced launch: the simulated timing and the counts it was
 /// simulated from.
@@ -35,34 +36,6 @@ pub(crate) type Priced = (KernelTiming, KernelCounts);
 
 /// Output columns per thread block of the Blocked-ELL model.
 pub const ELL_COLS_PER_BLOCK: usize = 64;
-
-/// Prices a dense GEMM of `shape` via the cuBLAS model.
-pub fn price_dense(shape: GemmShape, dev: &DeviceConfig) -> KernelTiming {
-    DenseGemm::time(shape, dev)
-}
-
-/// Counts of the cuBLAS-selected launch for a dense GEMM of `shape` —
-/// attached to the plan so it can report its roofline regime alongside
-/// the price.
-pub fn dense_counts(shape: GemmShape, dev: &DeviceConfig) -> KernelCounts {
-    DenseGemm::select(shape, dev)
-}
-
-/// Counts of the cuSPARSELt-model launch for an N:M weight of GEMM
-/// `shape` (the model reads the shape only).
-pub fn nm_counts(shape: GemmShape) -> KernelCounts {
-    SparseLtSpmm::counts(shape)
-}
-
-/// Counts of the Sputnik-model launch for a CSR weight.
-pub fn csr_counts(a: &CsrMatrix, b_cols: usize) -> KernelCounts {
-    SputnikSpmm::counts(a, b_cols)
-}
-
-/// Counts of the CLASP-model launch for a CVSE weight.
-pub fn cvse_counts(a: &CvseMatrix, b_cols: usize) -> KernelCounts {
-    ClaspSpmm::counts(a, b_cols)
-}
 
 /// A CSR, CVSE or Blocked-ELL encoding of a weight, priced from its
 /// nonzero mask and built only when it wins.
@@ -164,9 +137,10 @@ pub fn price_vnm(
     if cfg.v < 16 || !cfg.v.is_multiple_of(16) {
         return Ok(None);
     }
+    let (r, k) = a.shape();
     let tile = opts
         .tile
-        .unwrap_or_else(|| venom_core::autotune(a, b_cols, opts, dev).0);
+        .unwrap_or_else(|| venom_core::autotune(r, k, b_cols, cfg, opts, dev).0);
     let unlaunchable = |why: String| PlanError::Incompatible {
         format: MatmulFormat::Vnm,
         reason: format!("planned configuration {tile} cannot launch: {why}"),
@@ -177,10 +151,9 @@ pub fn price_vnm(
             tile.bs_r, cfg.v
         )));
     }
-    let (r, k) = a.shape();
     let counts = match dtype {
-        DType::F16 => venom_core::build_counts_shape(r, k, b_cols, cfg, &tile, opts),
-        DType::I8 => venom_core::build_counts_shape_i8(r, k, b_cols, cfg, &tile, opts),
+        DType::F16 => venom_core::build_counts(r, k, b_cols, cfg, &tile, opts),
+        DType::I8 => venom_core::build_counts_i8(r, k, b_cols, cfg, &tile, opts),
     };
     let timing =
         simulate(dev, &counts).map_err(|e| unlaunchable(format!("{e:?} on {}", dev.name)))?;
@@ -205,25 +178,6 @@ pub(crate) fn price_band(
     let timing =
         simulate(dev, &counts).expect("the band kernel uses no shared memory and always launches");
     (timing, counts)
-}
-
-/// Prices an N:M SpMM of GEMM `shape` via the cuSPARSELt model (the
-/// vendor kernel skeleton; its hardware-native pattern is 2:4). The model
-/// reads the shape only, so a weight is priced before it is compressed.
-pub fn price_nm(shape: GemmShape, dev: &DeviceConfig) -> KernelTiming {
-    SparseLtSpmm::time(shape, dev)
-}
-
-/// Prices a CSR SpMM via the Sputnik model (CUDA cores, measured load
-/// imbalance).
-pub fn price_csr(a: &CsrMatrix, b_cols: usize, dev: &DeviceConfig) -> KernelTiming {
-    SputnikSpmm::time(a, b_cols, dev)
-}
-
-/// Prices a CVSE SpMM via the CLASP model (dense tensor cores over
-/// gathered column vectors).
-pub fn price_cvse(a: &CvseMatrix, b_cols: usize, dev: &DeviceConfig) -> KernelTiming {
-    ClaspSpmm::time(a, b_cols, dev)
 }
 
 /// Builds the kernel counts of the Blocked-ELL model from the actual
@@ -377,14 +331,15 @@ mod tests {
     fn format_prices_are_positive_and_ranked_sanely() {
         // At 50% unstructured sparsity every sparse CUDA-core path loses
         // to the dense tensor-core GEMM (the Fig. 13 shape).
-        let shape = GemmShape::new(1024, 4096, 4096);
-        let dense_ms = price_dense(shape, &dev()).time_ms;
+        let shape = venom_tensor::GemmShape::new(1024, 4096, 4096);
+        let dense_ms = venom_baselines::DenseGemm::time(shape, &dev()).time_ms;
         let w = {
             let d = random::normal_matrix(1024, 4096, 0.0, 1.0, 3);
             let mask = SparsityMask::from_fn(1024, 4096, |i, j| (i * 131 + j * 37) % 2 == 0);
             mask.apply_f32(&d).to_half()
         };
-        let csr_ms = price_csr(&CsrMatrix::from_dense(&w), 4096, &dev()).time_ms;
+        let csr = venom_format::CsrMatrix::from_dense(&w);
+        let csr_ms = SputnikSpmm::time(&csr, 4096, &dev()).time_ms;
         assert!(
             dense_ms > 0.0 && csr_ms > dense_ms,
             "dense {dense_ms} vs csr {csr_ms}"

@@ -18,8 +18,8 @@ use venom_tensor::Matrix;
 /// The cache key: the planned matmul's descriptor plus a fingerprint of
 /// the weight bits (and an optional caller salt).
 ///
-/// The descriptor alone names the *problem* (shape, dtype, epilogue,
-/// column bound) — exactly what concurrent requests must share to be
+/// The descriptor alone names the *problem* (shape, dtype, column
+/// bound) — exactly what concurrent requests must share to be
 /// coalesced into one dispatch. The fingerprint disambiguates the
 /// *instance*: two models with the same layer shape must not serve each
 /// other's weights. [`PlanKey::bare`] keys on the descriptor alone for

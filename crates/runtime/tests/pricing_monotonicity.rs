@@ -9,6 +9,7 @@
 //! removed work from incidental structure changes.
 
 use proptest::prelude::*;
+use venom_baselines::{ClaspSpmm, SputnikSpmm};
 use venom_core::SpmmOptions;
 use venom_format::{BlockedEllMatrix, CsrMatrix, CvseMatrix, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
@@ -81,7 +82,7 @@ proptest! {
         let mut prev = f64::INFINITY;
         for keep in [50usize, 25, 10, 5, 2] {
             let w = unstructured(r, k, keep, seed);
-            let t = pricing::price_csr(&CsrMatrix::from_dense(&w), c, &dev()).time_ms;
+            let t = SputnikSpmm::time(&CsrMatrix::from_dense(&w), c, &dev()).time_ms;
             prop_assert!(t <= prev, "keep={keep}%: {t} > {prev}");
             prev = t;
         }
@@ -94,7 +95,7 @@ proptest! {
         let mut prev = f64::INFINITY;
         for keep in [50usize, 25, 10, 5] {
             let w = unstructured(r, k, keep, seed);
-            let t = pricing::price_cvse(&CvseMatrix::from_dense(&w, 8), c, &dev()).time_ms;
+            let t = ClaspSpmm::time(&CvseMatrix::from_dense(&w, 8), c, &dev()).time_ms;
             prop_assert!(t <= prev, "keep={keep}%: {t} > {prev}");
             prev = t;
         }

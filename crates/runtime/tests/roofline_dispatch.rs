@@ -185,7 +185,7 @@ fn every_route_replays_bitwise_and_reports_its_pricing() {
     let cvse_bytes = [16, 8, 4]
         .map(|l| CvseMatrix::from_dense(&w, l))
         .into_iter()
-        .find(|a| Some(venom_runtime::pricing::price_cvse(a, 16, &dev()).time_ms) == cvse.cost_ms())
+        .find(|a| Some(venom_baselines::ClaspSpmm::time(a, 16, &dev()).time_ms) == cvse.cost_ms())
         .expect("the plan is priced at one probed vector length")
         .total_bytes();
     let routes: Vec<(&str, Arc<dyn MatmulPlan>, usize, usize)> = vec![

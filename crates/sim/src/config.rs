@@ -2,7 +2,7 @@
 //!
 //! Every constant here encodes a *datasheet* or microbenchmark-published
 //! fact about the device, never a result the benchmarks are supposed to
-//! predict (DESIGN.md §6).
+//! predict.
 
 /// Static description of a simulated GPU.
 #[derive(Clone, Debug, PartialEq)]

@@ -3,7 +3,7 @@
 //! The VENOM paper evaluates on an NVIDIA RTX 3090 whose Sparse Tensor
 //! Cores execute `mma.sp` instructions. No such hardware (nor a Rust path
 //! to its intrinsics) is available here, so this crate provides the
-//! substitute substrate (see DESIGN.md §1): kernels written against it are
+//! substitute substrate: kernels written against it are
 //! *functionally executed* (bit-faithful fp16×fp16+fp32 numerics via
 //! [`tensorcore`]) and *timed* by a first-principles cost model
 //! ([`pipeline`]) fed with instruction, byte, and shared-memory-transaction

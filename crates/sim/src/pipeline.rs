@@ -55,7 +55,7 @@ pub struct KernelCounts {
     /// bank-conflict serialization multipliers. These overlap the compute
     /// pipeline and enter the steady-state roof.
     pub smem_transactions_per_block: u64,
-    /// Epilogue (stage 3) shared-memory transactions per block, including
+    /// Stage-3 epilogue shared-memory transactions per block, including
     /// conflict multipliers. The epilogue runs after the k-loop behind a
     /// barrier, so it cannot hide under the main-loop roofs: it is charged
     /// additively (this is what makes the Fig. 10 store-width ablation
@@ -263,7 +263,7 @@ mod tests {
     }
 
     /// A dense-GEMM-shaped workload: 1024 x K x 4096 with 128x64 tiles.
-    fn dense_counts(k: u64) -> KernelCounts {
+    fn dense_gemm_counts(k: u64) -> KernelCounts {
         let (bsr, bsc, bsk) = (128u64, 64u64, 32u64);
         let blocks = (1024 / bsr) * (4096 / bsc);
         let k_iters = k / bsk;
@@ -293,15 +293,15 @@ mod tests {
 
     #[test]
     fn large_dense_gemm_approaches_datasheet_peak() {
-        let t = simulate(&dev(), &dense_counts(12288)).unwrap();
+        let t = simulate(&dev(), &dense_gemm_counts(12288)).unwrap();
         assert!(t.tflops > 50.0 && t.tflops < 71.2, "tflops={}", t.tflops);
         assert_eq!(t.limiter, Limiter::TensorCore);
     }
 
     #[test]
     fn small_k_is_less_efficient() {
-        let small = simulate(&dev(), &dense_counts(768)).unwrap();
-        let large = simulate(&dev(), &dense_counts(12288)).unwrap();
+        let small = simulate(&dev(), &dense_gemm_counts(768)).unwrap();
+        let large = simulate(&dev(), &dense_gemm_counts(12288)).unwrap();
         assert!(
             small.tflops < large.tflops * 0.92,
             "small={} large={}",
@@ -314,7 +314,7 @@ mod tests {
     fn tflops_scale_monotonically_with_k() {
         let mut prev = 0.0;
         for k in [768u64, 1536, 3072, 6144, 12288] {
-            let t = simulate(&dev(), &dense_counts(k)).unwrap();
+            let t = simulate(&dev(), &dense_gemm_counts(k)).unwrap();
             assert!(t.tflops > prev, "k={k}: {} !> {prev}", t.tflops);
             prev = t.tflops;
         }
@@ -324,7 +324,7 @@ mod tests {
     fn wave_quantization_penalizes_oversized_tiles() {
         // Same total work split over 96 giant blocks (2 waves of 82 wasted)
         // versus 512 small blocks.
-        let mut big = dense_counts(4096);
+        let mut big = dense_gemm_counts(4096);
         big.grid_blocks = 96;
         big.block = BlockResources::new(256, 80 * 1024, 96); // bps = 1
         let t_big = simulate(&dev(), &big).unwrap();
@@ -333,7 +333,7 @@ mod tests {
             "imbalance={}",
             t_big.wave_imbalance
         );
-        let t_small = simulate(&dev(), &dense_counts(4096)).unwrap();
+        let t_small = simulate(&dev(), &dense_gemm_counts(4096)).unwrap();
         assert!(t_small.wave_imbalance < 1.3);
     }
 
@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn sparse_mma_counts_halve_tensor_time() {
-        let mut dense = dense_counts(8192);
+        let mut dense = dense_gemm_counts(8192);
         let t_dense = simulate(&dev(), &dense).unwrap();
         // Same problem with mma.sp: half the instructions for the same
         // effective flops (that is exactly what 2:4 gives).

@@ -74,7 +74,7 @@ proptest! {
         prop_assert!(tm <= t1 * mult as f64 * 1.5 + 1.0, "superlinear blowup: {t1} -> {tm} x{mult}");
     }
 
-    /// Epilogue transactions are strictly additive.
+    /// Stage-3 epilogue transactions are strictly additive.
     #[test]
     fn epilogue_is_additive(epi in 1u64..1_000_000) {
         let mut a = base_counts();

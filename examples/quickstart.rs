@@ -45,17 +45,12 @@ fn main() {
     assert!(err < 1e-6, "functional execution must match the reference");
 
     // And compare with the dense GEMM's simulated time.
-    let dense_w = weight.to_half();
-    let dense = venom::baselines::DenseGemm::run(
-        &dense_w,
-        &activations,
-        &device,
-        venom::baselines::Mode::ModelOnly,
-    );
+    let shape = gemm::shape_of(&weight.to_half(), &activations);
+    let dense = venom::baselines::DenseGemm::time(shape, &device);
     println!(
         "dense cuBLAS model: {:.3} ms -> speedup {:.2}x (theoretical cap for 2:16 is {:.0}x)",
-        dense.timing.time_ms,
-        dense.timing.time_ms / out.timing.time_ms,
+        dense.time_ms,
+        dense.time_ms / out.timing.time_ms,
         cfg.theoretical_speedup_cap()
     );
 }

@@ -11,7 +11,7 @@
 
 use venom::format::SparsityMask;
 use venom::prelude::*;
-use venom::spatha::{sddmm, spmm, ExecMode, SpmmOptions};
+use venom::spatha::{sddmm, spmm, SpmmOptions};
 use venom::tensor::{gemm, norms, random};
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     );
 
     // 1. Sampled score computation.
-    let scores = sddmm(&q, &kt, &mask, cfg, ExecMode::Functional, &device);
+    let scores = sddmm(&q, &kt, &mask, cfg, &device);
     println!(
         "sddmm: {:.4} ms simulated ({:?})",
         scores.timing.time_ms, scores.timing.limiter

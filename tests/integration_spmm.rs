@@ -1,7 +1,7 @@
 //! Cross-crate integration: pruning -> format -> kernel -> verification,
 //! exercised across the configuration matrix the paper evaluates.
 
-use venom::baselines::{DenseGemm, Mode};
+use venom::baselines::DenseGemm;
 use venom::prelude::*;
 use venom::pruner::magnitude;
 use venom::spatha::{spmm, SpmmOptions};
@@ -20,8 +20,8 @@ fn pipeline(r: usize, k: usize, c: usize, cfg: VnmConfig, seed: u64) -> (f64, f6
     let err = norms::rel_frobenius_error(&sparse.c, &reference);
     assert!(err < 1e-5, "{cfg} at {r}x{k}x{c}: functional error {err}");
 
-    let dense = DenseGemm::run(&w.to_half(), &b, &dev, Mode::ModelOnly);
-    (dense.timing.time_ms, sparse.timing.time_ms)
+    let dense = DenseGemm::time(GemmShape::new(r, k, c), &dev);
+    (dense.time_ms, sparse.timing.time_ms)
 }
 
 #[test]
